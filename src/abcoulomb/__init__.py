@@ -7,7 +7,6 @@ wavefunctions, and an independent finite-difference cross-check."""
 from .model import (
     IRREGULAR,
     REGULAR,
-    EffectiveMomentum,
     FluxConfig,
     PhysicalParams,
     QuantumState,

@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class ScanSpec:
     start: float
     stop: float
     steps: int
-    fixed: dict
 
     def __post_init__(self) -> None:
         if self.variable not in SCAN_VARIABLES:
@@ -146,7 +145,7 @@ def _parse_scan(text: str) -> ScanSpec:
         raise argparse.ArgumentTypeError("scan spec must be var:start:stop:steps")
     var, start, stop, steps = parts
     try:
-        return ScanSpec(var, float(start), float(stop), int(steps), fixed={})
+        return ScanSpec(var, float(start), float(stop), int(steps))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -257,14 +256,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    spec = replace(
-        args.scan,
-        fixed={
-            "eta": args.eta, "omega": args.omega, "mass": args.mass,
-            "hbar": args.hbar, "flux": args.flux, "n": args.n, "m": args.m,
-            "spin": args.spin, "branch": args.branch,
-        },
-    )
+    spec = args.scan
     params = _params(args)
     notes: set = set()
     rows: list[ScanRow] = []

@@ -18,7 +18,6 @@ __all__ = [
     "PhysicalParams",
     "FluxConfig",
     "QuantumState",
-    "EffectiveMomentum",
     "decompose_flux",
     "effective_j",
     "is_singular_sector",
@@ -117,23 +116,15 @@ class QuantumState:
             raise ValueError(f"branch must be one of {_BRANCHES}, got {self.branch!r}")
 
 
-@dataclass(frozen=True)
-class EffectiveMomentum:
+def effective_j(m: int, phi: float) -> float:
     """Effective angular momentum j = m + phi of the radial operator."""
-
-    j: float
-
-
-def effective_j(m: int, phi: float) -> EffectiveMomentum:
-    """j = m + phi."""
-    return EffectiveMomentum(j=m + phi)
+    return m + phi
 
 
-def is_singular_sector(j: EffectiveMomentum | float) -> bool:
+def is_singular_sector(j: float) -> bool:
     """True iff |j| < 1/2, where the radial operator is not essentially
     self-adjoint and the irregular origin behavior is admissible."""
-    value = j.j if isinstance(j, EffectiveMomentum) else float(j)
-    return abs(value) < 0.5
+    return abs(j) < 0.5
 
 
 def admissible_m(phi: float) -> list[int]:

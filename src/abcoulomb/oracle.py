@@ -155,18 +155,15 @@ def _coulomb_floor(params: PhysicalParams, j: float) -> float:
     return -4.5 * q * q - 1.0
 
 
-def bound_eigenvalues(
-    op: TridiagonalOperator, n_max: int, sigma: float | None = None
-) -> np.ndarray:
+def bound_eigenvalues(op: TridiagonalOperator, n_max: int, sigma: float) -> np.ndarray:
     """The n_max lowest generalized eigenvalues of (A, M), ascending,
-    via shift-invert Lanczos with the shift below the spectrum bottom."""
+    via shift-invert Lanczos with the shift ``sigma`` below the spectrum
+    bottom."""
     n = len(op.diagonal)
     a_mat = scipy.sparse.diags(
         [op.off_diagonal, op.diagonal, op.off_diagonal], [-1, 0, 1], format="csc"
     )
     m_mat = scipy.sparse.diags([op.mass], [0], format="csc")
-    if sigma is None:
-        sigma = -4.5 * 1.0 - 1.0  # caller normally provides one
     k = min(n_max, n - 2)
     vals = eigsh(
         a_mat,

@@ -9,21 +9,21 @@ Combining the two gives the pole-safe secular function
 
 whose zeros are the bound states; ``lambda = inf`` dispatches to
 G(kappa) = Gamma(b')/Gamma(a') alone.  The gamma reciprocals are entire,
-so F is smooth and a plain sign scan brackets every root.  Roots are
-searched in t = m_e*eta'/kappa, where the lambda = 0 and lambda = inf
-limits sit at the evenly spaced points t = n - 1/2 +- |j|.
+so F is smooth.  Roots are searched in t = m_e*eta'/kappa, where the
+lambda = 0 and lambda = inf limits sit at the closed-form ladders
+t = n - 1/2 +- |j|.  The roots of every finite lambda interlace with those
+ladders, so each is bisected on its own known interval.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import specfun
 from .model import PhysicalParams, SectorError, is_singular_sector
-from .specfun import gamma, reciprocal_gamma, reciprocal_gamma_array
+from .specfun import gamma, reciprocal_gamma
 
 __all__ = [
     "ExtensionParam",
@@ -38,11 +38,6 @@ __all__ = [
     "normalizable_coefficients",
     "energy_from_kappa",
 ]
-
-# Sign-scan resolution: samples per unit interval of t, and the cap on the
-# scanned range as a multiple of (count + 1).
-SCAN_SAMPLES_PER_UNIT = 10_000
-SCAN_RANGE_FACTOR = 10.0
 
 
 class RootSearchError(RuntimeError):
@@ -74,13 +69,27 @@ def _as_extension(lam: ExtensionParam | float) -> ExtensionParam:
     return lam if isinstance(lam, ExtensionParam) else ExtensionParam(float(lam))
 
 
+def _require_extension_sector(lam: ExtensionParam, j: float) -> None:
+    """Finite lambda needs |j| < 1/2; a nonzero one also needs b' != b in
+    floats, i.e. j != 0, where the irregular solution is log r."""
+    if lam.is_infinite:
+        return
+    if not is_singular_sector(j):
+        raise SectorError(f"finite lambda requires |j| < 1/2, got |j| = {abs(j)}")
+    if lam.value != 0.0 and 1.0 - 2.0 * abs(j) == 1.0 + 2.0 * abs(j):
+        raise SectorError(
+            f"finite nonzero lambda is undefined at j = {j}: at j = 0 the "
+            "irregular solution is log r"
+        )
+
+
 @dataclass(frozen=True)
 class KummerParams:
     """Hypergeometric parametrization of the radial solution at fixed kappa:
 
         a  = 1/2 + |j| - m_e eta'/kappa      b  = 1 + 2|j|
         a' = 1/2 - |j| - m_e eta'/kappa      b' = 1 - 2|j|
-        x  = 2 kappa r,   l+- = |j| +- m_e eta'/kappa
+        x  = 2 kappa r,   l+ = |j| + m_e eta'/kappa
     """
 
     a: float
@@ -90,7 +99,6 @@ class KummerParams:
     x: float
     kappa: float
     l_plus: float
-    l_minus: float
 
     def __post_init__(self) -> None:
         if not (self.kappa > 0.0):
@@ -122,7 +130,6 @@ class KummerParams:
             x=2.0 * kappa * r,
             kappa=kappa,
             l_plus=aj + t,
-            l_minus=aj - t,
         )
 
 
@@ -175,11 +182,10 @@ def secular_function(
     lam = _as_extension(lam)
     if not (kappa > 0.0):
         raise ValueError(f"kappa must be positive, got {kappa}")
+    _require_extension_sector(lam, j)
     kp = KummerParams.for_state(kappa, j, params)
     if lam.is_infinite:
         return gamma(kp.b_prime) * reciprocal_gamma(kp.a_prime)
-    if not is_singular_sector(j):
-        raise SectorError(f"finite lambda requires |j| < 1/2, got |j| = {abs(j)}")
     regular_term = gamma(kp.b) * reciprocal_gamma(kp.a)
     irregular_term = (
         lam.value
@@ -208,31 +214,6 @@ def energy_from_kappa(
     """
     coulomb = -(params.hbar**2) * kappa * kappa / (2.0 * params.m_e)
     return coulomb - params.hbar * params.omega * (j + s / 2.0)
-
-
-def _secular_in_t(t: float, lam: ExtensionParam, j: float, params: PhysicalParams) -> float:
-    kappa = params.m_e * params.eta_prime / t
-    return secular_function(kappa, lam, j, params)
-
-
-def _secular_in_t_array(
-    ts: np.ndarray, lam: ExtensionParam, j: float, params: PhysicalParams
-) -> np.ndarray:
-    aj = abs(j)
-    a = 0.5 + aj - ts
-    a_prime = 0.5 - aj - ts
-    if lam.is_infinite:
-        return gamma(1.0 - 2.0 * aj) * reciprocal_gamma_array(a_prime)
-    term = gamma(1.0 + 2.0 * aj) * reciprocal_gamma_array(a)
-    if lam.value != 0.0:
-        kappa = params.m_e * params.eta_prime / ts
-        term = term + (
-            lam.value
-            * (2.0 * kappa) ** (2.0 * aj)
-            * gamma(1.0 - 2.0 * aj)
-            * reciprocal_gamma_array(a_prime)
-        )
-    return term
 
 
 def _bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -274,21 +255,21 @@ def _solve_zero_coupling(
 ) -> list[SecularRoot]:
     # eta' = 0: t = m_e*eta'/kappa degenerates to 0.  The secular function
     # becomes c1 + lambda*(2 kappa)**(2|j|)*c2 with constants c1, c2 > 0:
-    # no roots unless lambda < 0 and |j| > 0, where exactly one survives.
+    # no roots unless lambda < 0, where exactly one survives in closed form.
     aj = abs(j)
-    if lam.is_infinite or lam.value >= 0.0 or aj == 0.0:
+    if lam.is_infinite or lam.value >= 0.0:
         return []
     c1 = gamma(1.0 + 2.0 * aj) * reciprocal_gamma(0.5 + aj)
     c2 = gamma(1.0 - 2.0 * aj) * reciprocal_gamma(0.5 - aj)
-    kappa_star = 0.5 * (-c1 / (lam.value * c2)) ** (1.0 / (2.0 * aj))
+    log_two_kappa = math.log(-c1 / (lam.value * c2)) / (2.0 * aj)
+    if log_two_kappa > math.log(0.5 * sys.float_info.max):
+        raise RootSearchError(f"lambda={lam.value}, j={j}: root beyond float range")
+    kappa = 0.5 * math.exp(log_two_kappa)
 
-    def f(kappa: float) -> float:
-        return secular_function(kappa, lam, j, params)
+    def f(k: float) -> float:
+        return secular_function(k, lam, j, params)
 
-    lo, hi = 0.5 * kappa_star, 2.0 * kappa_star
-    root = _bisect_root(f, lo, hi, f(lo), f(hi))
-    residual = _normalized_residual(f, root)
-    return [SecularRoot(kappa=root, residual=residual, lam=lam, j=j)]
+    return [SecularRoot(kappa=kappa, residual=_normalized_residual(f, kappa), lam=lam, j=j)]
 
 
 def solve_secular(
@@ -300,75 +281,50 @@ def solve_secular(
     """The first ``count`` secular roots, ordered from the ground state
     (largest kappa / smallest t) upward.
 
-    A dense sign scan over t = m_e*eta'/kappa (SCAN_SAMPLES_PER_UNIT
-    samples per unit, range capped at SCAN_RANGE_FACTOR*(count+1))
-    brackets the roots, and bisection refines each bracket to float
-    resolution.  With no Coulomb attraction the ladder disappears and
-    fewer roots (possibly none) are returned.
+    lambda = 0 and lambda = inf return the ladders t = n - 1/2 +- |j|
+    (skipping t <= 0).  Otherwise root n is bisected to float resolution
+    on its interlacing interval in t = m_e*eta'/kappa: for lambda > 0
+    [n - 1/2 - |j|, n - 1/2 + |j|]; for lambda < 0 [n - 3/2 + |j|,
+    n - 1/2 - |j|], and (0, 1/2 - |j|) in log t for n = 1, whose kappa
+    beyond the float range raises RootSearchError.  With no Coulomb
+    attraction fewer roots (possibly none) are returned.
     """
     lam = _as_extension(lam)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if not lam.is_infinite and not is_singular_sector(j):
-        raise SectorError(f"finite lambda requires |j| < 1/2, got |j| = {abs(j)}")
-    if params.m_e * params.eta_prime == 0.0:
+    _require_extension_sector(lam, j)
+    q = params.m_e * params.eta_prime
+    if q == 0.0:
         return _solve_zero_coupling(lam, j, params)
 
     def f(t: float) -> float:
-        return _secular_in_t(t, lam, j, params)
+        return secular_function(q / t, lam, j, params)
 
-    roots: list[SecularRoot] = []
-    t_max = SCAN_RANGE_FACTOR * (count + 1)
-    dt = 1.0 / SCAN_SAMPLES_PER_UNIT
+    def root_at(t: float) -> SecularRoot:
+        return SecularRoot(kappa=q / t, residual=_normalized_residual(f, t), lam=lam, j=j)
 
-    def append_root(t_root: float) -> None:
-        residual = float(_normalized_residual(f, t_root))
-        kappa = params.m_e * params.eta_prime / t_root
-        roots.append(SecularRoot(kappa=float(kappa), residual=residual, lam=lam, j=j))
+    aj = abs(j)
+    if lam.is_infinite or lam.value == 0.0:
+        ladder = (n - 0.5 + (-aj if lam.is_infinite else aj) for n in itertools.count(1))
+        return [root_at(t) for t in itertools.islice((t for t in ladder if t > 0.0), count)]
 
-    # A root can sit below the first grid sample (|j| within dt of 1/2
-    # puts the lowest irregular level at t = 1/2 - |j| < dt); probe the
-    # sub-grid sliver before scanning.
-    t_probe = dt * 1e-8
-    f_probe, f_first = f(t_probe), f(dt)
-    if f_probe * f_first < 0.0:
-        append_root(_bisect_root(f, t_probe, dt, f_probe, f_first))
+    roots = []
+    if lam.value > 0.0:
+        brackets = [(n - 0.5 - aj, n - 0.5 + aj) for n in range(1, count + 1)]
+    else:
+        # Root 1 can sit at kappa ~ 1e50 and beyond, so it is bisected in
+        # log t; kappa <= float max / 4 keeps 2 kappa finite.
+        t_floor = max(sys.float_info.min, 4.0 * q / sys.float_info.max)
 
-    window_start = 0.0
-    while len(roots) < count and window_start < t_max:
-        # include the left boundary sample (except at t = 0) so flips that
-        # straddle two windows are not lost
-        first = 1 if window_start == 0.0 else 0
-        ts = window_start + dt * np.arange(first, SCAN_SAMPLES_PER_UNIT + 1)
-        values = _secular_in_t_array(ts, lam, j, params)
-        signs = np.sign(values)
-        flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-        zeros = np.nonzero(signs == 0.0)[0]
-        candidates = sorted(
-            [(ts[i], ts[i + 1]) for i in flips] + [(ts[i], ts[i]) for i in zeros]
-        )
-        for lo, hi in candidates:
-            if len(roots) >= count:
-                break
-            if lo == hi:
-                t_root = float(lo)
-            else:
-                lo, hi = float(lo), float(hi)
-                f_lo, f_hi = f(lo), f(hi)
-                if f_lo * f_hi > 0.0:
-                    # scalar/vector disagreement at a grid point: widen once
-                    lo, hi = max(lo - dt, dt / 2.0), hi + dt
-                    f_lo, f_hi = f(lo), f(hi)
-                    if f_lo * f_hi > 0.0:
-                        continue
-                t_root = _bisect_root(f, lo, hi, f_lo, f_hi)
-            if roots and abs(params.m_e * params.eta_prime / roots[-1].kappa - t_root) < 2.0 * dt:
-                continue  # boundary sample shared by adjacent windows
-            append_root(t_root)
-        window_start += 1.0
-    if not roots:
-        raise RootSearchError(
-            f"no secular roots found for lambda = {lam.value}, j = {j} "
-            f"with t <= {t_max}"
-        )
+        def g(s: float) -> float:
+            return f(math.exp(s))
+
+        lo, hi = math.log(t_floor), math.log(0.5 - aj)
+        g_lo, g_hi = g(lo), g(hi)
+        if g_lo * g_hi > 0.0:
+            raise RootSearchError(f"lambda={lam.value}, j={j}: ground state beyond float range")
+        roots.append(root_at(math.exp(_bisect_root(g, lo, hi, g_lo, g_hi))))
+        brackets = [(n - 1.5 + aj, n - 0.5 - aj) for n in range(2, count + 1)]
+    for lo, hi in brackets:
+        roots.append(root_at(_bisect_root(f, lo, hi, f(lo), f(hi))))
     return roots

@@ -27,6 +27,7 @@ from .model import (
 from .secular import (
     INFINITE_EXTENSION,
     KummerParams,
+    RootSearchError,
     normalizable_coefficients,
     solve_secular,
 )
@@ -280,7 +281,53 @@ def _checks_secular() -> list[CheckResult]:
         abs(a.kappa - b.kappa) <= 1e-12 * abs(b.kappa) for a, b in zip(short, longer)
     )
     out.append(_check_flag("secular.prefix_stability", prefix_ok))
+
+    brackets_ok = True
+    for lam in (-1e3, -7.0, -1.0, -0.3, -1e-3, 1e-3, 0.3, 1.0, 7.0, 1e3):
+        for j in (0.05, 0.2, 0.45):
+            ts = [1.0 / r.kappa for r in solve_secular(lam, j, params, 5)]
+            brackets_ok &= all(a < b for a, b in zip(ts, ts[1:]))
+            for n, t in enumerate(ts, start=1):
+                lo, hi = _interlacing_bracket(lam, j, n)
+                brackets_ok &= lo - 1e-12 * t <= t <= hi + 1e-12 * t
+                below = _secular_reference(t * (1.0 - 1e-9), lam, j)
+                above = _secular_reference(t * (1.0 + 1e-9), lam, j)
+                brackets_ok &= below * above < 0.0
+    out.append(_check_flag("secular.interlacing_brackets", brackets_ok))
+
+    # kappa ~ 1.1e15 and 1.1e50 against the small-t limit of F; kappa ~ 1e339
+    # is beyond the float range and must be refused, not relabelled.
+    worst_deep = 0.0
+    for lam, j in ((-0.001, 0.1), (-0.1, 0.01)):
+        ratio = -(
+            math.gamma(1.0 + 2.0 * j) * math.gamma(0.5 - j)
+            / (lam * math.gamma(1.0 - 2.0 * j) * math.gamma(0.5 + j))
+        )
+        expected = 0.5 * ratio ** (1.0 / (2.0 * j))
+        kappa = solve_secular(lam, j, params, 1)[0].kappa
+        worst_deep = max(worst_deep, abs(kappa / expected - 1.0))
+    try:
+        solve_secular(-0.06, 0.0018, params, 1)
+        worst_deep = math.inf
+    except RootSearchError:
+        pass
+    out.append(_check("secular.deep_ground_state", worst_deep, 1e-9))
     return out
+
+
+def _interlacing_bracket(lam: float, aj: float, n: int) -> tuple[float, float]:
+    """Interval in t = m_e eta'/kappa that holds root n of a finite lam != 0."""
+    if lam > 0.0:
+        return n - 0.5 - aj, n - 0.5 + aj
+    return (0.0 if n == 1 else n - 1.5 + aj), n - 0.5 - aj
+
+
+def _secular_reference(t: float, lam: float, aj: float) -> float:
+    """The finite-lambda secular function in t on the standard library's
+    gamma, which shares no code with specfun (atomic units)."""
+    irregular = math.gamma(1.0 - 2.0 * aj) / math.gamma(0.5 - aj - t)
+    regular = math.gamma(1.0 + 2.0 * aj) / math.gamma(0.5 + aj - t)
+    return regular + lam * (2.0 / t) ** (2.0 * aj) * irregular
 
 
 # ------------------------------------------------------------ wavefunction
@@ -293,7 +340,8 @@ def _checks_wavefunction() -> list[CheckResult]:
     nodes_ok = True
     worst_norm = 0.0
     decay_ok = True
-    for lam in (-1.0, 1.0):
+    # lambda = +-1 cannot tell f0 = lambda f1 from lambda f0 = f1
+    for lam in (-1.0, 1.0, 0.3, -7.0):
         for j in (0.2, 0.4):
             roots = solve_secular(lam, j, params, 2)
             for index, root in enumerate(roots, start=1):

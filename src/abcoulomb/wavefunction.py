@@ -251,6 +251,19 @@ def _radial_values_array(
     return values
 
 
+def _origin_node(coeffs: SolutionCoefficients, kp: KummerParams) -> float:
+    """Zero of the origin behavior f1 r^{|j|} + f0 r^{-|j|}, or inf."""
+    # On a ladder (a or a' on a gamma pole) one coefficient is rounding
+    # residue whose sign is noise, so ladder states get no origin node.
+    on_ladder = 0.0 in (_growth_reciprocal_gamma(kp.a), _growth_reciprocal_gamma(kp.a_prime))
+    if on_ladder or kp.abs_j == 0.0 or coeffs.a_m == 0.0:
+        return math.inf
+    f0_over_f1 = coeffs.b_m / coeffs.a_m * (2.0 * kp.kappa) ** (-2.0 * kp.abs_j)
+    if f0_over_f1 >= 0.0:
+        return math.inf
+    return math.exp(math.log(-f0_over_f1) / (2.0 * kp.abs_j))
+
+
 def build_profile(
     coeffs: SolutionCoefficients,
     kappa: float,
@@ -264,15 +277,16 @@ def build_profile(
 
     The geometric grading resolves the r^{-|j|} origin behavior and the
     defaults cover (1e-4/kappa, 35/kappa), enough for normalization and
-    node counting.
+    node counting; for lambda < 0 it starts at or below r0/100, where r0 =
+    (-f0/f1)^{1/(2|j|)} is the node of the origin behavior.
     """
     if points < 16:
         raise ValueError(f"points must be >= 16, got {points}")
-    r_lo = 1e-4 / kappa if r_min is None else r_min
+    kp = KummerParams.for_state(kappa, j, params)
+    r_lo = min(1e-4 / kappa, 0.01 * _origin_node(coeffs, kp)) if r_min is None else r_min
     r_hi = 35.0 / kappa if r_max is None else r_max
     if not (0.0 < r_lo < r_hi):
         raise ValueError(f"need 0 < r_min < r_max, got ({r_lo}, {r_hi})")
-    kp = KummerParams.for_state(kappa, j, params)
     r = np.geomspace(r_lo, r_hi, points)
     values = _radial_values_array(2.0 * kappa * r, coeffs, kp)
     return RadialProfile(r=r, values=values, kappa=kappa, coeffs=coeffs, j=j)

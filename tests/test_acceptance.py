@@ -186,15 +186,16 @@ def test_criterion_7_boundary_closure():
     started = time.time()
     worst = 0.0
     checks_ok = True
-    for lam in (-1.0, 1.0):
+    # lambda = +-1 cannot tell f0 = lambda f1 from lambda f0 = f1
+    for lam in (-1.0, 1.0, 0.3, -7.0):
         for j in (0.2, 0.4):
             roots = solve_secular(lam, j, ATOMIC, 3)
             for index, root in enumerate(roots, start=1):
                 kp = KummerParams.for_state(root.kappa, j, ATOMIC)
                 coeffs = normalizable_coefficients(kp)
                 bv = boundary_values(coeffs, kp)
-                closure = abs(lam * bv.f0 - bv.f1) / max(
-                    abs(lam * bv.f0), abs(bv.f1)
+                closure = abs(bv.f0 - lam * bv.f1) / max(
+                    abs(bv.f0), abs(lam * bv.f1)
                 )
                 worst = max(worst, closure)
                 profile = build_profile(coeffs, root.kappa, j, ATOMIC)

@@ -205,6 +205,15 @@ class TestSecularCommand:
         assert code == 3
         assert "1/2" in err
 
+    def test_j_zero_finite_lambda_exits_3(self, capsys):
+        for lam in ("-1", "2"):
+            code, out, err = run_cli(
+                capsys, ["secular", f"--lambda={lam}", "--j", "0", "--count", "3"]
+            )
+            assert code == 3
+            assert out == ""
+            assert "log r" in err
+
 
 class TestWavefunctionCommand:
     def test_closed_form_profile(self, capsys):

@@ -70,9 +70,9 @@ class TestFluxDecomposition:
 
 class TestEffectiveMomentum:
     def test_examples(self):
-        assert effective_j(-1, 0.3).j == pytest.approx(-0.7)
-        assert effective_j(0, 0.0).j == 0.0
-        assert effective_j(-5, 5.3).j == pytest.approx(0.3, abs=1e-12)
+        assert effective_j(-1, 0.3) == pytest.approx(-0.7)
+        assert effective_j(0, 0.0) == 0.0
+        assert effective_j(-5, 5.3) == pytest.approx(0.3, abs=1e-12)
 
     def test_sector_boundary(self):
         assert is_singular_sector(effective_j(0, 0.49))

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcoulomb.model import PhysicalParams, SectorError
 from abcoulomb.secular import (
     INFINITE_EXTENSION,
     ExtensionParam,
     KummerParams,
+    RootSearchError,
     SolutionCoefficients,
     coefficient_ratio,
     energy_from_kappa,
@@ -44,7 +47,7 @@ class TestKummerParams:
         assert kp.b_prime == pytest.approx(0.4)
         assert kp.x == pytest.approx(6.0)
         assert kp.l_plus == pytest.approx(0.8)
-        assert kp.l_minus == pytest.approx(-0.2)
+        assert 2.0 * kp.abs_j - kp.l_plus == pytest.approx(-0.2)  # |j| - t
         assert kp.abs_j == pytest.approx(0.3)
 
     def test_shared_exponent_identity(self):
@@ -111,6 +114,12 @@ class TestSecularFunction:
     def test_sector_error_for_finite_lambda(self):
         with pytest.raises(SectorError):
             secular_function(1.0, 1.0, 0.6, ATOMIC)
+
+    def test_sector_error_for_finite_nonzero_lambda_at_j_zero(self):
+        # the irregular solution at j = 0 is log r, not r^{-|j|}
+        for lam in (-1.0, 2.0):
+            with pytest.raises(SectorError):
+                secular_function(1.0, lam, 0.0, ATOMIC)
 
 
 class TestSolveSecular:
@@ -187,6 +196,11 @@ class TestSolveSecular:
         kappa_expected = 0.5 * (c1 / c2) ** (1.0 / 0.6)
         assert roots[0].kappa == pytest.approx(kappa_expected, rel=1e-10)
 
+    def test_no_coupling_root_beyond_float_range_raises(self):
+        # (2 kappa)^{2|j|} ~ 16.7 puts kappa near 1e339
+        with pytest.raises(RootSearchError):
+            solve_secular(-0.06, 0.0018, PhysicalParams(eta=0.0), 1)
+
     def test_prefix_stability(self):
         for lam in (0.0, -1.0, INFINITE_EXTENSION):
             short = solve_secular(lam, 0.3, ATOMIC, 2)
@@ -202,6 +216,126 @@ class TestSolveSecular:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             solve_secular(0.0, 0.2, ATOMIC, 0)
+
+    def test_j_zero_finite_nonzero_lambda_refused(self):
+        # the irregular solution at j = 0 is log r; at lambda = -1 the
+        # r^{+-|j|} secular function would vanish identically
+        for lam in (-1.0, 2.0, -0.3):
+            for j in (0.0, 1e-17, -5e-324):  # b' = b in floats below ~5e-17
+                with pytest.raises(SectorError):
+                    solve_secular(lam, j, ATOMIC, 3)
+        with pytest.raises(SectorError):
+            solve_secular(-1.0, 0.0, PhysicalParams(eta=0.0), 1)
+
+    def test_j_zero_limits_match_closed_forms(self):
+        flux = decompose_flux(0.0)
+        reg = solve_secular(0.0, 0.0, ATOMIC, 3)
+        irr = solve_secular(INFINITE_EXTENSION, 0.0, ATOMIC, 3)
+        for n in range(1, 4):
+            assert reg[n - 1].kappa == pytest.approx(
+                energy_regular(QuantumState(n, 0, 1), ATOMIC, flux).kappa, rel=1e-14
+            )
+            assert irr[n - 1].kappa == pytest.approx(
+                energy_irregular(QuantumState(n, 0, 1, IRREGULAR), ATOMIC, flux).kappa,
+                rel=1e-14,
+            )
+
+
+def _rgamma_secular(t, lam, aj):
+    """The secular function in t = 1/kappa on scipy's reciprocal gamma."""
+    if math.isinf(lam):
+        return sp.rgamma(0.5 - aj - t)
+    value = sp.gamma(1.0 + 2.0 * aj) * sp.rgamma(0.5 + aj - t)
+    if lam != 0.0:
+        irregular = sp.gamma(1.0 - 2.0 * aj) * sp.rgamma(0.5 - aj - t)
+        value += lam * (2.0 / t) ** (2.0 * aj) * irregular
+    return value
+
+
+def _interlacing_bracket(lam, aj, n):
+    regular, irregular = n - 0.5 + aj, n - 0.5 - aj
+    if lam == 0.0:
+        return regular, regular
+    if math.isinf(lam):
+        return irregular, irregular
+    if lam > 0.0:
+        return irregular, regular
+    if n == 1:
+        return 0.0, irregular
+    return n - 1.5 + aj, irregular
+
+
+def _log_deep_two_kappa(lam, aj):
+    """log(2 kappa) of the lambda < 0 ground state from its small-t limit
+    (2 kappa)^{2|j|} = -Gamma(b) Gamma(1/2 - |j|) / (lambda Gamma(b') Gamma(1/2 + |j|))."""
+    ratio = -(
+        sp.gamma(1.0 + 2.0 * aj) * sp.gamma(0.5 - aj)
+        / (lam * sp.gamma(1.0 - 2.0 * aj) * sp.gamma(0.5 + aj))
+    )
+    return math.log(ratio) / (2.0 * aj)
+
+
+_LAMBDAS = st.one_of(
+    st.sampled_from((0.0, math.inf)),
+    st.builds(
+        lambda sign, exponent: sign * 10.0**exponent,
+        st.sampled_from((1.0, -1.0)),
+        st.floats(-3.0, 3.0),
+    ),
+)
+
+
+class TestInterlacingBrackets:
+    # |j| < 1e-6 is left to test_lambda_minus_one_near_j_zero.  Within
+    # rounding of |j| = 1/2 the lambda < 0 ground-state bracket
+    # (0, 1/2 - |j|) is narrower than the float resolution of a'.
+    @given(
+        lam=_LAMBDAS,
+        j=st.floats(1e-6, 0.5 - 1e-9),
+        count=st.integers(1, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_roots_in_brackets_with_sign_change(self, lam, j, count):
+        try:
+            roots = solve_secular(lam, j, ATOMIC, count)
+        except RootSearchError:
+            # refused only when the ground state is beyond the float range
+            assert lam < 0.0 and _log_deep_two_kappa(lam, j) > math.log(1e300)
+            return
+        assert len(roots) == count
+        ts = [1.0 / r.kappa for r in roots]
+        assert all(a < b for a, b in zip(ts, ts[1:]))
+        for n, t in enumerate(ts, start=1):
+            lo, hi = _interlacing_bracket(lam, j, n)
+            assert lo - 1e-12 * t <= t <= hi + 1e-12 * t
+            below = _rgamma_secular(t * (1.0 - 1e-9), lam, j)
+            above = _rgamma_secular(t * (1.0 + 1e-9), lam, j)
+            assert below * above < 0.0
+
+    @pytest.mark.parametrize("lam, j", [(-0.001, 0.1), (-0.1, 0.01)])
+    def test_deep_ground_state(self, lam, j):
+        # kappa ~ 1.1e15 and 1.1e50, below both closed-form ladders
+        roots = solve_secular(lam, j, ATOMIC, 2)
+        expected = 0.5 * math.exp(_log_deep_two_kappa(lam, j))
+        assert roots[0].kappa == pytest.approx(expected, rel=1e-9)
+        assert 1.0 / roots[1].kappa > 0.5 - j  # the next level is not relabelled
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at lambda = -1 the two secular terms cancel to O(|j|), so the "
+        "roots lose about 1e-16/|j| of relative accuracy with a zero residual",
+    )
+    def test_lambda_minus_one_near_j_zero(self):
+        t = 1.0 / solve_secular(-1.0, 1e-13, ATOMIC, 1)[0].kappa
+        below = _rgamma_secular(t * (1.0 - 1e-9), -1.0, 1e-13)
+        above = _rgamma_secular(t * (1.0 + 1e-9), -1.0, 1e-13)
+        assert below * above < 0.0
+
+    def test_ground_state_beyond_float_range_raises(self):
+        # (2 kappa)^{2|j|} ~ 16.7 puts kappa near 1e339
+        assert _log_deep_two_kappa(-0.06, 0.0018) > math.log(1e308)
+        with pytest.raises(RootSearchError):
+            solve_secular(-0.06, 0.0018, ATOMIC, 1)
 
 
 class TestNormalizableCoefficients:

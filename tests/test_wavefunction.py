@@ -217,6 +217,17 @@ class TestProfiles:
         )
         assert np.all(np.abs(profile.values[tail]) <= envelope)
 
+    def test_origin_node_below_deep_ground_state(self):
+        # With the ground state at kappa ~ 3e14, the excited states vanish
+        # near r0 = (-lambda)^{1/(2|j|)} ~ 4e-15, far inside 1e-4/kappa.
+        lam, j = -0.455, 0.0118
+        roots = solve_secular(lam, j, ATOMIC, 3)
+        assert roots[0].kappa > 1e14
+        for index, root in enumerate(roots, start=1):
+            coeffs = normalizable_coefficients(_kp(root.kappa, j))
+            profile = build_profile(coeffs, root.kappa, j, ATOMIC)
+            assert normalize_and_count_nodes(profile)[1] == index - 1
+
     def test_profile_range_guard(self):
         profile = build_profile(
             SolutionCoefficients(1.0, 0.0), 2.0, 0.2, ATOMIC, r_min=1e-3, r_max=20.0
