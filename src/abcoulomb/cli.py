@@ -3,7 +3,8 @@ roots, wavefunction export, and the verification suite.
 
 Output is deterministic CSV (LF endings, ``.`` decimal point, shortest
 round-trip float format) or JSON.  Exit codes: 0 success, 1 failed
-verification, 2 bad flags (argparse), 3 sector violation under --strict.
+verification, 2 bad flags (argparse), 3 refused input: a sector violation,
+or a state whose kappa or energy is beyond the float range.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .model import (
 from .secular import (
     ExtensionParam,
     KummerParams,
+    RootSearchError,
+    SolutionCoefficients,
     energy_from_kappa,
     normalizable_coefficients,
     solve_secular,
@@ -41,7 +44,7 @@ __all__ = ["main", "ScanSpec", "ScanRow"]
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-EXIT_SECTOR = 3
+EXIT_REFUSED = 3
 
 CSV_HEADER = "scan_var,scan_value,n,m,s,branch,energy,kappa,exists"
 SCAN_VARIABLES = ("flux", "omega", "m")
@@ -248,7 +251,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         )
     except SectorViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SECTOR
+        return EXIT_REFUSED
     for note in sorted(notes):
         print(note, file=sys.stderr)
     _emit(_render_rows(rows, args.format), args.out)
@@ -278,7 +281,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             )
     except SectorViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SECTOR
+        return EXIT_REFUSED
     for note in sorted(notes):
         print(note, file=sys.stderr)
     _emit(_render_rows(rows, args.format), args.out)
@@ -294,25 +297,28 @@ def _cmd_secular(args: argparse.Namespace) -> int:
     s = args.spin[0]
     try:
         roots = solve_secular(args.lam, j, params, args.count)
-    except SectorError as exc:
+    except (SectorError, RootSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SECTOR
+        return EXIT_REFUSED
+    energies = [energy_from_kappa(r.kappa, j, s, params) for r in roots]
+    for i, (root, energy) in enumerate(zip(roots, energies), start=1):
+        if not math.isfinite(energy):
+            print(
+                f"error: root {i} at kappa = {root.kappa!r} has an energy "
+                "beyond the float range",
+                file=sys.stderr,
+            )
+            return EXIT_REFUSED
     if args.format == "json":
         payload = [
-            {
-                "index": i,
-                "kappa": r.kappa,
-                "energy": energy_from_kappa(r.kappa, j, s, params),
-                "residual": r.residual,
-            }
-            for i, r in enumerate(roots, start=1)
+            {"index": i, "kappa": r.kappa, "energy": e, "residual": r.residual}
+            for i, (r, e) in enumerate(zip(roots, energies), start=1)
         ]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         lines = ["index,kappa,energy,residual"]
-        for i, r in enumerate(roots, start=1):
-            energy = energy_from_kappa(r.kappa, j, s, params)
-            lines.append(f"{i},{r.kappa!r},{energy!r},{r.residual!r}")
+        for i, (r, e) in enumerate(zip(roots, energies), start=1):
+            lines.append(f"{i},{r.kappa!r},{e!r},{r.residual!r}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -329,13 +335,14 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
             coeffs = normalizable_coefficients(KummerParams.for_state(kappa, j, params))
         else:
             state = QuantumState(n=args.n[0], m=m, s=args.spin[0], branch=args.branch)
-            res = closed_form_energy(state, params, flux)
-            kappa = res.kappa
-            coeffs = normalizable_coefficients(KummerParams.for_state(kappa, j, params))
+            kappa = closed_form_energy(state, params, flux).kappa
+            # the ladder's own piece: normalizable_coefficients vanishes at
+            # j = 0 and needs Gamma(1 - 2|j|), which has poles at integer 2|j|
+            coeffs = SolutionCoefficients(*((1.0, 0.0) if args.branch == REGULAR else (0.0, 1.0)))
         profile = build_profile(coeffs, kappa, j, params, points=args.points)
-    except SectorError as exc:
+    except (SectorError, RootSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SECTOR
+        return EXIT_REFUSED
     lines = ["r,F"] + [
         f"{r!r},{v!r}" for r, v in zip(profile.r.tolist(), profile.values.tolist())
     ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import PhysicalParams, SectorError, is_singular_sector
 from .specfun import gamma, reciprocal_gamma
@@ -132,6 +132,22 @@ class KummerParams:
             l_plus=aj + t,
         )
 
+    def on_ladder(self) -> "KummerParams":
+        """These parameters with an ``a`` or ``a'`` that lies within rounding
+        of a nonpositive integer put exactly on it.
+
+        A closed-form ladder kappa leaves a (or a') within 1.4 eps max(1, t)
+        of 1 - n; on the integer its 1/Gamma is exactly zero, so a ladder
+        state carries no residue of the growing solution.
+        """
+        tol = 4.0 * sys.float_info.epsilon * max(1.0, self.l_plus - self.abs_j)
+
+        def snap(z: float) -> float:
+            n = round(z)
+            return float(n) if n <= 0 and abs(z - n) <= tol else z
+
+        return replace(self, a=snap(self.a), a_prime=snap(self.a_prime))
+
 
 @dataclass(frozen=True)
 class SolutionCoefficients:
@@ -198,7 +214,9 @@ def secular_function(
 
 def normalizable_coefficients(kp: KummerParams) -> SolutionCoefficients:
     """Coefficients that cancel the growing large-x part by construction:
-    a_m = Gamma(b')/Gamma(a'), b_m = -Gamma(b)/Gamma(a)."""
+    a_m = Gamma(b')/Gamma(a'), b_m = -Gamma(b)/Gamma(a), on the ladder-snapped
+    parameters, so a ladder state has an exactly zero coefficient."""
+    kp = kp.on_ladder()
     return SolutionCoefficients(
         a_m=gamma(kp.b_prime) * reciprocal_gamma(kp.a_prime),
         b_m=-gamma(kp.b) * reciprocal_gamma(kp.a),

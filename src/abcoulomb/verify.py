@@ -115,9 +115,22 @@ def _checks_specfun() -> list[CheckResult]:
                 worst_kt = max(worst_kt, abs(lhs / rhs - 1.0))
     out.append(_check("specfun.kummer_transformation", worst_kt, 1e-10))
 
-    series = specfun.kummer_1f1(0.5, 2.0, specfun.X_SWITCH)
-    asym = specfun.kummer_asymptotic_value(0.5, 2.0, specfun.X_SWITCH)
-    out.append(_check("specfun.series_vs_asymptotic", abs(asym / series - 1.0), 1e-6))
+    # tricomi_u switches from hyperu to the asymptotic expansion at X_SWITCH;
+    # the jump there is judged against the peak of x^{|j|} e^{-x/2} U, as
+    # the profiles are, for irregular-ladder and off-ladder parameters.
+    grid = np.geomspace(1e-3, specfun.X_SWITCH, 200)
+    above = math.nextafter(specfun.X_SWITCH, math.inf)
+    worst_switch = 0.0
+    for b in (1.1, 1.5, 1.9):
+        aj = (b - 1.0) / 2.0
+        for a in (*np.linspace(-2.9, 0.9, 7), *(1.0 - n + 2.0 * aj for n in (1, 2, 3))):
+            peak = np.max(
+                np.abs(grid**aj * np.exp(-0.5 * grid) * specfun.tricomi_u(a, b, grid))
+            )
+            gap = abs(specfun.tricomi_u(a, b, specfun.X_SWITCH) - specfun.tricomi_u(a, b, above))
+            envelope = specfun.X_SWITCH**aj * math.exp(-0.5 * specfun.X_SWITCH)
+            worst_switch = max(worst_switch, gap * envelope / peak)
+    out.append(_check("specfun.tricomi_u_switch", worst_switch, 1e-10))
     return out
 
 

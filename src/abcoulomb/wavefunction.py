@@ -1,15 +1,20 @@
 """Radial solution assembly, small-r expansion, boundary values, and
 profile normalization / node counting.
 
-The solution at fixed kappa is
+The solution at fixed kappa is F = a_m R + b_m I with
 
-    F(x) = a_m x^{|j|} e^{-x/2} 1F1(a, b, x) + b_m x^{-|j|} e^{-x/2} 1F1(a', b', x)
+    R = x^{|j|} e^{-x/2} 1F1(a, b, x),   I = x^{-|j|} e^{-x/2} 1F1(a', b', x)
 
-with x = 2 kappa r.  For x beyond the series window the two pieces are
-recombined analytically: their e^x parts share one asymptotic series, so
-the growing contribution carries the single coefficient
-a_m Gamma(b)/Gamma(a) + b_m Gamma(b')/Gamma(a') and cancellation between
-huge pieces never happens at sample points.
+and x = 2 kappa r.  Both pieces grow like e^{x/2}.  The combination
+(a_m^N, b_m^N) of ``normalizable_coefficients`` is exactly -2|j| N with
+N = x^{|j|} e^{-x/2} U(a, b, x) (DLMF 13.2.42), so F is sampled as
+
+    F = beta R - 2|j| alpha N,   alpha = b_m / b_m^N,   beta = a_m - alpha a_m^N
+
+and beta is exactly 0 for a bound state: no growing piece is cancelled
+numerically.  On the regular ladder b_m^N is exactly 0 (see
+``KummerParams.on_ladder``), R terminates, and F is sampled as
+a_m R + b_m I.
 """
 
 from __future__ import annotations
@@ -20,17 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PhysicalParams, SectorError
-from .secular import ExtensionParam, KummerParams, SolutionCoefficients, _as_extension
-from .specfun import (
-    X_SWITCH,
-    _DEFAULT_ACCURACY,
-    _asymptotic_alg_sum,
-    _asymptotic_exp_sum,
-    SeriesError,
-    gamma,
-    kummer_1f1,
-    reciprocal_gamma,
+from .secular import (
+    ExtensionParam,
+    KummerParams,
+    SolutionCoefficients,
+    _as_extension,
+    normalizable_coefficients,
 )
+from .specfun import gamma, kummer_1f1, reciprocal_gamma, tricomi_u
 
 __all__ = [
     "ResolutionError",
@@ -89,42 +91,25 @@ def _check_x_consistency(r: float, kp: KummerParams) -> float:
     return x
 
 
-def _growth_reciprocal_gamma(z: float) -> float:
-    # A hypergeometric index within rounding distance of a gamma pole is a
-    # terminating (bound-state) piece whose kappa carries float error; the
-    # residue would otherwise re-inject e^x growth far down the tail.
-    nearest = round(z)
-    if nearest <= 0.0 and abs(z - nearest) < 1e-8:
-        return 0.0
-    return reciprocal_gamma(z)
-
-
-def _radial_large_x(x: float, coeffs: SolutionCoefficients, kp: KummerParams) -> float:
-    # Both pieces share the same growing and decaying asymptotic series:
-    # {b-a, 1-a} = {b'-a', 1-a'} and {a, a-b+1} = {a', a'-b'+1} as sets,
-    # so only the cancellation-prone coefficients need combining.
-    t = kp.l_plus - kp.abs_j
-    growth_a = coeffs.a_m * gamma(kp.b) * _growth_reciprocal_gamma(kp.a)
-    growth_b = coeffs.b_m * gamma(kp.b_prime) * _growth_reciprocal_gamma(kp.a_prime)
-    growth_coeff = growth_a + growth_b
-    # A growth coefficient at rounding level relative to its parts is
-    # root-refinement residue on a normalizable state, not physics; keep
-    # it only when the cancellation is genuine.
-    if abs(growth_coeff) <= 1e-8 * (abs(growth_a) + abs(growth_b)):
-        growth_coeff = 0.0
-    decay_coeff = coeffs.a_m * gamma(kp.b) * reciprocal_gamma(kp.b - kp.a) * math.cos(
-        math.pi * kp.a
-    ) + coeffs.b_m * gamma(kp.b_prime) * reciprocal_gamma(
-        kp.b_prime - kp.a_prime
-    ) * math.cos(math.pi * kp.a_prime)
-    value = 0.0
-    if growth_coeff != 0.0:
-        s1, _ = _asymptotic_exp_sum(kp.a, kp.b, x, _DEFAULT_ACCURACY)
-        value += growth_coeff * math.exp(0.5 * x) * x ** (-0.5 - t) * s1
-    if decay_coeff != 0.0:
-        s2, _ = _asymptotic_alg_sum(kp.a, kp.b, x, _DEFAULT_ACCURACY)
-        value += decay_coeff * math.exp(-0.5 * x) * x ** (t - 0.5) * s2
-    return value
+def _radial_values(x: np.ndarray, coeffs: SolutionCoefficients, kp: KummerParams) -> np.ndarray:
+    """a_m R + b_m I at every x, sampled as beta R - 2|j| alpha N."""
+    kp = kp.on_ladder()
+    aj = kp.abs_j
+    # b_m^N on its own: a_m^N needs Gamma(b'), which has poles at integer
+    # 2|j|, and is only read when alpha != 0
+    b_norm = -gamma(kp.b) * reciprocal_gamma(kp.a)
+    alpha = coeffs.b_m / b_norm if b_norm else 0.0
+    beta = coeffs.a_m - alpha * normalizable_coefficients(kp).a_m if alpha else coeffs.a_m
+    regular = np.zeros_like(x)
+    if beta:
+        regular += beta * kummer_1f1(kp.a, kp.b, x)
+    if alpha and aj:
+        regular -= 2.0 * aj * alpha * tricomi_u(kp.a, kp.b, x)
+    values = regular * x**aj
+    if coeffs.b_m and not b_norm:
+        # on the regular ladder I has no N to be folded into
+        values += coeffs.b_m * x ** (-aj) * kummer_1f1(kp.a_prime, kp.b_prime, x)
+    return values * np.exp(-0.5 * x)
 
 
 def radial_solution(r: float, coeffs: SolutionCoefficients, kp: KummerParams) -> float:
@@ -136,20 +121,7 @@ def radial_solution(r: float, coeffs: SolutionCoefficients, kp: KummerParams) ->
     if not (r > 0.0):
         raise ValueError(f"radius must be positive, got {r}")
     x = _check_x_consistency(r, kp)
-    aj = kp.abs_j
-    if x > X_SWITCH:
-        return _radial_large_x(x, coeffs, kp)
-    value = 0.0
-    if coeffs.a_m != 0.0:
-        value += coeffs.a_m * x**aj * math.exp(-0.5 * x) * kummer_1f1(kp.a, kp.b, x)
-    if coeffs.b_m != 0.0:
-        value += (
-            coeffs.b_m
-            * x ** (-aj)
-            * math.exp(-0.5 * x)
-            * kummer_1f1(kp.a_prime, kp.b_prime, x)
-        )
-    return value
+    return float(_radial_values(np.array([x]), coeffs, kp)[0])
 
 
 def small_r_expansion(r: float, coeffs: SolutionCoefficients, kp: KummerParams) -> float:
@@ -211,52 +183,9 @@ def boundary_closure_residual(
     return abs(lhs - rhs) / scale
 
 
-def _series_1f1_array(a: float, b: float, x: np.ndarray, max_terms: int = 400) -> np.ndarray:
-    # Vectorized 1F1 power series; terminates exactly for nonpositive
-    # integer a, otherwise runs until every element has converged.
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(max_terms):
-        term = term * (a + k) * x / ((b + k) * (k + 1.0))
-        if not np.any(term):
-            return total
-        total += term
-        if np.all(np.abs(term) <= 1e-15 * np.abs(total)):
-            return total
-    raise SeriesError(f"vectorized 1F1 did not converge at (a={a}, b={b})")
-
-
-def _radial_values_array(
-    x: np.ndarray, coeffs: SolutionCoefficients, kp: KummerParams
-) -> np.ndarray:
-    values = np.zeros_like(x)
-    small = x <= X_SWITCH
-    if np.any(small):
-        xs = x[small]
-        acc = np.zeros_like(xs)
-        damp = np.exp(-0.5 * xs)
-        aj = kp.abs_j
-        if coeffs.a_m != 0.0:
-            acc += coeffs.a_m * xs**aj * damp * _series_1f1_array(kp.a, kp.b, xs)
-        if coeffs.b_m != 0.0:
-            acc += (
-                coeffs.b_m
-                * xs ** (-aj)
-                * damp
-                * _series_1f1_array(kp.a_prime, kp.b_prime, xs)
-            )
-        values[small] = acc
-    for i in np.nonzero(~small)[0]:
-        values[i] = _radial_large_x(float(x[i]), coeffs, kp)
-    return values
-
-
 def _origin_node(coeffs: SolutionCoefficients, kp: KummerParams) -> float:
     """Zero of the origin behavior f1 r^{|j|} + f0 r^{-|j|}, or inf."""
-    # On a ladder (a or a' on a gamma pole) one coefficient is rounding
-    # residue whose sign is noise, so ladder states get no origin node.
-    on_ladder = 0.0 in (_growth_reciprocal_gamma(kp.a), _growth_reciprocal_gamma(kp.a_prime))
-    if on_ladder or kp.abs_j == 0.0 or coeffs.a_m == 0.0:
+    if kp.abs_j == 0.0 or coeffs.a_m == 0.0:
         return math.inf
     f0_over_f1 = coeffs.b_m / coeffs.a_m * (2.0 * kp.kappa) ** (-2.0 * kp.abs_j)
     if f0_over_f1 >= 0.0:
@@ -288,7 +217,7 @@ def build_profile(
     if not (0.0 < r_lo < r_hi):
         raise ValueError(f"need 0 < r_min < r_max, got ({r_lo}, {r_hi})")
     r = np.geomspace(r_lo, r_hi, points)
-    values = _radial_values_array(2.0 * kappa * r, coeffs, kp)
+    values = _radial_values(2.0 * kappa * r, coeffs, kp)
     return RadialProfile(r=r, values=values, kappa=kappa, coeffs=coeffs, j=j)
 
 

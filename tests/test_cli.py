@@ -1,7 +1,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 import abcoulomb.specfun as specfun
 from abcoulomb import cli
@@ -205,6 +207,19 @@ class TestSecularCommand:
         assert code == 3
         assert "1/2" in err
 
+    @pytest.mark.parametrize(
+        "lam, j",
+        [("-0.1", "0.003"),  # kappa ~ 5e166 is a float, kappa^2 is not
+         ("-0.06", "0.0018")],  # kappa ~ 1e339
+    )
+    def test_beyond_float_range_exits_3(self, capsys, lam, j):
+        code, out, err = run_cli(
+            capsys, ["secular", f"--lambda={lam}", "--j", j, "--count", "1"]
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "float range" in err
+
     def test_j_zero_finite_lambda_exits_3(self, capsys):
         for lam in ("-1", "2"):
             code, out, err = run_cli(
@@ -216,6 +231,37 @@ class TestSecularCommand:
 
 
 class TestWavefunctionCommand:
+    def test_default_state(self, capsys):
+        # flux 0, m 0: j = 0, where normalizable_coefficients vanishes
+        code, out, err = run_cli(capsys, ["wavefunction", "--n", "1"])
+        assert code == 0, err
+        assert len(out.strip().split("\n")) == 2001
+
+    @pytest.mark.parametrize(
+        "branch, n, m, flux",
+        [("regular", 1, 0, 0.0), ("regular", 3, 0, 0.0), ("regular", 2, 0, 0.5),
+         ("regular", 2, -1, 0.5), ("regular", 3, 1, 0.0), ("regular", 2, 2, 0.3),
+         ("irregular", 1, 0, 0.0), ("irregular", 3, 0, 0.3)],
+    )
+    def test_closed_form_states_match_laguerre(self, capsys, branch, n, m, flux):
+        # integer 2|j| puts Gamma(1 - 2|j|) on a pole; the ladder's own
+        # piece x^{+-|j|} e^{-x/2} L_{n-1}^{(+-2|j|)} needs no such factor
+        code, out, err = run_cli(
+            capsys,
+            ["wavefunction", "--branch", branch, "--n", str(n), f"--m={m}",
+             "--flux", str(flux), "--points", "500"],
+        )
+        assert code == 0, err
+        r, values = np.array(
+            [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+        ).T
+        power = (1.0 if branch == "regular" else -1.0) * abs(m + flux)
+        kappa = 1.0 / (n - 0.5 + power)
+        x = 2.0 * kappa * r
+        laguerre = x**power * np.exp(-0.5 * x) * eval_genlaguerre(n - 1, 2.0 * power, x)
+        scale = np.dot(values, laguerre) / np.dot(laguerre, laguerre)
+        assert np.max(np.abs(values - scale * laguerre)) <= 1e-12 * np.max(np.abs(values))
+
     def test_closed_form_profile(self, capsys):
         code, out, _ = run_cli(
             capsys,

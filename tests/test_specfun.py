@@ -1,22 +1,21 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abcoulomb import specfun
+from abcoulomb.model import PhysicalParams
+from abcoulomb.secular import KummerParams, solve_secular
 from abcoulomb.specfun import (
-    EvalAccuracy,
     GammaPoleError,
-    SeriesError,
     X_SWITCH,
     gamma,
     kummer_1f1,
-    kummer_asymptotic,
-    kummer_asymptotic_value,
     reciprocal_gamma,
     reciprocal_gamma_array,
+    tricomi_u,
 )
 
 SQRT_PI = 1.7724538509055160
@@ -89,27 +88,20 @@ class TestKummer:
         # 1F1(-1, 2, 3) = 1 - 3/2
         assert kummer_1f1(-1.0, 2.0, 3.0) == -0.5
 
-    def test_polynomial_term_count(self):
-        acc = EvalAccuracy()
+    def test_polynomial_values(self):
         for k in range(0, 7):
-            value, nterms = specfun._polynomial_1f1(-float(k), 1.7, 2.3, acc)
-            assert nterms == k + 1
             # brute-force Horner-style partial sums as the oracle
             term, total = 1.0, 1.0
             for i in range(k):
                 term *= (-k + i) * 2.3 / ((1.7 + i) * (i + 1.0))
                 total += term
-            assert value == pytest.approx(total, rel=1e-14)
+            assert kummer_1f1(-float(k), 1.7, 2.3) == pytest.approx(total, rel=1e-14)
 
     def test_b_pole_rejected(self):
         with pytest.raises(GammaPoleError):
             kummer_1f1(0.5, 0.0, 1.0)
         with pytest.raises(GammaPoleError):
             kummer_1f1(0.5, -3.0, 1.0)
-
-    def test_max_terms_enforced(self):
-        with pytest.raises(SeriesError):
-            kummer_1f1(0.6, 1.1, 25.0, EvalAccuracy(rel_tol=1e-14, max_terms=5))
 
     @given(
         st.floats(min_value=-3.0, max_value=3.0),
@@ -141,37 +133,80 @@ class TestKummer:
 
 class TestAsymptotic:
     def test_equal_parameters_reduce_to_exponential(self):
-        growing, decaying = kummer_asymptotic(1.4, 1.4, 40.0)
-        assert growing == pytest.approx(1.0, rel=1e-13)
-        assert decaying == 0.0
+        assert kummer_1f1(1.4, 1.4, 40.0) == pytest.approx(math.exp(40.0), rel=1e-13)
+        # U(a, a + 1, x) = x^{-a} (DLMF 13.6.4): the expansion terminates
+        assert tricomi_u(1.4, 2.4, 40.0) == pytest.approx(40.0**-1.4, rel=1e-14)
 
     def test_polynomial_has_no_growth(self):
-        growing, _ = kummer_asymptotic(-2.0, 1.4, 40.0)
-        assert growing == 0.0
+        # 1F1(-2, b, x) = 1 - 2x/b + x^2/(b(b+1)): no e^x part at large x
+        b, x = 1.4, 40.0
+        assert kummer_1f1(-2.0, b, x) == pytest.approx(
+            1.0 - 2.0 * x / b + x * x / (b * (b + 1.0)), rel=1e-13
+        )
 
     def test_series_asymptotic_crossover(self):
-        series = kummer_1f1(0.5, 2.0, X_SWITCH)
-        asym = kummer_asymptotic_value(0.5, 2.0, X_SWITCH)
-        assert asym == pytest.approx(series, rel=1e-6)
+        # hyperu at X_SWITCH against the asymptotic branch just above it
+        below = tricomi_u(0.5, 2.0, X_SWITCH)
+        above = tricomi_u(0.5, 2.0, math.nextafter(X_SWITCH, math.inf))
+        assert above == pytest.approx(below, rel=1e-12)
 
     def test_crossover_more_parameters(self):
-        for a, b in [(1.3, 2.7), (-0.4, 1.2), (2.2, 0.7)]:
-            series = kummer_1f1(a, b, X_SWITCH)
-            asym = kummer_asymptotic_value(a, b, X_SWITCH)
-            assert asym == pytest.approx(series, rel=1e-6)
+        # judged against the peak of x^{|j|} e^{-x/2} U, as the profiles are
+        grid = np.geomspace(1e-3, X_SWITCH, 200)
+        above = math.nextafter(X_SWITCH, math.inf)
+        for a, b in [(0.3, 1.4), (-0.55, 1.1), (-1.6, 1.4), (-2.0, 1.8),
+                     (-2.0 + 4e-16, 1.8), (-0.9, 1.09), (0.9, 1.9)]:
+            aj = (b - 1.0) / 2.0
+            peak = np.max(np.abs(grid**aj * np.exp(-0.5 * grid) * tricomi_u(a, b, grid)))
+            gap = abs(tricomi_u(a, b, X_SWITCH) - tricomi_u(a, b, above))
+            assert gap * X_SWITCH**aj * math.exp(-0.5 * X_SWITCH) <= 1e-10 * peak
 
     def test_large_x_continuity_at_switch(self):
         # value just above the switch stays consistent with just below
-        lo = kummer_1f1(1.1, 1.8, X_SWITCH - 1e-9)
-        hi = kummer_1f1(1.1, 1.8, X_SWITCH + 1e-9)
+        lo = tricomi_u(-1.1, 1.8, X_SWITCH - 1e-9)
+        hi = tricomi_u(-1.1, 1.8, X_SWITCH + 1e-9)
         assert hi == pytest.approx(lo, rel=1e-8)
 
-
-class TestEvalAccuracy:
-    def test_rejects_bad_tolerance(self):
+    def test_array_and_domain(self):
+        xs = np.array([0.5, 10.0, 45.0])
+        values = tricomi_u(0.3, 1.4, xs)
+        assert values.shape == xs.shape
+        assert values[2] == tricomi_u(0.3, 1.4, 45.0)
         with pytest.raises(ValueError):
-            EvalAccuracy(rel_tol=0.0)
+            tricomi_u(0.3, 1.4, np.array([1.0, 0.0]))
 
-    def test_rejects_bad_terms(self):
-        with pytest.raises(ValueError):
-            EvalAccuracy(max_terms=0)
+
+ATOMIC = PhysicalParams()
+SPOT_X = np.geomspace(2e-4, 70.0, 25)
+
+
+def _spot_cases():
+    """(function, a, b, |j|) of the profiles' radial pieces: the regular
+    ladder through 1F1, the irregular ladder and finite-lambda states
+    through U, and two growing 1F1 pieces."""
+    cases = []
+    for aj in (0.03, 0.41, 1.3, 2.6):
+        for n in (1, 2, 3, 4):
+            cases.append(("1f1", 1.0 - n, 1.0 + 2.0 * aj, aj))
+    for aj in (0.1, 0.45):
+        for n in (1, 2, 3, 4):
+            cases.append(("u", 1.0 - n + 2.0 * aj, 1.0 + 2.0 * aj, aj))
+    for lam, j in ((-1.0, 0.2), (1.0, 0.3), (-0.01, 0.1), (1000.0, 0.45)):
+        for root in solve_secular(lam, j, ATOMIC, 3):
+            kp = KummerParams.for_state(root.kappa, j, ATOMIC)
+            cases.append(("u", kp.a, kp.b, j))
+    cases += [("1f1", 0.3, 1.4, 0.2), ("1f1", -1.7, 1.8, 0.4)]
+    return cases
+
+
+@pytest.mark.parametrize("fn, a, b, aj", _spot_cases())
+def test_mpmath_spot_table(fn, a, b, aj):
+    """40-digit mpmath values of x^{|j|} e^{-x/2} f(a, b, x) on the
+    profiles' x range, judged by absolute error against the peak."""
+    with mpmath.workdps(40):
+        mp_f = mpmath.hyp1f1 if fn == "1f1" else mpmath.hyperu
+        ref = np.array([float(mp_f(a, b, x)) for x in SPOT_X])
+    ours = (kummer_1f1 if fn == "1f1" else tricomi_u)(a, b, SPOT_X)
+    envelope = SPOT_X**aj * np.exp(-0.5 * SPOT_X)
+    peak = np.max(np.abs(envelope * ref))
+    assert np.max(np.abs(envelope * (ours - ref))) <= 1e-10 * peak

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 from abcoulomb.model import PhysicalParams, SectorError
 from abcoulomb.secular import (
@@ -175,13 +176,27 @@ class TestBoundaryValues:
 
 class TestProfiles:
     def test_node_counts_regular_ladder(self):
-        j = 0.2
-        for n in (1, 2, 3, 4):
-            kappa = 1.0 / (n - 0.5 + j)
-            profile = build_profile(SolutionCoefficients(1.0, 0.0), kappa, j, ATOMIC)
-            norm, nodes = normalize_and_count_nodes(profile)
-            assert nodes == n - 1
-            assert norm > 0.0 and math.isfinite(norm)
+        # normalizable_coefficients on both ladders, where one coefficient
+        # must be exactly zero; (1, 0) at j = 0, where both vanish, and at
+        # j = 1/2, where Gamma(b') has a pole.
+        cases = [(1, j, None) for j in (0.03, 0.2, 0.41, 1.3, 2.6, -2.4)]
+        cases += [(-1, j, None) for j in (0.1, 0.26, 0.45)]
+        cases += [(1, j, SolutionCoefficients(1.0, 0.0)) for j in (0.0, 0.5)]
+        for sign, j, coeffs in cases:
+            power = sign * abs(j)
+            for n in (1, 2, 3, 4):
+                kappa = 1.0 / (n - 0.5 + power)
+                ladder_coeffs = coeffs or normalizable_coefficients(_kp(kappa, j))
+                for points in (2000, 4000):
+                    profile = build_profile(ladder_coeffs, kappa, j, ATOMIC, points=points)
+                    norm, nodes = normalize_and_count_nodes(profile)
+                    assert nodes == n - 1, (j, n, points)
+                    assert norm > 0.0 and math.isfinite(norm)
+                    x = 2.0 * kappa * profile.r
+                    laguerre = x**power * np.exp(-0.5 * x) * eval_genlaguerre(n - 1, 2.0 * power, x)
+                    scale = np.dot(profile.values, laguerre) / np.dot(laguerre, laguerre)
+                    deviation = np.max(np.abs(profile.values - scale * laguerre))
+                    assert deviation <= 1e-8 * np.max(np.abs(profile.values)), (j, n, points)
 
     def test_irregular_profile_normalizable(self):
         kappa = 1.0 / (1 - 0.5 - 0.45)
