@@ -4,7 +4,8 @@ roots, wavefunction export, and the verification suite.
 Output is deterministic CSV (LF endings, ``.`` decimal point, shortest
 round-trip float format) or JSON.  Exit codes: 0 success, 1 failed
 verification, 2 bad flags (argparse), 3 refused input: a sector violation,
-or a state whose kappa or energy is beyond the float range.
+a state that is not bound, or a state whose kappa or energy is beyond the
+float range.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .secular import (
     normalizable_coefficients,
     solve_secular,
 )
-from .spectrum import closed_form_energy
+from .spectrum import ExistenceError, closed_form_energy
 from .wavefunction import build_profile
 
 __all__ = ["main", "ScanSpec", "ScanRow"]
@@ -140,6 +141,16 @@ def _parse_lambda(text: str) -> ExtensionParam:
     if text.strip().lower() in ("inf", "+inf", "infinity"):
         return ExtensionParam(math.inf)
     return ExtensionParam(float(text))
+
+
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _parse_scan(text: str) -> ScanSpec:
@@ -331,16 +342,24 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     try:
         if args.lam is not None:
             roots = solve_secular(args.lam, j, params, args.root)
+            if len(roots) < args.root:
+                raise ExistenceError(
+                    f"lambda = {args.lam.value} has no bound state {args.root} "
+                    f"(it has {len(roots)})"
+                )
             kappa = roots[args.root - 1].kappa
             coeffs = normalizable_coefficients(KummerParams.for_state(kappa, j, params))
         else:
             state = QuantumState(n=args.n[0], m=m, s=args.spin[0], branch=args.branch)
-            kappa = closed_form_energy(state, params, flux).kappa
+            level = closed_form_energy(state, params, flux)
+            if not level.exists:
+                raise ExistenceError(f"no bound state: kappa = {level.kappa!r}")
+            kappa = level.kappa
             # the ladder's own piece: normalizable_coefficients vanishes at
             # j = 0 and needs Gamma(1 - 2|j|), which has poles at integer 2|j|
             coeffs = SolutionCoefficients(*((1.0, 0.0) if args.branch == REGULAR else (0.0, 1.0)))
         profile = build_profile(coeffs, kappa, j, params, points=args.points)
-    except (SectorError, RootSearchError) as exc:
+    except (SectorError, RootSearchError, ExistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     lines = ["r,F"] + [
@@ -404,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="effective angular momentum; default m + flux")
     se.add_argument("--m", type=_parse_int_list, default=[0])
     se.add_argument("--spin", type=_parse_spins, default=[1])
-    se.add_argument("--count", type=int, default=3)
+    se.add_argument("--count", type=_int_at_least(1), default=3)
     _add_output_flags(se)
     se.set_defaults(handler=_cmd_secular)
 
@@ -416,9 +435,10 @@ def _build_parser() -> argparse.ArgumentParser:
     wv.add_argument("--branch", choices=(REGULAR, IRREGULAR), default=REGULAR)
     wv.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
                     help="build the state of this extension instead of a closed form")
-    wv.add_argument("--root", type=int, default=1, help="which secular root (1-based)")
-    wv.add_argument("--points", type=int, default=2000)
-    _add_output_flags(wv)
+    wv.add_argument("--root", type=_int_at_least(1), default=1,
+                    help="which secular root (1-based)")
+    wv.add_argument("--points", type=_int_at_least(16), default=2000)  # build_profile's minimum
+    wv.add_argument("--out", default=None, help="write to this path instead of stdout")
     wv.set_defaults(handler=_cmd_wavefunction)
 
     vf = sub.add_parser("verify", help="run the invariant suite, emit a JSON report")

@@ -4,7 +4,7 @@
 
 used to cross-check the closed-form and secular spectra.
 
-On the default logarithmic grid (y = ln r, unknown F itself) the operator
+On a logarithmic grid (y = ln r, unknown F itself) the operator
 becomes -F_yy + (j^2 - 2 m_e eta' e^y) F = eps e^{2y} F: a generalized
 symmetric-definite problem A F = eps M F with tridiagonal A and diagonal
 mass M = r^2 carrying the r dr measure.  The inner boundary eliminates
@@ -48,23 +48,20 @@ class GridConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialGrid:
+    """Logarithmically spaced nodes from r_min to r_max."""
+
     r_min: float = 1e-5
     r_max: float = 200.0
     points: int = 4000
-    spacing: str = "logarithmic"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError(f"need 0 < r_min < r_max, got ({self.r_min}, {self.r_max})")
         if self.points < 100:
             raise ValueError(f"points must be >= 100, got {self.points}")
-        if self.spacing not in ("uniform", "logarithmic"):
-            raise ValueError(f"spacing must be uniform or logarithmic, got {self.spacing!r}")
 
     def nodes(self) -> np.ndarray:
-        if self.spacing == "logarithmic":
-            return np.geomspace(self.r_min, self.r_max, self.points)
-        return np.linspace(self.r_min, self.r_max, self.points)
+        return np.geomspace(self.r_min, self.r_max, self.points)
 
     def refined(self) -> "RadialGrid":
         """Same endpoints, half the mesh step."""
@@ -89,18 +86,12 @@ class TridiagonalOperator:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
     mass: np.ndarray
-    grid: RadialGrid
-    j: float
-
-    def dense(self) -> np.ndarray:
-        return (
-            np.diag(self.diagonal)
-            + np.diag(self.off_diagonal, 1)
-            + np.diag(self.off_diagonal, -1)
-        )
 
 
-def _discretize_log(j: float, params: PhysicalParams, grid: RadialGrid):
+def discretize_h0(j: float, params: PhysicalParams, grid: RadialGrid) -> TridiagonalOperator:
+    """Finite-difference pencil whose generalized eigenvalues approximate
+    the spectrum of H0 with the regular boundary behavior at r_min and
+    Dirichlet at r_max."""
     aj = abs(j)
     q = params.m_e * params.eta_prime
     y = np.log(grid.nodes())
@@ -114,38 +105,7 @@ def _discretize_log(j: float, params: PhysicalParams, grid: RadialGrid):
     ghost_ratio = math.exp(-aj * h) * (1.0 + c1 * r0 * math.exp(-h)) / (1.0 + c1 * r0)
     diag[0] = (2.0 - ghost_ratio) / h**2 + j * j - 2.0 * q * r0
     off = np.full(len(r) - 1, -1.0 / h**2)
-    return diag, off, r * r
-
-
-def _discretize_uniform(j: float, params: PhysicalParams, grid: RadialGrid):
-    # Uniform grid in r with unknown u = sqrt(r) F:
-    #   -u'' + [(j^2 - 1/4)/r^2 - 2q/r] u = eps u
-    # The innermost node is folded into its neighbor through the regular
-    # behavior u ~ r^{|j|+1/2} (1 + c1 r).  Coarse near the origin; the
-    # logarithmic default is the accurate choice.
-    aj = abs(j)
-    q = params.m_e * params.eta_prime
-    r_all = grid.nodes()
-    h = r_all[1] - r_all[0]
-    r = r_all[1:-1]
-    c1 = -2.0 * q / (2.0 * aj + 1.0)
-    diag = 2.0 / h**2 + (j * j - 0.25) / (r * r) - 2.0 * q / r
-    power = aj + 0.5
-    behavior = (r_all[0] / r_all[1]) ** power * (1.0 + c1 * r_all[0]) / (1.0 + c1 * r_all[1])
-    diag[0] -= behavior / h**2
-    off = np.full(len(r) - 1, -1.0 / h**2)
-    return diag, off, np.ones_like(r)
-
-
-def discretize_h0(j: float, params: PhysicalParams, grid: RadialGrid) -> TridiagonalOperator:
-    """Finite-difference pencil whose generalized eigenvalues approximate
-    the spectrum of H0 with the regular boundary behavior at r_min and
-    Dirichlet at r_max."""
-    if grid.spacing == "logarithmic":
-        d, e, m = _discretize_log(j, params, grid)
-    else:
-        d, e, m = _discretize_uniform(j, params, grid)
-    return TridiagonalOperator(diagonal=d, off_diagonal=e, mass=m, grid=grid, j=j)
+    return TridiagonalOperator(diagonal=diag, off_diagonal=off, mass=r * r)
 
 
 def _coulomb_floor(params: PhysicalParams, j: float) -> float:

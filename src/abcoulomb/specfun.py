@@ -3,9 +3,9 @@ confluent hypergeometric functions M = 1F1(a, b, x) and Tricomi's
 U(a, b, x).
 
 Gamma and its reciprocal are a self-contained Lanczos evaluation.  1F1 is
-scipy's ``hyp1f1``; U is scipy's ``hyperu`` up to ``X_SWITCH`` and the
-large-argument expansion (DLMF 13.7.3) beyond it.  Both take a scalar or
-an array ``x``.
+scipy's ``hyp1f1``; U is its terminating series when that exists, else
+scipy's ``hyperu`` up to ``X_SWITCH`` and the large-argument expansion
+(DLMF 13.7.3) beyond it.  Both take a scalar or an array ``x``.
 """
 
 from __future__ import annotations
@@ -145,6 +145,14 @@ def _asymptotic_alg_sum(a: float, b: float, x: np.ndarray) -> np.ndarray:
     return total
 
 
+def _terminating_order(a: float, b: float) -> int | None:
+    """n when a or a - b + 1 is the nonpositive integer -n up to the
+    rounding of a and b (the smaller n if both are), else None."""
+    tol = 4.0 * sys.float_info.epsilon * max(1.0, abs(a), abs(b))
+    orders = [-round(p) for p in (a, a - b + 1.0) if round(p) <= 0 and abs(p - round(p)) <= tol]
+    return min(orders, default=None)
+
+
 def kummer_1f1(a: float, b: float, x):
     """Confluent hypergeometric function 1F1(a, b, x) for real arguments:
     scipy's ``hyp1f1``, a polynomial when ``a`` is a nonpositive integer.
@@ -157,23 +165,40 @@ def kummer_1f1(a: float, b: float, x):
     # spectra never need it.
     from scipy import special
 
-    return special.hyp1f1(a, b, x)
+    xs = np.asarray(x, dtype=float)
+    # hyp1f1 returns inf or nan next to zero on the negative side (scipy
+    # 1.17.1: 1F1(-0.125, 1.375, x) for -6e-165 < x < 0), where the series
+    # is 1 + a x / b to double precision.
+    linear = np.abs(xs) * (abs(a) + 1.0) <= sys.float_info.epsilon * abs(b)
+    out = np.where(linear, 1.0 + a * xs / b, special.hyp1f1(a, b, xs))
+    return out if out.ndim else float(out)
 
 
 def tricomi_u(a: float, b: float, x):
     """Tricomi's confluent hypergeometric function U(a, b, x) for x > 0.
 
-    scipy's ``hyperu`` for x <= X_SWITCH; beyond it the large-x expansion
-    x^{-a} sum_s (a)_s (a-b+1)_s / (s! (-x)^s) (DLMF 13.7.3), exact when a
-    or a-b+1 is a nonpositive integer.  hyperu alone fails at large x when
-    a lies within rounding of a pole: at a = -1 + 1e-15, b = 1.6 and
-    x = 55-70 it is off by up to 7e5 times the value.
+    When a or a-b+1 is the nonpositive integer -n, U is x^{-a} times the
+    n + 1 terms of sum_s (a)_s (a-b+1)_s / (s! (-x)^s) (DLMF 13.2.7-8), all
+    summed at every x.  Otherwise it is scipy's ``hyperu`` for x <= X_SWITCH
+    and beyond it the large-x expansion of the same sum (DLMF 13.7.3).
+    hyperu alone fails at large x when a lies within rounding of a pole: at
+    a = -1 + 1e-15, b = 1.6 and x = 55-70 it is off by up to 7e5 times the
+    value.
     """
-    from scipy import special
-
     xs = np.asarray(x, dtype=float)
     if not np.all(xs > 0.0):
         raise ValueError("U(a, b, x) requires x > 0")
+    order = _terminating_order(a, b)
+    if order is not None:
+        term = np.ones_like(xs)
+        total = np.ones_like(xs)
+        for s in range(order):
+            term = term * ((a + s) * (a - b + 1.0 + s) / (s + 1.0)) / -xs
+            total = total + term
+        out = xs ** (-a) * total
+        return out if out.ndim else float(out)
+    from scipy import special
+
     out = np.empty_like(xs)
     small = xs <= X_SWITCH
     out[small] = special.hyperu(a, b, xs[small])

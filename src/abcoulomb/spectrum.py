@@ -35,10 +35,6 @@ __all__ = [
     "detect_degeneracies",
 ]
 
-CLOSED_FORM = "closed_form"
-SECULAR = "secular"
-ORACLE = "oracle"
-
 
 class ExistenceError(ValueError):
     """The bound-state condition kappa**2 > 0 fails (scattering regime)."""
@@ -53,7 +49,6 @@ class SpectralResult:
     kappa: float
     exists: bool
     state: QuantumState
-    provenance: str
     coulomb_energy: float
     rotation_energy: float
 
@@ -76,7 +71,7 @@ def rotation_parts(params: PhysicalParams, j: float, s: int) -> tuple[float, flo
     return -(hw * j), -s * (hw / 2.0)
 
 
-def _assemble(state, params, j, denom, provenance) -> SpectralResult:
+def _assemble(state, params, j, denom) -> SpectralResult:
     coulomb = -(params.m_e * params.eta**2 / (2.0 * params.hbar**2)) / (denom * denom)
     orbit, spin = rotation_parts(params, j, state.s)
     rotation = orbit + spin
@@ -86,7 +81,6 @@ def _assemble(state, params, j, denom, provenance) -> SpectralResult:
         kappa=kappa,
         exists=kappa > 0.0,
         state=state,
-        provenance=provenance,
         coulomb_energy=coulomb,
         rotation_energy=rotation,
     )
@@ -103,7 +97,7 @@ def energy_regular(
     """
     j = state.m + flux.phi
     denom = (state.n - 0.5) + abs(j)
-    return _assemble(state, params, j, denom, CLOSED_FORM)
+    return _assemble(state, params, j, denom)
 
 
 def energy_irregular(
@@ -122,7 +116,7 @@ def energy_irregular(
             f"(m = {state.m}, phi = {flux.phi})"
         )
     denom = (state.n - 0.5) - abs(j)
-    return _assemble(state, params, j, denom, CLOSED_FORM)
+    return _assemble(state, params, j, denom)
 
 
 def closed_form_energy(

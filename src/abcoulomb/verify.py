@@ -170,48 +170,49 @@ def _checks_spectrum() -> list[CheckResult]:
         _check("spectrum.irregular_anchor", abs(blowup.energy / -5000.0 - 1.0), 1e-6)
     )
 
-    rng = np.random.default_rng(7)
+    # E(Omega) = E_coulomb + orbit + spin with the parts read back from the
+    # result, against the independent form -hbar*Omega*j - s*hbar*Omega/2;
+    # every sum is exact, so the tolerances are 0.
+    rng = np.random.default_rng(2024)
+    parts_ok = True
     worst_affine = 0.0
     worst_spin = 0.0
-    for _ in range(60):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(-6, 7))
+    for _ in range(100):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(-8, 9))
         s = int(rng.choice((-1, 1)))
-        phi = float(rng.uniform(-4.0, 4.0))
-        flux = decompose_flux(phi)
+        flux = decompose_flux(float(rng.uniform(-5.0, 5.0)))
+        j = m + flux.phi
+        zero = energy_regular(QuantumState(n, m, s), atomic, flux)
         for omega in (-2.0, 1.0, 3.0):
             rot = PhysicalParams(omega=omega)
-            e_rot = energy_regular(QuantumState(n, m, s), rot, flux)
-            e_0 = energy_regular(QuantumState(n, m, s), atomic, flux)
-            j = m + flux.phi
+            hw = rot.hbar * rot.omega
+            res = energy_regular(QuantumState(n, m, s), rot, flux)
             orbit, spin = rotation_parts(rot, j, s)
-            resid = math.fsum(
+            parts_ok &= res.rotation_energy == orbit + spin
+            parts_ok &= res.energy == res.coulomb_energy + res.rotation_energy
+            affine = math.fsum(
                 [
-                    e_rot.coulomb_energy,
-                    *rotation_parts(rot, j, s),
-                    -e_0.coulomb_energy,
-                    *(-part for part in rotation_parts(atomic, j, s)),
-                    -orbit,
-                    -spin,
+                    res.coulomb_energy, orbit, spin,
+                    -zero.coulomb_energy, -zero.rotation_energy,
+                    hw * j, s * (hw / 2.0),
                 ]
             )
-            worst_affine = max(worst_affine, abs(resid))
-            e_up = energy_regular(QuantumState(n, m, 1), rot, flux)
-            e_dn = energy_regular(QuantumState(n, m, -1), rot, flux)
-            orbit_up, spin_up = rotation_parts(rot, j, 1)
-            orbit_dn, spin_dn = rotation_parts(rot, j, -1)
+            worst_affine = max(worst_affine, abs(affine))
+            up = energy_regular(QuantumState(n, m, 1), rot, flux)
+            dn = energy_regular(QuantumState(n, m, -1), rot, flux)
+            up_orbit, up_spin = rotation_parts(rot, j, 1)
+            dn_orbit, dn_spin = rotation_parts(rot, j, -1)
+            parts_ok &= up.coulomb_energy == dn.coulomb_energy and up_orbit == dn_orbit
             split = math.fsum(
                 [
-                    e_up.coulomb_energy,
-                    orbit_up,
-                    spin_up,
-                    -e_dn.coulomb_energy,
-                    -orbit_dn,
-                    -spin_dn,
-                    rot.hbar * omega,
+                    up.coulomb_energy, up_orbit, up_spin,
+                    -dn.coulomb_energy, -dn_orbit, -dn_spin,
+                    hw,
                 ]
             )
             worst_spin = max(worst_spin, abs(split))
+    out.append(_check_flag("spectrum.energy_parts", parts_ok))
     out.append(_check("spectrum.rotation_affinity", worst_affine, 0.0))
     out.append(_check("spectrum.spin_splitting", worst_spin, 0.0))
 
@@ -225,18 +226,27 @@ def _checks_spectrum() -> list[CheckResult]:
             worst_kappa = max(worst_kappa, abs(back / res.kappa - 1.0))
     out.append(_check("spectrum.kappa_consistency", worst_kappa, 1e-12))
 
-    flux = decompose_flux(1.0)
-    states = [
-        QuantumState(1, m, s) for m in range(-10, 11) for s in (1, -1)
-    ]
-    detected = detect_degeneracies(states, atomic, flux, tol=1e-12)
-    brute = _brute_force_groups(states, atomic, flux, tol=1e-12)
-    out.append(
-        _check_flag(
-            "spectrum.degeneracy_brute_force",
-            {frozenset(g.members) for g in detected} == brute,
+    # integer flux: levels group by |m + phi|, both spins together at
+    # Omega = 0, and the detector agrees with a pairwise clustering
+    states = [QuantumState(1, m, s) for m in range(-10, 11) for s in (1, -1)]
+    degeneracy_ok = True
+    for k in (0, 1, 5):
+        flux = decompose_flux(float(k))
+        detected = {
+            frozenset(g.members)
+            for g in detect_degeneracies(states, atomic, flux, tol=1e-12)
+        }
+        by_abs_j: dict[float, set] = {}
+        for st in states:
+            by_abs_j.setdefault(abs(st.m + flux.phi), set()).add(st)
+        expected = {frozenset(c) for c in by_abs_j.values() if len(c) > 1}
+        brute = _brute_force_groups(states, atomic, flux, tol=1e-12)
+        degeneracy_ok &= detected == expected == brute
+        degeneracy_ok &= all(
+            any({QuantumState(1, m, 1), QuantumState(1, m, -1)} <= g for g in detected)
+            for m in range(-10, 11)
         )
-    )
+    out.append(_check_flag("spectrum.integer_flux_degeneracy", degeneracy_ok))
     return out
 
 
@@ -356,7 +366,8 @@ def _checks_wavefunction() -> list[CheckResult]:
     # lambda = +-1 cannot tell f0 = lambda f1 from lambda f0 = f1
     for lam in (-1.0, 1.0, 0.3, -7.0):
         for j in (0.2, 0.4):
-            roots = solve_secular(lam, j, params, 2)
+            roots = solve_secular(lam, j, params, 3)
+            nodes_ok &= len(roots) == 3
             for index, root in enumerate(roots, start=1):
                 kp = KummerParams.for_state(root.kappa, j, params)
                 coeffs = normalizable_coefficients(kp)
@@ -391,9 +402,13 @@ def _checks_wavefunction() -> list[CheckResult]:
 
 def _checks_oracle() -> list[CheckResult]:
     params = PhysicalParams()
+    n_max = 3
     worst = 0.0
     for j in (0.0, 0.25, 0.75, 1.5):
-        for ev in oracle_mod.oracle_regular_spectrum(j, params, 3):
+        levels = oracle_mod.oracle_regular_spectrum(j, params, n_max)
+        if len(levels) < n_max:
+            worst = math.inf
+        for ev in levels:
             exact = params.m_e * params.eta_prime / (ev.index - 0.5 + abs(j))
             worst = max(worst, abs(ev.kappa / exact - 1.0))
     return [_check("oracle.closed_form_agreement", worst, 1e-6)]

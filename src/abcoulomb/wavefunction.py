@@ -226,12 +226,11 @@ def _count_nodes(profile: RadialProfile) -> int:
     noise_floor = 1e-13 * float(np.max(np.abs(values)))
     # Tangential touches dip to the noise floor without flipping sign, so
     # only samples above the floor participate in the sign sequence.
-    significant = [i for i, v in enumerate(values) if abs(v) > noise_floor]
-    nodes = 0
+    significant = np.flatnonzero(np.abs(values) > noise_floor)
+    kept = values[significant]
+    flips = np.flatnonzero(kept[:-1] * kept[1:] < 0.0)
     n = len(values)
-    for prev, cur in zip(significant[:-1], significant[1:]):
-        if values[prev] * values[cur] >= 0.0:
-            continue
+    for prev, cur in zip(significant[flips].tolist(), significant[flips + 1].tolist()):
         window = values[max(0, prev - 25) : min(n, cur + 26)]
         local_scale = float(np.max(np.abs(window)))
         if abs(values[cur] - values[prev]) > 0.10 * local_scale:
@@ -239,8 +238,7 @@ def _count_nodes(profile: RadialProfile) -> int:
                 f"sign change near r = {profile.r[prev]} jumps by more than "
                 f"10% of the local amplitude; refine the mesh"
             )
-        nodes += 1
-    return nodes
+    return len(flips)
 
 
 def normalize_and_count_nodes(profile: RadialProfile) -> tuple[float, int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 import abcoulomb.specfun as specfun
-from abcoulomb import cli
+from abcoulomb import cli, oracle, spectrum
 from abcoulomb.model import IRREGULAR, PhysicalParams, QuantumState, decompose_flux
 from abcoulomb.spectrum import closed_form_energy
 
@@ -122,15 +123,24 @@ class TestScanCommand:
     def test_flux_scan_sorted_and_monotone(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            ["scan", "--scan", "flux:0:10:201", "--n", "1", "--m", "0..3"],
+            ["scan", "--scan", "flux:0:10:201", "--n", "1", "--m", "0..5"],
         )
         assert code == 0
         rows = parse_rows(out)
         values = [(r["scan_value"], r["n"], r["m"], r["s"]) for r in rows]
         assert values == sorted(values)
-        for m in range(0, 4):
+        for m in range(0, 6):
             energies = [r["energy"] for r in rows if r["m"] == m]
             assert all(b >= a for a, b in zip(energies, energies[1:]))
+
+    def test_flux_scan_negative_m_minimum_at_integer_flux(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["scan", "--scan", "flux:0:10:101", "--m=-5..-1"]
+        )
+        assert code == 0
+        lowest = min(parse_rows(out), key=lambda r: r["energy"])
+        assert lowest["energy"] == pytest.approx(-2.0, abs=1e-12)
+        assert lowest["scan_value"] == pytest.approx(round(lowest["scan_value"]), abs=1e-12)
 
     def test_m_scan(self, capsys):
         code, out, _ = run_cli(
@@ -143,7 +153,7 @@ class TestScanCommand:
     def test_omega_scan_affine(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            ["scan", "--scan", "omega:0:3:7", "--branch", "irregular",
+            ["scan", "--scan", "omega:0:3:31", "--branch", "irregular",
              "--m", "0", "--flux", "0.2"],
         )
         assert code == 0
@@ -220,6 +230,11 @@ class TestSecularCommand:
         assert out == ""
         assert err.startswith("error:") and "float range" in err
 
+    def test_count_below_one_exits_2(self):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["secular", "--lambda", "0", "--count", "0"])
+        assert excinfo.value.code == 2
+
     def test_j_zero_finite_lambda_exits_3(self, capsys):
         for lam in ("-1", "2"):
             code, out, err = run_cli(
@@ -285,6 +300,28 @@ class TestWavefunctionCommand:
         values = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
         assert all(math.isfinite(v) for v in values)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--eta", "0"],  # kappa = 0: no closed-form bound state
+         ["--lambda", "1", "--flux", "0.2", "--eta", "0"]],  # no secular root
+    )
+    def test_no_bound_state_exits_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["wavefunction", *argv])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["wavefunction", "--lambda", "1", "--root", "0"],
+         ["wavefunction", "--points", "15"],
+         ["wavefunction", "--format", "json"]],  # profiles are CSV only
+    )
+    def test_bad_flags_exit_2(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+
 
 class TestVerifyCommand:
     def test_default_passes(self, capsys):
@@ -308,6 +345,30 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert not report["pass"]
         assert "FAIL" in err
+
+    def test_energy_assembly_fault_detected(self, capsys, monkeypatch):
+        original = spectrum._assemble
+
+        def scaled_rotation(*args):
+            res = original(*args)
+            return dataclasses.replace(
+                res, energy=res.coulomb_energy + 1.01 * res.rotation_energy
+            )
+
+        monkeypatch.setattr(spectrum, "_assemble", scaled_rotation)
+        code, out, _ = run_cli(capsys, ["verify", "--only", "spectrum"])
+        assert code == 1
+        failing = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
+        assert "spectrum.energy_parts" in failing
+
+    def test_dropped_oracle_level_detected(self, capsys, monkeypatch):
+        original = oracle.oracle_regular_spectrum
+        monkeypatch.setattr(
+            oracle, "oracle_regular_spectrum", lambda *args: original(*args)[:-1]
+        )
+        code, out, _ = run_cli(capsys, ["verify", "--only", "oracle"])
+        assert code == 1
+        assert not json.loads(out)["pass"]
 
     def test_argument_dependent_fault_fails_recurrence(self, capsys, monkeypatch):
         original = specfun.gamma

@@ -80,6 +80,11 @@ class TestKummer:
     def test_at_zero(self):
         for a, b in [(0.7, 1.3), (-2.5, 0.4), (3.0, 2.0)]:
             assert kummer_1f1(a, b, 0.0) == 1.0
+        # next to zero on either side: 1 + a x / b
+        for a, b in [(0.0625, 1.0), (-0.125, 1.375), (0.05, 0.9), (-0.35, 4.0)]:
+            for x in (-5e-324, -1e-200, -1e-170, 1e-300):
+                assert kummer_1f1(a, b, x) == 1.0
+            assert kummer_1f1(a, b, np.array([-1e-200, 0.0]))[0] == 1.0
 
     def test_exponential_case(self):
         assert kummer_1f1(1.0, 1.0, 2.0) == pytest.approx(math.e**2, rel=1e-14)
@@ -134,8 +139,11 @@ class TestKummer:
 class TestAsymptotic:
     def test_equal_parameters_reduce_to_exponential(self):
         assert kummer_1f1(1.4, 1.4, 40.0) == pytest.approx(math.exp(40.0), rel=1e-13)
-        # U(a, a + 1, x) = x^{-a} (DLMF 13.6.4): the expansion terminates
+        # U(a, a + 1, x) = x^{-a} (DLMF 13.6.4): the expansion terminates,
+        # also where a - b + 1 is zero only up to the rounding of 0.9 and 1.9
         assert tricomi_u(1.4, 2.4, 40.0) == pytest.approx(40.0**-1.4, rel=1e-14)
+        for x in (0.5, 20.0, 29.0, 30.0):
+            assert tricomi_u(0.9, 1.9, x) == pytest.approx(x**-0.9, rel=1e-14)
 
     def test_polynomial_has_no_growth(self):
         # 1F1(-2, b, x) = 1 - 2x/b + x^2/(b(b+1)): no e^x part at large x
@@ -143,6 +151,12 @@ class TestAsymptotic:
         assert kummer_1f1(-2.0, b, x) == pytest.approx(
             1.0 - 2.0 * x / b + x * x / (b * (b + 1.0)), rel=1e-13
         )
+        # a - b + 1 = -2: U(0.5, 3.5, x) = x^{-1/2} (1 + 1/x + 3/(4 x^2)), where
+        # the terms grow at small x and no smallest-term cut may drop one
+        for x in (0.01, 0.5, 5.0, 29.0, 40.0):
+            with mpmath.workdps(40):
+                ref = float(mpmath.hyperu(0.5, 3.5, x))
+            assert tricomi_u(0.5, 3.5, x) == pytest.approx(ref, rel=1e-14)
 
     def test_series_asymptotic_crossover(self):
         # hyperu at X_SWITCH against the asymptotic branch just above it

@@ -13,6 +13,7 @@ from abcoulomb.secular import (
     solve_secular,
 )
 from abcoulomb.wavefunction import (
+    RadialProfile,
     ResolutionError,
     boundary_closure_residual,
     boundary_values,
@@ -259,6 +260,35 @@ class TestProfiles:
         )
         with pytest.raises(ResolutionError):
             normalize_and_count_nodes(profile)
+
+    def test_node_count_matches_scalar_reference(self):
+        # smooth, under-resolved (ResolutionError) and noise-floor samples
+        def scalar_count(values):
+            floor = 1e-13 * float(np.max(np.abs(values)))
+            significant = [i for i, v in enumerate(values) if abs(v) > floor]
+            nodes = 0
+            for prev, cur in zip(significant[:-1], significant[1:]):
+                if values[prev] * values[cur] >= 0.0:
+                    continue
+                window = values[max(0, prev - 25) : cur + 26]
+                if abs(values[cur] - values[prev]) > 0.10 * float(np.max(np.abs(window))):
+                    return "ResolutionError"
+                nodes += 1
+            return nodes
+
+        rng = np.random.default_rng(11)
+        r = np.geomspace(1e-4, 40.0, 300)
+        for _ in range(300):
+            values = np.sin(rng.uniform(0.05, 1.0) * r + rng.uniform(0, 2 * np.pi))
+            values *= np.exp(-0.1 * r)
+            dips = rng.random(r.size) < 0.02
+            values[dips] = rng.normal(0.0, 1e-14, dips.sum())
+            profile = RadialProfile(r, values, 1.0, SolutionCoefficients(1.0, 0.0), 0.2)
+            try:
+                got = normalize_and_count_nodes(profile)[1]
+            except ResolutionError:
+                got = "ResolutionError"
+            assert got == scalar_count(values)
 
     def test_samples_property(self):
         profile = build_profile(
