@@ -137,6 +137,13 @@ def _parse_spins(text: str) -> list[int]:
     return spins
 
 
+def _parse_levels(text: str) -> list[int]:
+    levels = _parse_int_list(text)
+    if min(levels) < 1:
+        raise argparse.ArgumentTypeError("n entries must be >= 1")
+    return levels
+
+
 def _parse_lambda(text: str) -> ExtensionParam:
     if text.strip().lower() in ("inf", "+inf", "infinity"):
         return ExtensionParam(math.inf)
@@ -153,6 +160,20 @@ def _int_at_least(minimum: int):
     return integer
 
 
+def _physical(field: str):
+    """A float that ``PhysicalParams`` accepts as ``field``."""
+
+    def number(text: str) -> float:
+        value = float(text)
+        try:
+            PhysicalParams(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return number
+
+
 def _parse_scan(text: str) -> ScanSpec:
     parts = text.split(":")
     if len(parts) != 4:
@@ -165,10 +186,13 @@ def _parse_scan(text: str) -> ScanSpec:
 
 
 def _add_physics_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta", type=float, default=1.0, help="Coulomb strength (default 1)")
-    parser.add_argument("--omega", type=float, default=0.0, help="rotation frequency (default 0)")
-    parser.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
-    parser.add_argument("--hbar", type=float, default=1.0, help="hbar (default 1)")
+    parser.add_argument("--eta", type=_physical("eta"), default=1.0,
+                        help="Coulomb strength (default 1)")
+    parser.add_argument("--omega", type=_physical("omega"), default=0.0,
+                        help="rotation frequency (default 0)")
+    parser.add_argument("--mass", type=_physical("m_e"), default=1.0,
+                        help="particle mass (default 1)")
+    parser.add_argument("--hbar", type=_physical("hbar"), default=1.0, help="hbar (default 1)")
     parser.add_argument("--flux", type=float, default=0.0, help="AB flux phi (default 0)")
 
 
@@ -395,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="closed-form energies at a single point")
     _add_physics_flags(sp)
-    sp.add_argument("--n", type=_parse_int_list, default=[1])
+    sp.add_argument("--n", type=_parse_levels, default=[1])
     sp.add_argument("--m", type=_parse_int_list, default=[0])
     sp.add_argument("--spin", type=_parse_spins, default=[1])
     sp.add_argument("--branch", choices=(REGULAR, IRREGULAR, "both"), default=REGULAR)
@@ -407,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_physics_flags(sc)
     sc.add_argument("--scan", type=_parse_scan, required=True,
                     help="var:start:stop:steps with var in flux|omega|m")
-    sc.add_argument("--n", type=_parse_int_list, default=[1])
+    sc.add_argument("--n", type=_parse_levels, default=[1])
     sc.add_argument("--m", type=_parse_int_list, default=[0])
     sc.add_argument("--spin", type=_parse_spins, default=[1])
     sc.add_argument("--branch", choices=(REGULAR, IRREGULAR, "both"), default=REGULAR)
@@ -429,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     wv = sub.add_parser("wavefunction", help="export a radial profile as CSV (r,F)")
     _add_physics_flags(wv)
-    wv.add_argument("--n", type=_parse_int_list, default=[1])
+    wv.add_argument("--n", type=_parse_levels, default=[1])
     wv.add_argument("--m", type=_parse_int_list, default=[0])
     wv.add_argument("--spin", type=_parse_spins, default=[1])
     wv.add_argument("--branch", choices=(REGULAR, IRREGULAR), default=REGULAR)

@@ -323,6 +323,30 @@ class TestWavefunctionCommand:
         assert excinfo.value.code == 2
 
 
+class TestPhysicsFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["spectrum", "--n", "0"], "n entries must be >= 1"),
+            (["wavefunction", "--n", "0"], "n entries must be >= 1"),
+            (["scan", "--scan", "flux:0:1:3", "--n", "1,0"], "n entries must be >= 1"),
+            (["spectrum", "--eta", "-1"], "eta must be nonnegative"),
+            (["wavefunction", "--eta", "-1"], "eta must be nonnegative"),
+            (["scan", "--scan", "flux:0:1:3", "--eta", "-1"], "eta must be nonnegative"),
+            (["secular", "--lambda", "1", "--mass", "0"], "m_e must be positive"),
+            (["spectrum", "--hbar", "-1"], "hbar must be positive"),
+            (["scan", "--scan", "flux:0:1:3", "--omega", "inf"], "omega must be finite"),
+        ],
+        ids=["spectrum-n", "wavefunction-n", "scan-n", "spectrum-eta", "wavefunction-eta",
+             "scan-eta", "mass", "hbar", "omega"],
+    )
+    def test_rejected_at_parse_time_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_default_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["verify"])

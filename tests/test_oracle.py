@@ -4,6 +4,7 @@ import pytest
 from abcoulomb.model import PhysicalParams
 from abcoulomb.oracle import (
     DEFAULT_GRID,
+    TWO_GRID_AGREEMENT,
     GridConvergenceError,
     RadialGrid,
     bound_eigenvalues,
@@ -12,6 +13,18 @@ from abcoulomb.oracle import (
 )
 
 ATOMIC = PhysicalParams()
+
+
+def _count_below(op, eps):
+    """Generalized eigenvalues of (A, M) below eps, by Sylvester's law of
+    inertia: the negative pivots of the LDL^T of the unscaled A - eps M."""
+    shifted = (op.diagonal - eps * op.mass).tolist()
+    pivot = shifted[0]
+    negative = int(pivot < 0.0)
+    for a, b in zip(shifted[1:], op.off_diagonal.tolist()):
+        pivot = a - b * b / pivot
+        negative += pivot < 0.0
+    return negative
 
 
 class TestRadialGrid:
@@ -49,13 +62,36 @@ class TestDiscretization:
     def test_no_coupling_operator_nonnegative(self):
         free = PhysicalParams(eta=0.0)
         op = discretize_h0(1.0, free, RadialGrid(points=600))
-        evs = bound_eigenvalues(op, 4, sigma=-1.0)
+        evs = bound_eigenvalues(op, 4)
         assert np.all(evs >= 0.0)
 
     def test_lowest_eigenvalue_matches_coulomb_ground(self):
         op = discretize_h0(0.0, ATOMIC, DEFAULT_GRID)
-        evs = bound_eigenvalues(op, 1, sigma=-5.5)
+        evs = bound_eigenvalues(op, 1)
         assert evs[0] == pytest.approx(-4.0, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [DEFAULT_GRID, DEFAULT_GRID.refined(), RadialGrid(r_min=1e-30, r_max=1e6, points=100)],
+        ids=["default", "refined", "coarse-36-decades"],
+    )
+    @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
+    def test_levels_match_sturm_count(self, grid, j):
+        # the k-th level has exactly k - 1 eigenvalues of the unscaled pencil
+        # below it and k above it, to a relative 1e-9
+        op = discretize_h0(j, ATOMIC, grid)
+        levels = bound_eigenvalues(op, 5)
+        assert len(levels) == 5
+        for k, eps in enumerate(levels, start=1):
+            assert _count_below(op, eps - 1e-9 * abs(eps)) == k - 1
+            assert _count_below(op, eps + 1e-9 * abs(eps)) == k
+
+    @pytest.mark.parametrize("r_min", [1e-80, 1e-160])
+    def test_unrepresentable_pencil_refused(self, r_min):
+        # the symmetrised entries reach 1/(h r_min)^2, whose squares overflow
+        op = discretize_h0(0.3, ATOMIC, RadialGrid(r_min=r_min, points=400))
+        with pytest.raises(ValueError, match="r_min"):
+            bound_eigenvalues(op, 3)
 
 
 class TestSpectrum:
@@ -72,6 +108,10 @@ class TestSpectrum:
         kappas = [ev.kappa for ev in evs]
         assert kappas == sorted(kappas, reverse=True)
         assert [ev.index for ev in evs] == [1, 2, 3]
+
+    def test_two_grid_gap_reported(self):
+        for ev in oracle_regular_spectrum(0.25, ATOMIC, 3):
+            assert 0.0 < ev.two_grid_gap < TWO_GRID_AGREEMENT
 
     def test_no_coupling_no_bound_states(self):
         assert oracle_regular_spectrum(0.2, PhysicalParams(eta=0.0), 3) == []
@@ -90,11 +130,8 @@ class TestSpectrum:
         j = 0.25
         exact = -((1.0 / (1 - 0.5 + j)) ** 2)
         coarse_grid = RadialGrid(points=1000)
-        sigma = -5.5
-        eps_c = bound_eigenvalues(discretize_h0(j, ATOMIC, coarse_grid), 1, sigma)[0]
-        eps_f = bound_eigenvalues(
-            discretize_h0(j, ATOMIC, coarse_grid.refined()), 1, sigma
-        )[0]
+        eps_c = bound_eigenvalues(discretize_h0(j, ATOMIC, coarse_grid), 1)[0]
+        eps_f = bound_eigenvalues(discretize_h0(j, ATOMIC, coarse_grid.refined()), 1)[0]
         assert abs(eps_c - exact) >= 3.0 * abs(eps_f - exact)
 
     def test_two_grid_disagreement_detected(self):
