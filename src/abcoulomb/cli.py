@@ -40,7 +40,7 @@ from .secular import (
 from .spectrum import ExistenceError, closed_form_energy
 from .wavefunction import build_profile
 
-__all__ = ["main", "ScanSpec", "ScanRow"]
+__all__ = ["main", "ScanSpec"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -49,6 +49,8 @@ EXIT_REFUSED = 3
 
 CSV_HEADER = "scan_var,scan_value,n,m,s,branch,energy,kappa,exists"
 SCAN_VARIABLES = ("flux", "omega", "m")
+# json.dumps spellings of the floats that repr spells nan, inf and -inf.
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,10 @@ class ScanSpec:
     def __post_init__(self) -> None:
         if self.variable not in SCAN_VARIABLES:
             raise ValueError(f"scan variable must be one of {SCAN_VARIABLES}")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(
+                f"scan endpoints and their span must be finite, got {self.start}:{self.stop}"
+            )
         if not (self.start < self.stop):
             raise ValueError(f"need start < stop, got {self.start} >= {self.stop}")
         if self.steps < 2:
@@ -77,39 +83,6 @@ class ScanSpec:
             stride = (int(self.stop) - int(self.start)) // (self.steps - 1)
             return [float(int(self.start) + stride * i) for i in range(self.steps)]
         return [float(v) for v in np.linspace(self.start, self.stop, self.steps)]
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    scan_var: str
-    scan_value: float
-    n: int
-    m: int
-    s: int
-    branch: str
-    energy: float
-    kappa: float
-    exists: bool
-
-    def csv(self) -> str:
-        return (
-            f"{self.scan_var},{self.scan_value!r},{self.n},{self.m},{self.s},"
-            f"{self.branch},{self.energy!r},{self.kappa!r},"
-            f"{'true' if self.exists else 'false'}"
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "scan_var": self.scan_var,
-            "scan_value": self.scan_value,
-            "n": self.n,
-            "m": self.m,
-            "s": self.s,
-            "branch": self.branch,
-            "energy": self.energy,
-            "kappa": self.kappa,
-            "exists": self.exists,
-        }
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -174,6 +147,13 @@ def _physical(field: str):
     return number
 
 
+def _flux(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"flux must be finite, got {value}")
+    return value
+
+
 def _parse_scan(text: str) -> ScanSpec:
     parts = text.split(":")
     if len(parts) != 4:
@@ -193,7 +173,7 @@ def _add_physics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mass", type=_physical("m_e"), default=1.0,
                         help="particle mass (default 1)")
     parser.add_argument("--hbar", type=_physical("hbar"), default=1.0, help="hbar (default 1)")
-    parser.add_argument("--flux", type=float, default=0.0, help="AB flux phi (default 0)")
+    parser.add_argument("--flux", type=_flux, default=0.0, help="AB flux phi (default 0)")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -217,110 +197,119 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
+def _json_float(x: float) -> str:
+    """``x`` as ``json.dumps`` writes it."""
+    text = repr(x)
+    return _JSON_FLOATS.get(text, text)
+
+
 class SectorViolation(Exception):
     """Raised in strict mode when an irregular request leaves |j| < 1/2."""
 
 
-def _evaluate_rows(
-    scan_var: str,
-    scan_value: float,
-    params: PhysicalParams,
-    phi: float,
-    ns: list[int],
-    ms: list[int],
-    spins: list[int],
-    branches: list[str],
-    strict: bool,
-    notes: set,
-) -> list[ScanRow]:
-    flux = decompose_flux(phi)
-    rows = []
-    for n in ns:
-        for m in ms:
-            for s in spins:
-                for branch in branches:
-                    if branch == IRREGULAR and not is_singular_sector(m + flux.phi):
-                        if strict:
-                            raise SectorViolation(
-                                f"irregular state needs |j| < 1/2 but m + phi = "
-                                f"{m + flux.phi} (m={m}, phi={flux.phi})"
-                            )
-                        notes.add(
-                            f"note: irregular rows with |m + phi| >= 1/2 marked "
-                            f"exists=false (first at m={m}, phi={flux.phi})"
-                        )
-                        rows.append(
-                            ScanRow(
-                                scan_var, scan_value, n, m, s, branch,
-                                math.nan, math.nan, False,
-                            )
-                        )
-                        continue
-                    state = QuantumState(n=n, m=m, s=s, branch=branch)
-                    res = closed_form_energy(state, params, flux)
-                    rows.append(
-                        ScanRow(
-                            scan_var, scan_value, n, m, s, branch,
-                            res.energy, res.kappa, res.exists,
-                        )
-                    )
-    return rows
+def _rows(variable: str, values: list[float], args: argparse.Namespace) -> tuple[str, str | None]:
+    """The rows of a sweep of ``variable`` over ``values``, rendered in
+    ``args.format`` and sorted by (scan_value, n, m, s, branch), and the
+    note on irregular rows outside |j| < 1/2 (None when there are none).
+
+    The (value, n, m, s, branch) grid is evaluated as numpy columns with
+    the operations of ``spectrum._assemble`` in its order, so each energy
+    and kappa is bit for bit ``closed_form_energy`` of its row.  Raises
+    ``SectorViolation`` under ``--strict``, naming the first offending row
+    in (value, n, m, s, branch) loop order.
+    """
+    params = _params(args)
+    column = np.array(values)[:, None]
+    m_column = column if variable == "m" else np.array([float(m) for m in args.m])[None, :]
+    j = m_column + (column if variable == "flux" else args.flux)  # (value, m)
+    outside = ~is_singular_sector(j)
+    branches = _branches(args.branch)
+    note = None
+    if IRREGULAR in branches and outside.any():
+        v, i = np.unravel_index(np.argmax(outside), outside.shape)
+        m = int(values[v]) if variable == "m" else args.m[i]
+        phi = values[v] if variable == "flux" else args.flux
+        if args.strict:
+            raise SectorViolation(
+                f"irregular state needs |j| < 1/2 but m + phi = {m + phi} (m={m}, phi={phi})"
+            )
+        note = (
+            f"note: irregular rows with |m + phi| >= 1/2 marked exists=false "
+            f"(first at m={m}, phi={phi})"
+        )
+
+    # Axes (value, n, m, s, branch); a length-1 axis broadcasts.
+    value = column[..., None, None, None]
+    j = j[:, None, :, None, None]
+    half = np.array([n - 0.5 for n in args.n])[:, None, None, None]
+    regular = np.array([b == REGULAR for b in branches])
+    with np.errstate(all="ignore"):  # overflow to inf and inf * 0 = nan, as in Python floats
+        denom = np.where(regular, half + np.abs(j), half - np.abs(j))
+        coulomb = -(params.m_e * params.eta**2 / (2.0 * params.hbar**2)) / (denom * denom)
+        hw = params.hbar * (value if variable == "omega" else params.omega)
+        orbit, spin = -(hw * j), -np.array(args.spin, dtype=float)[:, None] * (hw / 2.0)
+        energy = coulomb + (orbit + spin)
+        kappa = params.m_e * params.eta_prime / denom
+    refused = outside[:, None, :, None, None] & ~regular
+    m_rows = [[int(v)] for v in values] if variable == "m" else [args.m] * len(values)
+    shape = (len(values), len(args.n), len(m_rows[0]), len(args.spin), len(branches))
+
+    # A stable sort of the loop order, as sorted() of the rows; ranks take ints of any size.
+    def key(items: list, axis: int) -> np.ndarray:
+        rank = {x: r for r, x in enumerate(sorted(set(items)))}
+        axes = [-1 if a == axis else 1 for a in range(5)]
+        return np.array([rank[x] for x in items]).reshape(axes)
+
+    m_key = key(args.m, 2) if variable != "m" else 0  # m scans: m follows the value
+    keys = [key(branches, 4), key(args.spin, 3), m_key, key(args.n, 1), value]
+    order = np.lexsort([np.broadcast_to(k, shape).ravel() for k in keys]).tolist()
+
+    def text(array: np.ndarray, fmt) -> list[str]:
+        """``fmt`` of each entry of an array on its own axes, spread over the sorted rows."""
+        strings = np.array([fmt(x) for x in array.ravel().tolist()], dtype=object)
+        return np.broadcast_to(strings.reshape(array.shape), shape).ravel()[order].tolist()
+
+    number = _json_float if args.format == "json" else repr
+    kappa = np.where(refused, math.nan, kappa)
+    energies = text(np.where(refused, math.nan, energy), number)
+    kappas = text(kappa, number)
+    exists = text(kappa > 0.0, lambda x: "true" if x else "false")
+    heads = [
+        (v, n, m, s, b)
+        for v, ms in zip(map(repr, values), m_rows)
+        for n in args.n for m in ms for s in args.spin for b in branches
+    ]
+    rows = zip([heads[i] for i in order], energies, kappas, exists)
+    if args.format == "json":
+        objects = [
+            f'  {{\n    "scan_var": "{variable}",\n    "scan_value": {v},\n    "n": {n},\n'
+            f'    "m": {m},\n    "s": {s},\n    "branch": "{b}",\n    "energy": {e},\n'
+            f'    "kappa": {k},\n    "exists": {x}\n  }}'
+            for (v, n, m, s, b), e, k, x in rows
+        ]
+        return "[\n" + ",\n".join(objects) + "\n]\n", note
+    lines = [f"{variable},{v},{n},{m},{s},{b},{e},{k},{x}" for (v, n, m, s, b), e, k, x in rows]
+    return CSV_HEADER + "\n" + "\n".join(lines) + "\n", note
 
 
-def _render_rows(rows: list[ScanRow], fmt: str) -> str:
-    rows = sorted(rows, key=lambda r: (r.scan_value, r.n, r.m, r.s, r.branch))
-    if fmt == "json":
-        return json.dumps([r.as_dict() for r in rows], indent=2) + "\n"
-    lines = [CSV_HEADER] + [r.csv() for r in rows]
-    return "\n".join(lines) + "\n"
+def _write_rows(variable: str, values: list[float], args: argparse.Namespace) -> int:
+    try:
+        text, note = _rows(variable, values, args)
+    except SectorViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    if note is not None:
+        print(note, file=sys.stderr)
+    _emit(text, args.out)
+    return EXIT_OK
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    params = _params(args)
-    notes: set = set()
-    try:
-        rows = _evaluate_rows(
-            "flux", args.flux, params, args.flux,
-            args.n, args.m, args.spin, _branches(args.branch),
-            args.strict, notes,
-        )
-    except SectorViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    for note in sorted(notes):
-        print(note, file=sys.stderr)
-    _emit(_render_rows(rows, args.format), args.out)
-    return EXIT_OK
+    return _write_rows("flux", [args.flux], args)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    spec = args.scan
-    params = _params(args)
-    notes: set = set()
-    rows: list[ScanRow] = []
-    try:
-        for value in spec.values():
-            phi = value if spec.variable == "flux" else args.flux
-            point_params = params
-            if spec.variable == "omega":
-                point_params = PhysicalParams(
-                    m_e=params.m_e, hbar=params.hbar, eta=params.eta, omega=value
-                )
-            ms = [int(value)] if spec.variable == "m" else args.m
-            rows.extend(
-                _evaluate_rows(
-                    spec.variable, value, point_params, phi,
-                    args.n, ms, args.spin, _branches(args.branch),
-                    args.strict, notes,
-                )
-            )
-    except SectorViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    for note in sorted(notes):
-        print(note, file=sys.stderr)
-    _emit(_render_rows(rows, args.format), args.out)
-    return EXIT_OK
+    return _write_rows(args.scan.variable, args.scan.values(), args)
 
 
 def _cmd_secular(args: argparse.Namespace) -> int:
@@ -385,6 +374,9 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         profile = build_profile(coeffs, kappa, j, params, points=args.points)
     except (SectorError, RootSearchError, ExistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except OverflowError:  # (2 kappa)^{-2|j|} for kappa ~ 1/|j| at huge |j|
+        print(f"error: the profile at j = {j!r} is beyond the float range", file=sys.stderr)
         return EXIT_REFUSED
     lines = ["r,F"] + [
         f"{r!r},{v!r}" for r, v in zip(profile.r.tolist(), profile.values.tolist())

@@ -1,6 +1,11 @@
 import dataclasses
+import hashlib
+import importlib.util
+import itertools
 import json
 import math
+import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +13,14 @@ from scipy.special import eval_genlaguerre
 
 import abcoulomb.specfun as specfun
 from abcoulomb import cli, oracle, spectrum
-from abcoulomb.model import IRREGULAR, PhysicalParams, QuantumState, decompose_flux
+from abcoulomb.model import (
+    IRREGULAR,
+    REGULAR,
+    PhysicalParams,
+    QuantumState,
+    decompose_flux,
+    is_singular_sector,
+)
 from abcoulomb.spectrum import closed_form_energy
 
 
@@ -183,6 +195,190 @@ class TestScanCommand:
         assert out == ""
         assert target.read_text().startswith(cli.CSV_HEADER)
 
+    def test_one_note_per_scan(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            ["scan", "--scan", "flux:0:10:401", "--omega", "1", "--n", "2,3",
+             "--m", "0..5", "--branch", "both"],
+        )
+        assert code == 0
+        notes = [line for line in err.splitlines() if line.startswith("note:")]
+        assert notes == [
+            "note: irregular rows with |m + phi| >= 1/2 marked exists=false "
+            "(first at m=1, phi=0.0)"
+        ]
+
+
+def reference_output(argv):
+    """Output of ``spectrum``/``scan`` from the row-by-row evaluator: one
+    QuantumState and closed_form_energy per row, a stable sort of the rows,
+    and json.dumps for JSON.  Returns the text written, or the error line
+    under --strict."""
+    args = cli._build_parser().parse_args(argv)
+    params = PhysicalParams(m_e=args.mass, hbar=args.hbar, eta=args.eta, omega=args.omega)
+    branches = [REGULAR, IRREGULAR] if args.branch == "both" else [args.branch]
+    if args.command == "spectrum":
+        points = [("flux", args.flux, params, args.flux, args.m)]
+    else:
+        var = args.scan.variable
+        points = [
+            (var, value,
+             dataclasses.replace(params, omega=value) if var == "omega" else params,
+             value if var == "flux" else args.flux,
+             [int(value)] if var == "m" else args.m)
+            for value in args.scan.values()
+        ]
+    rows = []
+    for var, value, point_params, phi, ms in points:
+        flux = decompose_flux(phi)
+        for n, m, s, branch in itertools.product(args.n, ms, args.spin, branches):
+            if branch == IRREGULAR and not is_singular_sector(m + flux.phi):
+                if args.strict:
+                    return (
+                        f"error: irregular state needs |j| < 1/2 but m + phi = "
+                        f"{m + flux.phi} (m={m}, phi={flux.phi})\n"
+                    )
+                rows.append((var, value, n, m, s, branch, math.nan, math.nan, False))
+                continue
+            res = closed_form_energy(QuantumState(n, m, s, branch), point_params, flux)
+            rows.append((var, value, n, m, s, branch, res.energy, res.kappa, res.exists))
+    rows.sort(key=lambda row: row[1:6])
+    if args.format == "json":
+        keys = cli.CSV_HEADER.split(",")
+        return json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+    lines = [cli.CSV_HEADER] + [
+        f"{var},{value!r},{n},{m},{s},{branch},{energy!r},{kappa!r},"
+        f"{'true' if exists else 'false'}"
+        for var, value, n, m, s, branch, energy, kappa, exists in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def random_argv(seed):
+    """A seeded scan or spectrum: flux, omega or m sweeps that may cross
+    negative flux, unsorted lists with repeats, spins of both signs, every
+    branch choice, and random physics flags."""
+    rng = random.Random(seed)
+
+    def int_list(lo, hi):
+        return ",".join(str(rng.randint(lo, hi)) for _ in range(rng.randint(1, 4)))
+
+    command = rng.choice(["spectrum", "flux", "omega", "m"])
+    argv = ["spectrum"] if command == "spectrum" else ["scan"]
+    if command in ("flux", "omega"):
+        start = round(rng.uniform(-3.0, 1.0), rng.choice([1, 3, 17]))
+        stop = start + rng.uniform(0.1, 5.0)
+        argv.append(f"--scan={command}:{start!r}:{stop!r}:{rng.randint(2, 40)}")
+    elif command == "m":
+        start, stride, steps = rng.randint(-6, 2), rng.randint(1, 3), rng.randint(2, 6)
+        argv.append(f"--scan=m:{start}:{start + stride * (steps - 1)}:{steps}")
+    argv += [
+        f"--n={int_list(1, 5)}",
+        f"--m={int_list(-3, 3)}",
+        "--spin=" + ",".join(rng.choice(["+1", "-1"]) for _ in range(rng.randint(1, 3))),
+        "--branch", rng.choice([REGULAR, IRREGULAR, "both"]),
+        f"--flux={rng.uniform(-2.0, 2.0)!r}",
+        f"--omega={rng.choice([0.0, rng.uniform(-2.0, 2.0)])!r}",
+        f"--eta={rng.choice([1.0, 0.0, rng.uniform(0.1, 3.0)])!r}",
+        f"--mass={rng.uniform(0.2, 3.0)!r}",
+        f"--hbar={rng.uniform(0.2, 3.0)!r}",
+    ]
+    if rng.random() < 0.25:
+        argv.append("--strict")
+    return argv
+
+
+FIXED_ARGV = [
+    # rotation beyond the float range: inf and nan energies
+    ["spectrum", "--omega", "1e308", "--hbar", "10", "--m=-1..1", "--spin=+1,-1",
+     "--branch", "both"],
+    ["scan", "--scan", "omega:1e307:1e308:4", "--hbar", "10", "--m=-1,1,0", "--spin=-1,+1",
+     "--branch", "both", "--flux", "0.2"],
+    ["scan", "--scan", "flux:0:10:401", "--omega", "1", "--n", "2,3", "--m", "0..5",
+     "--branch", "both"],
+    ["scan", "--scan", "flux:-0.49:0.49:197", "--branch", "irregular", "--n", "1..4",
+     "--m", "0", "--spin", "+1,-1", "--omega", "1"],
+    ["scan", "--scan", "m:-10:10:21", "--flux", "0.6", "--omega", "1", "--spin", "+1,-1",
+     "--branch", "both"],
+    ["spectrum", "--branch", "irregular", "--m", "1", "--flux", "0", "--strict"],
+]
+
+
+class TestColumnarRows:
+    """``spectrum`` and ``scan`` write exactly the bytes of the row-by-row
+    evaluator."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv", [random_argv(seed) for seed in range(48)] + FIXED_ARGV,
+        ids=[f"seed{seed}" for seed in range(48)] + [f"fixed{i}" for i in range(len(FIXED_ARGV))],
+    )
+    def test_matches_row_by_row_reference(self, capsys, argv, fmt):
+        argv = argv + ["--format", fmt]
+        expected = reference_output(argv)
+        code, out, err = run_cli(capsys, argv)
+        if expected.startswith("error:"):
+            assert (code, out, err) == (3, "", expected)
+        else:
+            assert code == 0
+            assert out == expected
+
+    def test_random_cases_cover_every_kind(self):
+        argvs = [random_argv(seed) for seed in range(48)]
+        kinds = {argv[1].split(":")[0] if argv[0] == "scan" else "spectrum" for argv in argvs}
+        assert kinds == {"--scan=flux", "--scan=omega", "--scan=m", "spectrum"}
+        assert any("--strict" in argv for argv in argvs)
+        assert {argv[argv.index("--branch") + 1] for argv in argvs} == {REGULAR, IRREGULAR, "both"}
+
+
+# SHA-256 of each file scripts/run_scans.py writes, recorded from the
+# row-by-row evaluator; identical flags give byte-identical files.
+RUN_SCANS_SHA256 = {
+    "irregular_vs_flux_n1to4.csv":
+        "6f3276ef09e810489d60a0f86458b0e4cfb80faca780a4fa7a606abfed9776d7",
+    "irregular_vs_flux_n5to8.csv":
+        "b9753b349d545e50fe4f1defef41d08e65641c1221eeca5ad20a63931cd5b779",
+    "irregular_vs_flux_spin.csv":
+        "b8a1a3dfed101a99b54d907d515c82248a244049f57a6c4b949fe896a888f8f4",
+    "irregular_vs_omega.csv":
+        "83e35d71566b84108fedfe1c320c1aaad32f97da87bd661a043276630ea7180e",
+    "regular_vs_flux_m_neg_n1.csv":
+        "ad2a5c44cb60c50e09bc89ed2bac90b621cac3a9aa217fdd83ed98387c65db04",
+    "regular_vs_flux_m_neg_n2.csv":
+        "e67643bc94cd74fdc9686a6da3cfd51b10afa2355094bbff7ad3231a202577bd",
+    "regular_vs_flux_m_nonneg_n1.csv":
+        "91a665612919334cf9c0c407443ee6b237879cc284476b32804d58f5e1a6883b",
+    "regular_vs_flux_m_nonneg_n2.csv":
+        "0df53e9e2bd7ec72cc078e47c19eae00b3e13c74ed523e1e4ac072a3bea54861",
+    "regular_vs_flux_rotating_n1.csv":
+        "29bca55feb8d9f95a41ea1160a8cd42b57a981a992c3767bbe413d654912007e",
+    "regular_vs_flux_rotating_n2n3.csv":
+        "daabdaf005d0d737439a5bdb638152859b35ed244a32cdd91fa00d2f2a08a7d9",
+    "regular_vs_m_flux0p6.csv":
+        "ff50fe06cff543b2688d8a43296beed873dbcd25a9b5daee4c6c6129bb70db73",
+    "regular_vs_m_flux1.csv":
+        "17a3d5d3360648b12a0e98673f50bb7acb51abbff2a49946a816220eade3add6",
+    "regular_vs_m_flux5.csv":
+        "01fa4a17945db7c4d45c0123a8e8b64ccc9a4b88cc7143358579e44c70363de0",
+    "regular_vs_omega_n1.csv":
+        "02b02b373584adeeac3adad5c69c81a818e2b878a90af55e566c6bd1599de67d",
+    "regular_vs_omega_n2.csv":
+        "b29f081b72ebb403209d7d266643a2d4fc20b10e54c16a88148f7cb7ccff83a6",
+}
+
+
+def test_run_scans_golden_digests(tmp_path, monkeypatch, capsys):
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_scans.py"
+    spec = importlib.util.spec_from_file_location("run_scans", script)
+    run_scans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_scans)
+    assert {name for name, _ in run_scans.RECIPES} == set(RUN_SCANS_SHA256)
+    monkeypatch.setattr("sys.argv", ["run_scans.py", "--outdir", str(tmp_path)])
+    assert run_scans.main() == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == RUN_SCANS_SHA256
+
 
 class TestSecularCommand:
     def test_regular_limit(self, capsys):
@@ -311,6 +507,13 @@ class TestWavefunctionCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("flux", ["1e300", "-1e300"])
+    def test_beyond_float_range_exits_3(self, capsys, flux):
+        code, out, err = run_cli(capsys, ["wavefunction", f"--flux={flux}"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "float range" in err
+
     @pytest.mark.parametrize(
         "argv",
         [["wavefunction", "--lambda", "1", "--root", "0"],
@@ -336,9 +539,16 @@ class TestPhysicsFlags:
             (["secular", "--lambda", "1", "--mass", "0"], "m_e must be positive"),
             (["spectrum", "--hbar", "-1"], "hbar must be positive"),
             (["scan", "--scan", "flux:0:1:3", "--omega", "inf"], "omega must be finite"),
+            (["spectrum", "--flux", "inf"], "flux must be finite"),
+            (["spectrum", "--flux", "nan"], "flux must be finite"),
+            (["scan", "--scan", "flux:0:inf:3"], "scan endpoints and their span must be finite"),
+            (["scan", "--scan", "m:0:inf:3"], "scan endpoints and their span must be finite"),
+            (["scan", "--scan", "flux:-1e308:1e308:3"],
+             "scan endpoints and their span must be finite"),
         ],
         ids=["spectrum-n", "wavefunction-n", "scan-n", "spectrum-eta", "wavefunction-eta",
-             "scan-eta", "mass", "hbar", "omega"],
+             "scan-eta", "mass", "hbar", "omega", "flux-inf", "flux-nan", "scan-inf",
+             "m-scan-inf", "scan-span-overflow"],
     )
     def test_rejected_at_parse_time_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
