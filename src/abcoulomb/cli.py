@@ -298,6 +298,10 @@ def _write_rows(variable: str, values: list[float], args: argparse.Namespace) ->
     except SectorViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except (OverflowError, ZeroDivisionError):  # eta**2 overflows or hbar**2 underflows
+        print("error: the Coulomb scale m_e eta^2 / hbar^2 is beyond the float range",
+              file=sys.stderr)
+        return EXIT_REFUSED
     if note is not None:
         print(note, file=sys.stderr)
     _emit(text, args.out)
@@ -323,6 +327,9 @@ def _cmd_secular(args: argparse.Namespace) -> int:
         roots = solve_secular(args.lam, j, params, args.count)
     except (SectorError, RootSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except (OverflowError, ZeroDivisionError):  # eta / hbar**2, or 1/Gamma at a huge count
+        print("error: the secular roots are beyond the float range", file=sys.stderr)
         return EXIT_REFUSED
     energies = [energy_from_kappa(r.kappa, j, s, params) for r in roots]
     for i, (root, energy) in enumerate(zip(roots, energies), start=1):
@@ -375,7 +382,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     except (SectorError, RootSearchError, ExistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except OverflowError:  # (2 kappa)^{-2|j|} for kappa ~ 1/|j| at huge |j|
+    except (OverflowError, ZeroDivisionError):  # (2 kappa)^{-2|j|} at huge |j|; hbar**2 = 0
         print(f"error: the profile at j = {j!r} is beyond the float range", file=sys.stderr)
         return EXIT_REFUSED
     lines = ["r,F"] + [

@@ -12,7 +12,8 @@ G(kappa) = Gamma(b')/Gamma(a') alone.  The gamma reciprocals are entire,
 so F is smooth.  Roots are searched in t = m_e*eta'/kappa, where the
 lambda = 0 and lambda = inf limits sit at the closed-form ladders
 t = n - 1/2 +- |j|.  The roots of every finite lambda interlace with those
-ladders, so each is bisected on its own known interval.
+ladders, so each is bisected on its own known interval, directly in t with
+Gamma(b) and Gamma(b') computed once per solve.
 """
 
 from __future__ import annotations
@@ -186,6 +187,23 @@ def coefficient_ratio(
     return lam.value * (2.0 * kappa) ** (2.0 * abs(j))
 
 
+def _secular_terms(lam: ExtensionParam, aj: float):
+    """F of one (lambda, |j|) as a function of a = 1/2 + |j| - t,
+    a' = 1/2 - |j| - t and 2 kappa, with its constant gammas computed once.
+    An a or a' passed as an exact nonpositive integer makes its term 0."""
+    g_irregular = gamma(1.0 - 2.0 * aj)
+    if lam.is_infinite:
+        return lambda a, a_prime, two_kappa: g_irregular * reciprocal_gamma(a_prime)
+    g_regular = gamma(1.0 + 2.0 * aj)
+    weight, power = lam.value * g_irregular, 2.0 * aj
+
+    def terms(a: float, a_prime: float, two_kappa: float) -> float:
+        irregular = weight * two_kappa**power * reciprocal_gamma(a_prime)
+        return g_regular * reciprocal_gamma(a) + irregular
+
+    return terms
+
+
 def secular_function(
     kappa: float, lam: ExtensionParam | float, j: float, params: PhysicalParams
 ) -> float:
@@ -199,17 +217,9 @@ def secular_function(
     if not (kappa > 0.0):
         raise ValueError(f"kappa must be positive, got {kappa}")
     _require_extension_sector(lam, j)
-    kp = KummerParams.for_state(kappa, j, params)
-    if lam.is_infinite:
-        return gamma(kp.b_prime) * reciprocal_gamma(kp.a_prime)
-    regular_term = gamma(kp.b) * reciprocal_gamma(kp.a)
-    irregular_term = (
-        lam.value
-        * (2.0 * kappa) ** (2.0 * abs(j))
-        * gamma(kp.b_prime)
-        * reciprocal_gamma(kp.a_prime)
-    )
-    return regular_term + irregular_term
+    aj = abs(j)
+    t = params.m_e * params.eta_prime / kappa
+    return _secular_terms(lam, aj)(0.5 + aj - t, 0.5 - aj - t, 2.0 * kappa)
 
 
 def normalizable_coefficients(kp: KummerParams) -> SolutionCoefficients:
@@ -235,12 +245,14 @@ def energy_from_kappa(
 
 
 def _bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """Bisection to floating-point resolution; endpoints must straddle zero."""
+    """Bisection to floating-point resolution; endpoints must straddle zero.
+    Signs are compared, not products, which underflow at tiny lambda."""
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
-    if f_lo * f_hi > 0.0:
+    lo_negative = f_lo < 0.0
+    if lo_negative == (f_hi < 0.0):
         raise RootSearchError(f"root not bracketed on [{lo}, {hi}]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -249,10 +261,10 @@ def _bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
+        if (f_mid < 0.0) == lo_negative:
+            lo = mid
         else:
-            lo, f_lo = mid, f_mid
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -268,9 +280,7 @@ def _normalized_residual(f, t_root: float) -> float:
     return abs(f(t_root)) / scale
 
 
-def _solve_zero_coupling(
-    lam: ExtensionParam, j: float, params: PhysicalParams
-) -> list[SecularRoot]:
+def _solve_zero_coupling(lam: ExtensionParam, j: float, terms) -> list[SecularRoot]:
     # eta' = 0: t = m_e*eta'/kappa degenerates to 0.  The secular function
     # becomes c1 + lambda*(2 kappa)**(2|j|)*c2 with constants c1, c2 > 0:
     # no roots unless lambda < 0, where exactly one survives in closed form.
@@ -285,7 +295,7 @@ def _solve_zero_coupling(
     kappa = 0.5 * math.exp(log_two_kappa)
 
     def f(k: float) -> float:
-        return secular_function(k, lam, j, params)
+        return terms(0.5 + aj, 0.5 - aj, 2.0 * k)
 
     return [SecularRoot(kappa=kappa, residual=_normalized_residual(f, kappa), lam=lam, j=j)]
 
@@ -304,31 +314,45 @@ def solve_secular(
     on its interlacing interval in t = m_e*eta'/kappa: for lambda > 0
     [n - 1/2 - |j|, n - 1/2 + |j|]; for lambda < 0 [n - 3/2 + |j|,
     n - 1/2 - |j|], and (0, 1/2 - |j|) in log t for n = 1, whose kappa
-    beyond the float range raises RootSearchError.  With no Coulomb
-    attraction fewer roots (possibly none) are returned.
+    beyond the float range raises RootSearchError.  Each interval ends on
+    the ladders, where one term of F vanishes: it is evaluated there as
+    exactly 0.  With no Coulomb attraction fewer roots (possibly none) are
+    returned.
     """
     lam = _as_extension(lam)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _require_extension_sector(lam, j)
+    aj = abs(j)
+    terms = _secular_terms(lam, aj)
     q = params.m_e * params.eta_prime
     if q == 0.0:
-        return _solve_zero_coupling(lam, j, params)
+        return _solve_zero_coupling(lam, j, terms)
+    half_plus, half_minus, two_q = 0.5 + aj, 0.5 - aj, 2.0 * q
 
     def f(t: float) -> float:
-        return secular_function(q / t, lam, j, params)
+        return terms(half_plus - t, half_minus - t, two_q / t)
 
     def root_at(t: float) -> SecularRoot:
         return SecularRoot(kappa=q / t, residual=_normalized_residual(f, t), lam=lam, j=j)
 
-    aj = abs(j)
+    def regular_ladder(n: int) -> tuple[float, float]:
+        # t = n - 1/2 + |j|, where a = 1 - n
+        t = n - 0.5 + aj
+        return t, terms(1.0 - n, half_minus - t, two_q / t)
+
+    def irregular_ladder(n: int) -> tuple[float, float]:
+        # t = n - 1/2 - |j|, where a' = 1 - n
+        t = n - 0.5 - aj
+        return t, terms(half_plus - t, 1.0 - n, two_q / t)
+
     if lam.is_infinite or lam.value == 0.0:
         ladder = (n - 0.5 + (-aj if lam.is_infinite else aj) for n in itertools.count(1))
         return [root_at(t) for t in itertools.islice((t for t in ladder if t > 0.0), count)]
 
     roots = []
     if lam.value > 0.0:
-        brackets = [(n - 0.5 - aj, n - 0.5 + aj) for n in range(1, count + 1)]
+        brackets = [(irregular_ladder(n), regular_ladder(n)) for n in range(1, count + 1)]
     else:
         # Root 1 can sit at kappa ~ 1e50 and beyond, so it is bisected in
         # log t; kappa <= float max / 4 keeps 2 kappa finite.
@@ -337,12 +361,15 @@ def solve_secular(
         def g(s: float) -> float:
             return f(math.exp(s))
 
-        lo, hi = math.log(t_floor), math.log(0.5 - aj)
-        g_lo, g_hi = g(lo), g(hi)
-        if g_lo * g_hi > 0.0:
-            raise RootSearchError(f"lambda={lam.value}, j={j}: ground state beyond float range")
-        roots.append(root_at(math.exp(_bisect_root(g, lo, hi, g_lo, g_hi))))
-        brackets = [(n - 1.5 + aj, n - 0.5 - aj) for n in range(2, count + 1)]
-    for lo, hi in brackets:
-        roots.append(root_at(_bisect_root(f, lo, hi, f(lo), f(hi))))
+        t_hi, f_hi = irregular_ladder(1)
+        try:
+            s = _bisect_root(g, math.log(t_floor), math.log(t_hi), f(t_floor), f_hi)
+        except RootSearchError:
+            raise RootSearchError(
+                f"lambda={lam.value}, j={j}: ground state beyond float range"
+            ) from None
+        roots.append(root_at(math.exp(s)))
+        brackets = [(regular_ladder(n - 1), irregular_ladder(n)) for n in range(2, count + 1)]
+    for (lo, f_lo), (hi, f_hi) in brackets:
+        roots.append(root_at(_bisect_root(f, lo, hi, f_lo, f_hi)))
     return roots

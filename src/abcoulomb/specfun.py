@@ -2,10 +2,12 @@
 confluent hypergeometric functions M = 1F1(a, b, x) and Tricomi's
 U(a, b, x).
 
-Gamma and its reciprocal are a self-contained Lanczos evaluation.  1F1 is
-scipy's ``hyp1f1``; U is its terminating series when that exists, else
-scipy's ``hyperu`` up to ``X_SWITCH`` and the large-argument expansion
-(DLMF 13.7.3) beyond it.  Both take a scalar or an array ``x``.
+Gamma is the standard library's ``math.gamma`` and its reciprocal is
+1/math.gamma, both behind the pole and range guards below; the array
+reciprocal is scipy's ``rgamma``.  1F1 is scipy's ``hyp1f1``; U is its
+terminating series when that exists, else scipy's ``hyperu`` up to
+``X_SWITCH`` and the large-argument expansion (DLMF 13.7.3) beyond it.
+Both take a scalar or an array ``x``.
 """
 
 from __future__ import annotations
@@ -30,20 +32,6 @@ __all__ = [
 # below 1e-10 of the peak of x^{|j|} e^{-x/2} U (verify's tricomi_u_switch).
 X_SWITCH = 30.0
 
-# Lanczos coefficients, g = 7, n = 9 (the standard double-precision set).
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 class GammaPoleError(ValueError):
     """Gamma evaluated at a nonpositive integer (or a series parameter
@@ -54,75 +42,42 @@ def _is_nonpositive_integer(z: float) -> bool:
     return z <= 0.0 and z == math.floor(z)
 
 
-def _sinpi(z: float) -> float:
-    # sin(pi*z) with the argument reduced to [-1/2, 1/2] first, so the
-    # reflection formula keeps full precision near the gamma poles.
-    n = round(z)
-    r = z - n
-    s = math.sin(math.pi * r)
-    return -s if n % 2 else s
-
-
-def _lanczos_positive(z: float) -> float:
-    # Valid for z >= 0.5.
-    w = z - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * math.exp(-t) * acc
-
-
 def gamma(z: float) -> float:
-    """Gamma(z) for real z, via Lanczos with reflection for z < 1/2.
+    """Gamma(z) for real z: ``math.gamma``.
 
     Raises GammaPoleError at z = 0, -1, -2, ...
     """
-    if math.isnan(z) or math.isinf(z):
+    if not math.isfinite(z):
         raise ValueError(f"gamma requires a finite argument, got {z}")
     if _is_nonpositive_integer(z):
         raise GammaPoleError(f"gamma has a pole at z = {z}")
-    if z < 0.5:
-        return math.pi / (_sinpi(z) * _lanczos_positive(1.0 - z))
-    return _lanczos_positive(z)
+    return math.gamma(z)
 
 
 def reciprocal_gamma(z: float) -> float:
-    """1/Gamma(z).  Entire: returns exactly 0.0 at z = 0, -1, -2, ..."""
-    if math.isnan(z) or math.isinf(z):
+    """1/Gamma(z) as 1/math.gamma(z).  Entire: returns exactly 0.0 at
+    z = 0, -1, -2, ... and where Gamma overflows (z > 171.6).  Raises
+    OverflowError where 1/Gamma itself overflows (z < -171)."""
+    if not math.isfinite(z):
         raise ValueError(f"reciprocal_gamma requires a finite argument, got {z}")
     if _is_nonpositive_integer(z):
         return 0.0
-    if z < 0.5:
-        return _sinpi(z) * _lanczos_positive(1.0 - z) / math.pi
-    return 1.0 / _lanczos_positive(z)
-
-
-def _lanczos_positive_array(z: np.ndarray) -> np.ndarray:
-    w = z - 1.0
-    acc = np.full_like(w, _LANCZOS[0])
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * np.exp(-t) * acc
+    try:
+        g = math.gamma(z)
+    except OverflowError:  # z > 171.6, or |z| < 5.6e-309 where 1/Gamma(z) = z
+        return z if abs(z) < 1.0 else 0.0
+    inverse = 1.0 / g if g != 0.0 else math.inf
+    if math.isinf(inverse):
+        raise OverflowError(f"1/Gamma({z}) is beyond the float range")
+    return inverse
 
 
 def reciprocal_gamma_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized ``reciprocal_gamma`` for bulk root scans."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    neg = z < 0.5
-    if np.any(~neg):
-        out[~neg] = 1.0 / _lanczos_positive_array(z[~neg])
-    if np.any(neg):
-        zn = z[neg]
-        n = np.round(zn)
-        sinpi = np.sin(np.pi * (zn - n)) * np.where(np.mod(n, 2.0) != 0.0, -1.0, 1.0)
-        out[neg] = sinpi * _lanczos_positive_array(1.0 - zn) / np.pi
-    poles = (z <= 0.0) & (z == np.floor(z))
-    if np.any(poles):
-        out[poles] = 0.0
-    return out
+    """Vectorized ``reciprocal_gamma``: scipy's ``rgamma``, which gives
+    +-inf where ``reciprocal_gamma`` raises OverflowError."""
+    from scipy import special  # deferred, as in kummer_1f1
+
+    return special.rgamma(np.asarray(z, dtype=float))
 
 
 def _asymptotic_alg_sum(a: float, b: float, x: np.ndarray) -> np.ndarray:

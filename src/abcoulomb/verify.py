@@ -318,13 +318,16 @@ def _checks_secular() -> list[CheckResult]:
                 brackets_ok &= below * above < 0.0
     out.append(_check_flag("secular.interlacing_brackets", brackets_ok))
 
-    # kappa ~ 1.1e15 and 1.1e50 against the small-t limit of F; kappa ~ 1e339
-    # is beyond the float range and must be refused, not relabelled.
+    # kappa ~ 1.1e15 and 1.1e50 against the small-t limit of F on scipy's
+    # (cephes) gamma, which shares no code with specfun's math.gamma; kappa
+    # ~ 1e339 is beyond the float range and must be refused, not relabelled.
+    from scipy import special
+
     worst_deep = 0.0
     for lam, j in ((-0.001, 0.1), (-0.1, 0.01)):
         ratio = -(
-            math.gamma(1.0 + 2.0 * j) * math.gamma(0.5 - j)
-            / (lam * math.gamma(1.0 - 2.0 * j) * math.gamma(0.5 + j))
+            special.gamma(1.0 + 2.0 * j) * special.gamma(0.5 - j)
+            / (lam * special.gamma(1.0 - 2.0 * j) * special.gamma(0.5 + j))
         )
         expected = 0.5 * ratio ** (1.0 / (2.0 * j))
         kappa = solve_secular(lam, j, params, 1)[0].kappa
@@ -346,10 +349,13 @@ def _interlacing_bracket(lam: float, aj: float, n: int) -> tuple[float, float]:
 
 
 def _secular_reference(t: float, lam: float, aj: float) -> float:
-    """The finite-lambda secular function in t on the standard library's
-    gamma, which shares no code with specfun (atomic units)."""
-    irregular = math.gamma(1.0 - 2.0 * aj) / math.gamma(0.5 - aj - t)
-    regular = math.gamma(1.0 + 2.0 * aj) / math.gamma(0.5 + aj - t)
+    """The finite-lambda secular function in t on scipy's (cephes) gamma
+    and rgamma, which share no code with specfun's math.gamma (atomic
+    units)."""
+    from scipy import special
+
+    irregular = special.gamma(1.0 - 2.0 * aj) * special.rgamma(0.5 - aj - t)
+    regular = special.gamma(1.0 + 2.0 * aj) * special.rgamma(0.5 + aj - t)
     return regular + lam * (2.0 / t) ** (2.0 * aj) * irregular
 
 

@@ -526,6 +526,21 @@ class TestWavefunctionCommand:
         assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--eta", "1e200"],  # eta**2 overflows
+     ["scan", "--scan", "flux:0:1:3", "--eta", "1e200"],
+     ["spectrum", "--hbar", "1e-200"],  # hbar**2 underflows to 0
+     ["secular", "--lambda", "1", "--j", "0.3", "--hbar", "1e-200"],
+     ["wavefunction", "--hbar", "1e-200"]],
+)
+def test_coulomb_scale_beyond_float_range_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "float range" in err
+
+
 class TestPhysicsFlags:
     @pytest.mark.parametrize(
         "argv, message",

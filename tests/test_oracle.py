@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -143,3 +148,20 @@ class TestSpectrum:
     def test_n_max_validated(self):
         with pytest.raises(ValueError):
             oracle_regular_spectrum(0.0, ATOMIC, 0)
+
+
+def test_cli_import_defers_scipy_linalg_and_sparse():
+    # scipy.linalg and scipy.sparse cost tens of MB at import; the oracle
+    # imports eigh_tridiagonal when it solves and serves eigsh on first use
+    code = (
+        "import sys, abcoulomb.cli\n"
+        "loaded = [m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse'))]\n"
+        "assert not loaded, loaded\n"
+        "import abcoulomb.oracle, scipy.sparse.linalg\n"
+        "assert abcoulomb.oracle.eigsh is scipy.sparse.linalg.eigsh\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -331,6 +332,28 @@ class TestInterlacingBrackets:
         above = _rgamma_secular(t * (1.0 + 1e-9), -1.0, 1e-13)
         assert below * above < 0.0
 
+    @pytest.mark.parametrize("lam", [1e-300, 1e-200, 1e-100, 1e-30, 1e-17, -1e-17, -1e-30])
+    def test_tiny_lambda_roots_on_their_ladders(self, lam):
+        # each bracket ends where a or a' is 1 - n, and a rounded a would leave
+        # an O(eps) reciprocal gamma there that swamps the lambda term
+        for j in (0.05, 0.1, 0.2, 0.3, 0.37, 0.45):
+            try:
+                ts = [1.0 / r.kappa for r in solve_secular(lam, j, ATOMIC, 4)]
+            except RootSearchError:
+                two_kappa_max = 0.5 * sys.float_info.max  # kappa <= float max / 4
+                assert lam < 0.0 and _log_deep_two_kappa(lam, j) > math.log(two_kappa_max)
+                continue
+            assert len(ts) == 4
+            if lam < 0.0:  # the ground state goes deep; root n follows regular level n - 1
+                expected = 0.5 * math.exp(_log_deep_two_kappa(lam, j))
+                assert 1.0 / ts[0] == pytest.approx(expected, rel=1e-9)
+                ladder = [n - 1.5 + j for n in range(2, 5)]
+                ts = ts[1:]
+            else:
+                ladder = [n - 0.5 + j for n in range(1, 5)]
+            for t, t_ladder in zip(ts, ladder):
+                assert t == pytest.approx(t_ladder, rel=4 * sys.float_info.epsilon)
+
     def test_ground_state_beyond_float_range_raises(self):
         # (2 kappa)^{2|j|} ~ 16.7 puts kappa near 1e339
         assert _log_deep_two_kappa(-0.06, 0.0018) > math.log(1e308)
@@ -344,9 +367,11 @@ class TestNormalizableCoefficients:
 
         kp = KummerParams.for_state(0.977, 0.37, ATOMIC)
         coeffs = normalizable_coefficients(kp)
-        bracket = coeffs.a_m * gamma(kp.b) * reciprocal_gamma(kp.a) + coeffs.b_m * gamma(
-            kp.b_prime
-        ) * reciprocal_gamma(kp.a_prime)
+        # a_m = Gamma(b')/Gamma(a') and b_m = -Gamma(b)/Gamma(a): the products
+        # cancel exactly when each ratio is formed first
+        bracket = coeffs.a_m * (gamma(kp.b) * reciprocal_gamma(kp.a)) + coeffs.b_m * (
+            gamma(kp.b_prime) * reciprocal_gamma(kp.a_prime)
+        )
         assert bracket == 0.0
 
     def test_regular_root_recovers_pure_regular(self):
