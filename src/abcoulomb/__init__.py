@@ -22,7 +22,6 @@ from .secular import (
     KummerParams,
     SecularRoot,
     SolutionCoefficients,
-    coefficient_ratio,
     energy_from_kappa,
     normalizable_coefficients,
     secular_function,

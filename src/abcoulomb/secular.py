@@ -21,10 +21,10 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import PhysicalParams, SectorError, is_singular_sector
-from .specfun import gamma, reciprocal_gamma
+from .specfun import _snap_to_pole, gamma, reciprocal_gamma
 
 __all__ = [
     "ExtensionParam",
@@ -33,7 +33,6 @@ __all__ = [
     "SolutionCoefficients",
     "SecularRoot",
     "RootSearchError",
-    "coefficient_ratio",
     "secular_function",
     "solve_secular",
     "normalizable_coefficients",
@@ -71,13 +70,12 @@ def _as_extension(lam: ExtensionParam | float) -> ExtensionParam:
 
 
 def _require_extension_sector(lam: ExtensionParam, j: float) -> None:
-    """Finite lambda needs |j| < 1/2; a nonzero one also needs b' != b in
-    floats, i.e. j != 0, where the irregular solution is log r."""
-    if lam.is_infinite:
-        return
+    """Every lambda needs |j| < 1/2, where both origin behaviors are square
+    integrable; a finite nonzero one also needs b' != b in floats, i.e.
+    j != 0, where the irregular solution is log r."""
     if not is_singular_sector(j):
-        raise SectorError(f"finite lambda requires |j| < 1/2, got |j| = {abs(j)}")
-    if lam.value != 0.0 and 1.0 - 2.0 * abs(j) == 1.0 + 2.0 * abs(j):
+        raise SectorError(f"lambda = {lam.value} requires |j| < 1/2, got |j| = {abs(j)}")
+    if not lam.is_infinite and lam.value != 0.0 and 1.0 - 2.0 * abs(j) == 1.0 + 2.0 * abs(j):
         raise SectorError(
             f"finite nonzero lambda is undefined at j = {j}: at j = 0 the "
             "irregular solution is log r"
@@ -90,16 +88,13 @@ class KummerParams:
 
         a  = 1/2 + |j| - m_e eta'/kappa      b  = 1 + 2|j|
         a' = 1/2 - |j| - m_e eta'/kappa      b' = 1 - 2|j|
-        x  = 2 kappa r,   l+ = |j| + m_e eta'/kappa
     """
 
     a: float
     b: float
     a_prime: float
     b_prime: float
-    x: float
     kappa: float
-    l_plus: float
 
     def __post_init__(self) -> None:
         if not (self.kappa > 0.0):
@@ -116,38 +111,26 @@ class KummerParams:
         return (self.b - 1.0) / 2.0
 
     @classmethod
-    def for_state(
-        cls, kappa: float, j: float, params: PhysicalParams, r: float = 0.0
-    ) -> "KummerParams":
-        if not (kappa > 0.0):
-            raise ValueError(f"kappa must be positive, got {kappa}")
-        aj = abs(j)
-        t = params.m_e * params.eta_prime / kappa
-        return cls(
-            a=0.5 + aj - t,
-            b=1.0 + 2.0 * aj,
-            a_prime=0.5 - aj - t,
-            b_prime=1.0 - 2.0 * aj,
-            x=2.0 * kappa * r,
-            kappa=kappa,
-            l_plus=aj + t,
-        )
-
-    def on_ladder(self) -> "KummerParams":
-        """These parameters with an ``a`` or ``a'`` that lies within rounding
-        of a nonpositive integer put exactly on it.
+    def for_state(cls, kappa: float, j: float, params: PhysicalParams) -> "KummerParams":
+        """The parameters at kappa, with an a or a' that lies within
+        4 eps max(1, t) of a nonpositive integer put exactly on it.
 
         A closed-form ladder kappa leaves a (or a') within 1.4 eps max(1, t)
         of 1 - n; on the integer its 1/Gamma is exactly zero, so a ladder
         state carries no residue of the growing solution.
         """
-        tol = 4.0 * sys.float_info.epsilon * max(1.0, self.l_plus - self.abs_j)
-
-        def snap(z: float) -> float:
-            n = round(z)
-            return float(n) if n <= 0 and abs(z - n) <= tol else z
-
-        return replace(self, a=snap(self.a), a_prime=snap(self.a_prime))
+        if not (kappa > 0.0):
+            raise ValueError(f"kappa must be positive, got {kappa}")
+        aj = abs(j)
+        t = params.m_e * params.eta_prime / kappa
+        tol = 4.0 * sys.float_info.epsilon * max(1.0, t)
+        return cls(
+            a=_snap_to_pole(0.5 + aj - t, tol),
+            b=1.0 + 2.0 * aj,
+            a_prime=_snap_to_pole(0.5 - aj - t, tol),
+            b_prime=1.0 - 2.0 * aj,
+            kappa=kappa,
+        )
 
 
 @dataclass(frozen=True)
@@ -166,25 +149,6 @@ class SolutionCoefficients:
 class SecularRoot:
     kappa: float
     residual: float
-    lam: ExtensionParam
-    j: float
-
-
-def coefficient_ratio(
-    kappa: float, lam: ExtensionParam | float, j: float, params: PhysicalParams
-) -> float:
-    """Leading-order boundary ratio b_m/a_m = lambda * (2 kappa)**(2|j|).
-
-    Only meaningful in the singular sector and for finite lambda.
-    """
-    lam = _as_extension(lam)
-    if lam.is_infinite:
-        raise ValueError("coefficient ratio is undefined for infinite lambda")
-    if not is_singular_sector(j):
-        raise SectorError(f"|j| = {abs(j)} >= 1/2: the irregular coefficient is zero")
-    if not (kappa > 0.0):
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    return lam.value * (2.0 * kappa) ** (2.0 * abs(j))
 
 
 def _secular_terms(lam: ExtensionParam, aj: float):
@@ -224,9 +188,8 @@ def secular_function(
 
 def normalizable_coefficients(kp: KummerParams) -> SolutionCoefficients:
     """Coefficients that cancel the growing large-x part by construction:
-    a_m = Gamma(b')/Gamma(a'), b_m = -Gamma(b)/Gamma(a), on the ladder-snapped
-    parameters, so a ladder state has an exactly zero coefficient."""
-    kp = kp.on_ladder()
+    a_m = Gamma(b')/Gamma(a'), b_m = -Gamma(b)/Gamma(a); on the parameters of
+    ``KummerParams.for_state`` a ladder state has an exactly zero coefficient."""
     return SolutionCoefficients(
         a_m=gamma(kp.b_prime) * reciprocal_gamma(kp.a_prime),
         b_m=-gamma(kp.b) * reciprocal_gamma(kp.a),
@@ -297,7 +260,7 @@ def _solve_zero_coupling(lam: ExtensionParam, j: float, terms) -> list[SecularRo
     def f(k: float) -> float:
         return terms(0.5 + aj, 0.5 - aj, 2.0 * k)
 
-    return [SecularRoot(kappa=kappa, residual=_normalized_residual(f, kappa), lam=lam, j=j)]
+    return [SecularRoot(kappa=kappa, residual=_normalized_residual(f, kappa))]
 
 
 def solve_secular(
@@ -334,7 +297,7 @@ def solve_secular(
         return terms(half_plus - t, half_minus - t, two_q / t)
 
     def root_at(t: float) -> SecularRoot:
-        return SecularRoot(kappa=q / t, residual=_normalized_residual(f, t), lam=lam, j=j)
+        return SecularRoot(kappa=q / t, residual=_normalized_residual(f, t))
 
     def regular_ladder(n: int) -> tuple[float, float]:
         # t = n - 1/2 + |j|, where a = 1 - n

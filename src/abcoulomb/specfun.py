@@ -100,12 +100,18 @@ def _asymptotic_alg_sum(a: float, b: float, x: np.ndarray) -> np.ndarray:
     return total
 
 
+def _snap_to_pole(z: float, tol: float) -> float:
+    """The nonpositive integer within ``tol`` of z, else z itself."""
+    n = round(z)
+    return float(n) if n <= 0 and abs(z - n) <= tol else z
+
+
 def _terminating_order(a: float, b: float) -> int | None:
     """n when a or a - b + 1 is the nonpositive integer -n up to the
     rounding of a and b (the smaller n if both are), else None."""
     tol = 4.0 * sys.float_info.epsilon * max(1.0, abs(a), abs(b))
-    orders = [-round(p) for p in (a, a - b + 1.0) if round(p) <= 0 and abs(p - round(p)) <= tol]
-    return min(orders, default=None)
+    snapped = (_snap_to_pole(p, tol) for p in (a, a - b + 1.0))
+    return min((-int(p) for p in snapped if _is_nonpositive_integer(p)), default=None)
 
 
 def kummer_1f1(a: float, b: float, x):

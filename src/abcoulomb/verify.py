@@ -39,7 +39,7 @@ from .spectrum import (
     rotation_parts,
 )
 from .wavefunction import (
-    boundary_values,
+    boundary_closure_residual,
     build_profile,
     normalize_and_count_nodes,
 )
@@ -377,9 +377,7 @@ def _checks_wavefunction() -> list[CheckResult]:
             for index, root in enumerate(roots, start=1):
                 kp = KummerParams.for_state(root.kappa, j, params)
                 coeffs = normalizable_coefficients(kp)
-                bv = boundary_values(coeffs, kp)
-                closure = abs(bv.f0 - lam * bv.f1) / max(abs(bv.f0), abs(lam * bv.f1))
-                worst_closure = max(worst_closure, closure)
+                worst_closure = max(worst_closure, boundary_closure_residual(coeffs, kp, lam))
                 profile = build_profile(coeffs, root.kappa, j, params)
                 norm, nodes = normalize_and_count_nodes(profile)
                 nodes_ok &= nodes == index - 1 and norm > 0.0 and math.isfinite(norm)

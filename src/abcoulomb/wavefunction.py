@@ -13,7 +13,7 @@ N = x^{|j|} e^{-x/2} U(a, b, x) (DLMF 13.2.42), so F is sampled as
 
 and beta is exactly 0 for a bound state: no growing piece is cancelled
 numerically.  On the regular ladder b_m^N is exactly 0 (see
-``KummerParams.on_ladder``), R terminates, and F is sampled as
+``KummerParams.for_state``), R terminates, and F is sampled as
 a_m R + b_m I.
 """
 
@@ -60,8 +60,6 @@ class RadialProfile:
     r: np.ndarray
     values: np.ndarray
     kappa: float
-    coeffs: SolutionCoefficients
-    j: float
 
     def __post_init__(self) -> None:
         if self.r.ndim != 1 or self.r.shape != self.values.shape:
@@ -70,10 +68,6 @@ class RadialProfile:
             raise ValueError("sample radii must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("profile contains non-finite values")
-
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.r.tolist(), self.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -84,20 +78,14 @@ class BoundaryValues:
     f1: float
 
 
-def _check_x_consistency(r: float, kp: KummerParams) -> float:
-    x = 2.0 * kp.kappa * r
-    if kp.x != 0.0 and abs(kp.x - x) > 1e-9 * max(1.0, abs(x)):
-        raise ValueError(f"KummerParams.x = {kp.x} inconsistent with 2*kappa*r = {x}")
-    return x
-
-
 def _radial_values(x: np.ndarray, coeffs: SolutionCoefficients, kp: KummerParams) -> np.ndarray:
     """a_m R + b_m I at every x, sampled as beta R - 2|j| alpha N."""
-    kp = kp.on_ladder()
     aj = kp.abs_j
     # b_m^N on its own: a_m^N needs Gamma(b'), which has poles at integer
-    # 2|j|, and is only read when alpha != 0
-    b_norm = -gamma(kp.b) * reciprocal_gamma(kp.a)
+    # 2|j|, and is only read when alpha != 0; Gamma(b) overflows for
+    # |j| > 85, so it is formed only off the regular ladder
+    rg_a = reciprocal_gamma(kp.a)
+    b_norm = -gamma(kp.b) * rg_a if rg_a else 0.0
     alpha = coeffs.b_m / b_norm if b_norm else 0.0
     beta = coeffs.a_m - alpha * normalizable_coefficients(kp).a_m if alpha else coeffs.a_m
     regular = np.zeros_like(x)
@@ -113,21 +101,17 @@ def _radial_values(x: np.ndarray, coeffs: SolutionCoefficients, kp: KummerParams
 
 
 def radial_solution(r: float, coeffs: SolutionCoefficients, kp: KummerParams) -> float:
-    """Evaluate the radial solution at radius r > 0.
-
-    ``kp.x == 0`` means the parametrization is not pinned to a radius;
-    otherwise it must agree with 2*kappa*r.
-    """
+    """Evaluate the radial solution at radius r > 0."""
     if not (r > 0.0):
         raise ValueError(f"radius must be positive, got {r}")
-    x = _check_x_consistency(r, kp)
+    x = 2.0 * kp.kappa * r
     return float(_radial_values(np.array([x]), coeffs, kp)[0])
 
 
 def small_r_expansion(r: float, coeffs: SolutionCoefficients, kp: KummerParams) -> float:
     """Quadratic-order product expansion of the radial solution near the
     origin; valid for x = 2 kappa r <= 0.1."""
-    x = _check_x_consistency(r, kp)
+    x = 2.0 * kp.kappa * r
     if x > SMALL_R_X_MAX:
         raise ValueError(f"small-r expansion requires x <= {SMALL_R_X_MAX}, got x = {x}")
     aj = kp.abs_j
@@ -185,7 +169,7 @@ def boundary_closure_residual(
 
 def _origin_node(coeffs: SolutionCoefficients, kp: KummerParams) -> float:
     """Zero of the origin behavior f1 r^{|j|} + f0 r^{-|j|}, or inf."""
-    if kp.abs_j == 0.0 or coeffs.a_m == 0.0:
+    if kp.abs_j == 0.0 or coeffs.a_m == 0.0 or coeffs.b_m == 0.0:
         return math.inf
     f0_over_f1 = coeffs.b_m / coeffs.a_m * (2.0 * kp.kappa) ** (-2.0 * kp.abs_j)
     if f0_over_f1 >= 0.0:
@@ -217,8 +201,11 @@ def build_profile(
     if not (0.0 < r_lo < r_hi):
         raise ValueError(f"need 0 < r_min < r_max, got ({r_lo}, {r_hi})")
     r = np.geomspace(r_lo, r_hi, points)
-    values = _radial_values(2.0 * kappa * r, coeffs, kp)
-    return RadialProfile(r=r, values=values, kappa=kappa, coeffs=coeffs, j=j)
+    with np.errstate(over="ignore", invalid="ignore"):  # x^{|j|} at huge |j|, refused below
+        values = _radial_values(2.0 * kappa * r, coeffs, kp)
+    if not np.all(np.isfinite(values)):
+        raise OverflowError(f"the profile at j = {j} is beyond the float range")
+    return RadialProfile(r=r, values=values, kappa=kappa)
 
 
 def _count_nodes(profile: RadialProfile) -> int:

@@ -431,6 +431,15 @@ class TestSecularCommand:
             cli.main(["secular", "--lambda", "0", "--count", "0"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("j", ["0.5", "1", "0.7"])
+    def test_infinite_lambda_outside_sector_exits_3(self, capsys, j):
+        # the irregular ladder needs |j| < 1/2, as `spectrum --branch irregular`
+        code, out, err = run_cli(capsys, ["secular", "--lambda", "inf", "--j", j])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "1/2" in err
+
     def test_j_zero_finite_lambda_exits_3(self, capsys):
         for lam in ("-1", "2"):
             code, out, err = run_cli(
@@ -514,6 +523,23 @@ class TestWavefunctionCommand:
         assert out == ""
         assert err.startswith("error:") and "float range" in err
 
+    @pytest.mark.parametrize("m", [100, 150])
+    def test_large_m_ladder_profile(self, capsys, m):
+        # Gamma(1 + 2|j|) and (2 kappa)^{-2|j|} overflow, the profile does not
+        code, out, err = run_cli(capsys, ["wavefunction", "--m", str(m), "--points", "200"])
+        assert code == 0, err
+        values = np.array([float(line.split(",")[1]) for line in out.strip().split("\n")[1:]])
+        assert values.size == 200
+        assert np.all(np.isfinite(values)) and np.any(values != 0.0)
+
+    @pytest.mark.parametrize("m", [300, 1000])
+    def test_large_m_profile_beyond_float_range_exits_3(self, capsys, m):
+        code, out, err = run_cli(capsys, ["wavefunction", "--m", str(m)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "float range" in err
+
     @pytest.mark.parametrize(
         "argv",
         [["wavefunction", "--lambda", "1", "--root", "0"],
@@ -570,6 +596,28 @@ class TestPhysicsFlags:
             cli.main(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+
+def test_cached_parser_leaks_no_state(capsys):
+    # main reuses one parser: defaults and --only's append list must not
+    # carry over from one call to the next
+    calls = [
+        ["scan", "--scan", "flux:0:1:3", "--n", "1,2", "--m=-1..1", "--format", "json"],
+        ["spectrum", "--branch", "both", "--spin", "-1"],
+        ["verify", "--only", "model", "--only", "specfun"],
+        ["scan", "--scan", "omega:0:1:4"],
+        ["spectrum"],
+        ["verify", "--only", "spectrum"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, argv))
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        for argv, expected in zip(calls, fresh):
+            assert run_cli(capsys, argv) == expected
+    assert cli._build_parser.cache_info().misses == 1
 
 
 class TestVerifyCommand:

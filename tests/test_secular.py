@@ -14,13 +14,12 @@ from abcoulomb.secular import (
     KummerParams,
     RootSearchError,
     SolutionCoefficients,
-    coefficient_ratio,
     energy_from_kappa,
     normalizable_coefficients,
     secular_function,
     solve_secular,
 )
-from abcoulomb.spectrum import energy_irregular, energy_regular
+from abcoulomb.spectrum import closed_form_energy, energy_irregular, energy_regular
 from abcoulomb.model import IRREGULAR, QuantumState, decompose_flux
 
 ATOMIC = PhysicalParams()
@@ -40,15 +39,12 @@ class TestExtensionParam:
 
 class TestKummerParams:
     def test_fields(self):
-        kp = KummerParams.for_state(2.0, 0.3, ATOMIC, r=1.5)
+        kp = KummerParams.for_state(2.0, 0.3, ATOMIC)
         t = 1.0 / 2.0
         assert kp.a == pytest.approx(0.5 + 0.3 - t)
         assert kp.b == pytest.approx(1.6)
         assert kp.a_prime == pytest.approx(0.5 - 0.3 - t)
         assert kp.b_prime == pytest.approx(0.4)
-        assert kp.x == pytest.approx(6.0)
-        assert kp.l_plus == pytest.approx(0.8)
-        assert 2.0 * kp.abs_j - kp.l_plus == pytest.approx(-0.2)  # |j| - t
         assert kp.abs_j == pytest.approx(0.3)
 
     def test_shared_exponent_identity(self):
@@ -67,27 +63,6 @@ class TestKummerParams:
     def test_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError):
             KummerParams.for_state(0.0, 0.2, ATOMIC)
-
-
-class TestCoefficientRatio:
-    def test_zero_extension_is_regular(self):
-        assert coefficient_ratio(1.3, 0.0, 0.2, ATOMIC) == 0.0
-
-    def test_unit_base(self):
-        assert coefficient_ratio(0.5, 1.0, 0.2, ATOMIC) == pytest.approx(1.0)
-
-    def test_direct_value(self):
-        assert coefficient_ratio(1.0, 2.0, 0.25, ATOMIC) == pytest.approx(
-            2.0 * 2.0**0.5, rel=1e-12
-        )
-
-    def test_sector_error(self):
-        with pytest.raises(SectorError):
-            coefficient_ratio(1.0, 1.0, 0.7, ATOMIC)
-
-    def test_infinite_rejected(self):
-        with pytest.raises(ValueError):
-            coefficient_ratio(1.0, INFINITE_EXTENSION, 0.2, ATOMIC)
 
 
 class TestSecularFunction:
@@ -217,6 +192,15 @@ class TestSolveSecular:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             solve_secular(0.0, 0.2, ATOMIC, 0)
+
+    @pytest.mark.parametrize("j", [0.5, -0.5, 0.7, 1.0, 2.3])
+    def test_infinite_lambda_sector_error(self, j):
+        # the irregular ladder exists only for |j| < 1/2; at integer 2|j|
+        # Gamma(1 - 2|j|) would also sit on a pole
+        with pytest.raises(SectorError):
+            solve_secular(INFINITE_EXTENSION, j, ATOMIC, 1)
+        with pytest.raises(SectorError):
+            secular_function(1.0, INFINITE_EXTENSION, j, ATOMIC)
 
     def test_j_zero_finite_nonzero_lambda_refused(self):
         # the irregular solution at j = 0 is log r; at lambda = -1 the
@@ -385,6 +369,32 @@ class TestNormalizableCoefficients:
     def test_trivial_coefficients_rejected(self):
         with pytest.raises(ValueError):
             SolutionCoefficients(0.0, 0.0)
+
+
+class TestLadderSnap:
+    """A closed-form ladder kappa puts a (regular) or a' (irregular) exactly
+    on 1 - n, so the coefficient of the other piece is exactly zero."""
+
+    PARAMS = PhysicalParams(m_e=1.3, hbar=0.7, eta=2.9)
+
+    @pytest.mark.parametrize("aj", [1e-6, 0.2, 0.5 - 1e-9])
+    @pytest.mark.parametrize("branch", ["regular", IRREGULAR])
+    def test_ladder_parameters_are_exact(self, aj, branch):
+        params = self.PARAMS
+        lam = 0.0 if branch == "regular" else INFINITE_EXTENSION
+        roots = solve_secular(lam, aj, params, 8)
+        for n in range(1, 9):
+            state = QuantumState(n, 0, 1, branch)
+            closed = closed_form_energy(state, params, decompose_flux(aj)).kappa
+            for kappa in (closed, roots[n - 1].kappa):
+                kp = KummerParams.for_state(kappa, aj, params)
+                coeffs = normalizable_coefficients(kp)
+                if branch == "regular":
+                    assert kp.a == 1.0 - n
+                    assert coeffs.b_m == 0.0
+                else:
+                    assert kp.a_prime == 1.0 - n
+                    assert coeffs.a_m == 0.0
 
 
 class TestEnergyFromKappa:

@@ -73,7 +73,7 @@ class TestRadialSolution:
 
     def test_against_highres_series(self):
         frozen = -0.1535187369883953  # longdouble series, 200 terms
-        kp = KummerParams.for_state(1.0, 0.2, ATOMIC, r=1.0)
+        kp = KummerParams.for_state(1.0, 0.2, ATOMIC)
         value = radial_solution(1.0, SolutionCoefficients(1.0, 0.5), kp)
         assert value == pytest.approx(frozen, rel=1e-10)
         assert value == pytest.approx(
@@ -85,11 +85,6 @@ class TestRadialSolution:
             ours = radial_solution(r, SolutionCoefficients(0.8, -0.4), _kp(0.61, 0.35))
             ref = longdouble_series_value(r, 0.8, -0.4, 0.61, 0.35)
             assert ours == pytest.approx(ref, rel=1e-9)
-
-    def test_inconsistent_x_rejected(self):
-        kp = KummerParams.for_state(1.0, 0.2, ATOMIC, r=1.0)
-        with pytest.raises(ValueError):
-            radial_solution(2.0, SolutionCoefficients(1.0, 0.0), kp)
 
     def test_positive_radius_required(self):
         kp = KummerParams.for_state(1.0, 0.2, ATOMIC)
@@ -283,19 +278,9 @@ class TestProfiles:
             values *= np.exp(-0.1 * r)
             dips = rng.random(r.size) < 0.02
             values[dips] = rng.normal(0.0, 1e-14, dips.sum())
-            profile = RadialProfile(r, values, 1.0, SolutionCoefficients(1.0, 0.0), 0.2)
+            profile = RadialProfile(r, values, 1.0)
             try:
                 got = normalize_and_count_nodes(profile)[1]
             except ResolutionError:
                 got = "ResolutionError"
             assert got == scalar_count(values)
-
-    def test_samples_property(self):
-        profile = build_profile(
-            SolutionCoefficients(1.0, 0.0), 1.0, 0.2, ATOMIC, points=64,
-            r_min=1e-4, r_max=40.0,
-        )
-        samples = profile.samples
-        assert len(samples) == 64
-        assert samples[0][0] == pytest.approx(1e-4)
-        assert all(b[0] > a[0] for a, b in zip(samples, samples[1:]))
