@@ -18,7 +18,6 @@ Gamma(b) and Gamma(b') computed once per solve.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -154,12 +153,15 @@ class SecularRoot:
 def _secular_terms(lam: ExtensionParam, aj: float):
     """F of one (lambda, |j|) as a function of a = 1/2 + |j| - t,
     a' = 1/2 - |j| - t and 2 kappa, with its constant gammas computed once.
-    An a or a' passed as an exact nonpositive integer makes its term 0."""
-    g_irregular = gamma(1.0 - 2.0 * aj)
+    An a or a' passed as an exact nonpositive integer makes its term 0;
+    lambda = 0 and lambda = inf keep only their one term."""
     if lam.is_infinite:
+        g_irregular = gamma(1.0 - 2.0 * aj)
         return lambda a, a_prime, two_kappa: g_irregular * reciprocal_gamma(a_prime)
     g_regular = gamma(1.0 + 2.0 * aj)
-    weight, power = lam.value * g_irregular, 2.0 * aj
+    if lam.value == 0.0:
+        return lambda a, a_prime, two_kappa: g_regular * reciprocal_gamma(a)
+    weight, power = lam.value * gamma(1.0 - 2.0 * aj), 2.0 * aj
 
     def terms(a: float, a_prime: float, two_kappa: float) -> float:
         irregular = weight * two_kappa**power * reciprocal_gamma(a_prime)
@@ -231,16 +233,20 @@ def _bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _normalized_residual(f, t_root: float) -> float:
+def _normalized_residual(f, t_root: float, value: float) -> float:
     """|f(t)| scaled by the local derivative and the size of t, i.e. the
     Newton-step length relative to t; this is meaningful for every lambda,
-    including the single-term lambda = 0 and lambda = inf functions."""
+    including the single-term lambda = 0 and lambda = inf functions.
+    ``value`` is f at the root, exactly 0 on a ladder, whose neighbours
+    past root 171 need 1/Gamma beyond the float range."""
+    if value == 0.0:
+        return 0.0
     h = min(1e-6 * max(1.0, abs(t_root)), 0.5 * abs(t_root))
     slope = (f(t_root + h) - f(t_root - h)) / (2.0 * h)
     scale = abs(slope) * max(1.0, abs(t_root))
     if scale == 0.0:
-        return abs(f(t_root))
-    return abs(f(t_root)) / scale
+        return abs(value)
+    return abs(value) / scale
 
 
 def _solve_zero_coupling(lam: ExtensionParam, j: float, terms) -> list[SecularRoot]:
@@ -260,7 +266,7 @@ def _solve_zero_coupling(lam: ExtensionParam, j: float, terms) -> list[SecularRo
     def f(k: float) -> float:
         return terms(0.5 + aj, 0.5 - aj, 2.0 * k)
 
-    return [SecularRoot(kappa=kappa, residual=_normalized_residual(f, kappa))]
+    return [SecularRoot(kappa=kappa, residual=_normalized_residual(f, kappa, f(kappa)))]
 
 
 def solve_secular(
@@ -272,8 +278,8 @@ def solve_secular(
     """The first ``count`` secular roots, ordered from the ground state
     (largest kappa / smallest t) upward.
 
-    lambda = 0 and lambda = inf return the ladders t = n - 1/2 +- |j|
-    (skipping t <= 0).  Otherwise root n is bisected to float resolution
+    lambda = 0 and lambda = inf return the ladders t = n - 1/2 +- |j|,
+    all positive in |j| < 1/2.  Otherwise root n is bisected to float resolution
     on its interlacing interval in t = m_e*eta'/kappa: for lambda > 0
     [n - 1/2 - |j|, n - 1/2 + |j|]; for lambda < 0 [n - 3/2 + |j|,
     n - 1/2 - |j|], and (0, 1/2 - |j|) in log t for n = 1, whose kappa
@@ -296,8 +302,9 @@ def solve_secular(
     def f(t: float) -> float:
         return terms(half_plus - t, half_minus - t, two_q / t)
 
-    def root_at(t: float) -> SecularRoot:
-        return SecularRoot(kappa=q / t, residual=_normalized_residual(f, t))
+    def root_at(t: float, value: float | None = None) -> SecularRoot:
+        value = f(t) if value is None else value
+        return SecularRoot(kappa=q / t, residual=_normalized_residual(f, t, value))
 
     def regular_ladder(n: int) -> tuple[float, float]:
         # t = n - 1/2 + |j|, where a = 1 - n
@@ -310,8 +317,9 @@ def solve_secular(
         return t, terms(half_plus - t, 1.0 - n, two_q / t)
 
     if lam.is_infinite or lam.value == 0.0:
-        ladder = (n - 0.5 + (-aj if lam.is_infinite else aj) for n in itertools.count(1))
-        return [root_at(t) for t in itertools.islice((t for t in ladder if t > 0.0), count)]
+        # each root's one term is evaluated at its exact a or a' = 1 - n
+        ladder = irregular_ladder if lam.is_infinite else regular_ladder
+        return [root_at(*ladder(n)) for n in range(1, count + 1)]
 
     roots = []
     if lam.value > 0.0:

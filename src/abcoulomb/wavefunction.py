@@ -208,8 +208,7 @@ def build_profile(
     return RadialProfile(r=r, values=values, kappa=kappa)
 
 
-def _count_nodes(profile: RadialProfile) -> int:
-    values = profile.values
+def _count_nodes(r: np.ndarray, values: np.ndarray) -> int:
     noise_floor = 1e-13 * float(np.max(np.abs(values)))
     # Tangential touches dip to the noise floor without flipping sign, so
     # only samples above the floor participate in the sign sequence.
@@ -222,7 +221,7 @@ def _count_nodes(profile: RadialProfile) -> int:
         local_scale = float(np.max(np.abs(window)))
         if abs(values[cur] - values[prev]) > 0.10 * local_scale:
             raise ResolutionError(
-                f"sign change near r = {profile.r[prev]} jumps by more than "
+                f"sign change near r = {r[prev]} jumps by more than "
                 f"10% of the local amplitude; refine the mesh"
             )
     return len(flips)
@@ -242,6 +241,9 @@ def normalize_and_count_nodes(profile: RadialProfile) -> tuple[float, int]:
         raise ValueError(f"profile must start at or below 1e-4/kappa = {1e-4 / kappa}")
     if profile.r[-1] < 30.0 / kappa * (1.0 - 1e-9):
         raise ValueError(f"profile must extend to at least 30/kappa = {30.0 / kappa}")
-    integrand = profile.values * profile.values * profile.r
-    norm_sq = float(np.trapezoid(integrand, profile.r))
-    return math.sqrt(norm_sq), _count_nodes(profile)
+    # on the scale of the peak: the raw values reach 1e169 and beyond at
+    # large |j|, where their squares and neighbour products overflow
+    peak = float(np.max(np.abs(profile.values)))
+    scaled = profile.values / peak if peak > 0.0 else profile.values
+    norm_sq = float(np.trapezoid(scaled * scaled * profile.r, profile.r))
+    return peak * math.sqrt(norm_sq), _count_nodes(profile.r, scaled)

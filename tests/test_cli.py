@@ -426,6 +426,21 @@ class TestSecularCommand:
         assert out == ""
         assert err.startswith("error:") and "float range" in err
 
+    @pytest.mark.parametrize("lam, sign", [("0", 1.0), ("inf", -1.0)])
+    def test_ladder_past_root_171(self, capsys, lam, sign):
+        # 1/Gamma(a) overflows for a < -171; every ladder root is still a
+        # float, with its one term evaluated at the exact a or a' = 1 - n
+        code, out, err = run_cli(
+            capsys, ["secular", "--lambda", lam, "--j", "0.3", "--count", "300"]
+        )
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [int(row[0]) for row in rows] == list(range(1, 301))
+        kappas = [float(row[1]) for row in rows]
+        exact = [1.0 / (n - 0.5 + sign * 0.3) for n in range(1, 301)]
+        assert kappas == pytest.approx(exact, rel=1e-13)
+        assert all(float(row[3]) == 0.0 for row in rows)
+
     def test_count_below_one_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["secular", "--lambda", "0", "--count", "0"])

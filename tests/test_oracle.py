@@ -12,6 +12,7 @@ from abcoulomb.oracle import (
     TWO_GRID_AGREEMENT,
     GridConvergenceError,
     RadialGrid,
+    _two_grid_levels,
     bound_eigenvalues,
     discretize_h0,
     oracle_regular_spectrum,
@@ -97,6 +98,74 @@ class TestDiscretization:
         op = discretize_h0(0.3, ATOMIC, RadialGrid(r_min=r_min, points=400))
         with pytest.raises(ValueError, match="r_min"):
             bound_eigenvalues(op, 3)
+
+
+class TestRefinement:
+    """The coarse and fine levels of oracle_regular_spectrum come from
+    Rayleigh-quotient inverse iteration seeded by a grid with an eighth of
+    the points, each certified by Sturm counts."""
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, DEFAULT_GRID.refined()],
+                             ids=["default", "refined"])
+    @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
+    def test_refined_levels_match_sturm_count(self, grid, j):
+        # as test_levels_match_sturm_count, on both grids of the two-grid pair
+        for levels, g in zip(_two_grid_levels(j, 5, grid), (grid, grid.refined())):
+            op = discretize_h0(j, ATOMIC, g)
+            assert len(levels) == 5
+            for k, eps in enumerate(levels, start=1):
+                assert _count_below(op, eps - 1e-9 * abs(eps)) == k - 1
+                assert _count_below(op, eps + 1e-9 * abs(eps)) == k
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, DEFAULT_GRID.refined()],
+                             ids=["default", "refined"])
+    @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
+    def test_refined_levels_agree_with_bisection(self, grid, j):
+        for levels, g in zip(_two_grid_levels(j, 5, grid), (grid, grid.refined())):
+            bisected = bound_eigenvalues(discretize_h0(j, ATOMIC, g), 5)
+            assert np.max(np.abs(levels / bisected - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
+    def test_unresolved_grid_refused(self, j):
+        # a step of 0.8 in ln r: the coarse levels do not seed the fine ones,
+        # and the counts refuse them rather than return unlabelled levels
+        grid = RadialGrid(r_min=1e-30, r_max=1e6, points=100)
+        with pytest.raises(GridConvergenceError):
+            _two_grid_levels(j, 5, grid)
+
+    @pytest.mark.parametrize("picks", [[1, 2], [1, 1]], ids=["shifted", "repeated"])
+    def test_seed_at_wrong_level_refused(self, picks):
+        op = discretize_h0(0.3, ATOMIC, DEFAULT_GRID)
+        levels = bound_eigenvalues(op, 3)
+        assert bound_eigenvalues(op, 3, levels) == pytest.approx(levels, rel=1e-10)
+        with pytest.raises(GridConvergenceError, match="Sturm"):
+            bound_eigenvalues(op, 2, levels[picks])
+
+    def test_unrepresentable_pencil_refused_with_seeds(self):
+        op = discretize_h0(0.3, ATOMIC, RadialGrid(r_min=1e-80, points=400))
+        with pytest.raises(ValueError, match="r_min"):
+            bound_eigenvalues(op, 3, np.array([-1.6, -0.5, -0.2]))
+
+
+class TestCoulombUnits:
+    """Every level is solved at m_e eta' = 1 and scaled by q = m_e eta'."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [PhysicalParams(eta=0.01), PhysicalParams(eta=0.05), PhysicalParams(eta=1e4),
+         PhysicalParams(m_e=2.0, hbar=0.5, eta=0.01)],
+        ids=["eta=0.01", "eta=0.05", "eta=1e4", "m_e=2,hbar=0.5"],
+    )
+    def test_levels_at_every_coupling(self, params):
+        q = params.m_e * params.eta_prime
+        evs = oracle_regular_spectrum(0.3, params, 3)
+        assert [ev.index for ev in evs] == [1, 2, 3]
+        for ev in evs:
+            assert ev.kappa == pytest.approx(q / (ev.index - 0.5 + 0.3), rel=1e-6)
+
+    def test_coupling_beyond_float_range_refused(self):
+        with pytest.raises(ValueError, match="float range"):
+            oracle_regular_spectrum(0.3, PhysicalParams(eta=1e300, hbar=1e-10), 1)
 
 
 class TestSpectrum:

@@ -284,3 +284,15 @@ class TestProfiles:
             except ResolutionError:
                 got = "ResolutionError"
             assert got == scalar_count(values)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("aj", [60, 100, 150])
+    def test_norm_of_large_j_ladder_ground_state(self, aj):
+        # the samples reach 3e95, 2e169 and 4e261, whose squares overflow a
+        # double; the unscaled quadrature in long double is the reference
+        profile = build_profile(SolutionCoefficients(1.0, 0.0), 1.0 / (aj + 0.5), aj, ATOMIC)
+        norm, nodes = normalize_and_count_nodes(profile)
+        values, r = profile.values.astype(np.longdouble), profile.r.astype(np.longdouble)
+        reference = float(np.sqrt(np.trapezoid(values * values * r, r)))
+        assert math.isfinite(norm) and nodes == 0
+        assert norm == pytest.approx(reference, rel=1e-13)
