@@ -12,8 +12,9 @@ G(kappa) = Gamma(b')/Gamma(a') alone.  The gamma reciprocals are entire,
 so F is smooth.  Roots are searched in t = m_e*eta'/kappa, where the
 lambda = 0 and lambda = inf limits sit at the closed-form ladders
 t = n - 1/2 +- |j|.  The roots of every finite lambda interlace with those
-ladders, so each is bisected on its own known interval, directly in t with
-Gamma(b) and Gamma(b') computed once per solve.
+ladders, so each is solved to adjacent floats on its own known interval,
+directly in t with Gamma(b) and Gamma(b') computed once per solve, by
+inverse quadratic interpolation safeguarded by bisection.
 """
 
 from __future__ import annotations
@@ -151,23 +152,27 @@ class SecularRoot:
 
 
 def _secular_terms(lam: ExtensionParam, aj: float):
-    """F of one (lambda, |j|) as a function of a = 1/2 + |j| - t,
-    a' = 1/2 - |j| - t and 2 kappa, with its constant gammas computed once.
-    An a or a' passed as an exact nonpositive integer makes its term 0;
-    lambda = 0 and lambda = inf keep only their one term."""
+    """The regular and irregular terms of F for one (lambda, |j|), as
+    functions of a = 1/2 + |j| - t and of a' = 1/2 - |j| - t and 2 kappa,
+    with their constant gammas computed once; F is their sum.  lambda = 0
+    has no irregular term and lambda = inf no regular one.  On a ladder,
+    where a or a' is 1 - n, the other term alone is F."""
     if lam.is_infinite:
         g_irregular = gamma(1.0 - 2.0 * aj)
-        return lambda a, a_prime, two_kappa: g_irregular * reciprocal_gamma(a_prime)
+        return (lambda a: 0.0), (lambda a_prime, two_kappa: g_irregular * reciprocal_gamma(a_prime))
     g_regular = gamma(1.0 + 2.0 * aj)
+
+    def regular(a: float) -> float:
+        return g_regular * reciprocal_gamma(a)
+
     if lam.value == 0.0:
-        return lambda a, a_prime, two_kappa: g_regular * reciprocal_gamma(a)
+        return regular, (lambda a_prime, two_kappa: 0.0)
     weight, power = lam.value * gamma(1.0 - 2.0 * aj), 2.0 * aj
 
-    def terms(a: float, a_prime: float, two_kappa: float) -> float:
-        irregular = weight * two_kappa**power * reciprocal_gamma(a_prime)
-        return g_regular * reciprocal_gamma(a) + irregular
+    def irregular(a_prime: float, two_kappa: float) -> float:
+        return weight * two_kappa**power * reciprocal_gamma(a_prime)
 
-    return terms
+    return regular, irregular
 
 
 def secular_function(
@@ -185,7 +190,8 @@ def secular_function(
     _require_extension_sector(lam, j)
     aj = abs(j)
     t = params.m_e * params.eta_prime / kappa
-    return _secular_terms(lam, aj)(0.5 + aj - t, 0.5 - aj - t, 2.0 * kappa)
+    regular, irregular = _secular_terms(lam, aj)
+    return regular(0.5 + aj - t) + irregular(0.5 - aj - t, 2.0 * kappa)
 
 
 def normalizable_coefficients(kp: KummerParams) -> SolutionCoefficients:
@@ -209,28 +215,66 @@ def energy_from_kappa(
     return coulomb - params.hbar * params.omega * (j + s / 2.0)
 
 
-def _bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """Bisection to floating-point resolution; endpoints must straddle zero.
-    Signs are compared, not products, which underflow at tiny lambda."""
+def _bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float]:
+    """A zero of f on [lo, hi], whose end values differ in sign, and f there.
+
+    Returns on an exact zero, or once the bracket is two adjacent floats,
+    with their midpoint rounded as bisection rounds it; on a function with
+    one sign change at float level that is the float bisection returns.
+    Steps interpolate inverse-quadratically where Chandrupatla's test
+    (Adv. Eng. Softw. 28, 145 (1997)) admits it and by secant otherwise,
+    and stay at least one float inside the bracket, so that a converged
+    estimate closes the bracket across the root.  Interpolation runs while
+    fewer than 2(k + 1) evaluations have been made, k being the number of
+    times the bracket has halved; beyond that a step bisects, so no
+    function takes more than twice the evaluations bisection needs to
+    close the bracket.  A bracket still open after 400 evaluations (at
+    least 199 halvings) raises rather than return a wide bracket's midpoint.
+    Signs are compared, not products, which underflow at tiny lambda.
+    """
     if f_lo == 0.0:
-        return lo
+        return lo, f_lo
     if f_hi == 0.0:
-        return hi
-    lo_negative = f_lo < 0.0
-    if lo_negative == (f_hi < 0.0):
+        return hi, f_hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
         raise RootSearchError(f"root not bracketed on [{lo}, {hi}]")
-    for _ in range(200):
+    # a is the newest point, b the bracket end across the root from it, and
+    # c the point last replaced by a
+    a, f_a, b, f_b = hi, f_hi, lo, f_lo
+    c = f_c = None
+    evaluations, halvings, next_width = 0, 0, 0.5 * (hi - lo)
+    while True:
+        lo, hi = (a, b) if a < b else (b, a)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == lo_negative:
-            lo = mid
+            return mid, f_a if mid == a else f_b
+        while hi - lo <= next_width:
+            halvings += 1
+            next_width *= 0.5
+        if evaluations == 400:
+            raise RootSearchError(f"no adjacent-float bracket on [{lo}, {hi}] in 400 evaluations")
+        x = mid
+        if evaluations < 2 * (halvings + 1):
+            s = f_a / (f_a - f_b)  # secant, as a fraction of the way from a to b
+            if c is not None:
+                xi, phi = (a - b) / (c - b), (f_a - f_b) / (f_c - f_b)
+                if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                    # inverse quadratic through a, b and c, where it is monotone
+                    s = (f_a / (f_b - f_a)) * (f_c / (f_b - f_c)) + (
+                        (c - a) / (b - a) * (f_a / (f_c - f_a)) * (f_b / (f_c - f_b))
+                    )
+            x = a + s * (b - a)
+            if not lo < x < hi:
+                x = math.nextafter(lo, hi) if x <= lo else math.nextafter(hi, lo) if x >= hi else mid
+        f_x = f(x)
+        evaluations += 1
+        if f_x == 0.0:
+            return x, f_x
+        if (f_x < 0.0) == (f_a < 0.0):
+            c, f_c = a, f_a
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            c, f_c, b, f_b = b, f_b, a, f_a
+        a, f_a = x, f_x
 
 
 def _normalized_residual(f, t_root: float, value: float) -> float:
@@ -238,18 +282,19 @@ def _normalized_residual(f, t_root: float, value: float) -> float:
     Newton-step length relative to t; this is meaningful for every lambda,
     including the single-term lambda = 0 and lambda = inf functions.
     ``value`` is f at the root, exactly 0 on a ladder, whose neighbours
-    past root 171 need 1/Gamma beyond the float range."""
+    past root 171 need 1/Gamma beyond the float range; the slope is a
+    forward difference from it."""
     if value == 0.0:
         return 0.0
     h = min(1e-6 * max(1.0, abs(t_root)), 0.5 * abs(t_root))
-    slope = (f(t_root + h) - f(t_root - h)) / (2.0 * h)
+    slope = (f(t_root + h) - value) / h
     scale = abs(slope) * max(1.0, abs(t_root))
     if scale == 0.0:
         return abs(value)
     return abs(value) / scale
 
 
-def _solve_zero_coupling(lam: ExtensionParam, j: float, terms) -> list[SecularRoot]:
+def _solve_zero_coupling(lam: ExtensionParam, j: float, regular, irregular) -> list[SecularRoot]:
     # eta' = 0: t = m_e*eta'/kappa degenerates to 0.  The secular function
     # becomes c1 + lambda*(2 kappa)**(2|j|)*c2 with constants c1, c2 > 0:
     # no roots unless lambda < 0, where exactly one survives in closed form.
@@ -262,9 +307,10 @@ def _solve_zero_coupling(lam: ExtensionParam, j: float, terms) -> list[SecularRo
     if log_two_kappa > math.log(0.5 * sys.float_info.max):
         raise RootSearchError(f"lambda={lam.value}, j={j}: root beyond float range")
     kappa = 0.5 * math.exp(log_two_kappa)
+    f_regular = regular(0.5 + aj)
 
     def f(k: float) -> float:
-        return terms(0.5 + aj, 0.5 - aj, 2.0 * k)
+        return f_regular + irregular(0.5 - aj, 2.0 * k)
 
     return [SecularRoot(kappa=kappa, residual=_normalized_residual(f, kappa, f(kappa)))]
 
@@ -279,45 +325,44 @@ def solve_secular(
     (largest kappa / smallest t) upward.
 
     lambda = 0 and lambda = inf return the ladders t = n - 1/2 +- |j|,
-    all positive in |j| < 1/2.  Otherwise root n is bisected to float resolution
-    on its interlacing interval in t = m_e*eta'/kappa: for lambda > 0
-    [n - 1/2 - |j|, n - 1/2 + |j|]; for lambda < 0 [n - 3/2 + |j|,
-    n - 1/2 - |j|], and (0, 1/2 - |j|) in log t for n = 1, whose kappa
-    beyond the float range raises RootSearchError.  Each interval ends on
-    the ladders, where one term of F vanishes: it is evaluated there as
-    exactly 0.  With no Coulomb attraction fewer roots (possibly none) are
-    returned.
+    all positive in |j| < 1/2.  Otherwise root n is solved to adjacent
+    floats by ``_bracketed_root`` on its interlacing interval in
+    t = m_e*eta'/kappa: for lambda > 0 [n - 1/2 - |j|, n - 1/2 + |j|]; for
+    lambda < 0 [n - 3/2 + |j|, n - 1/2 - |j|], and (0, 1/2 - |j|) in log t
+    for n = 1, whose kappa beyond the float range raises RootSearchError.
+    Each interval ends on the ladders, where one term of F vanishes: F is
+    the other term there.  With no Coulomb attraction fewer roots
+    (possibly none) are returned.
     """
     lam = _as_extension(lam)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _require_extension_sector(lam, j)
     aj = abs(j)
-    terms = _secular_terms(lam, aj)
+    regular, irregular = _secular_terms(lam, aj)
     q = params.m_e * params.eta_prime
     if q == 0.0:
-        return _solve_zero_coupling(lam, j, terms)
+        return _solve_zero_coupling(lam, j, regular, irregular)
     half_plus, half_minus, two_q = 0.5 + aj, 0.5 - aj, 2.0 * q
 
     def f(t: float) -> float:
-        return terms(half_plus - t, half_minus - t, two_q / t)
+        return regular(half_plus - t) + irregular(half_minus - t, two_q / t)
 
-    def root_at(t: float, value: float | None = None) -> SecularRoot:
-        value = f(t) if value is None else value
+    def root_at(t: float, value: float) -> SecularRoot:
         return SecularRoot(kappa=q / t, residual=_normalized_residual(f, t, value))
 
     def regular_ladder(n: int) -> tuple[float, float]:
         # t = n - 1/2 + |j|, where a = 1 - n
         t = n - 0.5 + aj
-        return t, terms(1.0 - n, half_minus - t, two_q / t)
+        return t, irregular(half_minus - t, two_q / t)
 
     def irregular_ladder(n: int) -> tuple[float, float]:
         # t = n - 1/2 - |j|, where a' = 1 - n
         t = n - 0.5 - aj
-        return t, terms(half_plus - t, 1.0 - n, two_q / t)
+        return t, regular(half_plus - t)
 
     if lam.is_infinite or lam.value == 0.0:
-        # each root's one term is evaluated at its exact a or a' = 1 - n
+        # each root's one term vanishes there
         ladder = irregular_ladder if lam.is_infinite else regular_ladder
         return [root_at(*ladder(n)) for n in range(1, count + 1)]
 
@@ -325,22 +370,32 @@ def solve_secular(
     if lam.value > 0.0:
         brackets = [(irregular_ladder(n), regular_ladder(n)) for n in range(1, count + 1)]
     else:
-        # Root 1 can sit at kappa ~ 1e50 and beyond, so it is bisected in
+        # Root 1 can sit at kappa ~ 1e50 and beyond, so it is solved in
         # log t; kappa <= float max / 4 keeps 2 kappa finite.
         t_floor = max(sys.float_info.min, 4.0 * q / sys.float_info.max)
 
+        def weighted(t: float, value: float) -> float:
+            # (2 kappa)^(-2|j|) F has the sign of F and stays bounded as
+            # t -> 0, where F grows like t^(-2|j|) over hundreds of decades
+            return value * (t / two_q) ** (2.0 * aj)
+
         def g(s: float) -> float:
-            return f(math.exp(s))
+            t = math.exp(s)
+            return weighted(t, f(t))
 
         t_hi, f_hi = irregular_ladder(1)
         try:
-            s = _bisect_root(g, math.log(t_floor), math.log(t_hi), f(t_floor), f_hi)
+            s, _ = _bracketed_root(
+                g, math.log(t_floor), math.log(t_hi),
+                weighted(t_floor, f(t_floor)), weighted(t_hi, f_hi),
+            )
         except RootSearchError:
             raise RootSearchError(
                 f"lambda={lam.value}, j={j}: ground state beyond float range"
             ) from None
-        roots.append(root_at(math.exp(s)))
+        t = math.exp(s)
+        roots.append(root_at(t, f(t)))
         brackets = [(regular_ladder(n - 1), irregular_ladder(n)) for n in range(2, count + 1)]
     for (lo, f_lo), (hi, f_hi) in brackets:
-        roots.append(root_at(_bisect_root(f, lo, hi, f_lo, f_hi)))
+        roots.append(root_at(*_bracketed_root(f, lo, hi, f_lo, f_hi)))
     return roots

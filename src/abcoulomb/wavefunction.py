@@ -36,6 +36,7 @@ from .specfun import gamma, kummer_1f1, reciprocal_gamma, tricomi_u
 
 __all__ = [
     "ResolutionError",
+    "TruncationError",
     "RadialProfile",
     "BoundaryValues",
     "radial_solution",
@@ -51,6 +52,10 @@ SMALL_R_X_MAX = 0.1
 
 class ResolutionError(ValueError):
     """Profile sampling too coarse to resolve a sign change."""
+
+
+class TruncationError(ValueError):
+    """Profile cut off before its tail has decayed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +98,14 @@ def _radial_values(x: np.ndarray, coeffs: SolutionCoefficients, kp: KummerParams
         regular += beta * kummer_1f1(kp.a, kp.b, x)
     if alpha and aj:
         regular -= 2.0 * aj * alpha * tricomi_u(kp.a, kp.b, x)
-    values = regular * x**aj
+    # x^{+-|j|} e^{-x/2} as one exponential: at large |j| the power alone
+    # overflows past the peak x = 2|j| of the product
+    log_x = np.log(x)
+    values = regular * np.exp(aj * log_x - 0.5 * x)
     if coeffs.b_m and not b_norm:
         # on the regular ladder I has no N to be folded into
-        values += coeffs.b_m * x ** (-aj) * kummer_1f1(kp.a_prime, kp.b_prime, x)
-    return values * np.exp(-0.5 * x)
+        values += coeffs.b_m * kummer_1f1(kp.a_prime, kp.b_prime, x) * np.exp(-aj * log_x - 0.5 * x)
+    return values
 
 
 def radial_solution(r: float, coeffs: SolutionCoefficients, kp: KummerParams) -> float:
@@ -188,18 +196,24 @@ def build_profile(
 ) -> RadialProfile:
     """Sample the radial solution on a geometric mesh.
 
-    The geometric grading resolves the r^{-|j|} origin behavior and the
-    defaults cover (1e-4/kappa, 35/kappa), enough for normalization and
-    node counting; for lambda < 0 it starts at or below r0/100, where r0 =
-    (-f0/f1)^{1/(2|j|)} is the node of the origin behavior.
+    The geometric grading resolves the r^{-|j|} origin behavior.  The
+    defaults start at 1e-4/kappa, or for lambda < 0 at or below r0/100,
+    where r0 = (-f0/f1)^{1/(2|j|)} is the node of the origin behavior.
+    They end at x = 2 kappa r = max(70, 10 t), t = m_e eta'/kappa, where
+    the large-x envelope x^{t - 1/2} e^{-x/2} of a bound state, which
+    peaks at x = 2t - 1, is below 3e-8 of its largest value past x = 1
+    for every t.
     """
     if points < 16:
         raise ValueError(f"points must be >= 16, got {points}")
     kp = KummerParams.for_state(kappa, j, params)
     r_lo = min(1e-4 / kappa, 0.01 * _origin_node(coeffs, kp)) if r_min is None else r_min
-    r_hi = 35.0 / kappa if r_max is None else r_max
+    t = params.m_e * params.eta_prime / kappa
+    r_hi = max(35.0, 5.0 * t) / kappa if r_max is None else r_max
     if not (0.0 < r_lo < r_hi):
         raise ValueError(f"need 0 < r_min < r_max, got ({r_lo}, {r_hi})")
+    if math.isinf(r_hi):
+        raise OverflowError(f"the profile at j = {j} is beyond the float range")
     r = np.geomspace(r_lo, r_hi, points)
     with np.errstate(over="ignore", invalid="ignore"):  # x^{|j|} at huge |j|, refused below
         values = _radial_values(2.0 * kappa * r, coeffs, kp)
@@ -234,7 +248,8 @@ def normalize_and_count_nodes(profile: RadialProfile) -> tuple[float, int]:
 
     The profile must reach down to 1e-4/kappa and out to 30/kappa so the
     integrable r^{1-2|j|} origin behavior and the exponential tail are
-    both captured.
+    both captured, and its last sample must be within 1e-6 of its peak,
+    or TruncationError is raised.
     """
     kappa = profile.kappa
     if profile.r[0] > 1e-4 / kappa * (1.0 + 1e-9):
@@ -244,6 +259,13 @@ def normalize_and_count_nodes(profile: RadialProfile) -> tuple[float, int]:
     # on the scale of the peak: the raw values reach 1e169 and beyond at
     # large |j|, where their squares and neighbour products overflow
     peak = float(np.max(np.abs(profile.values)))
+    if abs(profile.values[-1]) > 1e-6 * peak:
+        raise TruncationError(
+            f"the profile ends at r = {profile.r[-1]} with {abs(profile.values[-1]) / peak:.3g} "
+            "of its peak; extend r_max"
+        )
     scaled = profile.values / peak if peak > 0.0 else profile.values
-    norm_sq = float(np.trapezoid(scaled * scaled * profile.r, profile.r))
-    return peak * math.sqrt(norm_sq), _count_nodes(profile.r, scaled)
+    norm = peak * math.sqrt(float(np.trapezoid(scaled * scaled * profile.r, profile.r)))
+    if math.isinf(norm):
+        raise OverflowError(f"the norm of the profile is beyond the float range (peak {peak})")
+    return norm, _count_nodes(profile.r, scaled)

@@ -7,6 +7,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abcoulomb.secular as secular
 from abcoulomb.model import PhysicalParams, SectorError
 from abcoulomb.secular import (
     INFINITE_EXTENSION,
@@ -14,6 +15,7 @@ from abcoulomb.secular import (
     KummerParams,
     RootSearchError,
     SolutionCoefficients,
+    _bracketed_root,
     energy_from_kappa,
     normalizable_coefficients,
     secular_function,
@@ -343,6 +345,137 @@ class TestInterlacingBrackets:
         assert _log_deep_two_kappa(-0.06, 0.0018) > math.log(1e308)
         with pytest.raises(RootSearchError):
             solve_secular(-0.06, 0.0018, ATOMIC, 1)
+
+
+def _bisection(f, lo, hi, stop_on_zero=True):
+    """Reference bisection to two adjacent floats (or, with ``stop_on_zero``,
+    to the first exact zero): the float it returns and its evaluations."""
+    lo_negative, evaluations = f(lo) < 0.0, 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid, evaluations
+        f_mid = f(mid)
+        evaluations += 1
+        if f_mid == 0.0 and stop_on_zero:
+            return mid, evaluations
+        if f_mid != 0.0 and (f_mid < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _one_sign_change_near(f, x, floats=256):
+    """f changes sign once, with at most one exact zero, over the floats
+    within ``floats`` steps of x."""
+    xs = [x]
+    for _ in range(floats):
+        xs = [math.nextafter(xs[0], -math.inf), *xs, math.nextafter(xs[-1], math.inf)]
+    signs = [(v > 0.0) - (v < 0.0) for v in map(f, xs)]
+    monotone = signs in (sorted(signs), sorted(signs, reverse=True))
+    return monotone and signs.count(0) <= 1 and signs[0] != signs[-1]
+
+
+def _solve(f, lo, hi):
+    """_bracketed_root on f, and the evaluations it made inside [lo, hi]."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    return (*_bracketed_root(counted, lo, hi, f(lo), f(hi)), len(calls))
+
+
+class TestBracketedRoot:
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [
+            (lambda x: 0.3 - x / 7.0, 0.0, 4.0),
+            (lambda x: x - 0.1, 0.0, 1.0),
+            # exp(50 x) - 2 itself has a run of exact zeros at float level
+            # around ln(2)/50, any of which is a root; shifted to x > 1 it
+            # has one sign change
+            (lambda x: math.exp(50.0 * (x - 1.0)) - 2.0, 1.0, 2.0),
+            *[
+                (lambda k, lam=lam: secular_function(k, lam, 0.2, ATOMIC), 1.0 / hi, 1.0 / lo)
+                for lam in (1.0, -1.0)
+                for n in (2, 3)
+                for lo, hi in [_interlacing_bracket(lam, 0.2, n)]
+            ],
+        ],
+    )
+    def test_returns_the_float_of_bisection(self, f, lo, hi):
+        expected, bisections = _bisection(f, lo, hi)
+        assert _one_sign_change_near(f, expected)
+        root, value, evaluations = _solve(f, lo, hi)
+        assert root == expected
+        assert value == f(root)
+        assert evaluations < bisections / 2
+
+    @pytest.mark.parametrize("c", [0.3, 1.0 / 3.0, 0.71, 0.123456789])
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda x, c: (x - c) ** 9, lambda x, c: -1.0 if x < c else 2.0],
+        ids=["ninth-power", "step"],
+    )
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 2.0)])
+    def test_at_most_twice_bisection(self, shape, c, lo, hi):
+        # no interpolation helps here; bisection is counted to two adjacent
+        # floats, since it may land on an exact zero a few steps earlier
+        def f(x):
+            return shape(x, c)
+
+        root, value, evaluations = _solve(f, lo, hi)
+        below, above = math.nextafter(root, -math.inf), math.nextafter(root, math.inf)
+        assert value == 0.0 or (f(below) < 0.0) != (f(above) < 0.0)
+        assert evaluations <= 2 * _bisection(f, lo, hi, stop_on_zero=False)[1]
+
+    def test_exact_zeros_returned_at_once(self):
+        assert _bracketed_root(math.sin, 0.0, 1.0, 0.0, 1.0) == (0.0, 0.0)
+        assert _bracketed_root(math.sin, -1.0, 0.0, -1.0, 0.0) == (0.0, 0.0)
+        assert _solve(lambda x: x - 0.5, 0.0, 1.0) == (0.5, 0.0, 1)
+
+    def test_tiny_values_compare_signs(self):
+        # products of these values underflow to 0.0
+        assert _solve(lambda x: 1e-200 * (x - 0.25), 0.0, 1.0)[0] == 0.25
+
+    def test_unbracketed_input_raises(self):
+        with pytest.raises(RootSearchError, match="not bracketed"):
+            _solve(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_bracket_not_closed_within_the_cap_raises(self):
+        # the sign change sits at 1e-300, about 1000 halvings below [-1, 1]:
+        # bisection's step cap once returned a bracket's midpoint here
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return -1.0 if x < 1e-300 else 1.0
+
+        with pytest.raises(RootSearchError, match="400 evaluations"):
+            _bracketed_root(step, -1.0, 1.0, -1.0, 1.0)
+        assert len(calls) == 400
+
+    def test_reciprocal_gamma_calls_per_root(self, monkeypatch):
+        # bisection to adjacent floats took about 110 calls per root here
+        calls = []
+        real = secular.reciprocal_gamma
+        monkeypatch.setattr(secular, "reciprocal_gamma", lambda z: calls.append(z) or real(z))
+        roots = sum(
+            len(solve_secular(lam, j, ATOMIC, 6))
+            for lam in (-1e-3, 1e-3, -1.0, 1.0, -1e3, 1e3)
+            for j in (0.01, 0.2, 0.49)
+        )
+        assert roots == 108
+        assert len(calls) <= 20 * roots
+        # the lambda < 0 ground states alone, in log t: about 28 calls each,
+        # 53 on F without its (2 kappa)^(-2|j|) weight, 128 by bisection
+        calls.clear()
+        for lam in (-1e-3, -1.0, -1e3):
+            for j in (0.01, 0.2, 0.49):
+                solve_secular(lam, j, ATOMIC, 1)
+        assert len(calls) <= 40 * 9
 
 
 class TestNormalizableCoefficients:

@@ -15,6 +15,7 @@ from abcoulomb.secular import (
 from abcoulomb.wavefunction import (
     RadialProfile,
     ResolutionError,
+    TruncationError,
     boundary_closure_residual,
     boundary_values,
     build_profile,
@@ -275,7 +276,7 @@ class TestProfiles:
         r = np.geomspace(1e-4, 40.0, 300)
         for _ in range(300):
             values = np.sin(rng.uniform(0.05, 1.0) * r + rng.uniform(0, 2 * np.pi))
-            values *= np.exp(-0.1 * r)
+            values *= np.exp(-0.5 * r)  # below 1e-6 of the peak at r = 40
             dips = rng.random(r.size) < 0.02
             values[dips] = rng.normal(0.0, 1e-14, dips.sum())
             profile = RadialProfile(r, values, 1.0)
@@ -286,9 +287,9 @@ class TestProfiles:
             assert got == scalar_count(values)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("aj", [60, 100, 150])
+    @pytest.mark.parametrize("aj", [60, 100, 140])
     def test_norm_of_large_j_ladder_ground_state(self, aj):
-        # the samples reach 3e95, 2e169 and 4e261, whose squares overflow a
+        # the samples reach 5e98, 5e186 and 6e281, whose squares overflow a
         # double; the unscaled quadrature in long double is the reference
         profile = build_profile(SolutionCoefficients(1.0, 0.0), 1.0 / (aj + 0.5), aj, ATOMIC)
         norm, nodes = normalize_and_count_nodes(profile)
@@ -296,3 +297,26 @@ class TestProfiles:
         reference = float(np.sqrt(np.trapezoid(values * values * r, r)))
         assert math.isfinite(norm) and nodes == 0
         assert norm == pytest.approx(reference, rel=1e-13)
+
+    def test_norm_beyond_float_range_raises(self):
+        # at |j| = 150 the samples still fit (peak 3e306), their norm
+        # sqrt(Gamma(302)) / (2 kappa) ~ 1e311 does not
+        profile = build_profile(SolutionCoefficients(1.0, 0.0), 1.0 / 150.5, 150, ATOMIC)
+        with pytest.raises(OverflowError, match="float range"):
+            normalize_and_count_nodes(profile)
+
+    @pytest.mark.parametrize("aj", [10.2, 30.3, 40.1, 100.3])
+    def test_large_j_ladder_ground_state_is_not_truncated(self, aj):
+        # x^{|j|} e^{-x/2} peaks at x = 2|j|, beyond x = 70 from |j| = 35 on
+        kappa = 1.0 / (aj + 0.5)
+        profile = build_profile(SolutionCoefficients(1.0, 0.0), kappa, aj, ATOMIC)
+        norm, nodes = normalize_and_count_nodes(profile)
+        # |F|^2 r dr = x^{2|j|+1} e^{-x} dx / (2 kappa)^2; the trapezoid in r
+        # on the default mesh is good to about 1e-6
+        exact = math.exp(0.5 * math.lgamma(2.0 * aj + 2.0)) / (2.0 * kappa)
+        assert nodes == 0
+        assert norm == pytest.approx(exact, rel=2e-6)
+        with pytest.raises(TruncationError):
+            normalize_and_count_nodes(
+                build_profile(SolutionCoefficients(1.0, 0.0), kappa, aj, ATOMIC, r_max=35.0 / kappa)
+            )
