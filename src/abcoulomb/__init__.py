@@ -17,8 +17,6 @@ from .model import (
     is_singular_sector,
 )
 from .secular import (
-    INFINITE_EXTENSION,
-    ExtensionParam,
     KummerParams,
     SecularRoot,
     SolutionCoefficients,
@@ -31,9 +29,8 @@ from .spectrum import (
     DegeneracyGroup,
     ExistenceError,
     SpectralResult,
+    closed_form_energy,
     detect_degeneracies,
-    energy_irregular,
-    energy_regular,
     kappa_of_energy,
     rotation_parts,
 )

@@ -30,10 +30,10 @@ from .model import (
     is_singular_sector,
 )
 from .secular import (
-    ExtensionParam,
     KummerParams,
     RootSearchError,
     SolutionCoefficients,
+    _check_lambda,
     energy_from_kappa,
     normalizable_coefficients,
     solve_secular,
@@ -118,10 +118,11 @@ def _parse_levels(text: str) -> list[int]:
     return levels
 
 
-def _parse_lambda(text: str) -> ExtensionParam:
-    if text.strip().lower() in ("inf", "+inf", "infinity"):
-        return ExtensionParam(math.inf)
-    return ExtensionParam(float(text))
+def _parse_lambda(text: str) -> float:
+    """A float in (-inf, +inf]; ``float`` reads inf, +inf and Infinity."""
+    lam = float(text)
+    _check_lambda(lam)
+    return lam
 
 
 def _int_at_least(minimum: int):
@@ -214,10 +215,10 @@ def _rows(variable: str, values: list[float], args: argparse.Namespace) -> tuple
     note on irregular rows outside |j| < 1/2 (None when there are none).
 
     The (value, n, m, s, branch) grid is evaluated as numpy columns with
-    the operations of ``spectrum._assemble`` in its order, so each energy
-    and kappa is bit for bit ``closed_form_energy`` of its row.  Raises
-    ``SectorViolation`` under ``--strict``, naming the first offending row
-    in (value, n, m, s, branch) loop order.
+    the operations of ``spectrum.closed_form_energy`` in its order, so
+    each energy and kappa is bit for bit ``closed_form_energy`` of its
+    row.  Raises ``SectorViolation`` under ``--strict``, naming the first
+    offending row in (value, n, m, s, branch) loop order.
     """
     params = _params(args)
     column = np.array(values)[:, None]
@@ -365,7 +366,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
             roots = solve_secular(args.lam, j, params, args.root)
             if len(roots) < args.root:
                 raise ExistenceError(
-                    f"lambda = {args.lam.value} has no bound state {args.root} "
+                    f"lambda = {args.lam} has no bound state {args.root} "
                     f"(it has {len(roots)})"
                 )
             kappa = roots[args.root - 1].kappa

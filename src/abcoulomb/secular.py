@@ -7,9 +7,10 @@ Combining the two gives the pole-safe secular function
 
     F(kappa) = Gamma(b)/Gamma(a) + lambda*(2 kappa)**(2|j|) * Gamma(b')/Gamma(a')
 
-whose zeros are the bound states; ``lambda = inf`` dispatches to
-G(kappa) = Gamma(b')/Gamma(a') alone.  The gamma reciprocals are entire,
-so F is smooth.  Roots are searched in t = m_e*eta'/kappa, where the
+whose zeros are the bound states.  lambda is a plain float in
+(-inf, +inf]: ``math.inf`` is the purely irregular extension, with
+G(kappa) = Gamma(b')/Gamma(a') alone, and NaN and -inf raise ValueError.
+The gamma reciprocals are entire, so F is smooth.  Roots are searched in t = m_e*eta'/kappa, where the
 lambda = 0 and lambda = inf limits sit at the closed-form ladders
 t = n - 1/2 +- |j|.  The roots of every finite lambda interlace with those
 ladders, so each is solved to adjacent floats on its own known interval,
@@ -27,8 +28,6 @@ from .model import PhysicalParams, SectorError, is_singular_sector
 from .specfun import _snap_to_pole, gamma, reciprocal_gamma
 
 __all__ = [
-    "ExtensionParam",
-    "INFINITE_EXTENSION",
     "KummerParams",
     "SolutionCoefficients",
     "SecularRoot",
@@ -44,38 +43,23 @@ class RootSearchError(RuntimeError):
     """A secular root bracket could not be located or refined."""
 
 
-@dataclass(frozen=True)
-class ExtensionParam:
-    """Self-adjoint extension parameter in (-inf, +inf], with +inf the
-    distinguished 'irregular only' sentinel."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.value):
-            raise ValueError("extension parameter cannot be NaN")
-        if self.value == -math.inf:
-            raise ValueError("extension parameter lies in (-inf, +inf]")
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
+def _check_lambda(lam: float) -> None:
+    """Refuse a lambda outside (-inf, +inf]: NaN and -inf."""
+    if math.isnan(lam):
+        raise ValueError("extension parameter cannot be NaN")
+    if lam == -math.inf:
+        raise ValueError("extension parameter lies in (-inf, +inf]")
 
 
-INFINITE_EXTENSION = ExtensionParam(math.inf)
-
-
-def _as_extension(lam: ExtensionParam | float) -> ExtensionParam:
-    return lam if isinstance(lam, ExtensionParam) else ExtensionParam(float(lam))
-
-
-def _require_extension_sector(lam: ExtensionParam, j: float) -> None:
-    """Every lambda needs |j| < 1/2, where both origin behaviors are square
-    integrable; a finite nonzero one also needs b' != b in floats, i.e.
-    j != 0, where the irregular solution is log r."""
+def _require_extension_sector(lam: float, j: float) -> None:
+    """lambda must lie in (-inf, +inf], and every lambda needs |j| < 1/2,
+    where both origin behaviors are square integrable; a finite nonzero
+    one also needs b' != b in floats, i.e. j != 0, where the irregular
+    solution is log r."""
+    _check_lambda(lam)
     if not is_singular_sector(j):
-        raise SectorError(f"lambda = {lam.value} requires |j| < 1/2, got |j| = {abs(j)}")
-    if not lam.is_infinite and lam.value != 0.0 and 1.0 - 2.0 * abs(j) == 1.0 + 2.0 * abs(j):
+        raise SectorError(f"lambda = {lam} requires |j| < 1/2, got |j| = {abs(j)}")
+    if lam not in (0.0, math.inf) and 1.0 - 2.0 * abs(j) == 1.0 + 2.0 * abs(j):
         raise SectorError(
             f"finite nonzero lambda is undefined at j = {j}: at j = 0 the "
             "irregular solution is log r"
@@ -151,13 +135,13 @@ class SecularRoot:
     residual: float
 
 
-def _secular_terms(lam: ExtensionParam, aj: float):
+def _secular_terms(lam: float, aj: float):
     """The regular and irregular terms of F for one (lambda, |j|), as
     functions of a = 1/2 + |j| - t and of a' = 1/2 - |j| - t and 2 kappa,
     with their constant gammas computed once; F is their sum.  lambda = 0
     has no irregular term and lambda = inf no regular one.  On a ladder,
     where a or a' is 1 - n, the other term alone is F."""
-    if lam.is_infinite:
+    if math.isinf(lam):
         g_irregular = gamma(1.0 - 2.0 * aj)
         return (lambda a: 0.0), (lambda a_prime, two_kappa: g_irregular * reciprocal_gamma(a_prime))
     g_regular = gamma(1.0 + 2.0 * aj)
@@ -165,9 +149,9 @@ def _secular_terms(lam: ExtensionParam, aj: float):
     def regular(a: float) -> float:
         return g_regular * reciprocal_gamma(a)
 
-    if lam.value == 0.0:
+    if lam == 0.0:
         return regular, (lambda a_prime, two_kappa: 0.0)
-    weight, power = lam.value * gamma(1.0 - 2.0 * aj), 2.0 * aj
+    weight, power = lam * gamma(1.0 - 2.0 * aj), 2.0 * aj
 
     def irregular(a_prime: float, two_kappa: float) -> float:
         return weight * two_kappa**power * reciprocal_gamma(a_prime)
@@ -175,16 +159,13 @@ def _secular_terms(lam: ExtensionParam, aj: float):
     return regular, irregular
 
 
-def secular_function(
-    kappa: float, lam: ExtensionParam | float, j: float, params: PhysicalParams
-) -> float:
+def secular_function(kappa: float, lam: float, j: float, params: PhysicalParams) -> float:
     """Pole-safe secular function whose zeros in kappa are bound states.
 
     Finite lambda:  Gamma(b)/Gamma(a) + lambda*(2k)**(2|j|)*Gamma(b')/Gamma(a')
     lambda = inf:   Gamma(b')/Gamma(a')
     written with reciprocal gammas so both terms stay finite everywhere.
     """
-    lam = _as_extension(lam)
     if not (kappa > 0.0):
         raise ValueError(f"kappa must be positive, got {kappa}")
     _require_extension_sector(lam, j)
@@ -294,18 +275,18 @@ def _normalized_residual(f, t_root: float, value: float) -> float:
     return abs(value) / scale
 
 
-def _solve_zero_coupling(lam: ExtensionParam, j: float, regular, irregular) -> list[SecularRoot]:
+def _solve_zero_coupling(lam: float, j: float, regular, irregular) -> list[SecularRoot]:
     # eta' = 0: t = m_e*eta'/kappa degenerates to 0.  The secular function
     # becomes c1 + lambda*(2 kappa)**(2|j|)*c2 with constants c1, c2 > 0:
     # no roots unless lambda < 0, where exactly one survives in closed form.
     aj = abs(j)
-    if lam.is_infinite or lam.value >= 0.0:
+    if lam >= 0.0:
         return []
     c1 = gamma(1.0 + 2.0 * aj) * reciprocal_gamma(0.5 + aj)
     c2 = gamma(1.0 - 2.0 * aj) * reciprocal_gamma(0.5 - aj)
-    log_two_kappa = math.log(-c1 / (lam.value * c2)) / (2.0 * aj)
+    log_two_kappa = math.log(-c1 / (lam * c2)) / (2.0 * aj)
     if log_two_kappa > math.log(0.5 * sys.float_info.max):
-        raise RootSearchError(f"lambda={lam.value}, j={j}: root beyond float range")
+        raise RootSearchError(f"lambda={lam}, j={j}: root beyond float range")
     kappa = 0.5 * math.exp(log_two_kappa)
     f_regular = regular(0.5 + aj)
 
@@ -315,12 +296,7 @@ def _solve_zero_coupling(lam: ExtensionParam, j: float, regular, irregular) -> l
     return [SecularRoot(kappa=kappa, residual=_normalized_residual(f, kappa, f(kappa)))]
 
 
-def solve_secular(
-    lam: ExtensionParam | float,
-    j: float,
-    params: PhysicalParams,
-    count: int,
-) -> list[SecularRoot]:
+def solve_secular(lam: float, j: float, params: PhysicalParams, count: int) -> list[SecularRoot]:
     """The first ``count`` secular roots, ordered from the ground state
     (largest kappa / smallest t) upward.
 
@@ -334,7 +310,6 @@ def solve_secular(
     the other term there.  With no Coulomb attraction fewer roots
     (possibly none) are returned.
     """
-    lam = _as_extension(lam)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _require_extension_sector(lam, j)
@@ -361,13 +336,13 @@ def solve_secular(
         t = n - 0.5 - aj
         return t, regular(half_plus - t)
 
-    if lam.is_infinite or lam.value == 0.0:
+    if lam in (0.0, math.inf):
         # each root's one term vanishes there
-        ladder = irregular_ladder if lam.is_infinite else regular_ladder
+        ladder = irregular_ladder if math.isinf(lam) else regular_ladder
         return [root_at(*ladder(n)) for n in range(1, count + 1)]
 
     roots = []
-    if lam.value > 0.0:
+    if lam > 0.0:
         brackets = [(irregular_ladder(n), regular_ladder(n)) for n in range(1, count + 1)]
     else:
         # Root 1 can sit at kappa ~ 1e50 and beyond, so it is solved in
@@ -391,7 +366,7 @@ def solve_secular(
             )
         except RootSearchError:
             raise RootSearchError(
-                f"lambda={lam.value}, j={j}: ground state beyond float range"
+                f"lambda={lam}, j={j}: ground state beyond float range"
             ) from None
         t = math.exp(s)
         roots.append(root_at(t, f(t)))

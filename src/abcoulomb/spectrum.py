@@ -1,5 +1,9 @@
-"""Closed-form bound-state energies for the regular and irregular
+"""Closed-form bound-state energies of the regular and irregular
 extensions, the kappa <-> energy conversion, and degeneracy detection.
+
+``closed_form_energy`` is the one closed-form entry point; it reads the
+origin branch (regular, lambda = 0, or irregular, lambda = inf) off
+``QuantumState.branch``.
 
 The energy of a level splits into a Coulomb part depending only on
 (n, |j|) and a rotation shift -hbar*Omega*(j + s/2).  The two parts are
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .model import (
-    IRREGULAR,
     REGULAR,
     FluxConfig,
     PhysicalParams,
@@ -28,8 +31,6 @@ __all__ = [
     "SpectralResult",
     "DegeneracyGroup",
     "rotation_parts",
-    "energy_regular",
-    "energy_irregular",
     "closed_form_energy",
     "kappa_of_energy",
     "detect_degeneracies",
@@ -48,7 +49,6 @@ class SpectralResult:
     energy: float
     kappa: float
     exists: bool
-    state: QuantumState
     coulomb_energy: float
     rotation_energy: float
 
@@ -57,7 +57,6 @@ class SpectralResult:
 class DegeneracyGroup:
     energy: float
     members: frozenset[QuantumState]
-    tolerance: float
 
 
 def rotation_parts(params: PhysicalParams, j: float, s: int) -> tuple[float, float]:
@@ -71,7 +70,28 @@ def rotation_parts(params: PhysicalParams, j: float, s: int) -> tuple[float, flo
     return -(hw * j), -s * (hw / 2.0)
 
 
-def _assemble(state, params, j, denom) -> SpectralResult:
+def closed_form_energy(
+    state: QuantumState, params: PhysicalParams, flux: FluxConfig
+) -> SpectralResult:
+    """Energy of the level of ``state.branch``:
+
+        E = -m_e eta^2 / (2 hbar^2 (n - 1/2 +- |j|)^2) - hbar Omega (j + s/2)
+
+    with j = m + phi, + on the regular branch (extension parameter zero)
+    and - on the irregular one (infinite extension parameter), which is
+    only defined in the singular sector |j| < 1/2 and raises SectorError
+    outside it.  The associated kappa is m_e eta' / (n - 1/2 +- |j|).
+    """
+    j = state.m + flux.phi
+    if state.branch == REGULAR:
+        denom = (state.n - 0.5) + abs(j)
+    elif is_singular_sector(j):
+        denom = (state.n - 0.5) - abs(j)
+    else:
+        raise SectorError(
+            f"irregular branch requires |j| < 1/2, got j = {j} "
+            f"(m = {state.m}, phi = {flux.phi})"
+        )
     coulomb = -(params.m_e * params.eta**2 / (2.0 * params.hbar**2)) / (denom * denom)
     orbit, spin = rotation_parts(params, j, state.s)
     rotation = orbit + spin
@@ -80,54 +100,9 @@ def _assemble(state, params, j, denom) -> SpectralResult:
         energy=coulomb + rotation,
         kappa=kappa,
         exists=kappa > 0.0,
-        state=state,
         coulomb_energy=coulomb,
         rotation_energy=rotation,
     )
-
-
-def energy_regular(
-    state: QuantumState, params: PhysicalParams, flux: FluxConfig
-) -> SpectralResult:
-    """Energy of the purely regular level (extension parameter zero):
-
-        E = -m_e eta^2 / (2 hbar^2 (n - 1/2 + |j|)^2) - hbar Omega (j + s/2)
-
-    with j = m + phi.  The associated kappa is m_e eta' / (n - 1/2 + |j|).
-    """
-    j = state.m + flux.phi
-    denom = (state.n - 0.5) + abs(j)
-    return _assemble(state, params, j, denom)
-
-
-def energy_irregular(
-    state: QuantumState, params: PhysicalParams, flux: FluxConfig
-) -> SpectralResult:
-    """Energy of the purely irregular level (infinite extension parameter):
-
-        E = -m_e eta^2 / (2 hbar^2 (n - 1/2 - |j|)^2) - hbar Omega (j + s/2)
-
-    Only defined in the singular sector |j| < 1/2.
-    """
-    j = state.m + flux.phi
-    if not is_singular_sector(j):
-        raise SectorError(
-            f"irregular branch requires |j| < 1/2, got j = {j} "
-            f"(m = {state.m}, phi = {flux.phi})"
-        )
-    denom = (state.n - 0.5) - abs(j)
-    return _assemble(state, params, j, denom)
-
-
-def closed_form_energy(
-    state: QuantumState, params: PhysicalParams, flux: FluxConfig
-) -> SpectralResult:
-    """Dispatch on the state's branch."""
-    if state.branch == REGULAR:
-        return energy_regular(state, params, flux)
-    if state.branch == IRREGULAR:
-        return energy_irregular(state, params, flux)
-    raise ValueError(f"unknown branch {state.branch!r}")
 
 
 def kappa_of_energy(
@@ -175,12 +150,6 @@ def detect_degeneracies(
             members.append(evaluated[k][1])
             k += 1
         if len(members) > 1:
-            groups.append(
-                DegeneracyGroup(
-                    energy=anchor_energy,
-                    members=frozenset(members),
-                    tolerance=tol,
-                )
-            )
+            groups.append(DegeneracyGroup(energy=anchor_energy, members=frozenset(members)))
         i = k
     return groups

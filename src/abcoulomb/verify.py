@@ -1,9 +1,9 @@
 """Self-check suite: every module invariant as a named check with a
 numeric residual and tolerance, runnable as a whole or by group.
 
-Checks call the special functions through the module object on purpose,
-so an injected perturbation (say a patched gamma) is caught rather than
-bypassed via stale local references.
+Checks call the special functions and ``spectrum.closed_form_energy``
+through the module object on purpose, so an injected perturbation (say a
+patched gamma) is caught rather than bypassed via stale local references.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle as oracle_mod
-from . import specfun
+from . import specfun, spectrum
 from .model import (
     IRREGULAR,
     PhysicalParams,
@@ -25,19 +25,12 @@ from .model import (
     is_singular_sector,
 )
 from .secular import (
-    INFINITE_EXTENSION,
     KummerParams,
     RootSearchError,
     normalizable_coefficients,
     solve_secular,
 )
-from .spectrum import (
-    detect_degeneracies,
-    energy_irregular,
-    energy_regular,
-    kappa_of_energy,
-    rotation_parts,
-)
+from .spectrum import detect_degeneracies, kappa_of_energy, rotation_parts
 from .wavefunction import (
     boundary_closure_residual,
     build_profile,
@@ -160,10 +153,10 @@ def _checks_model() -> list[CheckResult]:
 def _checks_spectrum() -> list[CheckResult]:
     out = []
     atomic = PhysicalParams()
-    ground = energy_regular(QuantumState(1, 0, 1), atomic, decompose_flux(0.0))
+    ground = spectrum.closed_form_energy(QuantumState(1, 0, 1), atomic, decompose_flux(0.0))
     out.append(_check("spectrum.ground_state_anchor", abs(ground.energy + 2.0), 1e-12))
 
-    blowup = energy_irregular(
+    blowup = spectrum.closed_form_energy(
         QuantumState(1, 0, 1, IRREGULAR), atomic, decompose_flux(0.49)
     )
     out.append(
@@ -183,11 +176,11 @@ def _checks_spectrum() -> list[CheckResult]:
         s = int(rng.choice((-1, 1)))
         flux = decompose_flux(float(rng.uniform(-5.0, 5.0)))
         j = m + flux.phi
-        zero = energy_regular(QuantumState(n, m, s), atomic, flux)
+        zero = spectrum.closed_form_energy(QuantumState(n, m, s), atomic, flux)
         for omega in (-2.0, 1.0, 3.0):
             rot = PhysicalParams(omega=omega)
             hw = rot.hbar * rot.omega
-            res = energy_regular(QuantumState(n, m, s), rot, flux)
+            res = spectrum.closed_form_energy(QuantumState(n, m, s), rot, flux)
             orbit, spin = rotation_parts(rot, j, s)
             parts_ok &= res.rotation_energy == orbit + spin
             parts_ok &= res.energy == res.coulomb_energy + res.rotation_energy
@@ -199,8 +192,8 @@ def _checks_spectrum() -> list[CheckResult]:
                 ]
             )
             worst_affine = max(worst_affine, abs(affine))
-            up = energy_regular(QuantumState(n, m, 1), rot, flux)
-            dn = energy_regular(QuantumState(n, m, -1), rot, flux)
+            up = spectrum.closed_form_energy(QuantumState(n, m, 1), rot, flux)
+            dn = spectrum.closed_form_energy(QuantumState(n, m, -1), rot, flux)
             up_orbit, up_spin = rotation_parts(rot, j, 1)
             dn_orbit, dn_spin = rotation_parts(rot, j, -1)
             parts_ok &= up.coulomb_energy == dn.coulomb_energy and up_orbit == dn_orbit
@@ -221,7 +214,7 @@ def _checks_spectrum() -> list[CheckResult]:
         flux = decompose_flux(phi)
         for n in (1, 2, 4):
             st = QuantumState(n, 0, 1)
-            res = energy_regular(st, atomic, flux)
+            res = spectrum.closed_form_energy(st, atomic, flux)
             back = kappa_of_energy(res.energy, st, atomic, flux)
             worst_kappa = max(worst_kappa, abs(back / res.kappa - 1.0))
     out.append(_check("spectrum.kappa_consistency", worst_kappa, 1e-12))
@@ -251,7 +244,7 @@ def _checks_spectrum() -> list[CheckResult]:
 
 
 def _brute_force_groups(states, params, flux, tol):
-    energies = [energy_regular(s, params, flux).energy for s in states]
+    energies = [spectrum.closed_form_energy(s, params, flux).energy for s in states]
     n = len(states)
     parent = list(range(n))
 
@@ -282,7 +275,7 @@ def _checks_secular() -> list[CheckResult]:
     worst_res = 0.0
     for j in (0.05, 0.2, 0.45):
         reg = solve_secular(0.0, j, params, 5)
-        irr = solve_secular(INFINITE_EXTENSION, j, params, 5)
+        irr = solve_secular(math.inf, j, params, 5)
         for n in range(1, 6):
             k_reg = params.m_e * params.eta_prime / (n - 0.5 + j)
             k_irr = params.m_e * params.eta_prime / (n - 0.5 - j)

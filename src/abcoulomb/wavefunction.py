@@ -25,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PhysicalParams, SectorError
-from .secular import (
-    ExtensionParam,
-    KummerParams,
-    SolutionCoefficients,
-    _as_extension,
-    normalizable_coefficients,
-)
+from .secular import KummerParams, SolutionCoefficients, _check_lambda, normalizable_coefficients
 from .specfun import gamma, kummer_1f1, reciprocal_gamma, tricomi_u
 
 __all__ = [
@@ -158,17 +152,17 @@ def boundary_values(coeffs: SolutionCoefficients, kp: KummerParams) -> BoundaryV
 
 
 def boundary_closure_residual(
-    coeffs: SolutionCoefficients, kp: KummerParams, lam: ExtensionParam | float
+    coeffs: SolutionCoefficients, kp: KummerParams, lam: float
 ) -> float:
     """Relative residual of the origin boundary condition f0 = lambda * f1
     linking the irregular and regular coefficients.  Zero (to root-finding
     accuracy) exactly when kappa is a bound state of the extension."""
-    lam = _as_extension(lam)
-    if lam.is_infinite:
+    _check_lambda(lam)
+    if math.isinf(lam):
         raise ValueError("closure residual is defined for finite lambda")
     bv = boundary_values(coeffs, kp)
     lhs = bv.f0
-    rhs = lam.value * bv.f1
+    rhs = lam * bv.f1
     scale = max(abs(lhs), abs(rhs))
     if scale == 0.0:
         return 0.0
@@ -190,26 +184,25 @@ def build_profile(
     kappa: float,
     j: float,
     params: PhysicalParams,
-    r_min: float | None = None,
-    r_max: float | None = None,
     points: int = 4000,
 ) -> RadialProfile:
     """Sample the radial solution on a geometric mesh.
 
-    The geometric grading resolves the r^{-|j|} origin behavior.  The
-    defaults start at 1e-4/kappa, or for lambda < 0 at or below r0/100,
-    where r0 = (-f0/f1)^{1/(2|j|)} is the node of the origin behavior.
-    They end at x = 2 kappa r = max(70, 10 t), t = m_e eta'/kappa, where
-    the large-x envelope x^{t - 1/2} e^{-x/2} of a bound state, which
-    peaks at x = 2t - 1, is below 3e-8 of its largest value past x = 1
-    for every t.
+    The geometric grading resolves the r^{-|j|} origin behavior.  The mesh
+    starts at 1e-4/kappa, or for lambda < 0 at or below r0/100, where
+    r0 = (-f0/f1)^{1/(2|j|)} is the node of the origin behavior.  It ends
+    at x = 2 kappa r = max(70, 10 t), t = m_e eta'/kappa, where the
+    large-x envelope x^{t - 1/2} e^{-x/2} of a bound state, which peaks at
+    x = 2t - 1, is below 3e-8 of its largest value past x = 1 for every t.
+    A range that no float can hold raises ValueError (an origin node that
+    underflows to 0) or OverflowError (an end beyond the float range).
     """
     if points < 16:
         raise ValueError(f"points must be >= 16, got {points}")
     kp = KummerParams.for_state(kappa, j, params)
-    r_lo = min(1e-4 / kappa, 0.01 * _origin_node(coeffs, kp)) if r_min is None else r_min
+    r_lo = min(1e-4 / kappa, 0.01 * _origin_node(coeffs, kp))
     t = params.m_e * params.eta_prime / kappa
-    r_hi = max(35.0, 5.0 * t) / kappa if r_max is None else r_max
+    r_hi = max(35.0, 5.0 * t) / kappa
     if not (0.0 < r_lo < r_hi):
         raise ValueError(f"need 0 < r_min < r_max, got ({r_lo}, {r_hi})")
     if math.isinf(r_hi):

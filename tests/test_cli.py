@@ -380,6 +380,26 @@ def test_run_scans_golden_digests(tmp_path, monkeypatch, capsys):
     assert digests == RUN_SCANS_SHA256
 
 
+def test_export_wavefunctions_writes_every_profile(tmp_path, monkeypatch, capsys):
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "export_wavefunctions.py"
+    spec = importlib.util.spec_from_file_location("export_wavefunctions", script)
+    export = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(export)
+    monkeypatch.setattr("sys.argv", ["export_wavefunctions.py", "--outdir", str(tmp_path)])
+    assert export.main() == 0
+    assert {path.name for path in tmp_path.iterdir()} == {name for name, _ in export.PROFILES}
+    assert len(export.PROFILES) == 8
+    for name, argv in export.PROFILES:
+        # level index: --n of a closed-form state, --root of an extension's
+        index = int(argv[argv.index("--n" if "--n" in argv else "--root") + 1])
+        lines = (tmp_path / name).read_text().split("\n")
+        assert lines[0] == "r,F" and lines[-1] == ""
+        values = np.array([float(line.split(",")[1]) for line in lines[1:-1]])
+        assert values.size == 2000
+        kept = values[np.abs(values) > 1e-13 * np.max(np.abs(values))]
+        assert np.count_nonzero(kept[:-1] * kept[1:] < 0.0) == index - 1, name
+
+
 class TestSecularCommand:
     def test_regular_limit(self, capsys):
         code, out, _ = run_cli(
@@ -398,6 +418,25 @@ class TestSecularCommand:
         assert code == 0
         kappa = float(out.strip().split("\n")[1].split(",")[1])
         assert kappa == pytest.approx(1 / 0.3, rel=1e-10)
+
+    @pytest.mark.parametrize("text", ["+inf", "Infinity", " +inf"])
+    def test_infinity_spellings_give_the_irregular_ladder(self, capsys, text):
+        code, out, _ = run_cli(
+            capsys, ["secular", f"--lambda={text}", "--j", "0.2", "--count", "3"]
+        )
+        assert code == 0
+        kappas = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+        assert kappas == [1.0 / (n - 0.5 - 0.2) for n in (1, 2, 3)]
+
+    @pytest.mark.parametrize("flag", [["--lambda", "nan"], ["--lambda=-inf"]])
+    def test_lambda_outside_its_range_exits_2(self, capsys, flag):
+        # lambda lies in (-inf, +inf]: refused at parse time, before any solve
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["secular", *flag, "--j", "0.2"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --lambda: invalid" in captured.err
 
     def test_energy_column(self, capsys):
         _, out, _ = run_cli(
@@ -659,7 +698,7 @@ class TestVerifyCommand:
         assert "FAIL" in err
 
     def test_energy_assembly_fault_detected(self, capsys, monkeypatch):
-        original = spectrum._assemble
+        original = spectrum.closed_form_energy
 
         def scaled_rotation(*args):
             res = original(*args)
@@ -667,7 +706,7 @@ class TestVerifyCommand:
                 res, energy=res.coulomb_energy + 1.01 * res.rotation_energy
             )
 
-        monkeypatch.setattr(spectrum, "_assemble", scaled_rotation)
+        monkeypatch.setattr(spectrum, "closed_form_energy", scaled_rotation)
         code, out, _ = run_cli(capsys, ["verify", "--only", "spectrum"])
         assert code == 1
         failing = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}

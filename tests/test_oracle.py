@@ -220,11 +220,13 @@ class TestSpectrum:
 
 
 def test_cli_import_defers_scipy_linalg_and_sparse():
-    # scipy.linalg and scipy.sparse cost tens of MB at import; the oracle
-    # imports eigh_tridiagonal when it solves and serves eigsh on first use
+    # scipy costs tens of MB at import (scipy.linalg and scipy.sparse most
+    # of it): the package and its CLI import none of it, the special
+    # functions and the oracle import it when they first evaluate, and the
+    # oracle serves eigsh on first use
     code = (
-        "import sys, abcoulomb.cli\n"
-        "loaded = [m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse'))]\n"
+        "import sys, abcoulomb, abcoulomb.cli\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, loaded\n"
         "import abcoulomb.oracle, scipy.sparse.linalg\n"
         "assert abcoulomb.oracle.eigsh is scipy.sparse.linalg.eigsh\n"

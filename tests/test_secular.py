@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 import abcoulomb.secular as secular
 from abcoulomb.model import PhysicalParams, SectorError
 from abcoulomb.secular import (
-    INFINITE_EXTENSION,
-    ExtensionParam,
     KummerParams,
     RootSearchError,
     SolutionCoefficients,
@@ -21,22 +19,26 @@ from abcoulomb.secular import (
     secular_function,
     solve_secular,
 )
-from abcoulomb.spectrum import closed_form_energy, energy_irregular, energy_regular
+from abcoulomb.spectrum import closed_form_energy
 from abcoulomb.model import IRREGULAR, QuantumState, decompose_flux
+from abcoulomb.wavefunction import boundary_closure_residual
 
 ATOMIC = PhysicalParams()
 
 
-class TestExtensionParam:
-    def test_infinite_sentinel(self):
-        assert INFINITE_EXTENSION.is_infinite
-        assert not ExtensionParam(-3.0).is_infinite
-
+class TestLambdaValidation:
     def test_rejects_nan_and_negative_infinity(self):
-        with pytest.raises(ValueError):
-            ExtensionParam(math.nan)
-        with pytest.raises(ValueError):
-            ExtensionParam(-math.inf)
+        # lambda is a plain float in (-inf, +inf]; a ValueError comes
+        # before the SectorError of |j| >= 1/2
+        kp = KummerParams.for_state(1.0, 0.2, ATOMIC)
+        for lam in (math.nan, -math.inf):
+            for j in (0.2, 0.8):
+                with pytest.raises(ValueError, match="extension parameter"):
+                    solve_secular(lam, j, ATOMIC, 1)
+                with pytest.raises(ValueError, match="extension parameter"):
+                    secular_function(1.0, lam, j, ATOMIC)
+            with pytest.raises(ValueError, match="extension parameter"):
+                boundary_closure_residual(normalizable_coefficients(kp), kp, lam)
 
 
 class TestKummerParams:
@@ -78,7 +80,7 @@ class TestSecularFunction:
         j = 0.3
         for n in range(1, 6):
             kappa = 1.0 / (n - 0.5 - j)
-            assert abs(secular_function(kappa, INFINITE_EXTENSION, j, ATOMIC)) < 1e-12
+            assert abs(secular_function(kappa, math.inf, j, ATOMIC)) < 1e-12
 
     def test_nonzero_between_regular_roots(self):
         j = 0.3
@@ -107,17 +109,17 @@ class TestSolveSecular:
         assert [r.kappa for r in roots] == pytest.approx(expected, rel=1e-10)
 
     def test_irregular_limit_value(self):
-        roots = solve_secular(INFINITE_EXTENSION, 0.2, ATOMIC, 1)
+        roots = solve_secular(math.inf, 0.2, ATOMIC, 1)
         assert roots[0].kappa == pytest.approx(1.0 / 0.3, rel=1e-10)
 
     def test_limit_consistency_matrix(self):
         for j in (0.05, 0.2, 0.45):
             reg_roots = solve_secular(0.0, j, ATOMIC, 5)
-            irr_roots = solve_secular(INFINITE_EXTENSION, j, ATOMIC, 5)
+            irr_roots = solve_secular(math.inf, j, ATOMIC, 5)
             flux = decompose_flux(j)  # j = 0 + phi
             for n in range(1, 6):
-                reg = energy_regular(QuantumState(n, 0, 1), ATOMIC, flux)
-                irr = energy_irregular(
+                reg = closed_form_energy(QuantumState(n, 0, 1), ATOMIC, flux)
+                irr = closed_form_energy(
                     QuantumState(n, 0, 1, IRREGULAR), ATOMIC, flux
                 )
                 assert reg_roots[n - 1].kappa == pytest.approx(reg.kappa, rel=1e-10)
@@ -142,7 +144,7 @@ class TestSolveSecular:
             assert abs(1.0 / root.kappa - t_oracle) <= dt
 
     def test_residuals_tiny(self):
-        for lam in (0.0, -1.0, 2.5, INFINITE_EXTENSION):
+        for lam in (0.0, -1.0, 2.5, math.inf):
             for root in solve_secular(lam, 0.25, ATOMIC, 3):
                 assert root.residual <= 1e-10
 
@@ -162,7 +164,7 @@ class TestSolveSecular:
     def test_no_coupling_returns_empty(self):
         free = PhysicalParams(eta=0.0)
         assert solve_secular(0.0, 0.2, free, 3) == []
-        assert solve_secular(INFINITE_EXTENSION, 0.2, free, 2) == []
+        assert solve_secular(math.inf, 0.2, free, 2) == []
 
     def test_no_coupling_attractive_extension_single_root(self):
         free = PhysicalParams(eta=0.0)
@@ -180,7 +182,7 @@ class TestSolveSecular:
             solve_secular(-0.06, 0.0018, PhysicalParams(eta=0.0), 1)
 
     def test_prefix_stability(self):
-        for lam in (0.0, -1.0, INFINITE_EXTENSION):
+        for lam in (0.0, -1.0, math.inf):
             short = solve_secular(lam, 0.3, ATOMIC, 2)
             longer = solve_secular(lam, 0.3, ATOMIC, 4)
             assert len(longer) == 4
@@ -200,9 +202,9 @@ class TestSolveSecular:
         # the irregular ladder exists only for |j| < 1/2; at integer 2|j|
         # Gamma(1 - 2|j|) would also sit on a pole
         with pytest.raises(SectorError):
-            solve_secular(INFINITE_EXTENSION, j, ATOMIC, 1)
+            solve_secular(math.inf, j, ATOMIC, 1)
         with pytest.raises(SectorError):
-            secular_function(1.0, INFINITE_EXTENSION, j, ATOMIC)
+            secular_function(1.0, math.inf, j, ATOMIC)
 
     def test_j_zero_finite_nonzero_lambda_refused(self):
         # the irregular solution at j = 0 is log r; at lambda = -1 the
@@ -217,13 +219,13 @@ class TestSolveSecular:
     def test_j_zero_limits_match_closed_forms(self):
         flux = decompose_flux(0.0)
         reg = solve_secular(0.0, 0.0, ATOMIC, 3)
-        irr = solve_secular(INFINITE_EXTENSION, 0.0, ATOMIC, 3)
+        irr = solve_secular(math.inf, 0.0, ATOMIC, 3)
         for n in range(1, 4):
             assert reg[n - 1].kappa == pytest.approx(
-                energy_regular(QuantumState(n, 0, 1), ATOMIC, flux).kappa, rel=1e-14
+                closed_form_energy(QuantumState(n, 0, 1), ATOMIC, flux).kappa, rel=1e-14
             )
             assert irr[n - 1].kappa == pytest.approx(
-                energy_irregular(QuantumState(n, 0, 1, IRREGULAR), ATOMIC, flux).kappa,
+                closed_form_energy(QuantumState(n, 0, 1, IRREGULAR), ATOMIC, flux).kappa,
                 rel=1e-14,
             )
 
@@ -514,7 +516,7 @@ class TestLadderSnap:
     @pytest.mark.parametrize("branch", ["regular", IRREGULAR])
     def test_ladder_parameters_are_exact(self, aj, branch):
         params = self.PARAMS
-        lam = 0.0 if branch == "regular" else INFINITE_EXTENSION
+        lam = 0.0 if branch == "regular" else math.inf
         roots = solve_secular(lam, aj, params, 8)
         for n in range(1, 9):
             state = QuantumState(n, 0, 1, branch)
@@ -538,6 +540,6 @@ class TestEnergyFromKappa:
                 flux = decompose_flux(phi)
                 for n in (1, 2, 4):
                     st_ = QuantumState(n, 0, 1)
-                    res = energy_regular(st_, params, flux)
+                    res = closed_form_energy(st_, params, flux)
                     e = energy_from_kappa(res.kappa, 0 + flux.phi, 1, params)
                     assert e == pytest.approx(res.energy, rel=1e-12)

@@ -13,9 +13,8 @@ from abcoulomb.model import (
 )
 from abcoulomb.spectrum import (
     ExistenceError,
+    closed_form_energy,
     detect_degeneracies,
-    energy_irregular,
-    energy_regular,
     kappa_of_energy,
     rotation_parts,
 )
@@ -25,11 +24,11 @@ NO_FLUX = decompose_flux(0.0)
 
 
 def reg(n=1, m=0, s=1, params=ATOMIC, flux=NO_FLUX):
-    return energy_regular(QuantumState(n, m, s), params, flux)
+    return closed_form_energy(QuantumState(n, m, s), params, flux)
 
 
 def irr(n=1, m=0, s=1, params=ATOMIC, flux=NO_FLUX):
-    return energy_irregular(QuantumState(n, m, s, IRREGULAR), params, flux)
+    return closed_form_energy(QuantumState(n, m, s, IRREGULAR), params, flux)
 
 
 class TestRegularEnergy:
@@ -101,7 +100,7 @@ class TestKappaOfEnergy:
                 for omega in (0.0, -1.5, 2.0):
                     params = PhysicalParams(omega=omega)
                     st_ = QuantumState(n, -1, 1)
-                    res = energy_regular(st_, params, flux)
+                    res = closed_form_energy(st_, params, flux)
                     back = kappa_of_energy(res.energy, st_, params, flux)
                     assert back == pytest.approx(res.kappa, rel=1e-12)
 
@@ -119,8 +118,8 @@ class TestRotationStructure:
         flux = decompose_flux(phi)
         j = m + flux.phi
         rot = PhysicalParams(omega=omega)
-        e_rot = energy_regular(QuantumState(n, m, s), rot, flux)
-        e_zero = energy_regular(QuantumState(n, m, s), ATOMIC, flux)
+        e_rot = closed_form_energy(QuantumState(n, m, s), rot, flux)
+        e_zero = closed_form_energy(QuantumState(n, m, s), ATOMIC, flux)
         # the Coulomb part is bitwise independent of omega and the shift is
         # exactly the advertised expression
         assert e_rot.coulomb_energy == e_zero.coulomb_energy
@@ -151,8 +150,8 @@ class TestRotationStructure:
         flux = decompose_flux(phi)
         j = m + flux.phi
         rot = PhysicalParams(omega=omega)
-        up = energy_regular(QuantumState(n, m, 1), rot, flux)
-        dn = energy_regular(QuantumState(n, m, -1), rot, flux)
+        up = closed_form_energy(QuantumState(n, m, 1), rot, flux)
+        dn = closed_form_energy(QuantumState(n, m, -1), rot, flux)
         up_orbit, up_spin = rotation_parts(rot, j, 1)
         dn_orbit, dn_spin = rotation_parts(rot, j, -1)
         assert up.coulomb_energy == dn.coulomb_energy
@@ -167,7 +166,7 @@ class TestRotationStructure:
             flux = decompose_flux(phi)
             for n in (1, 2, 4):
                 for m in (-3, 0, 2):
-                    assert energy_regular(QuantumState(n, m, 1), ATOMIC, flux).energy < 0
+                    assert closed_form_energy(QuantumState(n, m, 1), ATOMIC, flux).energy < 0
         for phi in (0.1, 0.45):
             assert irr(flux=decompose_flux(phi)).energy < 0
 
@@ -229,7 +228,7 @@ class TestDegeneracies:
             for g in detect_degeneracies(states, params, flux, tol=1e-12)
         }
         energies = {
-            st_: energy_regular(st_, params, flux).energy for st_ in states
+            st_: closed_form_energy(st_, params, flux).energy for st_ in states
         }
         brute = set()
         remaining = set(states)
