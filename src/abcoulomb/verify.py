@@ -124,6 +124,24 @@ def _checks_specfun() -> list[CheckResult]:
             envelope = specfun.X_SWITCH**aj * math.exp(-0.5 * specfun.X_SWITCH)
             worst_switch = max(worst_switch, gap * envelope / peak)
     out.append(_check("specfun.tricomi_u_switch", worst_switch, 1e-10))
+
+    # on profile-sized meshes tricomi_u sums Chebyshev panels in ln x through
+    # hyperu's values at their points; judged against hyperu at every
+    # sample, on the peak as above, from 1e-4/kappa (x = 2e-4) and from an
+    # origin node
+    from scipy import special
+
+    worst_panels = 0.0
+    for x_lo in (2e-4, 1e-12):
+        mesh = np.geomspace(x_lo, 70.0, 4000)
+        mesh = mesh[mesh <= specfun.X_SWITCH]
+        for b in (1.006, 1.2, 1.6, 1.998):
+            envelope = mesh ** ((b - 1.0) / 2.0) * np.exp(-0.5 * mesh)
+            for a in (-3.7, -2.45, -1.3, -0.55, 0.2, 0.65, 0.95):
+                direct = envelope * special.hyperu(a, b, mesh)
+                gap = np.max(np.abs(envelope * specfun.tricomi_u(a, b, mesh) - direct))
+                worst_panels = max(worst_panels, gap / np.max(np.abs(direct)))
+    out.append(_check("specfun.tricomi_u_panels", worst_panels, 1e-10))
     return out
 
 

@@ -176,7 +176,9 @@ def _origin_node(coeffs: SolutionCoefficients, kp: KummerParams) -> float:
     f0_over_f1 = coeffs.b_m / coeffs.a_m * (2.0 * kp.kappa) ** (-2.0 * kp.abs_j)
     if f0_over_f1 >= 0.0:
         return math.inf
-    return math.exp(math.log(-f0_over_f1) / (2.0 * kp.abs_j))
+    log_r0 = math.log(-f0_over_f1) / (2.0 * kp.abs_j)
+    # beyond the float range at small |j|, and then far outside any mesh
+    return math.exp(log_r0) if log_r0 < 709.0 else math.inf
 
 
 def build_profile(

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abcoulomb import specfun
 from abcoulomb.model import PhysicalParams
-from abcoulomb.secular import KummerParams, solve_secular
+from abcoulomb.secular import (
+    KummerParams,
+    RootSearchError,
+    normalizable_coefficients,
+    solve_secular,
+)
 from abcoulomb.specfun import (
     GammaPoleError,
     X_SWITCH,
@@ -17,6 +23,7 @@ from abcoulomb.specfun import (
     reciprocal_gamma_array,
     tricomi_u,
 )
+from abcoulomb.wavefunction import build_profile
 
 SQRT_PI = 1.7724538509055160
 
@@ -271,3 +278,131 @@ def test_mpmath_spot_table(fn, a, b, aj):
     envelope = SPOT_X**aj * np.exp(-0.5 * SPOT_X)
     peak = np.max(np.abs(envelope * ref))
     assert np.max(np.abs(envelope * (ours - ref))) <= 1e-10 * peak
+
+
+@pytest.mark.parametrize("aj", [0.05, 0.3, 0.45, 10.3, 100.3])
+@pytest.mark.parametrize("n", [2, 15, 25, 40, 60])
+def test_ladder_polynomials_against_mpmath(n, aj):
+    """The terminating 1F1 of the regular ladder and U of the irregular one
+    (|j| < 1/2), on the x range of their profiles, judged by absolute error
+    against the peak of x^{|j|} e^{-x/2} f, as the profiles are.  U's power
+    sum lost 3.3e-7 of the peak at n = 25 and all of it at n = 40."""
+    x = np.geomspace(2e-4, max(70.0, 10.0 * (n - 0.5 + aj)), 4000)[::7]
+    cases = [("1f1", 1.0 - n, 1.0 + 2.0 * aj)]
+    if aj < 0.5:
+        cases.append(("u", 1.0 - n + 2.0 * aj, 1.0 + 2.0 * aj))
+    for fn, a, b in cases:
+        ours = (kummer_1f1 if fn == "1f1" else tricomi_u)(a, b, x)
+        with mpmath.workdps(30):
+            mp_f = mpmath.hyp1f1 if fn == "1f1" else mpmath.hyperu
+            # in mpmath throughout: x^{|j|} overflows a float at |j| = 100.3
+            envelope = [mpmath.exp(aj * mpmath.log(v) - v / 2) for v in x.tolist()]
+            ref = [mp_f(a, b, v) for v in x.tolist()]
+            peak = max(abs(e * r) for e, r in zip(envelope, ref))
+            worst = max(abs(e * (o - r)) for e, o, r in zip(envelope, ours.tolist(), ref)) / peak
+        assert worst <= 1e-10, (fn, float(worst))
+
+
+def _profile_meshes():
+    """(lambda, |j|, root, a, b, x) of the finite-lambda profiles: x = 2 kappa r
+    on build_profile's 4000-point mesh, for every state the solver returns."""
+    meshes = []
+    for lam in (-1e-2, 1e-2, -1.0, 1.0, -1e2, 1e2, 1e3):
+        for aj in (0.003, 0.1, 0.3, 0.45, 0.499):
+            try:
+                roots = solve_secular(lam, aj, ATOMIC, 3)
+            except RootSearchError:  # lambda = -0.01, |j| = 0.003: kappa beyond floats
+                continue
+            for index, root in enumerate(roots, start=1):
+                kp = KummerParams.for_state(root.kappa, aj, ATOMIC)
+                profile = build_profile(normalizable_coefficients(kp), root.kappa, aj, ATOMIC)
+                meshes.append((lam, aj, index, kp.a, kp.b, 2.0 * root.kappa * profile.r))
+    return meshes
+
+
+PROFILE_MESHES = _profile_meshes()
+
+
+def _envelope_peak(aj, x, u):
+    envelope = x**aj * np.exp(-0.5 * x)
+    return envelope, np.max(np.abs(envelope * u))
+
+
+def test_profile_meshes_cover_the_origin_node_start():
+    # a lambda < 0 mesh starts at r0/100, below 1e-4/kappa (x = 2e-4)
+    assert len(PROFILE_MESHES) >= 90
+    assert min(x[0] for *_, x in PROFILE_MESHES) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "lam, aj, root, a, b, x", PROFILE_MESHES, ids=[f"{m[0]}-{m[1]}-{m[2]}" for m in PROFILE_MESHES]
+)
+def test_u_on_profile_meshes_against_mpmath(lam, aj, root, a, b, x):
+    """U on a whole 4000-point profile mesh, the Chebyshev panels below
+    X_SWITCH and the Horner expansion beyond, against 30-digit mpmath at
+    every 53rd sample, within 2e-11 of the peak of x^{|j|} e^{-x/2} U."""
+    ours = tricomi_u(a, b, x)
+    envelope, peak = _envelope_peak(aj, x, ours)
+    sample = slice(0, None, 53)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.hyperu(a, b, v)) for v in x[sample].tolist()])
+    assert np.max(np.abs(envelope[sample] * (ours[sample] - ref))) <= 2e-11 * peak
+
+
+def test_panels_agree_with_direct_hyperu():
+    """The same meshes in chunks of 8 samples, each below the cost of one
+    panel, so every sample goes straight to hyperu."""
+    for lam, aj, root, a, b, x in PROFILE_MESHES:
+        ours = tricomi_u(a, b, x)
+        direct = np.concatenate([tricomi_u(a, b, chunk) for chunk in np.array_split(x, x.size // 8)])
+        envelope, peak = _envelope_peak(aj, x, ours)
+        assert np.max(np.abs(envelope * (ours - direct))) <= 2e-11 * peak, (lam, aj, root)
+
+
+def test_noisy_panels_call_hyperu_at_their_samples():
+    """Near b = 1 hyperu is noisy at x = 10-30 (1e-4 off relative at
+    a = 0.95, b = 1.006, x = 17).  An interpolant through such points
+    spreads their error over its panel: 2.2e-10 of the peak on this
+    |j| = 0.001 profile mesh, where hyperu at the samples reads 2.4e-11."""
+    aj = 0.001
+    a, b = 0.5 + aj - 1.85, 1.0 + 2.0 * aj
+    x = np.geomspace(2e-4, 70.0, 4000)
+    ours = tricomi_u(a, b, x)
+    envelope, peak = _envelope_peak(aj, x, ours)
+    sample = np.flatnonzero((x >= 10.0) & (x <= X_SWITCH))[::2]
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.hyperu(a, b, v)) for v in x[sample].tolist()])
+    assert np.max(np.abs(envelope[sample] * (ours[sample] - ref))) <= 1e-10 * peak
+
+
+def test_profiles_call_hyperu_fewer_times_than_samples(monkeypatch):
+    """A profile mesh takes the panel path, not one hyperu call per sample."""
+    from scipy import special
+
+    calls = []
+    hyperu = special.hyperu
+    monkeypatch.setattr(special, "hyperu", lambda a, b, x: calls.append(np.size(x)) or hyperu(a, b, x))
+    for *_, a, b, x in PROFILE_MESHES:
+        calls.clear()
+        tricomi_u(a, b, x)
+        # first at whole panels' points, then at the samples of any panel
+        # where hyperu is noisy; fewer calls than samples in all
+        assert calls[0] % specfun._PANEL_NODES == 0 and len(calls) <= 2
+        assert sum(calls) < np.count_nonzero(x <= X_SWITCH)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(-1.0 + 1e-15, 1.6), (0.3, 1.4), (-0.55, 1.1), (-1.6, 1.4), (0.9, 1.9), (0.6, 1.2),
+     (0.002, 1.2), (-2.49, 1.9), (-5.3, 1.5), (-7.5, 1.6), (0.5, 1.998)],
+)
+def test_asymptotic_expansion_against_mpmath(a, b):
+    """x^{-a} times the large-x sum by Horner, one order for the whole
+    array, within 1e-14 relative of 30-digit mpmath on (30, 120].  At
+    a = -1 + 1e-15, b = 1.6 (which tricomi_u snaps onto the polynomial)
+    hyperu is off by up to 7e5 times the value at x = 55-70."""
+    x = np.linspace(120.0, X_SWITCH, 60, endpoint=False)[::-1]
+    ours = x ** (-a) * specfun._asymptotic_alg_sum(a, b, x)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.hyperu(a, b, v)) for v in x.tolist()])
+    assert np.max(np.abs(ours / ref - 1.0)) <= 1e-14

@@ -237,6 +237,32 @@ class TestProfiles:
             profile = build_profile(coeffs, root.kappa, j, ATOMIC)
             assert normalize_and_count_nodes(profile)[1] == index - 1
 
+    def test_origin_node_beyond_float_range(self):
+        # at |j| = 0.003 the origin node (-f0/f1)^{1/(2|j|)} of the lambda =
+        # -100 states overflows a float; the mesh then starts at 1e-4/kappa
+        for index, root in enumerate(solve_secular(-100.0, 0.003, ATOMIC, 3), start=1):
+            coeffs = normalizable_coefficients(_kp(root.kappa, 0.003))
+            profile = build_profile(coeffs, root.kappa, 0.003, ATOMIC)
+            assert profile.r[0] == pytest.approx(1e-4 / root.kappa, rel=1e-12)
+            assert normalize_and_count_nodes(profile)[1] == index - 1
+
+    @pytest.mark.parametrize("aj", [0.05, 0.3, 0.45])
+    @pytest.mark.parametrize("n", [15, 25, 40])
+    def test_high_irregular_ladder_matches_laguerre(self, n, aj):
+        # U's power sum lost 7.8e-12 of the peak at n = 15, 3.3e-7 at n = 25
+        # and all of it at n = 40 (|j| = 0.3).  8000 points: at 4000 the
+        # sign changes of n >= 30 jump by more than 10% of the local
+        # amplitude on either ladder, and ResolutionError asks for more.
+        kappa = 1.0 / (n - 0.5 - aj)
+        coeffs = normalizable_coefficients(_kp(kappa, aj))
+        profile = build_profile(coeffs, kappa, aj, ATOMIC, points=8000)
+        x = 2.0 * kappa * profile.r
+        laguerre = x**-aj * np.exp(-0.5 * x) * eval_genlaguerre(n - 1, -2.0 * aj, x)
+        scale = np.dot(profile.values, laguerre) / np.dot(laguerre, laguerre)
+        deviation = np.max(np.abs(profile.values - scale * laguerre))
+        assert deviation <= 1e-10 * np.max(np.abs(profile.values))
+        assert normalize_and_count_nodes(profile)[1] == n - 1
+
     def test_profile_range_guard(self):
         # a profile that starts above 1e-4/kappa misses the origin behavior
         profile = build_profile(SolutionCoefficients(1.0, 0.0), 2.0, 0.2, ATOMIC)
