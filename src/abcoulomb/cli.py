@@ -38,7 +38,7 @@ from .secular import (
     normalizable_coefficients,
     solve_secular,
 )
-from .spectrum import ExistenceError, closed_form_energy
+from .spectrum import ExistenceError, _closed_form_terms, closed_form_energy
 from .wavefunction import build_profile
 
 __all__ = ["main", "ScanSpec"]
@@ -214,11 +214,11 @@ def _rows(variable: str, values: list[float], args: argparse.Namespace) -> tuple
     ``args.format`` and sorted by (scan_value, n, m, s, branch), and the
     note on irregular rows outside |j| < 1/2 (None when there are none).
 
-    The (value, n, m, s, branch) grid is evaluated as numpy columns with
-    the operations of ``spectrum.closed_form_energy`` in its order, so
-    each energy and kappa is bit for bit ``closed_form_energy`` of its
-    row.  Raises ``SectorViolation`` under ``--strict``, naming the first
-    offending row in (value, n, m, s, branch) loop order.
+    The (value, n, m, s, branch) grid is evaluated as numpy columns by
+    the closed form behind ``spectrum.closed_form_energy``, so each energy
+    and kappa is bit for bit ``closed_form_energy`` of its row.  Raises
+    ``SectorViolation`` under ``--strict``, naming the first offending row
+    in (value, n, m, s, branch) loop order.
     """
     params = _params(args)
     column = np.array(values)[:, None]
@@ -246,12 +246,11 @@ def _rows(variable: str, values: list[float], args: argparse.Namespace) -> tuple
     half = np.array([n - 0.5 for n in args.n])[:, None, None, None]
     regular = np.array([b == REGULAR for b in branches])
     with np.errstate(all="ignore"):  # overflow to inf and inf * 0 = nan, as in Python floats
-        denom = np.where(regular, half + np.abs(j), half - np.abs(j))
-        coulomb = -(params.m_e * params.eta**2 / (2.0 * params.hbar**2)) / (denom * denom)
-        hw = params.hbar * (value if variable == "omega" else params.omega)
-        orbit, spin = -(hw * j), -np.array(args.spin, dtype=float)[:, None] * (hw / 2.0)
-        energy = coulomb + (orbit + spin)
-        kappa = params.m_e * params.eta_prime / denom
+        coulomb, rotation, kappa = _closed_form_terms(
+            params, value if variable == "omega" else params.omega, half,
+            np.where(regular, 1.0, -1.0), j, np.array(args.spin, dtype=float)[:, None],
+        )
+        energy = coulomb + rotation
     refused = outside[:, None, :, None, None] & ~regular
     m_rows = [[int(v)] for v in values] if variable == "m" else [args.m] * len(values)
     shape = (len(values), len(args.n), len(m_rows[0]), len(args.spin), len(branches))

@@ -12,12 +12,14 @@ the ghost point through the regular origin behavior
 r^{|j|} (1 - 2 m_e eta' r / (2|j| + 1)); the outer boundary is Dirichlet.
 Bound eigenvalues eps = -kappa^2 are the lowest levels of the
 symmetrised tridiagonal T = M^{-1/2} A M^{-1/2}.  The problem is solved in
-Coulomb units, m_e eta' = 1, and scaled.  Sturm bisection (LAPACK stebz)
-finds them by index on a seed grid with an eighth of the points; each
-seed is refined on the grid and then on its half-step refinement by
-Rayleigh-quotient inverse iteration (LAPACK gtsv solves of T - sigma) and
-certified by Sturm counts, and the two grids are Richardson-combined to
-cancel the O(h^2) discretization error.
+Coulomb units, m_e eta' = 1, and scaled, in a box that ends at max(35, 5t) t
+for t = n_max - 1/2 + |j| and so holds every level asked for.  Sturm
+bisection (LAPACK stebz) finds them by index on a seed grid with an eighth
+of the points; each seed is refined on the grid and then on its half-step
+refinement by Rayleigh-quotient inverse iteration (LAPACK gtsv solves of
+T - sigma) and certified by Sturm counts, and the two grids are
+Richardson-combined to cancel the O(h^2) discretization error.  Exactly
+n_max levels are returned, or GridConvergenceError is raised.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "RadialGrid",
     "OracleEigenvalue",
     "TridiagonalOperator",
-    "DEFAULT_GRID",
     "discretize_h0",
     "bound_eigenvalues",
     "oracle_regular_spectrum",
@@ -67,7 +68,7 @@ def __getattr__(name: str):
 
 
 class GridConvergenceError(RuntimeError):
-    """Two-grid eigenvalues disagree too much to trust extrapolation."""
+    """A requested level is unbound, uncertified or unconverged on the two grids."""
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,6 @@ class RadialGrid:
         return replace(self, points=2 * self.points - 1)
 
 
-DEFAULT_GRID = RadialGrid()
-# m_e eta' = 1: the oracle's pencils are solved in Coulomb units
-_COULOMB_UNITS = PhysicalParams()
-
-
 @dataclass(frozen=True)
 class OracleEigenvalue:
     kappa: float
@@ -118,22 +114,21 @@ class TridiagonalOperator:
     mass: np.ndarray
 
 
-def discretize_h0(j: float, params: PhysicalParams, grid: RadialGrid) -> TridiagonalOperator:
+def discretize_h0(j: float, grid: RadialGrid) -> TridiagonalOperator:
     """Finite-difference pencil whose generalized eigenvalues approximate
-    the spectrum of H0 with the regular boundary behavior at r_min and
-    Dirichlet at r_max."""
+    the spectrum of H0 at m_e eta' = 1, ``grid`` in Coulomb lengths, with
+    the regular boundary behavior at r_min and Dirichlet at r_max."""
     aj = abs(j)
-    q = params.m_e * params.eta_prime
     y = np.log(grid.nodes())
     h = y[1] - y[0]
     r = np.exp(y[:-1])  # unknowns on all nodes but the Dirichlet outer one
-    diag = 2.0 / h**2 + j * j - 2.0 * q * r
+    diag = 2.0 / h**2 + j * j - 2.0 * r
     # Ghost elimination at the innermost node from F ~ r^{|j|} (1 + c1 r),
-    # c1 = -2q/(2|j|+1); only the first diagonal entry changes.
-    c1 = -2.0 * q / (2.0 * aj + 1.0)
+    # c1 = -2/(2|j|+1); only the first diagonal entry changes.
+    c1 = -2.0 / (2.0 * aj + 1.0)
     r0 = r[0]
     ghost_ratio = math.exp(-aj * h) * (1.0 + c1 * r0 * math.exp(-h)) / (1.0 + c1 * r0)
-    diag[0] = (2.0 - ghost_ratio) / h**2 + j * j - 2.0 * q * r0
+    diag[0] = (2.0 - ghost_ratio) / h**2 + j * j - 2.0 * r0
     off = np.full(len(r) - 1, -1.0 / h**2)
     return TridiagonalOperator(diagonal=diag, off_diagonal=off, mass=r * r)
 
@@ -225,33 +220,37 @@ def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndar
 
 
 def _two_grid_levels(j: float, n_max: int, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Levels of the q = 1 pencil on ``grid`` and on its refinement.
+    """The n_max lowest levels of the q = 1 pencil on ``grid`` and on its
+    refinement, each bound on both and within TWO_GRID_AGREEMENT of its
+    other, or GridConvergenceError.
 
     Sturm bisection solves a seed grid with the same endpoints and an
-    eighth of the points; its bound levels, within about 1e-3 of the
-    coarse ones and far inside their spacing, seed the coarse levels, and
-    those seed the fine ones."""
+    eighth of the points; its levels, within about 1e-3 of the coarse
+    ones and far inside their spacing, seed the coarse levels, and those
+    seed the fine ones."""
     seed_grid = replace(grid, points=max(100, grid.points // 8))
-    seeds = bound_eigenvalues(discretize_h0(j, _COULOMB_UNITS, seed_grid), n_max)
-    coarse = bound_eigenvalues(discretize_h0(j, _COULOMB_UNITS, grid), n_max, seeds[seeds < 0.0])
-    fine = bound_eigenvalues(discretize_h0(j, _COULOMB_UNITS, grid.refined()), n_max, coarse)
+    seeds = bound_eigenvalues(discretize_h0(j, seed_grid), n_max)
+    coarse = bound_eigenvalues(discretize_h0(j, grid), n_max, seeds)
+    fine = bound_eigenvalues(discretize_h0(j, grid.refined()), n_max, coarse)
+    resolved = np.maximum(coarse, fine) < 0.0
+    resolved &= np.abs(fine - coarse) <= TWO_GRID_AGREEMENT * np.abs(fine)
+    index = int(np.argmin(np.r_[resolved, False]))  # the first level not resolved
+    if index < n_max:
+        raise GridConvergenceError(f"the level at index {index + 1} is not bound on both grids "
+                                   f"within a two-grid gap of {TWO_GRID_AGREEMENT}")
     return coarse, fine
 
 
-def oracle_regular_spectrum(
-    j: float,
-    params: PhysicalParams,
-    n_max: int,
-    grid: RadialGrid = DEFAULT_GRID,
-) -> list[OracleEigenvalue]:
+def oracle_regular_spectrum(j: float, params: PhysicalParams, n_max: int) -> list[OracleEigenvalue]:
     """The n_max most-bound levels of the regular problem as kappa values,
-    Richardson-extrapolated from ``grid`` and its half-step refinement.
+    Richardson-extrapolated from a grid and its half-step refinement.
 
     H0 is scale-covariant: with r = rho/q, q = m_e eta', its levels are
-    q^2 times those at q = 1.  So the pencil is solved at q = 1, ``grid``
-    is read in Coulomb lengths 1/q, and kappa = q kappa_1.  Only negative
-    eigenvalues (genuine bound states) are returned, so the list may be
-    shorter than n_max; with eta' = 0 it is empty.
+    q^2 times those at q = 1.  So the pencil is solved at q = 1 and
+    kappa = q kappa_1.  For every extension t_n <= n - 1/2 + |j|, so the
+    grid ends at max(35, 5t) t Coulomb lengths 1/q, t = n_max - 1/2 + |j|,
+    as ``build_profile``'s range does.  Exactly n_max levels are returned,
+    or none with eta' = 0.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -260,24 +259,12 @@ def oracle_regular_spectrum(
         return []
     if not math.isfinite(q):
         raise ValueError("m_e eta' is beyond the float range")
+    t = n_max - 0.5 + abs(j)
+    grid = RadialGrid(r_max=max(35.0, 5.0 * t) * t)
     coarse, fine = _two_grid_levels(j, n_max, grid)
-    results: list[OracleEigenvalue] = []
-    for index in range(min(len(coarse), len(fine))):
-        eps_c, eps_f = coarse[index], fine[index]
-        if eps_f >= 0.0:
-            break  # continuum-box levels start here; no more bound states
-        gap = float(abs(eps_f - eps_c) / abs(eps_f))
-        if gap > TWO_GRID_AGREEMENT:
-            raise GridConvergenceError(
-                f"two-grid eigenvalues disagree at index {index + 1}: "
-                f"{eps_c} vs {eps_f}"
-            )
-        eps = (4.0 * eps_f - eps_c) / 3.0
-        if eps >= 0.0:
-            break
-        results.append(
-            OracleEigenvalue(
-                kappa=q * math.sqrt(-eps), index=index + 1, grid=grid, two_grid_gap=gap
-            )
-        )
-    return results
+    gaps = np.abs(fine - coarse) / np.abs(fine)
+    levels = (4.0 * fine - coarse) / 3.0
+    return [
+        OracleEigenvalue(kappa=q * math.sqrt(-eps), index=index, grid=grid, two_grid_gap=float(gap))
+        for index, (eps, gap) in enumerate(zip(levels, gaps), start=1)
+    ]

@@ -136,25 +136,21 @@ class SecularRoot:
 
 
 def _secular_terms(lam: float, aj: float):
-    """The regular and irregular terms of F for one (lambda, |j|), as
-    functions of a = 1/2 + |j| - t and of a' = 1/2 - |j| - t and 2 kappa,
-    with their constant gammas computed once; F is their sum.  lambda = 0
-    has no irregular term and lambda = inf no regular one.  On a ladder,
-    where a or a' is 1 - n, the other term alone is F."""
-    if math.isinf(lam):
-        g_irregular = gamma(1.0 - 2.0 * aj)
-        return (lambda a: 0.0), (lambda a_prime, two_kappa: g_irregular * reciprocal_gamma(a_prime))
-    g_regular = gamma(1.0 + 2.0 * aj)
+    """The terms c_reg/Gamma(a) and c_irr (2 kappa)^p/Gamma(a') of F for one
+    (lambda, |j|): c_reg = Gamma(1 + 2|j|), c_irr = lambda Gamma(1 - 2|j|)
+    and p = 2|j|, but c_irr = 0 at lambda = 0, and c_reg = 0, c_irr =
+    Gamma(1 - 2|j|), p = 0 at lambda = inf.  A term with a zero constant is
+    0.0 without a gamma call; on a ladder the other term alone is F."""
+    infinite = math.isinf(lam)
+    c_reg = 0.0 if infinite else gamma(1.0 + 2.0 * aj)
+    c_irr = 0.0 if lam == 0.0 else (1.0 if infinite else lam) * gamma(1.0 - 2.0 * aj)
+    power = 0.0 if infinite else 2.0 * aj
 
     def regular(a: float) -> float:
-        return g_regular * reciprocal_gamma(a)
-
-    if lam == 0.0:
-        return regular, (lambda a_prime, two_kappa: 0.0)
-    weight, power = lam * gamma(1.0 - 2.0 * aj), 2.0 * aj
+        return c_reg * reciprocal_gamma(a) if c_reg else 0.0
 
     def irregular(a_prime: float, two_kappa: float) -> float:
-        return weight * two_kappa**power * reciprocal_gamma(a_prime)
+        return c_irr * two_kappa**power * reciprocal_gamma(a_prime) if c_irr else 0.0
 
     return regular, irregular
 

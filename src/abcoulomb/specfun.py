@@ -15,7 +15,8 @@ fixed number of numpy and scipy calls, not one per element:
 - Any other 1F1 is scipy's ``hyp1f1``.
 - Any other U is scipy's ``hyperu`` up to ``X_SWITCH``, called at every x
   only when that is cheaper than calling it at the Chebyshev points of
-  panels in ln x and summing the interpolants (Clenshaw), and beyond
+  panels in ln x and summing the interpolants (Clenshaw), a non-finite
+  sample filled by the recurrence in a, and beyond
   ``X_SWITCH`` the large-argument expansion (DLMF 13.7.3) by Horner's rule,
   to one order fixed at the smallest x.
 """
@@ -270,6 +271,15 @@ def tricomi_u(a: float, b: float, x):
     out = np.empty_like(xs)
     small = xs <= X_SWITCH
     out[small] = _hyperu_panels(a, b, xs[small])
+    # hyperu is not finite at a few x once a <~ -6 (a = -8.49, b = 1.6,
+    # x = 8.89): one step of the recurrence in a (DLMF 13.3.7) from a + 1, a + 2
+    bad = small & ~np.isfinite(out)
+    if bad.any():
+        from scipy import special
+
+        xb = xs[bad]
+        out[bad] = ((2.0 * a + 2.0 + xb - b) * special.hyperu(a + 1.0, b, xb)
+                    - (a + 1.0) * (a - b + 2.0) * special.hyperu(a + 2.0, b, xb))
     large = xs[~small]
     if large.size:
         out[~small] = large ** (-a) * _asymptotic_alg_sum(a, b, large)

@@ -70,6 +70,17 @@ def rotation_parts(params: PhysicalParams, j: float, s: int) -> tuple[float, flo
     return -(hw * j), -s * (hw / 2.0)
 
 
+def _closed_form_terms(params: PhysicalParams, omega, half, sign, j, s):
+    """(coulomb, rotation, kappa) at t = half + sign |j|, half = n - 1/2, on
+    floats or broadcasting arrays (``omega`` too); sign = +1 is the regular
+    branch and -1 the irregular one, as half + sign |j| rounds as half +- |j|."""
+    denom = half + sign * abs(j)
+    coulomb = -(params.m_e * params.eta**2 / (2.0 * params.hbar**2)) / (denom * denom)
+    hw = params.hbar * omega
+    rotation = -(hw * j) + -s * (hw / 2.0)
+    return coulomb, rotation, params.m_e * params.eta_prime / denom
+
+
 def closed_form_energy(
     state: QuantumState, params: PhysicalParams, flux: FluxConfig
 ) -> SpectralResult:
@@ -83,19 +94,14 @@ def closed_form_energy(
     outside it.  The associated kappa is m_e eta' / (n - 1/2 +- |j|).
     """
     j = state.m + flux.phi
-    if state.branch == REGULAR:
-        denom = (state.n - 0.5) + abs(j)
-    elif is_singular_sector(j):
-        denom = (state.n - 0.5) - abs(j)
-    else:
+    regular = state.branch == REGULAR
+    if not (regular or is_singular_sector(j)):
         raise SectorError(
             f"irregular branch requires |j| < 1/2, got j = {j} "
             f"(m = {state.m}, phi = {flux.phi})"
         )
-    coulomb = -(params.m_e * params.eta**2 / (2.0 * params.hbar**2)) / (denom * denom)
-    orbit, spin = rotation_parts(params, j, state.s)
-    rotation = orbit + spin
-    kappa = params.m_e * params.eta_prime / denom
+    sign = 1.0 if regular else -1.0
+    coulomb, rotation, kappa = _closed_form_terms(params, params.omega, state.n - 0.5, sign, j, state.s)
     return SpectralResult(
         energy=coulomb + rotation,
         kappa=kappa,

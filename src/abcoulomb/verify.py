@@ -417,11 +417,11 @@ def _checks_wavefunction() -> list[CheckResult]:
 
 def _checks_oracle() -> list[CheckResult]:
     params = PhysicalParams()
-    n_max = 3
     worst = 0.0
-    for j in (0.0, 0.25, 0.75, 1.5):
+    # the last two need a box well beyond 200 Coulomb lengths
+    for j, n_max in ((0.0, 3), (0.25, 3), (0.75, 3), (1.5, 3), (0.3, 10), (6.0, 7)):
         levels = oracle_mod.oracle_regular_spectrum(j, params, n_max)
-        if len(levels) < n_max:
+        if len(levels) != n_max:
             worst = math.inf
         for ev in levels:
             exact = params.m_e * params.eta_prime / (ev.index - 0.5 + abs(j))

@@ -559,6 +559,20 @@ class TestWavefunctionCommand:
         values = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
         assert all(math.isfinite(v) for v in values)
 
+    @pytest.mark.parametrize("lam, flux, root", [("1", "0.3", 10), ("0.01", "0.1", 7)])
+    def test_secular_state_where_hyperu_is_not_finite(self, capsys, lam, flux, root):
+        # hyperu is nan at a few of these samples; the state is written, with
+        # one sign change per node
+        code, out, err = run_cli(
+            capsys,
+            ["wavefunction", f"--lambda={lam}", "--flux", flux, "--root", str(root),
+             "--points", "4000"],
+        )
+        assert code == 0, err
+        values = np.array([float(line.split(",")[1]) for line in out.strip().split("\n")[1:]])
+        assert values.size == 4000 and np.all(np.isfinite(values))
+        assert np.count_nonzero(values[:-1] * values[1:] < 0.0) == root - 1
+
     @pytest.mark.parametrize(
         "argv",
         [["--eta", "0"],  # kappa = 0: no closed-form bound state

@@ -8,7 +8,6 @@ import pytest
 
 from abcoulomb.model import PhysicalParams
 from abcoulomb.oracle import (
-    DEFAULT_GRID,
     TWO_GRID_AGREEMENT,
     GridConvergenceError,
     RadialGrid,
@@ -34,10 +33,12 @@ def _count_below(op, eps):
 
 
 class TestRadialGrid:
-    def test_defaults(self):
-        assert DEFAULT_GRID.r_min == 1e-5
-        assert DEFAULT_GRID.r_max == 200.0
-        assert DEFAULT_GRID.points == 4000
+    def test_box_follows_the_levels(self):
+        # r_max = max(35, 5t) t Coulomb lengths, t = n_max - 1/2 + |j|
+        for j, n_max in [(0.0, 1), (0.3, 10), (-2.4, 9), (6.0, 7)]:
+            t = n_max - 0.5 + abs(j)
+            for ev in oracle_regular_spectrum(j, ATOMIC, n_max):
+                assert ev.grid == RadialGrid(r_min=1e-5, r_max=max(35.0, 5.0 * t) * t, points=4000)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -59,33 +60,27 @@ class TestDiscretization:
     def test_matrix_symmetric(self):
         # one off-diagonal array serves both sides of A, so A = A^T holds by
         # construction; its size, the entries and the mass must be sound
-        op = discretize_h0(0.3, ATOMIC, RadialGrid(points=300))
+        op = discretize_h0(0.3, RadialGrid(points=300))
         assert op.off_diagonal.shape == (op.diagonal.size - 1,)
         assert op.mass.shape == op.diagonal.shape
         assert np.all(np.isfinite(op.diagonal)) and np.all(np.isfinite(op.off_diagonal))
         assert np.all(op.mass > 0.0)
 
-    def test_no_coupling_operator_nonnegative(self):
-        free = PhysicalParams(eta=0.0)
-        op = discretize_h0(1.0, free, RadialGrid(points=600))
-        evs = bound_eigenvalues(op, 4)
-        assert np.all(evs >= 0.0)
-
     def test_lowest_eigenvalue_matches_coulomb_ground(self):
-        op = discretize_h0(0.0, ATOMIC, DEFAULT_GRID)
+        op = discretize_h0(0.0, RadialGrid())
         evs = bound_eigenvalues(op, 1)
         assert evs[0] == pytest.approx(-4.0, rel=1e-4)
 
     @pytest.mark.parametrize(
         "grid",
-        [DEFAULT_GRID, DEFAULT_GRID.refined(), RadialGrid(r_min=1e-30, r_max=1e6, points=100)],
+        [RadialGrid(), RadialGrid().refined(), RadialGrid(r_min=1e-30, r_max=1e6, points=100)],
         ids=["default", "refined", "coarse-36-decades"],
     )
     @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
     def test_levels_match_sturm_count(self, grid, j):
         # the k-th level has exactly k - 1 eigenvalues of the unscaled pencil
         # below it and k above it, to a relative 1e-9
-        op = discretize_h0(j, ATOMIC, grid)
+        op = discretize_h0(j, grid)
         levels = bound_eigenvalues(op, 5)
         assert len(levels) == 5
         for k, eps in enumerate(levels, start=1):
@@ -95,7 +90,7 @@ class TestDiscretization:
     @pytest.mark.parametrize("r_min", [1e-80, 1e-160])
     def test_unrepresentable_pencil_refused(self, r_min):
         # the symmetrised entries reach 1/(h r_min)^2, whose squares overflow
-        op = discretize_h0(0.3, ATOMIC, RadialGrid(r_min=r_min, points=400))
+        op = discretize_h0(0.3, RadialGrid(r_min=r_min, points=400))
         with pytest.raises(ValueError, match="r_min"):
             bound_eigenvalues(op, 3)
 
@@ -105,24 +100,24 @@ class TestRefinement:
     Rayleigh-quotient inverse iteration seeded by a grid with an eighth of
     the points, each certified by Sturm counts."""
 
-    @pytest.mark.parametrize("grid", [DEFAULT_GRID, DEFAULT_GRID.refined()],
+    @pytest.mark.parametrize("grid", [RadialGrid(), RadialGrid().refined()],
                              ids=["default", "refined"])
     @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
     def test_refined_levels_match_sturm_count(self, grid, j):
         # as test_levels_match_sturm_count, on both grids of the two-grid pair
         for levels, g in zip(_two_grid_levels(j, 5, grid), (grid, grid.refined())):
-            op = discretize_h0(j, ATOMIC, g)
+            op = discretize_h0(j, g)
             assert len(levels) == 5
             for k, eps in enumerate(levels, start=1):
                 assert _count_below(op, eps - 1e-9 * abs(eps)) == k - 1
                 assert _count_below(op, eps + 1e-9 * abs(eps)) == k
 
-    @pytest.mark.parametrize("grid", [DEFAULT_GRID, DEFAULT_GRID.refined()],
+    @pytest.mark.parametrize("grid", [RadialGrid(), RadialGrid().refined()],
                              ids=["default", "refined"])
     @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
     def test_refined_levels_agree_with_bisection(self, grid, j):
         for levels, g in zip(_two_grid_levels(j, 5, grid), (grid, grid.refined())):
-            bisected = bound_eigenvalues(discretize_h0(j, ATOMIC, g), 5)
+            bisected = bound_eigenvalues(discretize_h0(j, g), 5)
             assert np.max(np.abs(levels / bisected - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
@@ -135,14 +130,14 @@ class TestRefinement:
 
     @pytest.mark.parametrize("picks", [[1, 2], [1, 1]], ids=["shifted", "repeated"])
     def test_seed_at_wrong_level_refused(self, picks):
-        op = discretize_h0(0.3, ATOMIC, DEFAULT_GRID)
+        op = discretize_h0(0.3, RadialGrid())
         levels = bound_eigenvalues(op, 3)
         assert bound_eigenvalues(op, 3, levels) == pytest.approx(levels, rel=1e-10)
         with pytest.raises(GridConvergenceError, match="Sturm"):
             bound_eigenvalues(op, 2, levels[picks])
 
     def test_unrepresentable_pencil_refused_with_seeds(self):
-        op = discretize_h0(0.3, ATOMIC, RadialGrid(r_min=1e-80, points=400))
+        op = discretize_h0(0.3, RadialGrid(r_min=1e-80, points=400))
         with pytest.raises(ValueError, match="r_min"):
             bound_eigenvalues(op, 3, np.array([-1.6, -0.5, -0.2]))
 
@@ -204,15 +199,46 @@ class TestSpectrum:
         j = 0.25
         exact = -((1.0 / (1 - 0.5 + j)) ** 2)
         coarse_grid = RadialGrid(points=1000)
-        eps_c = bound_eigenvalues(discretize_h0(j, ATOMIC, coarse_grid), 1)[0]
-        eps_f = bound_eigenvalues(discretize_h0(j, ATOMIC, coarse_grid.refined()), 1)[0]
+        eps_c = bound_eigenvalues(discretize_h0(j, coarse_grid), 1)[0]
+        eps_f = bound_eigenvalues(discretize_h0(j, coarse_grid.refined()), 1)[0]
         assert abs(eps_c - exact) >= 3.0 * abs(eps_f - exact)
 
     def test_two_grid_disagreement_detected(self):
         # 100 nodes over 36 decades: a step of 0.8 in ln r is far too coarse
         grid = RadialGrid(r_min=1e-30, r_max=1e6, points=100)
         with pytest.raises(GridConvergenceError, match="index 2"):
-            oracle_regular_spectrum(0.0, ATOMIC, 2, grid)
+            _two_grid_levels(0.0, 2, grid)
+
+    @pytest.mark.parametrize("j, n_max", [(0.3, 10), (0.3, 20), (2.4, 9), (-6.0, 7)])
+    def test_every_requested_level_on_the_ladder(self, j, n_max):
+        # a fixed box of 200 Coulomb lengths cut these states off, up to 41%
+        # low, and dropped 8 of the 20 levels at n_max = 20
+        evs = oracle_regular_spectrum(j, ATOMIC, n_max)
+        assert [ev.index for ev in evs] == list(range(1, n_max + 1))
+        for ev in evs:
+            assert ev.kappa == pytest.approx(1.0 / (ev.index - 0.5 + abs(j)), rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "j, n_max",
+        [(0.3, 10), (0.3, 20), (2.4, 9), (-6.0, 7),
+         (0.0, 1), (0.0, 5), (0.49, 1), (-0.49, 5), (2.5, 1), (-2.5, 5)],
+    )
+    def test_doubled_box_moves_no_level(self, j, n_max):
+        # the derived box holds every requested state: twice its r_max moves
+        # no extrapolated level by more than 1e-8
+        grid = oracle_regular_spectrum(j, ATOMIC, n_max)[0].grid
+
+        def extrapolated(g):
+            coarse, fine = _two_grid_levels(j, n_max, g)
+            return (4.0 * fine - coarse) / 3.0
+
+        doubled = extrapolated(RadialGrid(r_max=2.0 * grid.r_max))
+        assert np.max(np.abs(doubled / extrapolated(grid) - 1.0)) <= 1e-8
+
+    def test_unresolvable_level_refused(self):
+        # at n_max = 30 the 4 000 points no longer resolve the highest levels
+        with pytest.raises(GridConvergenceError):
+            oracle_regular_spectrum(0.3, ATOMIC, 30)
 
     def test_n_max_validated(self):
         with pytest.raises(ValueError):

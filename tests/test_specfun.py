@@ -349,6 +349,27 @@ def test_u_on_profile_meshes_against_mpmath(lam, aj, root, a, b, x):
     assert np.max(np.abs(envelope[sample] * (ours[sample] - ref))) <= 2e-11 * peak
 
 
+@pytest.mark.parametrize("lam, aj, root", [(1.0, 0.3, 10), (0.01, 0.1, 7)])
+def test_u_where_hyperu_is_not_finite(lam, aj, root):
+    """scipy's hyperu is nan at a few samples of these profile meshes
+    (a <~ -6); there U is one step of the recurrence in a.  Those samples
+    and every 53rd are within 2e-11 of the peak of x^{|j|} e^{-x/2} U
+    against 30-digit mpmath."""
+    from scipy import special
+
+    kappa = solve_secular(lam, aj, ATOMIC, root)[-1].kappa
+    kp = KummerParams.for_state(kappa, aj, ATOMIC)
+    x = 2.0 * kappa * build_profile(normalizable_coefficients(kp), kappa, aj, ATOMIC).r
+    unfinished = ~np.isfinite(special.hyperu(kp.a, kp.b, x))
+    assert unfinished.any()
+    ours = tricomi_u(kp.a, kp.b, x)
+    envelope, peak = _envelope_peak(aj, x, ours)
+    sample = np.union1d(np.flatnonzero(unfinished), np.arange(0, x.size, 53))
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.hyperu(kp.a, kp.b, v)) for v in x[sample].tolist()])
+    assert np.max(np.abs(envelope[sample] * (ours[sample] - ref))) <= 2e-11 * peak
+
+
 def test_panels_agree_with_direct_hyperu():
     """The same meshes in chunks of 8 samples, each below the cost of one
     panel, so every sample goes straight to hyperu."""
