@@ -11,10 +11,14 @@ float range.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
+import itertools
 import json
 import math
+import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +56,14 @@ CSV_HEADER = "scan_var,scan_value,n,m,s,branch,energy,kappa,exists"
 SCAN_VARIABLES = ("flux", "omega", "m")
 # json.dumps spellings of the floats that repr spells nan, inf and -inf.
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The text of a row around its fields: before scan_value, n, m, s, branch,
+# energy, kappa and exists, and after exists.
+_CSV_ROW = ("{variable},", ",", ",", ",", ",", ",", ",", ",", "")
+_JSON_ROW = (
+    '  {{\n    "scan_var": "{variable}",\n    "scan_value": ', ',\n    "n": ', ',\n    "m": ',
+    ',\n    "s": ', ',\n    "branch": "', '",\n    "energy": ', ',\n    "kappa": ',
+    ',\n    "exists": ', "\n  }}",
+)
 
 
 @dataclass(frozen=True)
@@ -199,14 +211,24 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
-def _json_float(x: float) -> str:
-    """``x`` as ``json.dumps`` writes it."""
-    text = repr(x)
-    return _JSON_FLOATS.get(text, text)
-
-
 class SectorViolation(Exception):
     """Raised in strict mode when an irregular request leaves |j| < 1/2."""
+
+
+def _axis(items: list) -> tuple[list, list[int]]:
+    """The distinct ``items`` in sorted order, and how often each is listed."""
+    counts = collections.Counter(items)
+    keys = sorted(counts)
+    return keys, [counts[k] for k in keys]
+
+
+def _spread(strings: list[str], shape: tuple, full: tuple) -> Sequence[str]:
+    """The ``strings`` of an array of ``shape``, one per entry of the
+    ``full`` grid it broadcasts to, in C order."""
+    if shape == full:
+        return strings
+    index = np.broadcast_to(np.arange(len(strings)).reshape(shape), full).ravel().tolist()
+    return operator.itemgetter(*index)(strings)  # more than one entry, so a tuple
 
 
 def _rows(variable: str, values: list[float], args: argparse.Namespace) -> tuple[str, str | None]:
@@ -214,83 +236,96 @@ def _rows(variable: str, values: list[float], args: argparse.Namespace) -> tuple
     ``args.format`` and sorted by (scan_value, n, m, s, branch), and the
     note on irregular rows outside |j| < 1/2 (None when there are none).
 
-    The (value, n, m, s, branch) grid is evaluated as numpy columns by
+    The grid is evaluated as numpy arrays on the sorted distinct entries of
+    each axis (value, n, m, s, branch), whose C order is the row order, by
     the closed form behind ``spectrum.closed_form_energy``, so each energy
-    and kappa is bit for bit ``closed_form_energy`` of its row.  Raises
-    ``SectorViolation`` under ``--strict``, naming the first offending row
-    in (value, n, m, s, branch) loop order.
+    and kappa is bit for bit ``closed_form_energy`` of its row.  A key
+    listed k times is written k times in a row.  Raises ``SectorViolation``
+    under ``--strict``, naming the first offending row in the given
+    (value, n, m, s, branch) loop order.
     """
     params = _params(args)
-    column = np.array(values)[:, None]
-    m_column = column if variable == "m" else np.array([float(m) for m in args.m])[None, :]
-    j = m_column + (column if variable == "flux" else args.flux)  # (value, m)
-    outside = ~is_singular_sector(j)
     branches = _branches(args.branch)
     note = None
-    if IRREGULAR in branches and outside.any():
-        v, i = np.unravel_index(np.argmax(outside), outside.shape)
-        m = int(values[v]) if variable == "m" else args.m[i]
-        phi = values[v] if variable == "flux" else args.flux
-        if args.strict:
-            raise SectorViolation(
-                f"irregular state needs |j| < 1/2 but m + phi = {m + phi} (m={m}, phi={phi})"
+    if IRREGULAR in branches:
+        column = np.array(values)[:, None]
+        m_column = column if variable == "m" else np.array([float(m) for m in args.m])[None, :]
+        outside = ~is_singular_sector(m_column + (column if variable == "flux" else args.flux))
+        if outside.any():
+            v, i = np.unravel_index(np.argmax(outside), outside.shape)
+            m = int(values[v]) if variable == "m" else args.m[i]
+            phi = values[v] if variable == "flux" else args.flux
+            if args.strict:
+                raise SectorViolation(
+                    f"irregular state needs |j| < 1/2 but m + phi = {m + phi} (m={m}, phi={phi})"
+                )
+            note = (
+                f"note: irregular rows with |m + phi| >= 1/2 marked exists=false "
+                f"(first at m={m}, phi={phi})"
             )
-        note = (
-            f"note: irregular rows with |m + phi| >= 1/2 marked exists=false "
-            f"(first at m={m}, phi={phi})"
-        )
 
-    # Axes (value, n, m, s, branch); a length-1 axis broadcasts.
-    value = column[..., None, None, None]
-    j = j[:, None, :, None, None]
-    half = np.array([n - 0.5 for n in args.n])[:, None, None, None]
+    # Axes (value, n, m, s, branch), each sorted and distinct; on m scans
+    # the m axis has length 1 and m follows the value.
+    values, v_count = _axis(values)
+    ns, n_count = _axis(args.n)
+    ms, m_count = (None, [1]) if variable == "m" else _axis(args.m)
+    spins, s_count = _axis(args.spin)
+    branches, b_count = _axis(branches)
+    value = np.reshape(values, (-1, 1, 1, 1, 1))
+    m_axis = value if variable == "m" else np.reshape([float(m) for m in ms], (1, 1, -1, 1, 1))
+    j = m_axis + (value if variable == "flux" else args.flux)
     regular = np.array([b == REGULAR for b in branches])
     with np.errstate(all="ignore"):  # overflow to inf and inf * 0 = nan, as in Python floats
         coulomb, rotation, kappa = _closed_form_terms(
-            params, value if variable == "omega" else params.omega, half,
-            np.where(regular, 1.0, -1.0), j, np.array(args.spin, dtype=float)[:, None],
+            params, value if variable == "omega" else params.omega,
+            np.reshape([n - 0.5 for n in ns], (1, -1, 1, 1, 1)), np.where(regular, 1.0, -1.0),
+            j, np.reshape(np.array(spins, dtype=float), (1, 1, 1, -1, 1)),
         )
         energy = coulomb + rotation
-    refused = outside[:, None, :, None, None] & ~regular
-    m_rows = [[int(v)] for v in values] if variable == "m" else [args.m] * len(values)
-    shape = (len(values), len(args.n), len(m_rows[0]), len(args.spin), len(branches))
+    refused = ~is_singular_sector(j) & ~regular
+    energy = np.where(refused, math.nan, energy)
+    kappa = np.where(refused, math.nan, kappa)  # no s axis, and no value axis on omega scans
+    full = energy.shape
 
-    # A stable sort of the loop order, as sorted() of the rows; ranks take ints of any size.
-    def key(items: list, axis: int) -> np.ndarray:
-        rank = {x: r for r, x in enumerate(sorted(set(items)))}
-        axes = [-1 if a == axis else 1 for a in range(5)]
-        return np.array([rank[x] for x in items]).reshape(axes)
+    def floats(array: np.ndarray) -> list[str]:
+        """Each entry of ``array`` as ``repr``, or as ``json.dumps`` writes it."""
+        strings = list(map(repr, array.ravel().tolist()))
+        if args.format == "json":
+            for i in np.flatnonzero(~np.isfinite(array)).tolist():
+                strings[i] = _JSON_FLOATS[strings[i]]
+        return strings
 
-    m_key = key(args.m, 2) if variable != "m" else 0  # m scans: m follows the value
-    keys = [key(branches, 4), key(args.spin, 3), m_key, key(args.n, 1), value]
-    order = np.lexsort([np.broadcast_to(k, shape).ravel() for k in keys]).tolist()
+    def along(axis: int, strings: list[str]) -> tuple[list[str], tuple]:
+        return strings, tuple(len(strings) if a == axis else 1 for a in range(5))
 
-    def text(array: np.ndarray, fmt) -> list[str]:
-        """``fmt`` of each entry of an array on its own axes, spread over the sorted rows."""
-        strings = np.array([fmt(x) for x in array.ravel().tolist()], dtype=object)
-        return np.broadcast_to(strings.reshape(array.shape), shape).ravel()[order].tolist()
-
-    number = _json_float if args.format == "json" else repr
-    kappa = np.where(refused, math.nan, kappa)
-    energies = text(np.where(refused, math.nan, energy), number)
-    kappas = text(kappa, number)
-    exists = text(kappa > 0.0, lambda x: "true" if x else "false")
-    heads = [
-        (v, n, m, s, b)
-        for v, ms in zip(map(repr, values), m_rows)
-        for n in args.n for m in ms for s in args.spin for b in branches
+    # The fixed text before each field and after the last; the labels (n,
+    # m, s, branch) are joined on their own small grid.
+    frag = [t.format(variable=variable) for t in (_JSON_ROW if args.format == "json" else _CSV_ROW)]
+    label_parts = [
+        along(1, [f"{frag[1]}{n}" for n in ns]),
+        along(0, [f"{frag[2]}{int(v)}" for v in values]) if variable == "m"
+        else along(2, [f"{frag[2]}{m}" for m in ms]),
+        along(3, [f"{frag[3]}{s}" for s in spins]),
+        along(4, [f"{frag[4]}{b}{frag[5]}" for b in branches]),
     ]
-    rows = zip([heads[i] for i in order], energies, kappas, exists)
+    label_shape = np.broadcast_shapes(*(shape for _, shape in label_parts))
+    labels = list(map("".join, zip(*(_spread(p, shape, label_shape) for p, shape in label_parts))))
+    rows = list(map("".join, zip(
+        _spread(*along(0, [f"{frag[0]}{v!r}" for v in values]), full),
+        _spread(labels, label_shape, full),
+        floats(energy),
+        itertools.repeat(frag[6]),
+        _spread(floats(kappa), kappa.shape, full),
+        itertools.repeat(frag[7]),
+        _spread(np.where(kappa > 0.0, "true" + frag[8], "false" + frag[8]).ravel().tolist(),
+                kappa.shape, full),
+    )))
+    count = functools.reduce(np.multiply, np.ix_(v_count, n_count, m_count, s_count, b_count))
+    if count.max() > 1:
+        rows = operator.itemgetter(*np.repeat(np.arange(count.size), count.ravel()).tolist())(rows)
     if args.format == "json":
-        objects = [
-            f'  {{\n    "scan_var": "{variable}",\n    "scan_value": {v},\n    "n": {n},\n'
-            f'    "m": {m},\n    "s": {s},\n    "branch": "{b}",\n    "energy": {e},\n'
-            f'    "kappa": {k},\n    "exists": {x}\n  }}'
-            for (v, n, m, s, b), e, k, x in rows
-        ]
-        return "[\n" + ",\n".join(objects) + "\n]\n", note
-    lines = [f"{variable},{v},{n},{m},{s},{b},{e},{k},{x}" for (v, n, m, s, b), e, k, x in rows]
-    return CSV_HEADER + "\n" + "\n".join(lines) + "\n", note
+        return "[\n" + ",\n".join(rows) + "\n]\n", note
+    return CSV_HEADER + "\n" + "\n".join(rows) + "\n", note
 
 
 def _write_rows(variable: str, values: list[float], args: argparse.Namespace) -> int:
@@ -399,11 +434,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     for check in report["checks"]:
         if not check["pass"]:
-            print(
-                f"FAIL {check['name']}: residual {check['residual']} "
-                f"exceeds {check['tolerance']}",
-                file=sys.stderr,
-            )
+            reason = check.get("error", f"residual {check['residual']} exceeds {check['tolerance']}")
+            print(f"FAIL {check['name']}: {reason}", file=sys.stderr)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAILED
 
 

@@ -69,17 +69,22 @@ def reciprocal_gamma(z: float) -> float:
     """1/Gamma(z) as 1/math.gamma(z).  Entire: returns exactly 0.0 at
     z = 0, -1, -2, ... and where Gamma overflows (z > 171.6).  Raises
     OverflowError where 1/Gamma itself overflows (z < -171)."""
-    if not math.isfinite(z):
-        raise ValueError(f"reciprocal_gamma requires a finite argument, got {z}")
-    if _is_nonpositive_integer(z):
-        return 0.0
+    # Guarded by the exceptions and one check on the result, so the common
+    # finite argument pays for nothing but the division.
     try:
-        g = math.gamma(z)
+        inverse = 1.0 / math.gamma(z)
+    except ValueError:  # a pole, or z = -inf
+        if z == -math.inf:
+            raise ValueError(f"reciprocal_gamma requires a finite argument, got {z}") from None
+        return 0.0
     except OverflowError:  # z > 171.6, or |z| < 5.6e-309 where 1/Gamma(z) = z
         return z if abs(z) < 1.0 else 0.0
-    inverse = 1.0 / g if g != 0.0 else math.inf
-    if math.isinf(inverse):
-        raise OverflowError(f"1/Gamma({z}) is beyond the float range")
+    except ZeroDivisionError:  # Gamma(z) underflows to zero
+        raise OverflowError(f"1/Gamma({z}) is beyond the float range") from None
+    if inverse == 0.0 or not math.isfinite(inverse):  # z = +inf or nan, or 1/Gamma overflows
+        if math.isinf(inverse):
+            raise OverflowError(f"1/Gamma({z}) is beyond the float range")
+        raise ValueError(f"reciprocal_gamma requires a finite argument, got {z}")
     return inverse
 
 

@@ -46,6 +46,7 @@ class CheckResult:
     passed: bool
     residual: float
     tolerance: float
+    error: str | None = None  # "Type: message" of the exception a check group raised
 
 
 def _check(name: str, residual: float, tolerance: float) -> CheckResult:
@@ -446,7 +447,11 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
         raise ValueError(f"unknown check groups {unknown}; available: {list(GROUPS)}")
     results: list[CheckResult] = []
     for group in selected:
-        results.extend(GROUPS[group]())
+        try:
+            results.extend(GROUPS[group]())
+        except Exception as exc:  # a crash fails the gate; the other groups still run
+            error = f"{type(exc).__name__}: {exc}"
+            results.append(CheckResult(f"{group}.error", False, math.inf, 0.0, error))
     return results
 
 
@@ -458,6 +463,7 @@ def build_report(results: list[CheckResult]) -> dict:
                 "pass": r.passed,
                 "residual": r.residual,
                 "tolerance": r.tolerance,
+                **({"error": r.error} if r.error is not None else {}),
             }
             for r in results
         ],

@@ -301,6 +301,18 @@ FIXED_ARGV = [
     ["scan", "--scan", "m:-10:10:21", "--flux", "0.6", "--omega", "1", "--spin", "+1,-1",
      "--branch", "both"],
     ["spectrum", "--branch", "irregular", "--m", "1", "--flux", "0", "--strict"],
+    # repeated and unsorted entries on every key axis: a repeated key's rows
+    # are adjacent across every m, s and branch
+    ["scan", "--scan", "flux:-0.4:0.4:5", "--n", "3,1,3", "--m=2,-1,2", "--spin=+1,-1,+1",
+     "--branch", "both"],
+    # and on the value axis too: the linspace steps underflow to repeated values
+    ["scan", "--scan", "flux:0:2e-323:9", "--n", "3,1,3", "--m=2,-1,2", "--spin=+1,-1,+1",
+     "--branch", "both"],
+    # JSON writes -Infinity and NaN energies, Infinity and NaN kappas
+    ["scan", "--scan", "omega:1e307:1e308:3", "--hbar", "10", "--mass", "1e300", "--eta", "1e10",
+     "--m=0,-1", "--spin=+1,-1", "--branch", "both"],
+    # the error names m=3, the first offending row in the given order, not m=-2
+    ["scan", "--scan", "flux:0:0.4:3", "--m=3,-2,1", "--branch", "irregular", "--strict"],
 ]
 
 
@@ -322,6 +334,17 @@ class TestColumnarRows:
         else:
             assert code == 0
             assert out == expected
+
+    def test_fixed_cases_write_every_json_spelling_of_a_nonfinite_float(self, capsys):
+        spellings = set()
+        for argv in FIXED_ARGV[:2] + FIXED_ARGV[8:9]:
+            code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+            assert code == 0
+            rows = json.loads(out)
+            spellings |= {(key, repr(row[key])) for row in rows for key in ("energy", "kappa")
+                          if not math.isfinite(row[key])}
+        assert spellings >= {("energy", "inf"), ("energy", "-inf"), ("energy", "nan"),
+                             ("kappa", "inf"), ("kappa", "nan")}
 
     def test_random_cases_cover_every_kind(self):
         argvs = [random_argv(seed) for seed in range(48)]
@@ -734,6 +757,21 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, ["verify", "--only", "oracle"])
         assert code == 1
         assert not json.loads(out)["pass"]
+
+    def test_crashing_group_fails_and_the_others_run(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise oracle.GridConvergenceError("level 3 not resolved")
+
+        monkeypatch.setattr(oracle, "oracle_regular_spectrum", refuse)
+        code, out, err = run_cli(capsys, ["verify", "--only", "oracle", "--only", "model"])
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["oracle.error"]["pass"] is False
+        assert checks["oracle.error"]["residual"] == math.inf
+        assert checks["oracle.error"]["error"] == "GridConvergenceError: level 3 not resolved"
+        model = [c for name, c in checks.items() if name.startswith("model.")]
+        assert model and all(c["pass"] for c in model)
+        assert "FAIL oracle.error: GridConvergenceError: level 3 not resolved" in err
 
     def test_argument_dependent_fault_fails_recurrence(self, capsys, monkeypatch):
         original = specfun.gamma

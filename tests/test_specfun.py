@@ -92,6 +92,32 @@ class TestReciprocalGamma:
         assert reciprocal_gamma(1e-320) == 1e-320
         assert reciprocal_gamma(-1e-320) == -1e-320
 
+    @pytest.mark.parametrize("z, expected", [
+        (0.0, 0.0), (-0.0, 0.0), (-1.0, 0.0), (-171.0, 0.0), (-1e300, 0.0),
+        (math.inf, ValueError), (-math.inf, ValueError), (math.nan, ValueError),
+        (1e-320, 1e-320), (-1e-320, -1e-320), (171.7, 0.0),
+        (-171.5, OverflowError), (-180.5, OverflowError),
+    ])
+    def test_edge_arguments(self, z, expected):
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                reciprocal_gamma(z)
+        else:
+            result = reciprocal_gamma(z)
+            assert (result, math.copysign(1.0, result)) == (expected, math.copysign(1.0, expected))
+
+    def test_half_integers_and_range_ends_against_mpmath(self):
+        # every k + 1/2 on [-200, 200) and the ends of the float range; where
+        # 1/Gamma is beyond the float range it raises, and where it is
+        # subnormal only its absolute size is pinned
+        for z in [k + 0.5 for k in range(-200, 200)] + [171.6, 171.62, -170.5]:
+            exact = float(mpmath.rgamma(mpmath.mpf(z)))
+            if math.isinf(exact):
+                with pytest.raises(OverflowError):
+                    reciprocal_gamma(z)
+            else:
+                assert reciprocal_gamma(z) == pytest.approx(exact, rel=1e-13, abs=1e-305), z
+
 
 def _accuracy_points():
     """Seeded z in [-20, 40] and n +- 10^-k next to the poles n = 0..-20
