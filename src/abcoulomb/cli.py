@@ -98,6 +98,16 @@ class ScanSpec:
         return [float(v) for v in np.linspace(self.start, self.stop, self.steps)]
 
 
+def _float_int(text: str) -> int:
+    """An integer that converts to a float, as every entry is used."""
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise argparse.ArgumentTypeError("entries must lie within the float range") from None
+    return value
+
+
 def _parse_int_list(text: str) -> list[int]:
     """Comma-separated integers with a..b range expansion, e.g. '-5..-1,3'."""
     values: list[int] = []
@@ -105,12 +115,12 @@ def _parse_int_list(text: str) -> list[int]:
         piece = piece.strip()
         if ".." in piece:
             lo_text, hi_text = piece.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
+            lo, hi = _float_int(lo_text), _float_int(hi_text)
             if hi < lo:
                 raise argparse.ArgumentTypeError(f"empty range {piece!r}")
             values.extend(range(lo, hi + 1))
         elif piece:
-            values.append(int(piece))
+            values.append(_float_int(piece))
     if not values:
         raise argparse.ArgumentTypeError(f"no integers in {text!r}")
     return values

@@ -5,7 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
+from abcoulomb import oracle
 from abcoulomb.model import PhysicalParams
 from abcoulomb.oracle import (
     TWO_GRID_AGREEMENT,
@@ -18,6 +20,13 @@ from abcoulomb.oracle import (
 )
 
 ATOMIC = PhysicalParams()
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _box(j, n_max):
+    """The grid oracle_regular_spectrum derives for (j, n_max)."""
+    t = n_max - 0.5 + abs(j)
+    return RadialGrid(r_max=max(35.0, 5.0 * t) * t)
 
 
 def _count_below(op, eps):
@@ -97,8 +106,9 @@ class TestDiscretization:
 
 class TestRefinement:
     """The coarse and fine levels of oracle_regular_spectrum come from
-    Rayleigh-quotient inverse iteration seeded by a grid with an eighth of
-    the points, each certified by Sturm counts."""
+    Rayleigh-quotient inverse iteration, seeded on the coarse grid by the
+    closed-form ladder and on the fine grid by the coarse levels, each
+    certified by Sturm counts."""
 
     @pytest.mark.parametrize("grid", [RadialGrid(), RadialGrid().refined()],
                              ids=["default", "refined"])
@@ -140,6 +150,76 @@ class TestRefinement:
         op = discretize_h0(0.3, RadialGrid(r_min=1e-80, points=400))
         with pytest.raises(ValueError, match="r_min"):
             bound_eigenvalues(op, 3, np.array([-1.6, -0.5, -0.2]))
+
+
+SEEDED_CASES = [(0.0, 5), (0.3, 5), (-0.45, 3), (1.7, 5), (2.4, 9), (0.3, 20)]
+
+
+class TestLadderSeeds:
+    """The closed-form ladder seeds the coarse grid; the Sturm counts, not
+    the seeds, decide which level is which."""
+
+    @pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3, 1 - 1e-2, 1 + 1e-2])
+    @pytest.mark.parametrize("j, n_max", SEEDED_CASES)
+    def test_perturbed_seeds_give_the_same_levels(self, monkeypatch, j, n_max, scale):
+        grid = _box(j, n_max)
+        expected = _two_grid_levels(j, n_max, grid)
+        ladder = oracle._ladder_seeds
+        monkeypatch.setattr(oracle, "_ladder_seeds", lambda j, n: scale * ladder(j, n))
+        for levels, reference in zip(_two_grid_levels(j, n_max, grid), expected):
+            assert np.max(np.abs(levels / reference - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("j, n_max", SEEDED_CASES)
+    def test_seeds_one_level_up_refused(self, monkeypatch, j, n_max):
+        # seeds for levels 2..n_max + 1 converge to those levels, which the
+        # count from below refuses as not the lowest n_max
+        ladder = oracle._ladder_seeds
+        monkeypatch.setattr(oracle, "_ladder_seeds", lambda j, n: ladder(j, n + 1)[1:])
+        with pytest.raises(GridConvergenceError, match="Sturm"):
+            _two_grid_levels(j, n_max, _box(j, n_max))
+
+    @pytest.mark.parametrize("n_max", [5, 20, 35, 50, 70])
+    @pytest.mark.parametrize("j", [0.0, 0.3, 0.49, 2.4, 12.0, 30.0])
+    def test_every_returned_level_on_the_ladder(self, j, n_max):
+        # right or refused: whatever is returned is within the oracle's 1e-6
+        # of the closed form, and nothing up to n_max = 20 is refused
+        try:
+            evs = oracle_regular_spectrum(j, ATOMIC, n_max)
+        except GridConvergenceError:
+            assert n_max > 20
+            return
+        assert [ev.index for ev in evs] == list(range(1, n_max + 1))
+        for ev in evs:
+            assert ev.two_grid_gap <= TWO_GRID_AGREEMENT
+            assert ev.kappa == pytest.approx(1.0 / (ev.index - 0.5 + abs(j)), rel=1e-6)
+
+    def test_two_solves_per_level_on_each_grid(self, monkeypatch):
+        # on the benchmark's 40 seed-1 oracle inputs the ladder and the
+        # coarse levels are close enough that inverse iteration stops after
+        # its second solve of T - sigma, the least its step test allows
+        if str(ROOT) not in sys.path:
+            monkeypatch.syspath_prepend(str(ROOT))
+        from abbench.workloads import oracle_cases
+
+        solves = []
+        dgtsv = scipy.linalg.lapack.dgtsv
+
+        def counted_dgtsv(*args, **kwargs):
+            solves[-1] += 1
+            return dgtsv(*args, **kwargs)
+
+        def counted_bound_eigenvalues(op, n_max, seeds=None):
+            solves.append(0)
+            return bound_eigenvalues(op, n_max, seeds)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted_dgtsv)
+        monkeypatch.setattr(oracle, "bound_eigenvalues", counted_bound_eigenvalues)
+        cases = oracle_cases(1)
+        assert len(cases) == 40
+        for case in cases:
+            del solves[:]
+            oracle_regular_spectrum(case.j, ATOMIC, case.n_max)
+            assert len(solves) == 2 and all(0 < k <= 2 * case.n_max for k in solves), (case, solves)
 
 
 class TestCoulombUnits:
@@ -204,9 +284,11 @@ class TestSpectrum:
         assert abs(eps_c - exact) >= 3.0 * abs(eps_f - exact)
 
     def test_two_grid_disagreement_detected(self):
-        # 100 nodes over 36 decades: a step of 0.8 in ln r is far too coarse
+        # 100 nodes over 36 decades: a step of 0.8 in ln r is far too coarse,
+        # and already the ground state's two grids differ by more than the
+        # accuracy bound
         grid = RadialGrid(r_min=1e-30, r_max=1e6, points=100)
-        with pytest.raises(GridConvergenceError, match="index 2"):
+        with pytest.raises(GridConvergenceError, match="index 1"):
             _two_grid_levels(0.0, 2, grid)
 
     @pytest.mark.parametrize("j, n_max", [(0.3, 10), (0.3, 20), (2.4, 9), (-6.0, 7)])
@@ -235,10 +317,18 @@ class TestSpectrum:
         doubled = extrapolated(RadialGrid(r_max=2.0 * grid.r_max))
         assert np.max(np.abs(doubled / extrapolated(grid) - 1.0)) <= 1e-8
 
+    def test_thirty_levels_within_promise(self):
+        # refused while a bisected seed grid of 500 points seeded the levels
+        evs = oracle_regular_spectrum(0.3, ATOMIC, 30)
+        assert [ev.index for ev in evs] == list(range(1, 31))
+        for ev in evs:
+            assert ev.kappa == pytest.approx(1.0 / (ev.index - 0.5 + 0.3), rel=1e-6)
+
     def test_unresolvable_level_refused(self):
-        # at n_max = 30 the 4 000 points no longer resolve the highest levels
-        with pytest.raises(GridConvergenceError):
-            oracle_regular_spectrum(0.3, ATOMIC, 30)
+        # at n_max = 50 the 4 000 points no longer resolve the highest levels:
+        # their two grids differ by about 2e-3, beyond the accuracy bound
+        with pytest.raises(GridConvergenceError, match="two-grid gap"):
+            oracle_regular_spectrum(0.3, ATOMIC, 50)
 
     def test_n_max_validated(self):
         with pytest.raises(ValueError):
