@@ -108,6 +108,11 @@ def _float_int(text: str) -> int:
     return value
 
 
+# Entries one integer list may hold; a range that would take it beyond
+# this is refused before it is expanded.
+MAX_LIST_ENTRIES = 100_000
+
+
 def _parse_int_list(text: str) -> list[int]:
     """Comma-separated integers with a..b range expansion, e.g. '-5..-1,3'."""
     values: list[int] = []
@@ -118,9 +123,16 @@ def _parse_int_list(text: str) -> list[int]:
             lo, hi = _float_int(lo_text), _float_int(hi_text)
             if hi < lo:
                 raise argparse.ArgumentTypeError(f"empty range {piece!r}")
-            values.extend(range(lo, hi + 1))
+            size = hi - lo + 1
         elif piece:
-            values.append(_float_int(piece))
+            lo = _float_int(piece)
+            size = 1
+        else:
+            continue
+        if len(values) + size > MAX_LIST_ENTRIES:
+            raise argparse.ArgumentTypeError(
+                f"{piece!r} takes the list beyond {MAX_LIST_ENTRIES} entries")
+        values.extend(range(lo, lo + size))
     if not values:
         raise argparse.ArgumentTypeError(f"no integers in {text!r}")
     return values
@@ -171,11 +183,16 @@ def _physical(field: str):
     return number
 
 
-def _flux(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"flux must be finite, got {value}")
-    return value
+def _finite(name: str):
+    """A float that must be finite, named ``name`` in the refusal."""
+
+    def number(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{name} must be finite, got {value}")
+        return value
+
+    return number
 
 
 def _parse_scan(text: str) -> ScanSpec:
@@ -197,7 +214,7 @@ def _add_physics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mass", type=_physical("m_e"), default=1.0,
                         help="particle mass (default 1)")
     parser.add_argument("--hbar", type=_physical("hbar"), default=1.0, help="hbar (default 1)")
-    parser.add_argument("--flux", type=_flux, default=0.0, help="AB flux phi (default 0)")
+    parser.add_argument("--flux", type=_finite("flux"), default=0.0, help="AB flux phi (default 0)")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -486,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_physics_flags(se)
     se.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True,
                     help="extension parameter (finite float or 'inf')")
-    se.add_argument("--j", type=float, default=None,
+    se.add_argument("--j", type=_finite("j"), default=None,
                     help="effective angular momentum; default m + flux")
     se.add_argument("--m", type=_parse_int_list, default=[0])
     se.add_argument("--spin", type=_parse_spins, default=[1])

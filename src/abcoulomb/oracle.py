@@ -15,12 +15,13 @@ symmetrised tridiagonal T = M^{-1/2} A M^{-1/2}.  The problem is solved in
 Coulomb units, m_e eta' = 1, and scaled, in a box that ends at max(35, 5t) t
 for t = n_max - 1/2 + |j| and so holds every level asked for.  The
 closed-form ladder eps_k = -1/(k - 1/2 + |j|)^2 seeds Rayleigh-quotient
-inverse iteration (LAPACK gtsv solves of T - sigma) on the grid, whose
-levels seed it on the half-step refinement; Sturm counts certify every
-level by index, so a wrong seed can only be refused.  The two grids are
-Richardson-combined to cancel the O(h^2) discretization error.  Exactly
-n_max levels are returned, each with a two-grid gap within
-TWO_GRID_AGREEMENT, or GridConvergenceError is raised.
+inverse iteration (LAPACK gtsv solves of T - sigma) on a grid of
+BASE_POINTS nodes, whose levels seed it on the half-step refinement, and
+those on the next halving; Sturm counts certify every level by index, so
+a wrong seed can only be refused.  Romberg's scheme combines the three
+grids to cancel the O(h^2) and O(h^4) discretization errors.  Exactly
+n_max levels are returned, each with a gap between its two finest grids
+within TWO_GRID_AGREEMENT, or GridConvergenceError is raised.
 """
 
 from __future__ import annotations
@@ -42,14 +43,20 @@ __all__ = [
     "oracle_regular_spectrum",
 ]
 
-# Two-grid accuracy bound: a level is returned only when its coarse and
-# fine values differ by at most this relative gap.  On the derived boxes
-# the extrapolated level's error is about 0.3 to 0.4 gap^2.  Swept over
-# |j| in {0, 0.1, 0.3, 0.49, 0.75, 2.4, 6, 12, 30} and n_max <= 80, every
-# level returned under this bound is within 3.7e-7 of the ladder, and the
-# oracle returns up to n_max = 35 at |j| < 1/2, 28 at |j| = 12 and 23 at
-# |j| = 30.
-TWO_GRID_AGREEMENT = 1e-3
+# Two-grid accuracy bound: a level is returned only when its values on the
+# two finest grids differ by at most this relative gap.  Swept over 31 |j|
+# from 0 to 45 and n_max <= 50 on the derived boxes, every level returned
+# under this bound is within 1.6e-7 of the ladder up to |j| = 30 and within
+# 2.4e-7 up to |j| = 45, and the oracle returns up to n_max = 36 at
+# |j| < 1/2, 34 at |j| = 2.4, 32 at 6, 29 at 12, 24 at 30 and 22 at 45.
+# The finest step is 1.67 times that of two-grid Richardson on 4 000 and
+# 7 999 points, so its gaps are 2.78 times larger: under 3 times that
+# scheme's bound of 1e-3, every call it answered is answered.
+TWO_GRID_AGREEMENT = 3e-3
+
+# Nodes of the coarsest of the three grids; the other two have 2 399 and
+# 4 797, each halving the step of the one before.
+BASE_POINTS = 1200
 
 # A refined level is certified when its Sturm window, this relative width
 # on each side, holds exactly it.
@@ -74,7 +81,7 @@ def __getattr__(name: str):
 
 
 class GridConvergenceError(RuntimeError):
-    """A requested level is unbound, uncertified or unconverged on the two grids."""
+    """A requested level is unbound, uncertified or unconverged on the three grids."""
 
 
 @dataclass(frozen=True)
@@ -103,10 +110,11 @@ class RadialGrid:
 class OracleEigenvalue:
     kappa: float
     index: int
-    # in Coulomb lengths 1/(m_e eta'), the units the pencils are solved in
+    # the coarsest of the three grids, in Coulomb lengths 1/(m_e eta'), the
+    # units the pencils are solved in
     grid: RadialGrid
-    # |eps_fine - eps_coarse| / |eps_fine|, the quantity held below
-    # TWO_GRID_AGREEMENT
+    # |eps_fine - eps_middle| / |eps_fine| on the two finest grids, the
+    # quantity held below TWO_GRID_AGREEMENT
     two_grid_gap: float
 
 
@@ -139,45 +147,38 @@ def discretize_h0(j: float, grid: RadialGrid) -> TridiagonalOperator:
     return TridiagonalOperator(diagonal=diag, off_diagonal=off, mass=r * r)
 
 
-def bound_eigenvalues(
-    op: TridiagonalOperator, n_max: int, seeds: np.ndarray | None = None
-) -> np.ndarray:
-    """The n_max lowest generalized eigenvalues of (A, M), ascending, on the
-    congruent s A s, s = M^{-1/2}.
+def bound_eigenvalues(op: TridiagonalOperator, seeds: np.ndarray) -> np.ndarray:
+    """The len(seeds) lowest generalized eigenvalues of (A, M), ascending, on
+    the congruent s A s, s = M^{-1/2}, from an ascending estimate of each.
 
-    Without ``seeds`` they come from Sturm bisection.  With ``seeds``, an
-    ascending estimate of each of the lowest levels (at most n_max are
-    used), every seed is refined by Rayleigh-quotient inverse iteration
-    and the result certified by Sturm counts; a level that fails its count
-    raises GridConvergenceError.  Bisection resolves levels only to
+    Every seed is refined by Rayleigh-quotient inverse iteration and the
+    result certified by Sturm counts; a level that fails its count raises
+    GridConvergenceError.  The counts resolve levels only to
     tiny * (largest squared entry); a pencil where that overflows or
-    exceeds the levels' rounding raises ValueError on either path."""
+    exceeds the levels' rounding raises ValueError."""
     s = 1.0 / np.sqrt(op.mass)
     tiny = np.finfo(float).tiny
     with np.errstate(over="ignore"):
         diagonal, off_diagonal = op.diagonal * s * s, op.off_diagonal * s[:-1] * s[1:]
         floor = tiny * float(np.max(np.square(np.r_[1.0, diagonal, off_diagonal])))
     if math.isfinite(floor):
-        if seeds is None:
-            from scipy.linalg import eigh_tridiagonal  # deferred, as specfun defers scipy.special
-
-            # tol=0 would mean eps * |T|_1, far above the levels of this graded T
-            vals = eigh_tridiagonal(diagonal, off_diagonal, eigvals_only=True, select="i",
-                                    select_range=(0, min(n_max, len(diagonal)) - 1),
-                                    lapack_driver="stebz", tol=tiny)
-        else:
-            vals = _refine(op, diagonal, off_diagonal, s, np.asarray(seeds, dtype=float)[:n_max])
+        vals = _refine(op, diagonal, off_diagonal, s, np.asarray(seeds, dtype=float))
         if vals.size == 0 or floor <= np.finfo(float).eps * np.min(np.abs(vals)):
             return vals
     raise ValueError(f"r_min = {math.sqrt(op.mass[0]):.3g} is too small: Sturm "
-                     f"bisection resolves this pencil's levels only to {floor:.3g}")
+                     f"counts resolve this pencil's levels only to {floor:.3g}")
 
 
 def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndarray,
             s: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Rayleigh-quotient inverse iteration on T = s A s from each seed, then
     Sturm counts: level k must have k - 1 eigenvalues of T below
-    (1 - RELATIVE_WINDOW) eps_k and k below (1 + RELATIVE_WINDOW) eps_k."""
+    (1 - RELATIVE_WINDOW) eps_k and k below (1 + RELATIVE_WINDOW) eps_k.
+
+    Each seed is first scaled by the ratio of the level below to its own
+    seed: the grid shifts neighbouring levels alike, and on a coarse grid
+    that shift reaches a third of the level spacing at high levels, enough
+    to draw an unscaled seed to the level above."""
     from scipy.linalg.lapack import dgtsv, dstebz
 
     # The quotient f^T A f / f^T M f, f = s y, in difference form: the
@@ -194,7 +195,9 @@ def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndar
         return float((np.dot(-b * df, df) + np.dot(row_sums * f, f)) / np.dot(op.mass * f, f))
 
     levels = np.empty(seeds.size)
-    for k, sigma in enumerate(seeds):
+    ratio = 1.0
+    for k, seed in enumerate(seeds):
+        sigma = ratio * seed
         y = np.ones(diagonal.size)
         previous = None  # the last Rayleigh quotient; the seed itself is none
         for _ in range(_MAX_ITERATIONS):
@@ -205,6 +208,7 @@ def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndar
                 break
             previous = sigma
         levels[k] = sigma
+        ratio = sigma / seed
 
     def count(vl: float, vu: float) -> int:
         # an infinite tolerance counts the levels in (vl, vu] without bisecting
@@ -231,28 +235,36 @@ def _ladder_seeds(j: float, n_max: int) -> np.ndarray:
     return -1.0 / np.square(np.arange(1, n_max + 1) - 0.5 + abs(j))
 
 
-def _two_grid_levels(j: float, n_max: int, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+def _three_grid_levels(j: float, n_max: int,
+                       grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n_max lowest levels of the q = 1 pencil on ``grid`` and on its
-    refinement, each bound on both and within TWO_GRID_AGREEMENT of its
-    other, or GridConvergenceError.
+    two successive halvings of the step, each bound on all three, with the
+    two finest within TWO_GRID_AGREEMENT of each other, or
+    GridConvergenceError.
 
-    The closed-form ladder seeds the coarse levels, and those seed the
-    fine ones.  Both are certified by Sturm counts, so a seed far from its
-    level can only make the oracle refuse, never mislabel a level."""
-    coarse = bound_eigenvalues(discretize_h0(j, grid), n_max, _ladder_seeds(j, n_max))
-    fine = bound_eigenvalues(discretize_h0(j, grid.refined()), n_max, coarse)
-    resolved = np.maximum(coarse, fine) < 0.0
-    resolved &= np.abs(fine - coarse) <= TWO_GRID_AGREEMENT * np.abs(fine)
+    The closed-form ladder seeds the coarsest levels, and each grid's
+    levels seed the next.  All are certified by Sturm counts, so a seed far
+    from its level can only make the oracle refuse, never mislabel a level."""
+    seeds = _ladder_seeds(j, n_max)
+    levels = []
+    for _ in range(3):
+        seeds = bound_eigenvalues(discretize_h0(j, grid), seeds)
+        levels.append(seeds)
+        grid = grid.refined()
+    coarse, middle, fine = levels
+    resolved = np.max(levels, axis=0) < 0.0
+    resolved &= np.abs(fine - middle) <= TWO_GRID_AGREEMENT * np.abs(fine)
     index = int(np.argmin(np.r_[resolved, False]))  # the first level not resolved
     if index < n_max:
-        raise GridConvergenceError(f"the level at index {index + 1} is not bound on both grids "
-                                   f"within a two-grid gap of {TWO_GRID_AGREEMENT}")
-    return coarse, fine
+        raise GridConvergenceError(f"the level at index {index + 1} is not bound on all three "
+                                   f"grids within a two-grid gap of {TWO_GRID_AGREEMENT}")
+    return coarse, middle, fine
 
 
 def oracle_regular_spectrum(j: float, params: PhysicalParams, n_max: int) -> list[OracleEigenvalue]:
     """The n_max most-bound levels of the regular problem as kappa values,
-    Richardson-extrapolated from a grid and its half-step refinement.
+    Romberg-extrapolated from a grid and its two successive half-step
+    refinements.
 
     H0 is scale-covariant: with r = rho/q, q = m_e eta', its levels are
     q^2 times those at q = 1.  So the pencil is solved at q = 1 and
@@ -269,10 +281,12 @@ def oracle_regular_spectrum(j: float, params: PhysicalParams, n_max: int) -> lis
     if not math.isfinite(q):
         raise ValueError("m_e eta' is beyond the float range")
     t = n_max - 0.5 + abs(j)
-    grid = RadialGrid(r_max=max(35.0, 5.0 * t) * t)
-    coarse, fine = _two_grid_levels(j, n_max, grid)
-    gaps = np.abs(fine - coarse) / np.abs(fine)
-    levels = (4.0 * fine - coarse) / 3.0
+    grid = RadialGrid(r_max=max(35.0, 5.0 * t) * t, points=BASE_POINTS)
+    coarse, middle, fine = _three_grid_levels(j, n_max, grid)
+    gaps = np.abs(fine - middle) / np.abs(fine)
+    # Romberg: (4 f - m)/3 and (4 m - c)/3 cancel h^2, and their 16:-1
+    # blend cancels h^4
+    levels = (64.0 * fine - 20.0 * middle + coarse) / 45.0
     return [
         OracleEigenvalue(kappa=q * math.sqrt(-eps), index=index, grid=grid, two_grid_gap=float(gap))
         for index, (eps, gap) in enumerate(zip(levels, gaps), start=1)

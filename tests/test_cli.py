@@ -4,8 +4,11 @@ import importlib.util
 import itertools
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -703,17 +706,41 @@ class TestPhysicsFlags:
              "argument --m: entries must lie within"),
             (["wavefunction", f"--m={BEYOND_FLOAT}"], "argument --m: entries must lie within"),
             (["wavefunction", f"--n={BEYOND_FLOAT}"], "argument --n: entries must lie within"),
+            # they once exited 3 as a sector refusal, |j| = nan or inf
+            (["secular", "--lambda", "1", "--j", "nan"], "argument --j: j must be finite, got nan"),
+            (["secular", "--lambda", "1", "--j", "1e400"], "argument --j: j must be finite, got inf"),
+            (["spectrum", "--m=-50000..50000"],
+             "argument --m: '-50000..50000' takes the list beyond 100000 entries"),
+            (["scan", "--scan", "flux:0:1:3", "--n", "1..99999,7,8"],
+             "argument --n: '8' takes the list beyond 100000 entries"),
         ],
         ids=["spectrum-n", "wavefunction-n", "scan-n", "spectrum-eta", "wavefunction-eta",
              "scan-eta", "mass", "hbar", "omega", "flux-inf", "flux-nan", "scan-inf",
              "m-scan-inf", "scan-span-overflow", "spectrum-m-huge", "spectrum-n-huge",
-             "scan-m-huge", "secular-m-huge", "wavefunction-m-huge", "wavefunction-n-huge"],
+             "scan-m-huge", "secular-m-huge", "wavefunction-m-huge", "wavefunction-n-huge",
+             "secular-j-nan", "secular-j-inf", "spectrum-m-range-too-long", "scan-n-list-too-long"],
     )
     def test_rejected_at_parse_time_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_oversized_range_refused_before_it_is_expanded(self):
+        # a billion entries would take tens of GB; under a 1 GB address-space
+        # limit expanding the range fails with MemoryError (exit 1), so the
+        # refusal, exit 2, shows the range was never expanded
+        resource = pytest.importorskip("resource")  # POSIX only
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys; from abcoulomb.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "spectrum", "--m", "0..1000000000"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "argument --m: '0..1000000000' takes the list beyond 100000 entries" in proc.stderr
 
 
 def test_cached_parser_leaks_no_state(capsys):

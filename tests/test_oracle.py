@@ -2,18 +2,21 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+from scipy.linalg import eigh_tridiagonal
 
 from abcoulomb import oracle
 from abcoulomb.model import PhysicalParams
 from abcoulomb.oracle import (
+    BASE_POINTS,
     TWO_GRID_AGREEMENT,
     GridConvergenceError,
     RadialGrid,
-    _two_grid_levels,
+    _three_grid_levels,
     bound_eigenvalues,
     discretize_h0,
     oracle_regular_spectrum,
@@ -23,10 +26,27 @@ ATOMIC = PhysicalParams()
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _box(j, n_max):
+def _box(j, n_max, points=BASE_POINTS):
     """The grid oracle_regular_spectrum derives for (j, n_max)."""
     t = n_max - 0.5 + abs(j)
-    return RadialGrid(r_max=max(35.0, 5.0 * t) * t)
+    return RadialGrid(r_max=max(35.0, 5.0 * t) * t, points=points)
+
+
+def _romberg(j, n_max, grid):
+    """The extrapolated levels of the three grids from ``grid``."""
+    coarse, middle, fine = _three_grid_levels(j, n_max, grid)
+    return (64.0 * fine - 20.0 * middle + coarse) / 45.0
+
+
+def _bisected(op, n):
+    """The n lowest generalized eigenvalues of (A, M) by Sturm bisection of
+    the symmetrised T = s A s, s = M^{-1/2}, to full precision: the
+    reference that inverse iteration is held to."""
+    s = 1.0 / np.sqrt(op.mass)
+    # tol=0 would mean eps * |T|_1, far above the levels of this graded T
+    return eigh_tridiagonal(op.diagonal * s * s, op.off_diagonal * s[:-1] * s[1:],
+                            eigvals_only=True, select="i", select_range=(0, n - 1),
+                            lapack_driver="stebz", tol=np.finfo(float).tiny)
 
 
 def _count_below(op, eps):
@@ -47,7 +67,8 @@ class TestRadialGrid:
         for j, n_max in [(0.0, 1), (0.3, 10), (-2.4, 9), (6.0, 7)]:
             t = n_max - 0.5 + abs(j)
             for ev in oracle_regular_spectrum(j, ATOMIC, n_max):
-                assert ev.grid == RadialGrid(r_min=1e-5, r_max=max(35.0, 5.0 * t) * t, points=4000)
+                assert ev.grid == RadialGrid(r_min=1e-5, r_max=max(35.0, 5.0 * t) * t,
+                                             points=BASE_POINTS)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -77,8 +98,7 @@ class TestDiscretization:
 
     def test_lowest_eigenvalue_matches_coulomb_ground(self):
         op = discretize_h0(0.0, RadialGrid())
-        evs = bound_eigenvalues(op, 1)
-        assert evs[0] == pytest.approx(-4.0, rel=1e-4)
+        assert _bisected(op, 1)[0] == pytest.approx(-4.0, rel=1e-4)
 
     @pytest.mark.parametrize(
         "grid",
@@ -90,7 +110,7 @@ class TestDiscretization:
         # the k-th level has exactly k - 1 eigenvalues of the unscaled pencil
         # below it and k above it, to a relative 1e-9
         op = discretize_h0(j, grid)
-        levels = bound_eigenvalues(op, 5)
+        levels = _bisected(op, 5)
         assert len(levels) == 5
         for k, eps in enumerate(levels, start=1):
             assert _count_below(op, eps - 1e-9 * abs(eps)) == k - 1
@@ -99,23 +119,26 @@ class TestDiscretization:
     @pytest.mark.parametrize("r_min", [1e-80, 1e-160])
     def test_unrepresentable_pencil_refused(self, r_min):
         # the symmetrised entries reach 1/(h r_min)^2, whose squares overflow
+        # or leave the Sturm counts blind to the levels
         op = discretize_h0(0.3, RadialGrid(r_min=r_min, points=400))
         with pytest.raises(ValueError, match="r_min"):
-            bound_eigenvalues(op, 3)
+            bound_eigenvalues(op, np.array([-1.6, -0.5, -0.2]))
 
 
 class TestRefinement:
-    """The coarse and fine levels of oracle_regular_spectrum come from
-    Rayleigh-quotient inverse iteration, seeded on the coarse grid by the
-    closed-form ladder and on the fine grid by the coarse levels, each
-    certified by Sturm counts."""
+    """The levels on oracle_regular_spectrum's three grids come from
+    Rayleigh-quotient inverse iteration, seeded on the coarsest grid by the
+    closed-form ladder and on each finer grid by the levels of the one
+    before, each certified by Sturm counts."""
 
     @pytest.mark.parametrize("grid", [RadialGrid(), RadialGrid().refined()],
                              ids=["default", "refined"])
     @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
     def test_refined_levels_match_sturm_count(self, grid, j):
-        # as test_levels_match_sturm_count, on both grids of the two-grid pair
-        for levels, g in zip(_two_grid_levels(j, 5, grid), (grid, grid.refined())):
+        # as test_levels_match_sturm_count, on the first two grids: on the
+        # third from 7 999 points, 31 989, the float LDL^T count of the
+        # unscaled pencil itself errs by more than the 1e-9 window at j = 0
+        for levels, g in zip(_three_grid_levels(j, 5, grid), (grid, grid.refined())):
             op = discretize_h0(j, g)
             assert len(levels) == 5
             for k, eps in enumerate(levels, start=1):
@@ -126,8 +149,11 @@ class TestRefinement:
                              ids=["default", "refined"])
     @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
     def test_refined_levels_agree_with_bisection(self, grid, j):
-        for levels, g in zip(_two_grid_levels(j, 5, grid), (grid, grid.refined())):
-            bisected = bound_eigenvalues(discretize_h0(j, g), 5)
+        # on the first two grids only: at j = 0 the 7 999-point grid already
+        # reads 9.9e-11, as the bisection's rounding grows with the largest
+        # entry of T
+        for levels, g in zip(_three_grid_levels(j, 5, grid), (grid, grid.refined())):
+            bisected = _bisected(discretize_h0(j, g), 5)
             assert np.max(np.abs(levels / bisected - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
@@ -136,37 +162,32 @@ class TestRefinement:
         # and the counts refuse them rather than return unlabelled levels
         grid = RadialGrid(r_min=1e-30, r_max=1e6, points=100)
         with pytest.raises(GridConvergenceError):
-            _two_grid_levels(j, 5, grid)
+            _three_grid_levels(j, 5, grid)
 
     @pytest.mark.parametrize("picks", [[1, 2], [1, 1]], ids=["shifted", "repeated"])
     def test_seed_at_wrong_level_refused(self, picks):
         op = discretize_h0(0.3, RadialGrid())
-        levels = bound_eigenvalues(op, 3)
-        assert bound_eigenvalues(op, 3, levels) == pytest.approx(levels, rel=1e-10)
+        levels = _bisected(op, 3)
+        assert bound_eigenvalues(op, levels) == pytest.approx(levels, rel=1e-10)
         with pytest.raises(GridConvergenceError, match="Sturm"):
-            bound_eigenvalues(op, 2, levels[picks])
-
-    def test_unrepresentable_pencil_refused_with_seeds(self):
-        op = discretize_h0(0.3, RadialGrid(r_min=1e-80, points=400))
-        with pytest.raises(ValueError, match="r_min"):
-            bound_eigenvalues(op, 3, np.array([-1.6, -0.5, -0.2]))
+            bound_eigenvalues(op, levels[picks])
 
 
 SEEDED_CASES = [(0.0, 5), (0.3, 5), (-0.45, 3), (1.7, 5), (2.4, 9), (0.3, 20)]
 
 
 class TestLadderSeeds:
-    """The closed-form ladder seeds the coarse grid; the Sturm counts, not
+    """The closed-form ladder seeds the coarsest grid; the Sturm counts, not
     the seeds, decide which level is which."""
 
     @pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3, 1 - 1e-2, 1 + 1e-2])
     @pytest.mark.parametrize("j, n_max", SEEDED_CASES)
     def test_perturbed_seeds_give_the_same_levels(self, monkeypatch, j, n_max, scale):
         grid = _box(j, n_max)
-        expected = _two_grid_levels(j, n_max, grid)
+        expected = _three_grid_levels(j, n_max, grid)
         ladder = oracle._ladder_seeds
         monkeypatch.setattr(oracle, "_ladder_seeds", lambda j, n: scale * ladder(j, n))
-        for levels, reference in zip(_two_grid_levels(j, n_max, grid), expected):
+        for levels, reference in zip(_three_grid_levels(j, n_max, grid), expected):
             assert np.max(np.abs(levels / reference - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("j, n_max", SEEDED_CASES)
@@ -176,7 +197,7 @@ class TestLadderSeeds:
         ladder = oracle._ladder_seeds
         monkeypatch.setattr(oracle, "_ladder_seeds", lambda j, n: ladder(j, n + 1)[1:])
         with pytest.raises(GridConvergenceError, match="Sturm"):
-            _two_grid_levels(j, n_max, _box(j, n_max))
+            _three_grid_levels(j, n_max, _box(j, n_max))
 
     @pytest.mark.parametrize("n_max", [5, 20, 35, 50, 70])
     @pytest.mark.parametrize("j", [0.0, 0.3, 0.49, 2.4, 12.0, 30.0])
@@ -193,10 +214,14 @@ class TestLadderSeeds:
             assert ev.two_grid_gap <= TWO_GRID_AGREEMENT
             assert ev.kappa == pytest.approx(1.0 / (ev.index - 0.5 + abs(j)), rel=1e-6)
 
-    def test_two_solves_per_level_on_each_grid(self, monkeypatch):
-        # on the benchmark's 40 seed-1 oracle inputs the ladder and the
-        # coarse levels are close enough that inverse iteration stops after
-        # its second solve of T - sigma, the least its step test allows
+    def test_solves_per_level_on_each_grid(self, monkeypatch):
+        # on the benchmark's 40 seed-1 oracle inputs, 120 levels: the middle
+        # grid's levels seed the finest one closely enough that inverse
+        # iteration stops after its second solve of T - sigma on every
+        # level, the least its step test allows; the ladder is a rougher
+        # seed for the coarsest grid, and the coarsest levels for the middle
+        # one, so a few levels there take a third solve (282 and 267 with
+        # seeds not scaled by the shift of the level below)
         if str(ROOT) not in sys.path:
             monkeypatch.syspath_prepend(str(ROOT))
         from abbench.workloads import oracle_cases
@@ -208,18 +233,22 @@ class TestLadderSeeds:
             solves[-1] += 1
             return dgtsv(*args, **kwargs)
 
-        def counted_bound_eigenvalues(op, n_max, seeds=None):
+        def counted_bound_eigenvalues(op, seeds):
             solves.append(0)
-            return bound_eigenvalues(op, n_max, seeds)
+            return bound_eigenvalues(op, seeds)
 
         monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted_dgtsv)
         monkeypatch.setattr(oracle, "bound_eigenvalues", counted_bound_eigenvalues)
         cases = oracle_cases(1)
         assert len(cases) == 40
+        totals = np.zeros(3, dtype=int)
         for case in cases:
             del solves[:]
             oracle_regular_spectrum(case.j, ATOMIC, case.n_max)
-            assert len(solves) == 2 and all(0 < k <= 2 * case.n_max for k in solves), (case, solves)
+            assert len(solves) == 3 and solves[2] == 2 * case.n_max, (case, solves)
+            totals += solves
+        assert sum(case.n_max for case in cases) == 120
+        assert totals.tolist() == [246, 241, 240]
 
 
 class TestCoulombUnits:
@@ -279,8 +308,8 @@ class TestSpectrum:
         j = 0.25
         exact = -((1.0 / (1 - 0.5 + j)) ** 2)
         coarse_grid = RadialGrid(points=1000)
-        eps_c = bound_eigenvalues(discretize_h0(j, coarse_grid), 1)[0]
-        eps_f = bound_eigenvalues(discretize_h0(j, coarse_grid.refined()), 1)[0]
+        eps_c = _bisected(discretize_h0(j, coarse_grid), 1)[0]
+        eps_f = _bisected(discretize_h0(j, coarse_grid.refined()), 1)[0]
         assert abs(eps_c - exact) >= 3.0 * abs(eps_f - exact)
 
     def test_two_grid_disagreement_detected(self):
@@ -289,7 +318,7 @@ class TestSpectrum:
         # accuracy bound
         grid = RadialGrid(r_min=1e-30, r_max=1e6, points=100)
         with pytest.raises(GridConvergenceError, match="index 1"):
-            _two_grid_levels(0.0, 2, grid)
+            _three_grid_levels(0.0, 2, grid)
 
     @pytest.mark.parametrize("j, n_max", [(0.3, 10), (0.3, 20), (2.4, 9), (-6.0, 7)])
     def test_every_requested_level_on_the_ladder(self, j, n_max):
@@ -306,16 +335,11 @@ class TestSpectrum:
          (0.0, 1), (0.0, 5), (0.49, 1), (-0.49, 5), (2.5, 1), (-2.5, 5)],
     )
     def test_doubled_box_moves_no_level(self, j, n_max):
-        # the derived box holds every requested state: twice its r_max moves
-        # no extrapolated level by more than 1e-8
+        # the derived box holds every requested state: twice its r_max, on
+        # the same points, moves no extrapolated level by more than 1e-8
         grid = oracle_regular_spectrum(j, ATOMIC, n_max)[0].grid
-
-        def extrapolated(g):
-            coarse, fine = _two_grid_levels(j, n_max, g)
-            return (4.0 * fine - coarse) / 3.0
-
-        doubled = extrapolated(RadialGrid(r_max=2.0 * grid.r_max))
-        assert np.max(np.abs(doubled / extrapolated(grid) - 1.0)) <= 1e-8
+        doubled = _romberg(j, n_max, replace(grid, r_max=2.0 * grid.r_max))
+        assert np.max(np.abs(doubled / _romberg(j, n_max, grid) - 1.0)) <= 1e-8
 
     def test_thirty_levels_within_promise(self):
         # refused while a bisected seed grid of 500 points seeded the levels
@@ -325,10 +349,45 @@ class TestSpectrum:
             assert ev.kappa == pytest.approx(1.0 / (ev.index - 0.5 + 0.3), rel=1e-6)
 
     def test_unresolvable_level_refused(self):
-        # at n_max = 50 the 4 000 points no longer resolve the highest levels:
-        # their two grids differ by about 2e-3, beyond the accuracy bound
+        # at n_max = 50 the grids no longer resolve the highest levels: their
+        # two finest grids differ by up to 6e-3, beyond the accuracy bound
         with pytest.raises(GridConvergenceError, match="two-grid gap"):
             oracle_regular_spectrum(0.3, ATOMIC, 50)
+
+    @pytest.mark.parametrize(
+        "j, n_max, rel",
+        [(0.3, 35, 2e-7), (2.4, 33, 2e-7), (6.0, 31, 2e-7), (12.0, 28, 2e-7), (30.0, 23, 2e-7),
+         (35.0, 23, 1e-6), (40.0, 22, 1e-6), (45.0, 22, 1e-6)],
+    )
+    def test_reach_edges_within_promise(self, j, n_max, rel):
+        # the reach of two-grid Richardson on 4 000 and 7 999 points, which
+        # the three smaller grids keep, within 2e-7 of the closed form up to
+        # |j| = 30 and the oracle's 1e-6 beyond.  From |j| = 35 the coarsest
+        # grid puts the top levels a third of a spacing below the ladder:
+        # unscaled by the shift of the level below, the top seed converged
+        # to the level above, and the Sturm count refused these calls
+        evs = oracle_regular_spectrum(j, ATOMIC, n_max)
+        assert [ev.index for ev in evs] == list(range(1, n_max + 1))
+        for ev in evs:
+            assert ev.kappa == pytest.approx(1.0 / (ev.index - 0.5 + abs(j)), rel=rel)
+
+    @pytest.mark.parametrize("j, n_max", [(0.3, 37), (2.4, 35), (12.0, 30), (30.0, 25), (45.0, 23)])
+    def test_one_beyond_the_reach_refused(self, j, n_max):
+        # n_max - 1 is the highest n_max returned at this |j|; one more level
+        # and the top one's two finest grids differ by more than the bound
+        oracle_regular_spectrum(j, ATOMIC, n_max - 1)
+        with pytest.raises(GridConvergenceError, match=f"index {n_max} .* two-grid gap"):
+            oracle_regular_spectrum(j, ATOMIC, n_max)
+
+    @pytest.mark.parametrize("j, n_max, points", [(2.4, 9, 300), (6.0, 7, 600), (0.3, 10, 300)])
+    def test_romberg_error_is_sixth_order(self, j, n_max, points):
+        # halving the base step shrinks the extrapolated error about 64-fold
+        # (h^6), far more than the 16-fold (h^4) of a two-grid Richardson
+        # step; measured 66 to 68
+        exact = -1.0 / np.square(np.arange(1, n_max + 1) - 0.5 + abs(j))
+        errors = [np.max(np.abs(_romberg(j, n_max, grid) / exact - 1.0))
+                  for grid in (_box(j, n_max, points), _box(j, n_max, 2 * points - 1))]
+        assert errors[0] >= 48.0 * errors[1]
 
     def test_n_max_validated(self):
         with pytest.raises(ValueError):
