@@ -172,6 +172,13 @@ class TestRefinement:
         with pytest.raises(GridConvergenceError, match="Sturm"):
             bound_eigenvalues(op, levels[picks])
 
+    def test_unrepresentable_pencil_refused_with_seeds(self):
+        # the refusal holds for the closed-form ladder the oracle seeds with,
+        # before any seed is refined
+        op = discretize_h0(0.3, RadialGrid(r_min=1e-80, points=400))
+        with pytest.raises(ValueError, match="r_min"):
+            bound_eigenvalues(op, oracle._ladder_seeds(0.3, 3))
+
 
 SEEDED_CASES = [(0.0, 5), (0.3, 5), (-0.45, 3), (1.7, 5), (2.4, 9), (0.3, 20)]
 
