@@ -422,6 +422,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     flux = decompose_flux(args.flux)
     m = args.m[0]
     j = m + flux.phi
+    n, branch, coeffs = args.n[0], args.branch, None
     try:
         if args.lam is not None:
             roots = solve_secular(args.lam, j, params, args.root)
@@ -431,16 +432,24 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
                     f"(it has {len(roots)})"
                 )
             kappa = roots[args.root - 1].kappa
-            coeffs = normalizable_coefficients(KummerParams.for_state(kappa, j, params))
-        else:
-            state = QuantumState(n=args.n[0], m=m, s=args.spin[0], branch=args.branch)
+            kp = KummerParams.for_state(kappa, j, params)
+            if args.lam in (0.0, math.inf) and kp.a == kp.a_prime:
+                # 2|j| is below the rounding of a and a': both are the
+                # ladder's nonpositive integer, both normalizable
+                # coefficients vanish, and the two ladders are one state,
+                # the closed form's
+                n, branch = args.root, REGULAR if args.lam == 0.0 else IRREGULAR
+            else:
+                coeffs = normalizable_coefficients(kp)
+        if coeffs is None:
+            state = QuantumState(n=n, m=m, s=args.spin[0], branch=branch)
             level = closed_form_energy(state, params, flux)
             if not level.exists:
                 raise ExistenceError(f"no bound state: kappa = {level.kappa!r}")
             kappa = level.kappa
             # the ladder's own piece: normalizable_coefficients vanishes at
             # j = 0 and needs Gamma(1 - 2|j|), which has poles at integer 2|j|
-            coeffs = SolutionCoefficients(*((1.0, 0.0) if args.branch == REGULAR else (0.0, 1.0)))
+            coeffs = SolutionCoefficients(*((1.0, 0.0) if branch == REGULAR else (0.0, 1.0)))
         profile = build_profile(coeffs, kappa, j, params, points=args.points)
     except (SectorError, RootSearchError, ExistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

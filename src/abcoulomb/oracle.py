@@ -88,9 +88,9 @@ class GridConvergenceError(RuntimeError):
 class RadialGrid:
     """Logarithmically spaced nodes from r_min to r_max."""
 
-    r_min: float = 1e-5
-    r_max: float = 200.0
-    points: int = 4000
+    r_min: float
+    r_max: float
+    points: int
 
     def __post_init__(self) -> None:
         if not (0.0 < self.r_min < self.r_max):
@@ -281,7 +281,7 @@ def oracle_regular_spectrum(j: float, params: PhysicalParams, n_max: int) -> lis
     if not math.isfinite(q):
         raise ValueError("m_e eta' is beyond the float range")
     t = n_max - 0.5 + abs(j)
-    grid = RadialGrid(r_max=max(35.0, 5.0 * t) * t, points=BASE_POINTS)
+    grid = RadialGrid(r_min=1e-5, r_max=max(35.0, 5.0 * t) * t, points=BASE_POINTS)
     coarse, middle, fine = _three_grid_levels(j, n_max, grid)
     gaps = np.abs(fine - middle) / np.abs(fine)
     # Romberg: (4 f - m)/3 and (4 m - c)/3 cancel h^2, and their 16:-1

@@ -1,4 +1,4 @@
-"""Radial solution assembly, small-r expansion, boundary values, and
+"""Radial solution assembly, the origin boundary-closure residual, and
 profile normalization / node counting.
 
 The solution at fixed kappa is F = a_m R + b_m I with
@@ -32,16 +32,10 @@ __all__ = [
     "ResolutionError",
     "TruncationError",
     "RadialProfile",
-    "BoundaryValues",
-    "radial_solution",
-    "small_r_expansion",
-    "boundary_values",
     "boundary_closure_residual",
     "build_profile",
     "normalize_and_count_nodes",
 ]
-
-SMALL_R_X_MAX = 0.1
 
 
 class ResolutionError(ValueError):
@@ -69,14 +63,6 @@ class RadialProfile:
             raise ValueError("profile contains non-finite values")
 
 
-@dataclass(frozen=True)
-class BoundaryValues:
-    """f0 multiplies the r^{-|j|} origin behavior, f1 the r^{|j|} one."""
-
-    f0: float
-    f1: float
-
-
 def _radial_values(x: np.ndarray, coeffs: SolutionCoefficients, kp: KummerParams) -> np.ndarray:
     """a_m R + b_m I at every x, sampled as beta R - 2|j| alpha N."""
     aj = kp.abs_j
@@ -102,67 +88,27 @@ def _radial_values(x: np.ndarray, coeffs: SolutionCoefficients, kp: KummerParams
     return values
 
 
-def radial_solution(r: float, coeffs: SolutionCoefficients, kp: KummerParams) -> float:
-    """Evaluate the radial solution at radius r > 0."""
-    if not (r > 0.0):
-        raise ValueError(f"radius must be positive, got {r}")
-    x = 2.0 * kp.kappa * r
-    return float(_radial_values(np.array([x]), coeffs, kp)[0])
-
-
-def small_r_expansion(r: float, coeffs: SolutionCoefficients, kp: KummerParams) -> float:
-    """Quadratic-order product expansion of the radial solution near the
-    origin; valid for x = 2 kappa r <= 0.1."""
-    x = 2.0 * kp.kappa * r
-    if x > SMALL_R_X_MAX:
-        raise ValueError(f"small-r expansion requires x <= {SMALL_R_X_MAX}, got x = {x}")
-    aj = kp.abs_j
-    shared = x * x - 4.0 * x + 8.0
-    value = 0.0
-    if coeffs.a_m != 0.0:
-        a, b = kp.a, kp.b
-        quad = (a * a + a) * x * x + 2.0 * (a * x + b) * (b + 1.0)
-        value += coeffs.a_m * shared * x**aj * quad / (16.0 * b * (b + 1.0))
-    if coeffs.b_m != 0.0:
-        if aj >= 0.5:
-            raise SectorError(f"irregular piece requires |j| < 1/2, got |j| = {aj}")
-        ap, bp = kp.a_prime, kp.b_prime
-        quad = (ap * ap + ap) * x * x + 2.0 * (ap * x + bp) * (bp + 1.0)
-        value += coeffs.b_m * shared * x ** (-aj) * quad / (16.0 * bp * (bp + 1.0))
-    return value
-
-
-def boundary_values(coeffs: SolutionCoefficients, kp: KummerParams) -> BoundaryValues:
-    """Origin boundary coefficients of the solution:
-
-        f0 = b_m (2 kappa)^{-|j|}   (irregular, r^{-|j|} part)
-        f1 = a_m (2 kappa)^{+|j|}   (regular, r^{+|j|} part)
-
-    The subleading terms of the small-r expansion carry positive powers
-    of r and drop out of the limits for |j| < 1/2.
-    """
-    aj = kp.abs_j
-    if aj >= 0.5:
-        raise SectorError(f"boundary values require |j| < 1/2, got |j| = {aj}")
-    two_kappa = 2.0 * kp.kappa
-    return BoundaryValues(
-        f0=coeffs.b_m * two_kappa ** (-aj),
-        f1=coeffs.a_m * two_kappa**aj,
-    )
-
-
 def boundary_closure_residual(
     coeffs: SolutionCoefficients, kp: KummerParams, lam: float
 ) -> float:
     """Relative residual of the origin boundary condition f0 = lambda * f1
-    linking the irregular and regular coefficients.  Zero (to root-finding
+    linking the origin coefficients of the solution,
+
+        f0 = b_m (2 kappa)^{-|j|}   (irregular, r^{-|j|} part)
+        f1 = a_m (2 kappa)^{+|j|}   (regular, r^{+|j|} part);
+
+    the subleading terms of its small-r expansion carry positive powers of
+    r and drop out of the limits for |j| < 1/2.  Zero (to root-finding
     accuracy) exactly when kappa is a bound state of the extension."""
     _check_lambda(lam)
     if math.isinf(lam):
         raise ValueError("closure residual is defined for finite lambda")
-    bv = boundary_values(coeffs, kp)
-    lhs = bv.f0
-    rhs = lam * bv.f1
+    aj = kp.abs_j
+    if aj >= 0.5:
+        raise SectorError(f"the boundary closure requires |j| < 1/2, got |j| = {aj}")
+    two_kappa = 2.0 * kp.kappa
+    lhs = coeffs.b_m * two_kappa ** (-aj)
+    rhs = lam * (coeffs.a_m * two_kappa**aj)
     scale = max(abs(lhs), abs(rhs))
     if scale == 0.0:
         return 0.0

@@ -612,6 +612,20 @@ class TestWavefunctionCommand:
         assert values.size == 4000 and np.all(np.isfinite(values))
         assert np.count_nonzero(values[:-1] * values[1:] < 0.0) == root - 1
 
+    @pytest.mark.parametrize("root", [1, 3])
+    @pytest.mark.parametrize("m, flux", [(0, "0"), (-1, "1"), (0, "1e-16")])
+    @pytest.mark.parametrize("lam, branch", [("0", "regular"), ("inf", "irregular")])
+    def test_ladder_extension_where_the_ladders_meet(self, capsys, lam, branch, m, flux, root):
+        # at j = 0, and where 2|j| is lost in the rounding of a and a', both
+        # are the same integer and both normalizable coefficients vanish;
+        # lambda = 0 and inf still write their closed-form ladder state
+        common = [f"--m={m}", "--flux", flux, "--points", "300"]
+        code, out, err = run_cli(
+            capsys, ["wavefunction", f"--lambda={lam}", "--root", str(root), *common])
+        assert code == 0, err
+        assert run_cli(capsys, ["wavefunction", "--branch", branch, "--n", str(root), *common]) \
+            == (0, out, "")
+
     @pytest.mark.parametrize(
         "argv",
         [["--eta", "0"],  # kappa = 0: no closed-form bound state

@@ -24,12 +24,15 @@ from abcoulomb.oracle import (
 
 ATOMIC = PhysicalParams()
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# a fixed box of 200 Coulomb lengths on 4 000 points, which the
+# discretisation and refinement tests build their pencils on
+GRID = RadialGrid(r_min=1e-5, r_max=200.0, points=4000)
 
 
 def _box(j, n_max, points=BASE_POINTS):
     """The grid oracle_regular_spectrum derives for (j, n_max)."""
     t = n_max - 0.5 + abs(j)
-    return RadialGrid(r_max=max(35.0, 5.0 * t) * t, points=points)
+    return RadialGrid(r_min=1e-5, r_max=max(35.0, 5.0 * t) * t, points=points)
 
 
 def _romberg(j, n_max, grid):
@@ -51,12 +54,19 @@ def _bisected(op, n):
 
 def _count_below(op, eps):
     """Generalized eigenvalues of (A, M) below eps, by Sylvester's law of
-    inertia: the negative pivots of the LDL^T of the unscaled A - eps M."""
-    shifted = (op.diagonal - eps * op.mass).tolist()
+    inertia: the negative pivots of the LDL^T of the unscaled A - eps M.
+
+    In extended precision: in floats the pivots carry rounding of order
+    1e-16 of a diagonal that reaches 7e6 on 31 993 points, as wide as the
+    1e-9 windows the levels are held to, and the count missed the j = 0
+    ground state there."""
+    assert np.finfo(np.longdouble).eps <= 1e-18, "the Sturm count needs extended precision"
+    shifted = op.diagonal.astype(np.longdouble) - np.longdouble(eps) * op.mass
+    couplings = np.square(op.off_diagonal.astype(np.longdouble))
     pivot = shifted[0]
     negative = int(pivot < 0.0)
-    for a, b in zip(shifted[1:], op.off_diagonal.tolist()):
-        pivot = a - b * b / pivot
+    for a, b2 in zip(shifted[1:], couplings):
+        pivot = a - b2 / pivot
         negative += pivot < 0.0
     return negative
 
@@ -72,14 +82,14 @@ class TestRadialGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RadialGrid(r_min=0.0)
+            RadialGrid(r_min=0.0, r_max=200.0, points=4000)
         with pytest.raises(ValueError):
-            RadialGrid(r_min=2.0, r_max=1.0)
+            RadialGrid(r_min=2.0, r_max=1.0, points=4000)
         with pytest.raises(ValueError):
-            RadialGrid(points=10)
+            RadialGrid(r_min=1e-5, r_max=200.0, points=10)
 
     def test_refinement_halves_step(self):
-        grid = RadialGrid(points=500)
+        grid = replace(GRID, points=500)
         fine = grid.refined()
         h = np.diff(np.log(grid.nodes()))[0]
         h_fine = np.diff(np.log(fine.nodes()))[0]
@@ -90,19 +100,19 @@ class TestDiscretization:
     def test_matrix_symmetric(self):
         # one off-diagonal array serves both sides of A, so A = A^T holds by
         # construction; its size, the entries and the mass must be sound
-        op = discretize_h0(0.3, RadialGrid(points=300))
+        op = discretize_h0(0.3, replace(GRID, points=300))
         assert op.off_diagonal.shape == (op.diagonal.size - 1,)
         assert op.mass.shape == op.diagonal.shape
         assert np.all(np.isfinite(op.diagonal)) and np.all(np.isfinite(op.off_diagonal))
         assert np.all(op.mass > 0.0)
 
     def test_lowest_eigenvalue_matches_coulomb_ground(self):
-        op = discretize_h0(0.0, RadialGrid())
+        op = discretize_h0(0.0, GRID)
         assert _bisected(op, 1)[0] == pytest.approx(-4.0, rel=1e-4)
 
     @pytest.mark.parametrize(
         "grid",
-        [RadialGrid(), RadialGrid().refined(), RadialGrid(r_min=1e-30, r_max=1e6, points=100)],
+        [GRID, GRID.refined(), RadialGrid(r_min=1e-30, r_max=1e6, points=100)],
         ids=["default", "refined", "coarse-36-decades"],
     )
     @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
@@ -120,7 +130,7 @@ class TestDiscretization:
     def test_unrepresentable_pencil_refused(self, r_min):
         # the symmetrised entries reach 1/(h r_min)^2, whose squares overflow
         # or leave the Sturm counts blind to the levels
-        op = discretize_h0(0.3, RadialGrid(r_min=r_min, points=400))
+        op = discretize_h0(0.3, replace(GRID, r_min=r_min, points=400))
         with pytest.raises(ValueError, match="r_min"):
             bound_eigenvalues(op, np.array([-1.6, -0.5, -0.2]))
 
@@ -131,21 +141,20 @@ class TestRefinement:
     closed-form ladder and on each finer grid by the levels of the one
     before, each certified by Sturm counts."""
 
-    @pytest.mark.parametrize("grid", [RadialGrid(), RadialGrid().refined()],
-                             ids=["default", "refined"])
+    @pytest.mark.parametrize("grid", [GRID, GRID.refined(), replace(GRID, points=BASE_POINTS)],
+                             ids=["default", "refined", "base"])
     @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
     def test_refined_levels_match_sturm_count(self, grid, j):
-        # as test_levels_match_sturm_count, on the first two grids: on the
-        # third from 7 999 points, 31 989, the float LDL^T count of the
-        # unscaled pencil itself errs by more than the 1e-9 window at j = 0
-        for levels, g in zip(_three_grid_levels(j, 5, grid), (grid, grid.refined())):
+        # as test_levels_match_sturm_count, on all three grids
+        grids = (grid, grid.refined(), grid.refined().refined())
+        for levels, g in zip(_three_grid_levels(j, 5, grid), grids, strict=True):
             op = discretize_h0(j, g)
             assert len(levels) == 5
             for k, eps in enumerate(levels, start=1):
                 assert _count_below(op, eps - 1e-9 * abs(eps)) == k - 1
                 assert _count_below(op, eps + 1e-9 * abs(eps)) == k
 
-    @pytest.mark.parametrize("grid", [RadialGrid(), RadialGrid().refined()],
+    @pytest.mark.parametrize("grid", [GRID, GRID.refined()],
                              ids=["default", "refined"])
     @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
     def test_refined_levels_agree_with_bisection(self, grid, j):
@@ -166,7 +175,7 @@ class TestRefinement:
 
     @pytest.mark.parametrize("picks", [[1, 2], [1, 1]], ids=["shifted", "repeated"])
     def test_seed_at_wrong_level_refused(self, picks):
-        op = discretize_h0(0.3, RadialGrid())
+        op = discretize_h0(0.3, GRID)
         levels = _bisected(op, 3)
         assert bound_eigenvalues(op, levels) == pytest.approx(levels, rel=1e-10)
         with pytest.raises(GridConvergenceError, match="Sturm"):
@@ -175,7 +184,7 @@ class TestRefinement:
     def test_unrepresentable_pencil_refused_with_seeds(self):
         # the refusal holds for the closed-form ladder the oracle seeds with,
         # before any seed is refined
-        op = discretize_h0(0.3, RadialGrid(r_min=1e-80, points=400))
+        op = discretize_h0(0.3, replace(GRID, r_min=1e-80, points=400))
         with pytest.raises(ValueError, match="r_min"):
             bound_eigenvalues(op, oracle._ladder_seeds(0.3, 3))
 
@@ -314,7 +323,7 @@ class TestSpectrum:
         # three in accuracy when the mesh step halves (second order scheme)
         j = 0.25
         exact = -((1.0 / (1 - 0.5 + j)) ** 2)
-        coarse_grid = RadialGrid(points=1000)
+        coarse_grid = replace(GRID, points=1000)
         eps_c = _bisected(discretize_h0(j, coarse_grid), 1)[0]
         eps_f = _bisected(discretize_h0(j, coarse_grid.refined()), 1)[0]
         assert abs(eps_c - exact) >= 3.0 * abs(eps_f - exact)

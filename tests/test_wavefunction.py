@@ -15,12 +15,10 @@ from abcoulomb.wavefunction import (
     RadialProfile,
     ResolutionError,
     TruncationError,
+    _radial_values,
     boundary_closure_residual,
-    boundary_values,
     build_profile,
     normalize_and_count_nodes,
-    radial_solution,
-    small_r_expansion,
 )
 
 ATOMIC = PhysicalParams()
@@ -47,6 +45,28 @@ def longdouble_series_value(r, a_m, b_m, kappa, j, params=ATOMIC, nterms=200):
     value = a_m * x ** np.longdouble(aj) * np.exp(-x / 2) * series(a, b)
     value += b_m * x ** np.longdouble(-aj) * np.exp(-x / 2) * series(ap, bp)
     return float(value)
+
+
+def radial_solution(r, coeffs, kp):
+    """The radial solution at radius r, from the package's array path."""
+    return float(_radial_values(np.array([2.0 * kp.kappa * r]), coeffs, kp)[0])
+
+
+def small_r_expansion(r, coeffs, kp):
+    """Quadratic-order product expansion of the radial solution near the
+    origin, the independent reference for its origin behavior; valid for
+    x = 2 kappa r <= 0.1."""
+    x = 2.0 * kp.kappa * r
+    assert x <= 0.1, f"the small-r expansion requires x <= 0.1, got x = {x}"
+    aj = kp.abs_j
+    shared = x * x - 4.0 * x + 8.0
+    value = 0.0
+    for coeff, a, b, power in ((coeffs.a_m, kp.a, kp.b, aj),
+                               (coeffs.b_m, kp.a_prime, kp.b_prime, -aj)):
+        if coeff != 0.0:
+            quad = (a * a + a) * x * x + 2.0 * (a * x + b) * (b + 1.0)
+            value += coeff * shared * x**power * quad / (16.0 * b * (b + 1.0))
+    return value
 
 
 class TestRadialSolution:
@@ -86,17 +106,14 @@ class TestRadialSolution:
             ref = longdouble_series_value(r, 0.8, -0.4, 0.61, 0.35)
             assert ours == pytest.approx(ref, rel=1e-9)
 
-    def test_positive_radius_required(self):
-        kp = KummerParams.for_state(1.0, 0.2, ATOMIC)
-        with pytest.raises(ValueError):
-            radial_solution(0.0, SolutionCoefficients(1.0, 0.0), kp)
-
 
 def _kp(kappa, j):
     return KummerParams.for_state(kappa, j, ATOMIC)
 
 
 class TestSmallRExpansion:
+    """The array path against the test-local small-r expansion."""
+
     def test_regular_matches_full(self):
         coeffs = SolutionCoefficients(1.0, 0.0)
         kp = _kp(1.0, 0.2)
@@ -123,29 +140,29 @@ class TestSmallRExpansion:
         assert errors[1] < errors[0] / 4.0
         assert errors[2] < errors[1] / 4.0
 
-    def test_domain_guard(self):
-        kp = _kp(1.0, 0.2)
-        with pytest.raises(ValueError):
-            small_r_expansion(0.2, SolutionCoefficients(1.0, 0.0), kp)
-
-    def test_zero_limit_pure_regular(self):
-        kp = _kp(1.0, 0.2)
-        assert small_r_expansion(0.0, SolutionCoefficients(1.0, 0.0), kp) == 0.0
-
 
 class TestBoundaryValues:
+    """The closure residual of the origin coefficients f0 = b_m (2 kappa)^{-|j|}
+    and f1 = a_m (2 kappa)^{|j|}."""
+
     def test_pure_regular_has_zero_f0(self):
-        bv = boundary_values(SolutionCoefficients(1.3, 0.0), _kp(0.8, 0.2))
-        assert bv.f0 == 0.0
-        assert bv.f1 == pytest.approx(1.3 * 1.6**0.2)
+        # f0 = 0 = lambda f1 holds at lambda = 0 only
+        coeffs, kp = SolutionCoefficients(1.3, 0.0), _kp(0.8, 0.2)
+        assert boundary_closure_residual(coeffs, kp, 0.0) == 0.0
+        assert boundary_closure_residual(coeffs, kp, 0.5) == 1.0
+        # f0 / f1 = (b_m / a_m) 1.6^{-0.4} at 2 kappa = 1.6
+        closed = SolutionCoefficients(1.3, 0.5 * 1.3 * 1.6**0.4)
+        assert boundary_closure_residual(closed, kp, 0.5) <= 4e-16
 
     def test_unit_scale(self):
-        bv = boundary_values(SolutionCoefficients(0.0, 1.0), _kp(0.5, 0.2))
-        assert bv.f0 == pytest.approx(1.0)
+        # at 2 kappa = 1, f0 = b_m and f1 = a_m
+        kp, coeffs = _kp(0.5, 0.2), SolutionCoefficients(2.0, 1.0)
+        assert boundary_closure_residual(coeffs, kp, 0.5) == 0.0
+        assert boundary_closure_residual(coeffs, kp, 1.0) == 0.5
 
     def test_sector_guard(self):
         with pytest.raises(SectorError):
-            boundary_values(SolutionCoefficients(1.0, 0.5), _kp(1.0, 0.6))
+            boundary_closure_residual(SolutionCoefficients(1.0, 0.5), _kp(1.0, 0.6), 1.0)
 
     def test_closure_at_secular_roots(self):
         for lam in (-1.0, 1.0, -2.5, 0.7):
