@@ -174,11 +174,15 @@ def secular_function(kappa: float, lam: float, j: float, params: PhysicalParams)
 def normalizable_coefficients(kp: KummerParams) -> SolutionCoefficients:
     """Coefficients that cancel the growing large-x part by construction:
     a_m = Gamma(b')/Gamma(a'), b_m = -Gamma(b)/Gamma(a); on the parameters of
-    ``KummerParams.for_state`` a ladder state has an exactly zero coefficient."""
-    return SolutionCoefficients(
-        a_m=gamma(kp.b_prime) * reciprocal_gamma(kp.a_prime),
-        b_m=-gamma(kp.b) * reciprocal_gamma(kp.a),
-    )
+    ``KummerParams.for_state`` a ladder state has an exactly zero coefficient,
+    and a state whose 2|j| is below the rounding of a and a' has two: it is
+    the j = 0 limit, refused with SectorError."""
+    a_m = gamma(kp.b_prime) * reciprocal_gamma(kp.a_prime)
+    b_m = -gamma(kp.b) * reciprocal_gamma(kp.a)
+    if a_m == b_m == 0.0:
+        raise SectorError(f"a and a' round to the same integer {kp.a!r}: the state is the "
+                          "j = 0 limit, where the irregular solution is log r")
+    return SolutionCoefficients(a_m=a_m, b_m=b_m)
 
 
 def energy_from_kappa(

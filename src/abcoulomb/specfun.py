@@ -13,12 +13,11 @@ fixed number of numpy and scipy calls, not one per element:
   integer, DLMF 13.2.7 and 13.2.40) are a Laguerre polynomial, summed by
   its three-term recurrence: m array steps.
 - Any other 1F1 is scipy's ``hyp1f1``.
-- Any other U is scipy's ``hyperu`` up to ``X_SWITCH``, called at every x
-  only when that is cheaper than calling it at the Chebyshev points of
-  panels in ln x and summing the interpolants (Clenshaw), a non-finite
-  sample filled by the recurrence in a, and beyond
-  ``X_SWITCH`` the large-argument expansion (DLMF 13.7.3) by Horner's rule,
-  to one order fixed at the smallest x.
+- Any other U calls no scipy function.  From a start x_s that depends on
+  (a, b) alone, where the large-argument expansion (DLMF 13.7.3) keeps its
+  digits, U is that expansion by Horner's rule; below x_s it is Kummer's
+  equation integrated inward from the expansion's U and U' at x_s by
+  Taylor steps, the direction in which U dominates the other solution.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "GammaPoleError",
-    "X_SWITCH",
     "gamma",
     "reciprocal_gamma",
     "reciprocal_gamma_array",
@@ -38,9 +36,8 @@ __all__ = [
     "tricomi_u",
 ]
 
-# hyperu/asymptotic crossover for U.  At x = 30 the optimally truncated
-# expansion is good to about 1e-12 relative, and hyperu's error there stays
-# below 1e-10 of the peak of x^{|j|} e^{-x/2} U (verify's tricomi_u_switch).
+# Read only by the benchmark's tracer, which counts the profile samples
+# beyond it; U's large-x expansion starts at an x that depends on (a, b).
 X_SWITCH = 30.0
 
 
@@ -96,28 +93,37 @@ def reciprocal_gamma_array(z: np.ndarray) -> np.ndarray:
     return special.rgamma(np.asarray(z, dtype=float))
 
 
-def _asymptotic_alg_sum(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """sum_s (a)_s (a-b+1)_s / (s! (-x)^s) by Horner in -1/x, to one order
-    for the whole array: the order at which the terms at the smallest x
+def _asymptotic_ratios(a: float, b: float, x0: float) -> tuple[list[float], float, bool]:
+    """Ratios of the successive terms of sum_s (a)_s (a-b+1)_s / (s! (-x)^s)
+    up to one order for every x >= x0: the order at which the terms at x0
     reach their smallest, or drop below rounding of the sum, but never
     before term ceil(-a), since for a near a nonpositive integer the leading
     terms are O(1) and may grow before they decay.  The terms fall faster at
-    every larger x, so the order suits them too."""
-    y0 = -1.0 / float(np.min(x))
+    every larger x, so the order suits them too.  Also the sum at x0, and
+    whether it keeps its digits there: its terms drop below its rounding,
+    and none exceeds 16 times the sum."""
+    y0 = -1.0 / x0
     first_stop = math.ceil(-a)
     ratios = []
-    term = total = 1.0
+    term = total = largest = 1.0
     while True:
         s = len(ratios)
         ratio = (a + s) * (a - b + 1.0 + s) / (s + 1.0)
         nxt = term * ratio * y0
         if s >= first_stop and abs(nxt) >= abs(term):
-            break
+            return ratios, total, False
         ratios.append(ratio)
         total += nxt
+        largest = max(largest, abs(nxt))
         if abs(nxt) <= sys.float_info.epsilon * abs(total):
-            break
+            return ratios, total, largest <= 16.0 * abs(total)
         term = nxt
+
+
+def _asymptotic_alg_sum(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """sum_s (a)_s (a-b+1)_s / (s! (-x)^s) by Horner in -1/x, to the order
+    of ``_asymptotic_ratios`` at the smallest x."""
+    ratios = _asymptotic_ratios(a, b, float(np.min(x)))[0]
     y = -1.0 / x
     acc = np.ones_like(x)
     for ratio in reversed(ratios):
@@ -188,66 +194,82 @@ def kummer_1f1(a: float, b: float, x):
     return out if out.ndim else float(out)
 
 
-# U below X_SWITCH on many samples: Chebyshev interpolants in s = ln x on
-# panels of at most _PANEL_WIDTH, through _PANEL_NODES Chebyshev points
-# each.  U(a, b, e^s) is analytic in |Im s| < pi, so each interpolant
-# converges geometrically.  A panel's interpolant is kept only where its
-# last two coefficients are within _PANEL_TAIL of its largest, well above
-# the rounding of hyperu (about 1e-15).  Elsewhere U oscillates too fast
-# for the panel (finite-lambda roots from about the fifth on), or hyperu is
-# noisy (near b = 1 it is 1e-4 off relative at a = 0.95, b = 1.006,
-# x = 17) or not finite, and the panel's samples call hyperu directly, so
-# that no noisy point is spread over a panel.  On the finite-lambda
-# profiles of roots 1-12 the result agrees with hyperu at the samples to
-# 2e-14 of the peak of x^{|j|} e^{-x/2} U.
-_PANEL_WIDTH = 0.5
-_PANEL_NODES = 14
-_PANEL_TAIL = 1e-12
-_PANEL_ANGLES = np.pi * (np.arange(_PANEL_NODES) + 0.5) / _PANEL_NODES
-_PANEL_POINTS = np.cos(_PANEL_ANGLES)
-# values at the points -> Chebyshev coefficients (a DCT-II)
-_PANEL_DCT = np.cos(np.outer(_PANEL_ANGLES, np.arange(_PANEL_NODES))) * (2.0 / _PANEL_NODES)
-_PANEL_DCT[:, 0] *= 0.5
+def _expansion_start(a: float, b: float) -> tuple[float, float, float]:
+    """(x_s, U, x U') at the first x_s = 30 * 1.5^k at which the large-x
+    expansions of U(a, b, x) and of U(a + 1, b + 1, x), whose -a times is
+    U' (DLMF 13.3.22), both keep their digits.  At x = 30 the expansion
+    converges but may cancel: at b = 1.6 its largest term is 1.1e9 times
+    its sum at a = -20.3 and 6.4e12 times at a = -28.7, where x_s is 228
+    and 513."""
+    x = 30.0
+    while True:
+        _, sum_u, clean_u = _asymptotic_ratios(a, b, x)
+        _, sum_du, clean_du = _asymptotic_ratios(a + 1.0, b + 1.0, x)
+        if clean_u and clean_du:
+            power = x ** (-a)
+            return x, power * sum_u, -a * power * sum_du
+        x *= 1.5
 
 
-def _hyperu_panels(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """scipy's ``hyperu`` at x, called at every x or, when that takes more
-    calls, at the Chebyshev points of the panels that cover ln x and summed
-    by Clenshaw's recurrence.  A panel whose last two coefficients exceed
-    _PANEL_TAIL of its largest (a point where hyperu is noisy or not
-    finite) has hyperu called at its own samples instead."""
-    from scipy import special
+# Terms of the Taylor series about each point of the march: a step is at
+# most 1 - e^{-0.15} = 0.14 of the way to the singular point x = 0.
+_TAYLOR_TERMS = 24
 
-    if x.size <= _PANEL_NODES:
-        return special.hyperu(a, b, x)
-    s = np.log(x)
-    lo, hi = float(np.min(s)), float(np.max(s))
-    panels = max(1, math.ceil((hi - lo) / _PANEL_WIDTH))
-    if panels * _PANEL_NODES >= x.size:
-        return special.hyperu(a, b, x)
-    width = (hi - lo) / panels or _PANEL_WIDTH
-    centres = lo + width * (np.arange(panels) + 0.5)
-    points = np.exp(centres[:, None] + 0.5 * width * _PANEL_POINTS)
-    coef = special.hyperu(a, b, points) @ _PANEL_DCT
-    magnitude = np.abs(coef)
-    # written so that a nan coefficient fails the test too
-    converged = np.max(magnitude[:, -2:], axis=1) <= _PANEL_TAIL * np.max(magnitude, axis=1)
-    panel = np.minimum(((s - lo) / width).astype(np.intp), panels - 1)
-    t = (s - centres[panel]) * (2.0 / width)
-    # the samples' coefficients, one row per Chebyshev degree
-    coef = coef.T.take(panel, axis=1)
-    t2 = 2.0 * t
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
-    for row in coef[:0:-1]:
-        b0 = t2 * b1
-        b0 += row
-        b0 -= b2
-        b1, b2 = b0, b1
-    out = coef[0] + t * b1 - b2
-    if not converged.all():
-        direct = ~converged[panel]
-        out[direct] = special.hyperu(a, b, x[direct])
+
+def _kummer_march(a: float, b: float, start: tuple[float, float, float], x: np.ndarray) -> np.ndarray:
+    """U(a, b, x) at 0 < x < x_s: Kummer's equation x U'' + (b - x) U' - a U
+    = 0 integrated inward from ``start`` = (x_s, U, x U').  Inward, the other
+    solution e^x x^{a-b} decays past the turning point, and at the origin U
+    is the x^{1-b} (or log x) solution, so rounding does not grow.  A step
+    is at most 4 in x, where the other solution changes by e^4, and at most
+    min(0.15, 1/(|b/2 - a| + 1)) in ln x, about a radian of U's oscillation;
+    the steps depend on (a, b) alone.  A sample is the Taylor series about
+    the step point x_k above it in s = (x - x_k)/x_k, whose coefficients
+    d_n = x_k^n U^(n)(x_k)/n! obey Kummer's equation as
+    (n+1)(n+2) d_{n+2} = (n+a) x_k d_n - (n+1)(n+b-x_k) d_{n+1}."""
+    x_start, u, xu = start
+    if not math.isfinite(u + xu):  # U is beyond the float range at x_s
+        return np.full_like(x, math.nan)
+    shrink = math.exp(-min(0.15, 1.0 / (abs(0.5 * b - a) + 1.0)))
+    lo = float(np.min(x))
+    points = [x_start]
+    while points[-1] > lo:
+        points.append(max(points[-1] - 4.0, points[-1] * shrink))
+    points = np.array(points)
+    # d_n about every point of the two solutions with (U, x U') = (1, 0)
+    # and (0, 1) there, one row per power
+    n = np.arange(_TAYLOR_TERMS - 2.0)[:, None]
+    up = (n + a) / ((n + 1.0) * (n + 2.0)) * points
+    down = (n + b - points) / (n + 2.0)
+    d = np.zeros((_TAYLOR_TERMS, 2, points.size))
+    d[0, 0] = d[1, 1] = 1.0
+    for k in range(_TAYLOR_TERMS - 2):
+        np.multiply(up[k], d[k], out=d[k + 2])
+        d[k + 2] -= down[k] * d[k + 1]
+    # (U, x U') of both at the next point, s = x_{k+1}/x_k - 1: the steps'
+    # transfer matrices, chained from x_s
+    ratio = points[1:] / points[:-1]
+    powers = np.empty((_TAYLOR_TERMS, ratio.size))
+    powers[0] = 1.0
+    powers[1:] = ratio - 1.0
+    np.cumprod(powers, axis=0, out=powers)
+    step = d[:, :, :-1]
+    value = (step * powers[:, None]).sum(axis=0)
+    weights = np.arange(1.0, _TAYLOR_TERMS)[:, None] * powers[:-1]
+    slope = (step[1:] * weights[:, None]).sum(axis=0) * ratio
+    us, xus = [u], [xu]
+    for m00, m01, m10, m11 in zip(*value.tolist(), *slope.tolist()):
+        u, xu = m00 * u + m01 * xu, m10 * u + m11 * xu
+        us.append(u)
+        xus.append(xu)
+    coef = d[:, 0] * np.array(us) + d[:, 1] * np.array(xus)
+    # the point at or above each sample, and the sample's offset from it
+    k = points.size - 1 - np.searchsorted(points[::-1], x)
+    s = x / points[k] - 1.0
+    out = coef[-1].take(k)
+    for row in coef[-2::-1]:
+        out *= s
+        out += row.take(k)
     return out
 
 
@@ -256,12 +278,10 @@ def tricomi_u(a: float, b: float, x):
 
     When a or a-b+1 is the nonpositive integer -m, U is a power of x times a
     degree-m Laguerre polynomial (DLMF 13.2.7, 13.2.40), summed at every x by
-    the recurrence of ``kummer_1f1``.  Otherwise it is scipy's ``hyperu`` for
-    x <= X_SWITCH, called directly or through Chebyshev panels in ln x when
-    those take fewer calls, and beyond X_SWITCH the large-x expansion
-    (DLMF 13.7.3) by Horner's rule.  hyperu alone fails at large x when a
-    lies within rounding of a pole: at a = -1 + 1e-15, b = 1.6 and
-    x = 55-70 it is off by up to 7e5 times the value.
+    the recurrence of ``kummer_1f1``.  Otherwise it is the large-x expansion
+    (DLMF 13.7.3) by Horner's rule from the x_s of ``_expansion_start`` on,
+    and ``_kummer_march`` below; nan below x_s where U(a, b, x_s) is beyond
+    the float range (a below about -80).
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(xs > 0.0):
@@ -274,18 +294,10 @@ def tricomi_u(a: float, b: float, x):
             out *= xs**p
         return out if out.ndim else float(out)
     out = np.empty_like(xs)
-    small = xs <= X_SWITCH
-    out[small] = _hyperu_panels(a, b, xs[small])
-    # hyperu is not finite at a few x once a <~ -6 (a = -8.49, b = 1.6,
-    # x = 8.89): one step of the recurrence in a (DLMF 13.3.7) from a + 1, a + 2
-    bad = small & ~np.isfinite(out)
-    if bad.any():
-        from scipy import special
-
-        xb = xs[bad]
-        out[bad] = ((2.0 * a + 2.0 + xb - b) * special.hyperu(a + 1.0, b, xb)
-                    - (a + 1.0) * (a - b + 2.0) * special.hyperu(a + 2.0, b, xb))
-    large = xs[~small]
-    if large.size:
-        out[~small] = large ** (-a) * _asymptotic_alg_sum(a, b, large)
+    start = _expansion_start(a, b)
+    far = xs >= start[0]
+    if far.any():
+        out[far] = xs[far] ** (-a) * _asymptotic_alg_sum(a, b, xs[far])
+    if not far.all():
+        out[~far] = _kummer_march(a, b, start, xs[~far])
     return out if out.ndim else float(out)

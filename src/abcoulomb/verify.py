@@ -62,18 +62,24 @@ def _check_flag(name: str, ok: bool) -> CheckResult:
     return _check(name, 0.0 if ok else 1.0, 0.0)
 
 
+def _worst(residuals) -> float:
+    """The largest residual, nan if any is: Python's max drops a nan that is
+    not first (max(0.0, nan) is 0.0), and the check would pass on it."""
+    return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
+
+
 # ----------------------------------------------------------------- specfun
 
 
 def _checks_specfun() -> list[CheckResult]:
     out = []
     zs = np.linspace(0.1, 20.0, 397)
-    rec = max(
+    rec = _worst(
         abs(specfun.gamma(z + 1.0) / (z * specfun.gamma(z)) - 1.0) for z in zs
     )
     out.append(_check("specfun.gamma_recurrence", rec, 1e-12))
 
-    prod = max(
+    prod = _worst(
         abs(specfun.reciprocal_gamma(z) * specfun.gamma(z) - 1.0)
         for z in np.linspace(0.2, 30.0, 153)
     )
@@ -82,7 +88,7 @@ def _checks_specfun() -> list[CheckResult]:
     # Five-point central differences: the three-point stencil cannot reach
     # 1e-8 relative at x ~ 25 in double precision (rounding noise ~ eps/h^2
     # against truncation ~ h^2 bottoms out near 1e-7).
-    worst_ode = 0.0
+    ode = []
     h = 6e-3
     for a in (-2.3, -0.7, 0.4, 1.6, 3.2):
         for b in (0.6, 1.3, 2.8):
@@ -96,53 +102,31 @@ def _checks_specfun() -> list[CheckResult]:
                 d2 = (-yp2 + 16.0 * yp1 - 30.0 * y0 + 16.0 * ym1 - ym2) / (
                     12.0 * h * h
                 )
-                res = abs(x * d2 + (b - x) * d1 - a * y0) / max(1.0, abs(y0))
-                worst_ode = max(worst_ode, res)
-    out.append(_check("specfun.kummer_ode_residual", worst_ode, 1e-8))
+                ode.append(abs(x * d2 + (b - x) * d1 - a * y0) / max(1.0, abs(y0)))
+    out.append(_check("specfun.kummer_ode_residual", _worst(ode), 1e-8))
 
-    worst_kt = 0.0
+    transformation = []
     for a in (-1.7, 0.3, 1.2, 2.6):
         for b in (0.9, 1.4, 3.1):
             for x in (-20.0, -8.0, -1.0, 1.0, 8.0, 20.0):
                 lhs = math.exp(-x) * specfun.kummer_1f1(a, b, x)
                 rhs = specfun.kummer_1f1(b - a, b, -x)
-                worst_kt = max(worst_kt, abs(lhs / rhs - 1.0))
-    out.append(_check("specfun.kummer_transformation", worst_kt, 1e-10))
+                transformation.append(abs(lhs / rhs - 1.0))
+    out.append(_check("specfun.kummer_transformation", _worst(transformation), 1e-10))
 
-    # tricomi_u switches from hyperu to the asymptotic expansion at X_SWITCH;
-    # the jump there is judged against the peak of x^{|j|} e^{-x/2} U, as
-    # the profiles are, for irregular-ladder and off-ladder parameters.
-    grid = np.geomspace(1e-3, specfun.X_SWITCH, 200)
-    above = math.nextafter(specfun.X_SWITCH, math.inf)
-    worst_switch = 0.0
-    for b in (1.1, 1.5, 1.9):
-        aj = (b - 1.0) / 2.0
-        for a in (*np.linspace(-2.9, 0.9, 7), *(1.0 - n + 2.0 * aj for n in (1, 2, 3))):
-            peak = np.max(
-                np.abs(grid**aj * np.exp(-0.5 * grid) * specfun.tricomi_u(a, b, grid))
-            )
-            gap = abs(specfun.tricomi_u(a, b, specfun.X_SWITCH) - specfun.tricomi_u(a, b, above))
-            envelope = specfun.X_SWITCH**aj * math.exp(-0.5 * specfun.X_SWITCH)
-            worst_switch = max(worst_switch, gap * envelope / peak)
-    out.append(_check("specfun.tricomi_u_switch", worst_switch, 1e-10))
-
-    # on profile-sized meshes tricomi_u sums Chebyshev panels in ln x through
-    # hyperu's values at their points; judged against hyperu at every
-    # sample, on the peak as above, from 1e-4/kappa (x = 2e-4) and from an
-    # origin node
-    from scipy import special
-
-    worst_panels = 0.0
-    for x_lo in (2e-4, 1e-12):
-        mesh = np.geomspace(x_lo, 70.0, 4000)
-        mesh = mesh[mesh <= specfun.X_SWITCH]
-        for b in (1.006, 1.2, 1.6, 1.998):
-            envelope = mesh ** ((b - 1.0) / 2.0) * np.exp(-0.5 * mesh)
-            for a in (-3.7, -2.45, -1.3, -0.55, 0.2, 0.65, 0.95):
-                direct = envelope * special.hyperu(a, b, mesh)
-                gap = np.max(np.abs(envelope * specfun.tricomi_u(a, b, mesh) - direct))
-                worst_panels = max(worst_panels, gap / np.max(np.abs(direct)))
-    out.append(_check("specfun.tricomi_u_panels", worst_panels, 1e-10))
+    # W{M, U} = M U' - M' U = -Gamma(b)/Gamma(a) x^{-b} e^x (DLMF 13.2.34,
+    # 13.3.15, 13.3.22) relative to its two products; M is scipy's hyp1f1,
+    # which shares no code with U.  (a, b) span the finite-lambda states'
+    # U, from the edge b = 1 to the twentieth root.
+    x = np.geomspace(1e-3, 70.0, 400)
+    wronskian = []
+    for b in (1.006, 1.2, 1.6, 1.998):
+        for a in (-20.3, -12.45, -3.7, -2.45, -1.3, -0.55, 0.2, 0.65, 0.95):
+            m_du = -a * specfun.kummer_1f1(a, b, x) * specfun.tricomi_u(a + 1.0, b + 1.0, x)
+            dm_u = a / b * specfun.kummer_1f1(a + 1.0, b + 1.0, x) * specfun.tricomi_u(a, b, x)
+            exact = -specfun.gamma(b) * specfun.reciprocal_gamma(a) * x ** (-b) * np.exp(x)
+            wronskian.append(np.max(np.abs(m_du - dm_u - exact) / (np.abs(m_du) + np.abs(dm_u))))
+    out.append(_check("specfun.tricomi_u_wronskian", _worst(wronskian), 1e-10))
     return out
 
 
@@ -152,7 +136,7 @@ def _checks_specfun() -> list[CheckResult]:
 def _checks_model() -> list[CheckResult]:
     out = []
     phis = np.linspace(-12.3, 12.3, 247)
-    rt = max(
+    rt = _worst(
         abs(decompose_flux(p).n_integer + decompose_flux(p).beta - p) for p in phis
     )
     out.append(_check("model.flux_round_trip", rt, 1e-12))
@@ -187,8 +171,7 @@ def _checks_spectrum() -> list[CheckResult]:
     # every sum is exact, so the tolerances are 0.
     rng = np.random.default_rng(2024)
     parts_ok = True
-    worst_affine = 0.0
-    worst_spin = 0.0
+    affinity, splitting = [], []
     for _ in range(100):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(-8, 9))
@@ -210,7 +193,7 @@ def _checks_spectrum() -> list[CheckResult]:
                     hw * j, s * (hw / 2.0),
                 ]
             )
-            worst_affine = max(worst_affine, abs(affine))
+            affinity.append(abs(affine))
             up = spectrum.closed_form_energy(QuantumState(n, m, 1), rot, flux)
             dn = spectrum.closed_form_energy(QuantumState(n, m, -1), rot, flux)
             up_orbit, up_spin = rotation_parts(rot, j, 1)
@@ -223,20 +206,20 @@ def _checks_spectrum() -> list[CheckResult]:
                     hw,
                 ]
             )
-            worst_spin = max(worst_spin, abs(split))
+            splitting.append(abs(split))
     out.append(_check_flag("spectrum.energy_parts", parts_ok))
-    out.append(_check("spectrum.rotation_affinity", worst_affine, 0.0))
-    out.append(_check("spectrum.spin_splitting", worst_spin, 0.0))
+    out.append(_check("spectrum.rotation_affinity", _worst(affinity), 0.0))
+    out.append(_check("spectrum.spin_splitting", _worst(splitting), 0.0))
 
-    worst_kappa = 0.0
+    kappas = []
     for phi in (0.0, 0.3, 2.7):
         flux = decompose_flux(phi)
         for n in (1, 2, 4):
             st = QuantumState(n, 0, 1)
             res = spectrum.closed_form_energy(st, atomic, flux)
             back = kappa_of_energy(res.energy, st, atomic, flux)
-            worst_kappa = max(worst_kappa, abs(back / res.kappa - 1.0))
-    out.append(_check("spectrum.kappa_consistency", worst_kappa, 1e-12))
+            kappas.append(abs(back / res.kappa - 1.0))
+    out.append(_check("spectrum.kappa_consistency", _worst(kappas), 1e-12))
 
     # integer flux: levels group by |m + phi|, both spins together at
     # Omega = 0, and the detector agrees with a pairwise clustering
@@ -289,21 +272,19 @@ def _brute_force_groups(states, params, flux, tol):
 def _checks_secular() -> list[CheckResult]:
     out = []
     params = PhysicalParams()
-    worst_reg = 0.0
-    worst_irr = 0.0
-    worst_res = 0.0
+    limit_reg, limit_irr, residuals = [], [], []
     for j in (0.05, 0.2, 0.45):
         reg = solve_secular(0.0, j, params, 5)
         irr = solve_secular(math.inf, j, params, 5)
         for n in range(1, 6):
             k_reg = params.m_e * params.eta_prime / (n - 0.5 + j)
             k_irr = params.m_e * params.eta_prime / (n - 0.5 - j)
-            worst_reg = max(worst_reg, abs(reg[n - 1].kappa / k_reg - 1.0))
-            worst_irr = max(worst_irr, abs(irr[n - 1].kappa / k_irr - 1.0))
-            worst_res = max(worst_res, reg[n - 1].residual, irr[n - 1].residual)
-    out.append(_check("secular.limit_regular", worst_reg, 1e-10))
-    out.append(_check("secular.limit_irregular", worst_irr, 1e-10))
-    out.append(_check("secular.root_residuals", worst_res, 1e-10))
+            limit_reg.append(abs(reg[n - 1].kappa / k_reg - 1.0))
+            limit_irr.append(abs(irr[n - 1].kappa / k_irr - 1.0))
+            residuals += [reg[n - 1].residual, irr[n - 1].residual]
+    out.append(_check("secular.limit_regular", _worst(limit_reg), 1e-10))
+    out.append(_check("secular.limit_irregular", _worst(limit_irr), 1e-10))
+    out.append(_check("secular.root_residuals", _worst(residuals), 1e-10))
 
     free = PhysicalParams(eta=0.0)
     out.append(
@@ -335,7 +316,7 @@ def _checks_secular() -> list[CheckResult]:
     # ~ 1e339 is beyond the float range and must be refused, not relabelled.
     from scipy import special
 
-    worst_deep = 0.0
+    deep = []
     for lam, j in ((-0.001, 0.1), (-0.1, 0.01)):
         ratio = -(
             special.gamma(1.0 + 2.0 * j) * special.gamma(0.5 - j)
@@ -343,13 +324,13 @@ def _checks_secular() -> list[CheckResult]:
         )
         expected = 0.5 * ratio ** (1.0 / (2.0 * j))
         kappa = solve_secular(lam, j, params, 1)[0].kappa
-        worst_deep = max(worst_deep, abs(kappa / expected - 1.0))
+        deep.append(abs(kappa / expected - 1.0))
     try:
         solve_secular(-0.06, 0.0018, params, 1)
-        worst_deep = math.inf
+        deep.append(math.inf)
     except RootSearchError:
         pass
-    out.append(_check("secular.deep_ground_state", worst_deep, 1e-9))
+    out.append(_check("secular.deep_ground_state", _worst(deep), 1e-9))
     return out
 
 
@@ -377,9 +358,9 @@ def _secular_reference(t: float, lam: float, aj: float) -> float:
 def _checks_wavefunction() -> list[CheckResult]:
     out = []
     params = PhysicalParams()
-    worst_closure = 0.0
+    closure = []
     nodes_ok = True
-    worst_norm = 0.0
+    norm_change = []
     decay_ok = True
     # lambda = +-1 cannot tell f0 = lambda f1 from lambda f0 = f1
     for lam in (-1.0, 1.0, 0.3, -7.0):
@@ -389,7 +370,7 @@ def _checks_wavefunction() -> list[CheckResult]:
             for index, root in enumerate(roots, start=1):
                 kp = KummerParams.for_state(root.kappa, j, params)
                 coeffs = normalizable_coefficients(kp)
-                worst_closure = max(worst_closure, boundary_closure_residual(coeffs, kp, lam))
+                closure.append(boundary_closure_residual(coeffs, kp, lam))
                 profile = build_profile(coeffs, root.kappa, j, params)
                 norm, nodes = normalize_and_count_nodes(profile)
                 nodes_ok &= nodes == index - 1 and norm > 0.0 and math.isfinite(norm)
@@ -397,7 +378,7 @@ def _checks_wavefunction() -> list[CheckResult]:
                     coeffs, root.kappa, j, params, points=2 * len(profile.r)
                 )
                 norm2, _ = normalize_and_count_nodes(refined)
-                worst_norm = max(worst_norm, abs(norm / norm2 - 1.0))
+                norm_change.append(abs(norm / norm2 - 1.0))
                 tail = profile.r >= 30.0 / root.kappa
                 r0 = profile.r[tail][0]
                 bound = (
@@ -406,9 +387,9 @@ def _checks_wavefunction() -> list[CheckResult]:
                     * np.exp(-0.5 * root.kappa * (profile.r[tail] - r0))
                 )
                 decay_ok &= bool(np.all(np.abs(profile.values[tail]) <= bound))
-    out.append(_check("wavefunction.boundary_closure", worst_closure, 1e-8))
+    out.append(_check("wavefunction.boundary_closure", _worst(closure), 1e-8))
     out.append(_check_flag("wavefunction.node_counts", nodes_ok))
-    out.append(_check("wavefunction.norm_convergence", worst_norm, 1e-6))
+    out.append(_check("wavefunction.norm_convergence", _worst(norm_change), 1e-6))
     out.append(_check_flag("wavefunction.decay_envelope", decay_ok))
     return out
 
@@ -418,17 +399,17 @@ def _checks_wavefunction() -> list[CheckResult]:
 
 def _checks_oracle() -> list[CheckResult]:
     params = PhysicalParams()
-    worst = 0.0
+    errors = []
     # the last three need a box well beyond 200 Coulomb lengths, and the
     # last one's highest levels a two-grid gap near the accuracy bound
     for j, n_max in ((0.0, 3), (0.25, 3), (0.75, 3), (1.5, 3), (0.3, 10), (6.0, 7), (0.3, 30)):
         levels = oracle_mod.oracle_regular_spectrum(j, params, n_max)
         if len(levels) != n_max:
-            worst = math.inf
+            errors.append(math.inf)
         for ev in levels:
             exact = params.m_e * params.eta_prime / (ev.index - 0.5 + abs(j))
-            worst = max(worst, abs(ev.kappa / exact - 1.0))
-    return [_check("oracle.closed_form_agreement", worst, 1e-6)]
+            errors.append(abs(ev.kappa / exact - 1.0))
+    return [_check("oracle.closed_form_agreement", _worst(errors), 1e-6)]
 
 
 GROUPS = {

@@ -81,7 +81,6 @@ def test_criterion_9_special_function_suite():
             "specfun.reciprocal_gamma_product",
             "specfun.kummer_ode_residual",
             "specfun.kummer_transformation",
-            "specfun.tricomi_u_switch",
-            "specfun.tricomi_u_panels",
+            "specfun.tricomi_u_wronskian",
         ],
     )

@@ -24,7 +24,9 @@ from abcoulomb.model import (
     decompose_flux,
     is_singular_sector,
 )
+from abcoulomb.secular import solve_secular
 from abcoulomb.spectrum import closed_form_energy
+from abcoulomb.wavefunction import RadialProfile, normalize_and_count_nodes
 
 
 def run_cli(capsys, argv):
@@ -598,19 +600,41 @@ class TestWavefunctionCommand:
         values = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
         assert all(math.isfinite(v) for v in values)
 
-    @pytest.mark.parametrize("lam, flux, root", [("1", "0.3", 10), ("0.01", "0.1", 7)])
+    @pytest.mark.parametrize(
+        "lam, flux, root", [("1", "0.3", 10), ("0.01", "0.1", 7), ("1", "0.3", 12), ("1", "0.3", 20)]
+    )
     def test_secular_state_where_hyperu_is_not_finite(self, capsys, lam, flux, root):
-        # hyperu is nan at a few of these samples; the state is written, with
-        # one sign change per node
+        # hyperu is nan at a few of these samples (at most of them from root
+        # 12 on); the state is written, with one sign change per node
         code, out, err = run_cli(
             capsys,
             ["wavefunction", f"--lambda={lam}", "--flux", flux, "--root", str(root),
              "--points", "4000"],
         )
         assert code == 0, err
-        values = np.array([float(line.split(",")[1]) for line in out.strip().split("\n")[1:]])
+        rows = np.array([[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]])
+        r, values = rows.T
         assert values.size == 4000 and np.all(np.isfinite(values))
         assert np.count_nonzero(values[:-1] * values[1:] < 0.0) == root - 1
+        kappa = solve_secular(float(lam), float(flux), PhysicalParams(), root)[-1].kappa
+        _, nodes = normalize_and_count_nodes(RadialProfile(r=r, values=values, kappa=kappa))
+        assert nodes == root - 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--lambda=1", "--flux", "1e-15", "--root", "2"],
+         ["--lambda=1e-300", "--flux", "1e-16"],
+         ["--lambda=1e300", "--flux", "1e-16"],
+         ["--lambda=-1", "--flux", "5e-17", "--root", "2"]],
+    )
+    def test_finite_lambda_at_the_j_zero_limit_exits_3(self, capsys, argv):
+        # 2|j| is below the rounding of a and a', both are one integer, and
+        # both normalizable coefficients vanish: refused, as j = 0 is
+        code, out, err = run_cli(capsys, ["wavefunction", *argv])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "j = 0 limit" in err and "log r" in err
 
     @pytest.mark.parametrize("root", [1, 3])
     @pytest.mark.parametrize("m, flux", [(0, "0"), (-1, "1"), (0, "1e-16")])
@@ -840,6 +864,27 @@ class TestVerifyCommand:
         model = [c for name, c in checks.items() if name.startswith("model.")]
         assert model and all(c["pass"] for c in model)
         assert "FAIL oracle.error: GridConvergenceError: level 3 not resolved" in err
+
+    @pytest.mark.parametrize(
+        "kernel, check",
+        [("kummer_1f1", "specfun.kummer_ode_residual"), ("tricomi_u", "specfun.tricomi_u_wronskian")],
+    )
+    def test_nan_residual_fails_its_check(self, capsys, monkeypatch, kernel, check):
+        # a kernel that returns nan at one point: the check's residual is nan,
+        # not the largest of the others
+        original = getattr(specfun, kernel)
+
+        def nan_near_25(a, b, x):
+            values = np.array(original(a, b, x), dtype=float)
+            values[np.abs(np.asarray(x) - 25.0) < 0.5] = math.nan
+            return values if values.ndim else float(values)
+
+        monkeypatch.setattr(specfun, kernel, nan_near_25)
+        code, out, err = run_cli(capsys, ["verify", "--only", "specfun"])
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks[check]["pass"] is False and math.isnan(checks[check]["residual"])
+        assert f"FAIL {check}" in err
 
     def test_argument_dependent_fault_fails_recurrence(self, capsys, monkeypatch):
         original = specfun.gamma

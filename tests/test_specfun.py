@@ -16,7 +16,6 @@ from abcoulomb.secular import (
 )
 from abcoulomb.specfun import (
     GammaPoleError,
-    X_SWITCH,
     gamma,
     kummer_1f1,
     reciprocal_gamma,
@@ -26,6 +25,10 @@ from abcoulomb.specfun import (
 from abcoulomb.wavefunction import build_profile
 
 SQRT_PI = 1.7724538509055160
+# The large-x expansion's first candidate start: for mild (a, b) U is the
+# expansion from here on and the march below it, for others the march runs
+# on through it.  Either way U is continuous across it.
+X_SWITCH = 30.0
 
 
 class TestGamma:
@@ -239,7 +242,7 @@ class TestAsymptotic:
             assert tricomi_u(0.5, 3.5, x) == pytest.approx(ref, rel=1e-14)
 
     def test_series_asymptotic_crossover(self):
-        # hyperu at X_SWITCH against the asymptotic branch just above it
+        # U at X_SWITCH against U just above it
         below = tricomi_u(0.5, 2.0, X_SWITCH)
         above = tricomi_u(0.5, 2.0, math.nextafter(X_SWITCH, math.inf))
         assert above == pytest.approx(below, rel=1e-12)
@@ -364,9 +367,10 @@ def test_profile_meshes_cover_the_origin_node_start():
     "lam, aj, root, a, b, x", PROFILE_MESHES, ids=[f"{m[0]}-{m[1]}-{m[2]}" for m in PROFILE_MESHES]
 )
 def test_u_on_profile_meshes_against_mpmath(lam, aj, root, a, b, x):
-    """U on a whole 4000-point profile mesh, the Chebyshev panels below
-    X_SWITCH and the Horner expansion beyond, against 30-digit mpmath at
-    every 53rd sample, within 2e-11 of the peak of x^{|j|} e^{-x/2} U."""
+    """U on a whole 4000-point profile mesh, the march below the
+    expansion's start and the Horner expansion beyond, against 30-digit
+    mpmath at every 53rd sample, within 2e-11 of the peak of
+    x^{|j|} e^{-x/2} U."""
     ours = tricomi_u(a, b, x)
     envelope, peak = _envelope_peak(aj, x, ours)
     sample = slice(0, None, 53)
@@ -378,9 +382,8 @@ def test_u_on_profile_meshes_against_mpmath(lam, aj, root, a, b, x):
 @pytest.mark.parametrize("lam, aj, root", [(1.0, 0.3, 10), (0.01, 0.1, 7)])
 def test_u_where_hyperu_is_not_finite(lam, aj, root):
     """scipy's hyperu is nan at a few samples of these profile meshes
-    (a <~ -6); there U is one step of the recurrence in a.  Those samples
-    and every 53rd are within 2e-11 of the peak of x^{|j|} e^{-x/2} U
-    against 30-digit mpmath."""
+    (a <~ -6).  Those samples and every 53rd are within 2e-11 of the peak
+    of x^{|j|} e^{-x/2} U against 30-digit mpmath."""
     from scipy import special
 
     kappa = solve_secular(lam, aj, ATOMIC, root)[-1].kappa
@@ -396,21 +399,58 @@ def test_u_where_hyperu_is_not_finite(lam, aj, root):
     assert np.max(np.abs(envelope[sample] * (ours[sample] - ref))) <= 2e-11 * peak
 
 
-def test_panels_agree_with_direct_hyperu():
-    """The same meshes in chunks of 8 samples, each below the cost of one
-    panel, so every sample goes straight to hyperu."""
-    for lam, aj, root, a, b, x in PROFILE_MESHES:
-        ours = tricomi_u(a, b, x)
-        direct = np.concatenate([tricomi_u(a, b, chunk) for chunk in np.array_split(x, x.size // 8)])
+@pytest.mark.parametrize("aj", [1e-9, 1e-6, 0.3, 0.49])
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+def test_finite_lambda_profiles_through_root_30(lam, aj):
+    """Roots 1, 3, 12, 20 and 30 of lambda = +-1 are built, and their U is
+    within 1e-10 of the peak of x^{|j|} e^{-x/2} U against 30-digit mpmath
+    at every 40th sample: the |j| -> 0 edge, where hyperu loses digits, and
+    the high roots, where it is not finite."""
+    roots = solve_secular(lam, aj, ATOMIC, 30)
+    for index in (1, 3, 12, 20, 30):
+        kappa = roots[index - 1].kappa
+        kp = KummerParams.for_state(kappa, aj, ATOMIC)
+        profile = build_profile(normalizable_coefficients(kp), kappa, aj, ATOMIC)
+        x = 2.0 * kappa * profile.r
+        ours = tricomi_u(kp.a, kp.b, x)
         envelope, peak = _envelope_peak(aj, x, ours)
-        assert np.max(np.abs(envelope * (ours - direct))) <= 2e-11 * peak, (lam, aj, root)
+        sample = slice(0, None, 40)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.hyperu(kp.a, kp.b, v)) for v in x[sample].tolist()])
+        assert np.max(np.abs(envelope[sample] * (ours[sample] - ref))) <= 1e-10 * peak, index
 
 
-def test_noisy_panels_call_hyperu_at_their_samples():
-    """Near b = 1 hyperu is noisy at x = 10-30 (1e-4 off relative at
-    a = 0.95, b = 1.006, x = 17).  An interpolant through such points
-    spreads their error over its panel: 2.2e-10 of the peak on this
-    |j| = 0.001 profile mesh, where hyperu at the samples reads 2.4e-11."""
+@pytest.mark.parametrize(
+    "a, b, x", [(0.3, 1.4, [1e-3, 1.0, 300.0, 1e4]), (-28.7, 1.4, [0.01, 30.0, 100.0, 600.0])]
+)
+def test_u_on_mixed_arrays_against_mpmath(a, b, x):
+    """One array with x far below and far above the expansion's start
+    (x_s = 45 and 513 here) against 30-digit mpmath, within 1e-13 of
+    |U| + x|U'|/(1 + |a|).  That is |U| up to a factor of about 2, except
+    next to a zero of U (x = 100 at a = -28.7, where U is 1/300 of its
+    neighbours).  At a = -28.7 the expansion at x = 30 cancels to 1e-4."""
+    ours = tricomi_u(a, b, np.array(x))
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.hyperu(a, b, v)) for v in x])
+        slope = np.array([float(-a * v * mpmath.hyperu(a + 1, b + 1, v)) for v in x])
+    scale = np.abs(ref) + np.abs(slope) / (1.0 + abs(a))
+    assert np.max(np.abs(ours - ref) / scale) <= 1e-13
+
+
+def test_array_call_agrees_with_calls_on_its_pieces():
+    """A mesh in one call and in pieces of a few hundred samples, each with
+    its own smallest and largest x, agree within 2e-11 of the peak."""
+    for lam, aj, root, a, b, x in PROFILE_MESHES[::17]:
+        ours = tricomi_u(a, b, x)
+        pieces = np.concatenate([tricomi_u(a, b, chunk) for chunk in np.array_split(x, 13)])
+        envelope, peak = _envelope_peak(aj, x, ours)
+        assert np.max(np.abs(envelope * (ours - pieces))) <= 2e-11 * peak, (lam, aj, root)
+
+
+def test_u_near_b_one_where_hyperu_is_noisy():
+    """Near b = 1 scipy's hyperu is noisy at x = 10-30 (1e-4 off relative
+    at a = 0.95, b = 1.006, x = 17).  On this |j| = 0.001 profile mesh U is
+    within 1e-10 of the peak of x^{|j|} e^{-x/2} U there."""
     aj = 0.001
     a, b = 0.5 + aj - 1.85, 1.0 + 2.0 * aj
     x = np.geomspace(2e-4, 70.0, 4000)
@@ -422,20 +462,25 @@ def test_noisy_panels_call_hyperu_at_their_samples():
     assert np.max(np.abs(envelope[sample] * (ours[sample] - ref))) <= 1e-10 * peak
 
 
-def test_profiles_call_hyperu_fewer_times_than_samples(monkeypatch):
-    """A profile mesh takes the panel path, not one hyperu call per sample."""
+def test_u_calls_nothing_in_scipy_special(monkeypatch):
+    """U, terminating or not, on profile meshes and on arrays that mix small
+    and large x, is computed with scipy.special out of reach: its hyperu
+    raises, and importing it fails."""
+    import sys
+
+    import scipy
     from scipy import special
 
-    calls = []
-    hyperu = special.hyperu
-    monkeypatch.setattr(special, "hyperu", lambda a, b, x: calls.append(np.size(x)) or hyperu(a, b, x))
-    for *_, a, b, x in PROFILE_MESHES:
-        calls.clear()
-        tricomi_u(a, b, x)
-        # first at whole panels' points, then at the samples of any panel
-        # where hyperu is noisy; fewer calls than samples in all
-        assert calls[0] % specfun._PANEL_NODES == 0 and len(calls) <= 2
-        assert sum(calls) < np.count_nonzero(x <= X_SWITCH)
+    def refuse(*args):
+        raise AssertionError("scipy.special.hyperu called")
+
+    monkeypatch.setattr(special, "hyperu", refuse)
+    monkeypatch.delattr(scipy, "special", raising=False)
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
+    for *_, a, b, x in PROFILE_MESHES[::9]:
+        assert np.all(np.isfinite(tricomi_u(a, b, x)))
+    assert np.all(np.isfinite(tricomi_u(-28.7, 1.4, np.array([0.01, 30.0, 100.0, 600.0]))))
+    assert math.isfinite(tricomi_u(0.5, 3.5, 2.0))
 
 
 @pytest.mark.parametrize(
