@@ -38,6 +38,7 @@ from .secular import (
     RootSearchError,
     SolutionCoefficients,
     _check_lambda,
+    _require_extension_sector,
     energy_from_kappa,
     normalizable_coefficients,
     solve_secular,
@@ -49,7 +50,6 @@ __all__ = ["main", "ScanSpec"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
 CSV_HEADER = "scan_var,scan_value,n,m,s,branch,energy,kappa,exists"
@@ -150,6 +150,16 @@ def _parse_levels(text: str) -> list[int]:
     if min(levels) < 1:
         raise argparse.ArgumentTypeError("n entries must be >= 1")
     return levels
+
+
+def _single(parse):
+    """The one entry of what ``parse`` reads; a list is an invalid single value."""
+
+    def single(text: str) -> int:
+        (value,) = parse(text)
+        return value
+
+    return single
 
 
 def _parse_lambda(text: str) -> float:
@@ -381,11 +391,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_secular(args: argparse.Namespace) -> int:
     params = _params(args)
-    j = args.j if args.j is not None else args.m[0] + args.flux
-    if len(args.spin) != 1:
-        print("error: secular energies need a single --spin", file=sys.stderr)
-        return EXIT_USAGE
-    s = args.spin[0]
+    j = args.j if args.j is not None else args.m + args.flux
     try:
         roots = solve_secular(args.lam, j, params, args.count)
     except (SectorError, RootSearchError) as exc:
@@ -394,7 +400,7 @@ def _cmd_secular(args: argparse.Namespace) -> int:
     except (OverflowError, ZeroDivisionError):  # eta / hbar**2, or 1/Gamma at a huge count
         print("error: the secular roots are beyond the float range", file=sys.stderr)
         return EXIT_REFUSED
-    energies = [energy_from_kappa(r.kappa, j, s, params) for r in roots]
+    energies = [energy_from_kappa(r.kappa, j, args.spin, params) for r in roots]
     for i, (root, energy) in enumerate(zip(roots, energies), start=1):
         if not math.isfinite(energy):
             print(
@@ -420,36 +426,26 @@ def _cmd_secular(args: argparse.Namespace) -> int:
 def _cmd_wavefunction(args: argparse.Namespace) -> int:
     params = _params(args)
     flux = decompose_flux(args.flux)
-    m = args.m[0]
-    j = m + flux.phi
-    n, branch, coeffs = args.n[0], args.branch, None
+    j = args.m + flux.phi
+    n, branch = args.n, args.branch
     try:
-        if args.lam is not None:
-            roots = solve_secular(args.lam, j, params, args.root)
-            if len(roots) < args.root:
-                raise ExistenceError(
-                    f"lambda = {args.lam} has no bound state {args.root} "
-                    f"(it has {len(roots)})"
-                )
-            kappa = roots[args.root - 1].kappa
-            kp = KummerParams.for_state(kappa, j, params)
-            if args.lam in (0.0, math.inf) and kp.a == kp.a_prime:
-                # 2|j| is below the rounding of a and a': both are the
-                # ladder's nonpositive integer, both normalizable
-                # coefficients vanish, and the two ladders are one state,
-                # the closed form's
-                n, branch = args.root, REGULAR if args.lam == 0.0 else IRREGULAR
-            else:
-                coeffs = normalizable_coefficients(kp)
-        if coeffs is None:
-            state = QuantumState(n=n, m=m, s=args.spin[0], branch=branch)
-            level = closed_form_energy(state, params, flux)
+        if args.lam in (0.0, math.inf):  # their states are the ladders', at |j| < 1/2
+            _require_extension_sector(args.lam, j)
+            n, branch = args.root, REGULAR if args.lam == 0.0 else IRREGULAR
+        if args.lam in (None, 0.0, math.inf):
+            level = closed_form_energy(QuantumState(n, args.m, args.spin, branch), params, flux)
             if not level.exists:
                 raise ExistenceError(f"no bound state: kappa = {level.kappa!r}")
             kappa = level.kappa
-            # the ladder's own piece: normalizable_coefficients vanishes at
-            # j = 0 and needs Gamma(1 - 2|j|), which has poles at integer 2|j|
+            # the ladder's own piece, x^{+-|j|} e^{-x/2} L_{n-1}^{(+-2|j|)}(x)
             coeffs = SolutionCoefficients(*((1.0, 0.0) if branch == REGULAR else (0.0, 1.0)))
+        else:
+            roots = solve_secular(args.lam, j, params, args.root)
+            if len(roots) < args.root:
+                raise ExistenceError(
+                    f"lambda = {args.lam} has no bound state {args.root} (it has {len(roots)})")
+            kappa = roots[-1].kappa
+            coeffs = normalizable_coefficients(KummerParams.for_state(kappa, j, params))
         profile = build_profile(coeffs, kappa, j, params, points=args.points)
     except (SectorError, RootSearchError, ExistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -514,17 +510,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="extension parameter (finite float or 'inf')")
     se.add_argument("--j", type=_finite("j"), default=None,
                     help="effective angular momentum; default m + flux")
-    se.add_argument("--m", type=_parse_int_list, default=[0])
-    se.add_argument("--spin", type=_parse_spins, default=[1])
+    se.add_argument("--m", type=_single(_parse_int_list), default=0)
+    se.add_argument("--spin", type=_single(_parse_spins), default=1)
     se.add_argument("--count", type=_int_at_least(1), default=3)
     _add_output_flags(se)
     se.set_defaults(handler=_cmd_secular)
 
     wv = sub.add_parser("wavefunction", help="export a radial profile as CSV (r,F)")
     _add_physics_flags(wv)
-    wv.add_argument("--n", type=_parse_levels, default=[1])
-    wv.add_argument("--m", type=_parse_int_list, default=[0])
-    wv.add_argument("--spin", type=_parse_spins, default=[1])
+    wv.add_argument("--n", type=_single(_parse_levels), default=1)
+    wv.add_argument("--m", type=_single(_parse_int_list), default=0)
+    wv.add_argument("--spin", type=_single(_parse_spins), default=1)
     wv.add_argument("--branch", choices=(REGULAR, IRREGULAR), default=REGULAR)
     wv.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
                     help="build the state of this extension instead of a closed form")

@@ -194,20 +194,22 @@ def kummer_1f1(a: float, b: float, x):
     return out if out.ndim else float(out)
 
 
-def _expansion_start(a: float, b: float) -> tuple[float, float, float]:
-    """(x_s, U, x U') at the first x_s = 30 * 1.5^k at which the large-x
-    expansions of U(a, b, x) and of U(a + 1, b + 1, x), whose -a times is
-    U' (DLMF 13.3.22), both keep their digits.  At x = 30 the expansion
-    converges but may cancel: at b = 1.6 its largest term is 1.1e9 times
-    its sum at a = -20.3 and 6.4e12 times at a = -28.7, where x_s is 228
-    and 513."""
+def _expansion_start(a: float, b: float) -> tuple[float, float, float, int]:
+    """(x_s, u, x u', e) with (U, x U') = (u, x u') 2^e at the first
+    x_s = 30 * 1.5^k at which the large-x expansions of U(a, b, x) and of
+    U(a + 1, b + 1, x), whose -a times is U' (DLMF 13.3.22), both keep
+    their digits.  At x = 30 the expansion converges but may cancel: at
+    b = 1.6 its largest term is 1.1e9 times its sum at a = -20.3 and 6.4e12
+    times at a = -28.7, where x_s is 228 and 513."""
     x = 30.0
     while True:
         _, sum_u, clean_u = _asymptotic_ratios(a, b, x)
         _, sum_du, clean_du = _asymptotic_ratios(a + 1.0, b + 1.0, x)
         if clean_u and clean_du:
-            power = x ** (-a)
-            return x, power * sum_u, -a * power * sum_du
+            # x^{-a} = m^{-a} 2^{ek} 2^{e(-a-k)}, x = m 2^e: beyond floats from a ~ -80
+            (m, e), k = math.frexp(x), math.floor(-a)
+            power, shift = math.frexp(m ** (-a) * 2.0 ** (e * (-a - k)))
+            return x, power * sum_u, -a * power * sum_du, e * k + shift
         x *= 1.5
 
 
@@ -216,20 +218,19 @@ def _expansion_start(a: float, b: float) -> tuple[float, float, float]:
 _TAYLOR_TERMS = 24
 
 
-def _kummer_march(a: float, b: float, start: tuple[float, float, float], x: np.ndarray) -> np.ndarray:
+def _kummer_march(a: float, b: float, start: tuple, x: np.ndarray) -> np.ndarray:
     """U(a, b, x) at 0 < x < x_s: Kummer's equation x U'' + (b - x) U' - a U
-    = 0 integrated inward from ``start`` = (x_s, U, x U').  Inward, the other
-    solution e^x x^{a-b} decays past the turning point, and at the origin U
-    is the x^{1-b} (or log x) solution, so rounding does not grow.  A step
-    is at most 4 in x, where the other solution changes by e^4, and at most
-    min(0.15, 1/(|b/2 - a| + 1)) in ln x, about a radian of U's oscillation;
-    the steps depend on (a, b) alone.  A sample is the Taylor series about
-    the step point x_k above it in s = (x - x_k)/x_k, whose coefficients
-    d_n = x_k^n U^(n)(x_k)/n! obey Kummer's equation as
-    (n+1)(n+2) d_{n+2} = (n+a) x_k d_n - (n+1)(n+b-x_k) d_{n+1}."""
-    x_start, u, xu = start
-    if not math.isfinite(u + xu):  # U is beyond the float range at x_s
-        return np.full_like(x, math.nan)
+    = 0 integrated inward from ``start`` = (x_s, u, x u', e).  Inward, the
+    other solution e^x x^{a-b} decays past the turning point, and at the
+    origin U is the x^{1-b} (or log x) solution, so rounding does not grow.
+    A step is at most 4 in x, where the other solution changes by e^4, and
+    at most min(0.15, 1/(|b/2 - a| + 1)) in ln x, about a radian of U's
+    oscillation; the steps depend on (a, b) alone.  A sample is the Taylor
+    series about the step point x_k above it in s = (x - x_k)/x_k, whose
+    coefficients d_n = x_k^n U^(n)(x_k)/n! obey Kummer's equation as
+    (n+1)(n+2) d_{n+2} = (n+a) x_k d_n - (n+1)(n+b-x_k) d_{n+1}, on the
+    scale 2^e that (U, x U') carries at x_k."""
+    x_start, u, xu, exponent = start
     shrink = math.exp(-min(0.15, 1.0 / (abs(0.5 * b - a) + 1.0)))
     lo = float(np.min(x))
     points = [x_start]
@@ -257,11 +258,16 @@ def _kummer_march(a: float, b: float, start: tuple[float, float, float], x: np.n
     value = (step * powers[:, None]).sum(axis=0)
     weights = np.arange(1.0, _TAYLOR_TERMS)[:, None] * powers[:-1]
     slope = (step[1:] * weights[:, None]).sum(axis=0) * ratio
-    us, xus = [u], [xu]
+    us, xus, exponents = [u], [xu], [exponent]
     for m00, m01, m10, m11 in zip(*value.tolist(), *slope.tolist()):
         u, xu = m00 * u + m01 * xu, m10 * u + m11 * xu
+        # rescaled only outside |(u, x u')| = 2^{+-256}: d_n reach 2^207 at x_s = 5 839
+        if not 2.0**-512 < u * u + xu * xu < 2.0**512:
+            shift = math.frexp(abs(u) + abs(xu))[1]
+            u, xu, exponent = math.ldexp(u, -shift), math.ldexp(xu, -shift), exponent + shift
         us.append(u)
         xus.append(xu)
+        exponents.append(exponent)
     coef = d[:, 0] * np.array(us) + d[:, 1] * np.array(xus)
     # the point at or above each sample, and the sample's offset from it
     k = points.size - 1 - np.searchsorted(points[::-1], x)
@@ -270,7 +276,7 @@ def _kummer_march(a: float, b: float, start: tuple[float, float, float], x: np.n
     for row in coef[-2::-1]:
         out *= s
         out += row.take(k)
-    return out
+    return np.ldexp(out, np.array(exponents, dtype=np.int32).take(k))  # int32: 4x int64's speed
 
 
 def tricomi_u(a: float, b: float, x):
@@ -280,8 +286,8 @@ def tricomi_u(a: float, b: float, x):
     degree-m Laguerre polynomial (DLMF 13.2.7, 13.2.40), summed at every x by
     the recurrence of ``kummer_1f1``.  Otherwise it is the large-x expansion
     (DLMF 13.7.3) by Horner's rule from the x_s of ``_expansion_start`` on,
-    and ``_kummer_march`` below; nan below x_s where U(a, b, x_s) is beyond
-    the float range (a below about -80).
+    and ``_kummer_march`` below, which holds U at x_s as a mantissa and a
+    binary exponent, so U is finite wherever it is a float.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(xs > 0.0):

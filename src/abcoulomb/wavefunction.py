@@ -12,9 +12,9 @@ N = x^{|j|} e^{-x/2} U(a, b, x) (DLMF 13.2.42), so F is sampled as
     F = beta R - 2|j| alpha N,   alpha = b_m / b_m^N,   beta = a_m - alpha a_m^N
 
 and beta is exactly 0 for a bound state: no growing piece is cancelled
-numerically.  On the regular ladder b_m^N is exactly 0 (see
-``KummerParams.for_state``), R terminates, and F is sampled as
-a_m R + b_m I.
+numerically.  On either ladder a or a' is exactly a nonpositive integer
+(see ``KummerParams.for_state``), its 1F1 is a multiple of
+L_{n-1}^{(+-2|j|)}(x) (DLMF 13.6.19), and F is sampled as a_m R + b_m I.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .model import PhysicalParams, SectorError
 from .secular import KummerParams, SolutionCoefficients, _check_lambda, normalizable_coefficients
-from .specfun import gamma, kummer_1f1, reciprocal_gamma, tricomi_u
+from .specfun import _is_nonpositive_integer, kummer_1f1, tricomi_u
 
 __all__ = [
     "ResolutionError",
@@ -64,28 +64,25 @@ class RadialProfile:
 
 
 def _radial_values(x: np.ndarray, coeffs: SolutionCoefficients, kp: KummerParams) -> np.ndarray:
-    """a_m R + b_m I at every x, sampled as beta R - 2|j| alpha N."""
+    """a_m R + b_m I at every x: piece by piece on a ladder, elsewhere as
+    beta R - 2|j| alpha N."""
     aj = kp.abs_j
-    # b_m^N on its own: a_m^N needs Gamma(b'), which has poles at integer
-    # 2|j|, and is only read when alpha != 0; Gamma(b) overflows for
-    # |j| > 85, so it is formed only off the regular ladder
-    rg_a = reciprocal_gamma(kp.a)
-    b_norm = -gamma(kp.b) * rg_a if rg_a else 0.0
-    alpha = coeffs.b_m / b_norm if b_norm else 0.0
-    beta = coeffs.a_m - alpha * normalizable_coefficients(kp).a_m if alpha else coeffs.a_m
-    regular = np.zeros_like(x)
-    if beta:
-        regular += beta * kummer_1f1(kp.a, kp.b, x)
-    if alpha and aj:
-        regular -= 2.0 * aj * alpha * tricomi_u(kp.a, kp.b, x)
     # x^{+-|j|} e^{-x/2} as one exponential: at large |j| the power alone
     # overflows past the peak x = 2|j| of the product
     log_x = np.log(x)
-    values = regular * np.exp(aj * log_x - 0.5 * x)
-    if coeffs.b_m and not b_norm:
-        # on the regular ladder I has no N to be folded into
-        values += coeffs.b_m * kummer_1f1(kp.a_prime, kp.b_prime, x) * np.exp(-aj * log_x - 0.5 * x)
-    return values
+    if _is_nonpositive_integer(kp.a) or _is_nonpositive_integer(kp.a_prime):
+        pieces = [c * kummer_1f1(a, b, x) * np.exp(p * log_x - 0.5 * x) for c, a, b, p in (
+            (coeffs.a_m, kp.a, kp.b, aj), (coeffs.b_m, kp.a_prime, kp.b_prime, -aj)) if c]
+        return sum(pieces[1:], pieces[0])  # a lone piece as it is, -0.0 and all
+    alpha, beta = 0.0, coeffs.a_m
+    if coeffs.b_m:  # only then: a_m^N needs Gamma(b'), which has poles at integer 2|j|
+        normalizable = normalizable_coefficients(kp)
+        alpha = coeffs.b_m / normalizable.b_m
+        beta = coeffs.a_m - alpha * normalizable.a_m
+    regular = beta * kummer_1f1(kp.a, kp.b, x) if beta else np.zeros_like(x)
+    if alpha and aj:
+        regular -= 2.0 * aj * alpha * tricomi_u(kp.a, kp.b, x)
+    return regular * np.exp(aj * log_x - 0.5 * x)
 
 
 def boundary_closure_residual(

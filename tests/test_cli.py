@@ -637,18 +637,43 @@ class TestWavefunctionCommand:
         assert "j = 0 limit" in err and "log r" in err
 
     @pytest.mark.parametrize("root", [1, 3])
-    @pytest.mark.parametrize("m, flux", [(0, "0"), (-1, "1"), (0, "1e-16")])
+    @pytest.mark.parametrize(
+        "m, flux", [(0, "0"), (-1, "1"), (0, "1e-16"), (0, "0.3"), (0, "0.45")])
     @pytest.mark.parametrize("lam, branch", [("0", "regular"), ("inf", "irregular")])
     def test_ladder_extension_where_the_ladders_meet(self, capsys, lam, branch, m, flux, root):
-        # at j = 0, and where 2|j| is lost in the rounding of a and a', both
-        # are the same integer and both normalizable coefficients vanish;
-        # lambda = 0 and inf still write their closed-form ladder state
+        # lambda = 0 and inf write their closed-form ladder state byte for
+        # byte: at j = 0, where 2|j| is lost in the rounding of a and a' and
+        # both normalizable coefficients vanish, and away from it
         common = [f"--m={m}", "--flux", flux, "--points", "300"]
         code, out, err = run_cli(
             capsys, ["wavefunction", f"--lambda={lam}", "--root", str(root), *common])
         assert code == 0, err
         assert run_cli(capsys, ["wavefunction", "--branch", branch, "--n", str(root), *common]) \
             == (0, out, "")
+
+    def test_irregular_ladder_past_the_normalizable_coefficients(self, capsys):
+        # -2|j| alpha N paired alpha ~ 1/(n - 1)! with an N of order (n - 1)!,
+        # which left the float range from n = 105; the ladder's own piece
+        # carries neither
+        common = ["--flux", "0.3", "--points", "8000"]
+        code, out, err = run_cli(capsys, ["wavefunction", "--branch", "irregular", "--n", "150",
+                                          *common])
+        assert code == 0, err
+        assert run_cli(capsys, ["wavefunction", "--lambda", "inf", "--root", "150", *common]) \
+            == (0, out, "")
+        values = np.array([float(line.split(",")[1]) for line in out.strip().split("\n")[1:]])
+        assert values.size == 8000
+        assert np.count_nonzero(values[:-1] * values[1:] < 0.0) == 149
+
+    def test_secular_state_where_u_at_the_expansion_start_overflows(self, capsys):
+        # U(a, b, x_s) ~ 1e375 at x_s = 5 839, while U on the mesh is a float
+        code, out, err = run_cli(
+            capsys, ["wavefunction", "--lambda=1", "--flux", "0.3", "--root", "90",
+                     "--points", "8000"])
+        assert code == 0, err
+        values = np.array([float(line.split(",")[1]) for line in out.strip().split("\n")[1:]])
+        assert values.size == 8000 and np.all(np.isfinite(values))
+        assert np.count_nonzero(values[:-1] * values[1:] < 0.0) == 89
 
     @pytest.mark.parametrize(
         "argv",
@@ -695,6 +720,28 @@ class TestWavefunctionCommand:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, many, one",
+    [(["wavefunction"], ["--n", "1,3"], ["--n", "3"]),
+     (["wavefunction"], ["--n", "1..2"], ["--n", "2"]),
+     (["wavefunction"], ["--m=-5,-4"], ["--m=-5"]),
+     (["wavefunction"], ["--spin", "1,-1"], ["--spin", "-1"]),
+     (["secular", "--lambda", "1", "--flux", "0.7"], ["--m=-1,0"], ["--m=-1"]),
+     (["secular", "--lambda", "1", "--flux", "0.3"], ["--spin", "1,-1"], ["--spin", "-1"])],
+)
+def test_one_state_commands_refuse_lists(capsys, command, many, one):
+    # one profile or one set of energies: a list once lost all but its
+    # first entry without a word; a single entry, in the --m=-5 form too,
+    # is read
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*command, *many])
+    assert excinfo.value.code == 2
+    listed = many[-1].split("=")[-1]
+    assert f"invalid single value: {listed!r}" in capsys.readouterr().err
+    code, _, err = run_cli(capsys, [*command, *one])
+    assert code == 0, err
 
 
 @pytest.mark.parametrize(

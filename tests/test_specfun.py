@@ -437,6 +437,23 @@ def test_u_on_mixed_arrays_against_mpmath(a, b, x):
     assert np.max(np.abs(ours - ref) / scale) <= 1e-13
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [-99.5, -85.3])
+def test_u_below_an_expansion_start_beyond_the_float_range(a):
+    """U(a, 1.6, x_s) is beyond the float range (x_s = 5 839 and 3 892,
+    U about 1e375 and 1e306), U on a profile's x range is not: marched from
+    a mantissa and a binary exponent it is within 1e-12 of the peak of
+    x^{|j|} e^{-x/2} U against 30-digit mpmath, with no overflow on the way."""
+    b = 1.6
+    aj = 0.5 * (b - 1.0)
+    x = np.geomspace(1e-4, 10.0 * (0.5 + aj - a), 120)
+    ours = tricomi_u(a, b, x)
+    envelope, peak = _envelope_peak(aj, x, ours)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.hyperu(a, b, v)) for v in x.tolist()])
+    assert np.max(np.abs(envelope * (ours - ref))) <= 1e-12 * peak
+
+
 def test_array_call_agrees_with_calls_on_its_pieces():
     """A mesh in one call and in pieces of a few hundred samples, each with
     its own smallest and largest x, agree within 2e-11 of the peak."""

@@ -280,6 +280,19 @@ class TestProfiles:
         assert deviation <= 1e-10 * np.max(np.abs(profile.values))
         assert normalize_and_count_nodes(profile)[1] == n - 1
 
+    def test_irregular_ladder_past_the_normalizable_coefficients(self):
+        # n = 150: the ladder's own piece, where the N of -2|j| alpha N, of
+        # order 149!, left the float range.  The 10% rule (ROADMAP item 5)
+        # asks for 32 000 points to count its nodes.
+        kappa = 1.0 / (150 - 0.5 - 0.3)
+        for points in (8000, 16000):
+            profile = build_profile(SolutionCoefficients(0.0, 1.0), kappa, 0.3, ATOMIC,
+                                    points=points)
+            with pytest.raises(ResolutionError):
+                normalize_and_count_nodes(profile)
+        profile = build_profile(SolutionCoefficients(0.0, 1.0), kappa, 0.3, ATOMIC, points=32000)
+        assert normalize_and_count_nodes(profile)[1] == 149
+
     def test_profile_range_guard(self):
         # a profile that starts above 1e-4/kappa misses the origin behavior
         profile = build_profile(SolutionCoefficients(1.0, 0.0), 2.0, 0.2, ATOMIC)
