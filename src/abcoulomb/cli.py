@@ -66,6 +66,11 @@ _JSON_ROW = (
 )
 
 
+# Entries one integer list may hold, and the most of any integer that sets
+# the work done (scan steps, --count, --n, --root, --points); both at parse time.
+MAX_LIST_ENTRIES = 100_000
+
+
 @dataclass(frozen=True)
 class ScanSpec:
     variable: str
@@ -82,8 +87,8 @@ class ScanSpec:
             )
         if not (self.start < self.stop):
             raise ValueError(f"need start < stop, got {self.start} >= {self.stop}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+        if not 2 <= self.steps <= MAX_LIST_ENTRIES:
+            raise ValueError(f"steps must be from 2 to {MAX_LIST_ENTRIES}, got {self.steps}")
         if self.variable == "m":
             if self.start != int(self.start) or self.stop != int(self.stop):
                 raise ValueError("m scans need integer endpoints")
@@ -106,11 +111,6 @@ def _float_int(text: str) -> int:
     except OverflowError:
         raise argparse.ArgumentTypeError("entries must lie within the float range") from None
     return value
-
-
-# Entries one integer list may hold; a range that would take it beyond
-# this is refused before it is expanded.
-MAX_LIST_ENTRIES = 100_000
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -152,11 +152,14 @@ def _parse_levels(text: str) -> list[int]:
     return levels
 
 
-def _single(parse):
-    """The one entry of what ``parse`` reads; a list is an invalid single value."""
+def _single(parse, most: float = math.inf):
+    """The one entry of what ``parse`` reads, at most ``most``; a list is an
+    invalid single value."""
 
     def single(text: str) -> int:
         (value,) = parse(text)
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
         return value
 
     return single
@@ -172,8 +175,9 @@ def _parse_lambda(text: str) -> float:
 def _int_at_least(minimum: int):
     def integer(text: str) -> int:
         value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if not minimum <= value <= MAX_LIST_ENTRIES:
+            raise argparse.ArgumentTypeError(
+                f"must be from {minimum} to {MAX_LIST_ENTRIES}, got {value}")
         return value
 
     return integer
@@ -518,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     wv = sub.add_parser("wavefunction", help="export a radial profile as CSV (r,F)")
     _add_physics_flags(wv)
-    wv.add_argument("--n", type=_single(_parse_levels), default=1)
+    wv.add_argument("--n", type=_single(_parse_levels, MAX_LIST_ENTRIES), default=1)
     wv.add_argument("--m", type=_single(_parse_int_list), default=0)
     wv.add_argument("--spin", type=_single(_parse_spins), default=1)
     wv.add_argument("--branch", choices=(REGULAR, IRREGULAR), default=REGULAR)

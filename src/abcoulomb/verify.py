@@ -27,6 +27,7 @@ from .model import (
 from .secular import (
     KummerParams,
     RootSearchError,
+    SolutionCoefficients,
     normalizable_coefficients,
     solve_secular,
 )
@@ -389,9 +390,36 @@ def _checks_wavefunction() -> list[CheckResult]:
                 decay_ok &= bool(np.all(np.abs(profile.values[tail]) <= bound))
     out.append(_check("wavefunction.boundary_closure", _worst(closure), 1e-8))
     out.append(_check_flag("wavefunction.node_counts", nodes_ok))
-    out.append(_check("wavefunction.norm_convergence", _worst(norm_change), 1e-6))
+    out.append(_check("wavefunction.norm_convergence", _worst(norm_change), 1e-9))
     out.append(_check_flag("wavefunction.decay_envelope", decay_ok))
+    out.append(_check("wavefunction.ladder_norm", _worst(_ladder_norm_errors(params)), 1e-9))
     return out
+
+
+def _ladder_norm_errors(params: PhysicalParams) -> list[float]:
+    """Relative norm errors of the ladder states c x^{alpha/2} e^{-x/2}
+    L_{n-1}^{(alpha)}(x), alpha = +-2|j|, on the CLI's 2000 points, against
+    |c| sqrt(Gamma(n + alpha) (2n - 1 + alpha) / (n - 1)!) / (2 kappa)
+    (DLMF 18.3 with x L_n of 18.9.13); c is fitted against scipy's (cephes) Laguerre polynomials,
+    which share no code with specfun's recurrence."""
+    from scipy import special
+
+    errors = []
+    for sign, coeffs in ((1.0, SolutionCoefficients(1.0, 0.0)),
+                         (-1.0, SolutionCoefficients(0.0, 1.0))):
+        for aj in (0.05, 0.3, 0.45, 0.499):
+            for n in (1, 2, 4, 8):
+                alpha = 2.0 * sign * aj
+                kappa = params.m_e * params.eta_prime / (n - 0.5 + sign * aj)
+                profile = build_profile(coeffs, kappa, aj, params, points=2000)
+                x = 2.0 * kappa * profile.r
+                ladder = special.eval_genlaguerre(n - 1, alpha, x)
+                ladder *= x ** (0.5 * alpha) * np.exp(-0.5 * x)
+                c = np.dot(profile.values, ladder) / np.dot(ladder, ladder)
+                square = math.exp(special.gammaln(n + alpha) - special.gammaln(n))
+                exact = abs(c) * math.sqrt(square * (2 * n - 1 + alpha)) / (2.0 * kappa)
+                errors.append(abs(normalize_and_count_nodes(profile)[0] / exact - 1.0))
+    return errors
 
 
 # ------------------------------------------------------------------ oracle

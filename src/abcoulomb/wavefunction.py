@@ -48,11 +48,13 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RadialProfile:
-    """Sampled radial solution on a strictly increasing grid."""
+    """Sampled radial solution on a strictly increasing grid; ``origin_norm``
+    is the L2 norm of F on (0, r[0]), inf where it diverges."""
 
     r: np.ndarray
     values: np.ndarray
     kappa: float
+    origin_norm: float
 
     def __post_init__(self) -> None:
         if self.r.ndim != 1 or self.r.shape != self.values.shape:
@@ -61,6 +63,8 @@ class RadialProfile:
             raise ValueError("sample radii must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("profile contains non-finite values")
+        if not self.origin_norm >= 0.0:
+            raise ValueError(f"origin_norm must be >= 0, got {self.origin_norm}")
 
 
 def _radial_values(x: np.ndarray, coeffs: SolutionCoefficients, kp: KummerParams) -> np.ndarray:
@@ -85,6 +89,14 @@ def _radial_values(x: np.ndarray, coeffs: SolutionCoefficients, kp: KummerParams
     return regular * np.exp(aj * log_x - 0.5 * x)
 
 
+def _origin_pieces(coeffs: SolutionCoefficients, kp: KummerParams, x: float) -> tuple[float, float]:
+    """b_m x^{-|j|} and a_m x^{|j|}, 0 for a zero coefficient: at x = 2 kappa the
+    f0 and f1 of F ~ f1 r^{|j|} + f0 r^{-|j|}, at x = 2 kappa r its two terms."""
+    aj = kp.abs_j
+    f0 = coeffs.b_m * x ** (-aj) if coeffs.b_m else 0.0
+    return f0, (coeffs.a_m * x**aj if coeffs.a_m else 0.0)
+
+
 def boundary_closure_residual(
     coeffs: SolutionCoefficients, kp: KummerParams, lam: float
 ) -> float:
@@ -103,13 +115,11 @@ def boundary_closure_residual(
     aj = kp.abs_j
     if aj >= 0.5:
         raise SectorError(f"the boundary closure requires |j| < 1/2, got |j| = {aj}")
-    two_kappa = 2.0 * kp.kappa
-    lhs = coeffs.b_m * two_kappa ** (-aj)
-    rhs = lam * (coeffs.a_m * two_kappa**aj)
-    scale = max(abs(lhs), abs(rhs))
+    f0, f1 = _origin_pieces(coeffs, kp, 2.0 * kp.kappa)
+    scale = max(abs(f0), abs(lam * f1))
     if scale == 0.0:
         return 0.0
-    return abs(lhs - rhs) / scale
+    return abs(f0 - lam * f1) / scale
 
 
 def _origin_node(coeffs: SolutionCoefficients, kp: KummerParams) -> float:
@@ -122,6 +132,24 @@ def _origin_node(coeffs: SolutionCoefficients, kp: KummerParams) -> float:
     log_r0 = math.log(-f0_over_f1) / (2.0 * kp.abs_j)
     # beyond the float range at small |j|, and then far outside any mesh
     return math.exp(log_r0) if log_r0 < 709.0 else math.inf
+
+
+def _origin_norm(coeffs: SolutionCoefficients, kp: KummerParams, r0: float) -> float:
+    """The L2 norm of F on (0, r0), from F ~ f1 r^{|j|} (1 + c r) + f0 r^{-|j|} (1 + c' r),
+    c = 2 kappa (a/b - 1/2), c' = 2 kappa (a'/b' - 1/2); inf where the r^{-|j|}
+    piece is not square integrable (|j| >= 1)."""
+    aj, two_kappa = kp.abs_j, 2.0 * kp.kappa
+    if coeffs.b_m and aj >= 1.0:
+        return math.inf
+    v, u = _origin_pieces(coeffs, kp, two_kappa * r0)  # each the size of F(r0)
+    scale = max(abs(u), abs(v)) or 1.0
+    u, v, c = u / scale, v / scale, two_kappa * (kp.a / kp.b - 0.5)
+    square = u * u * (1.0 / (2.0 + 2.0 * aj) + 2.0 * r0 * c / (3.0 + 2.0 * aj))
+    if v:  # only then: b' = 0 at |j| = 1/2, and 2 - 2|j| = 0 at |j| = 1
+        c_prime = two_kappa * (kp.a_prime / kp.b_prime - 0.5)
+        square += v * (u * (1.0 + 2.0 * r0 * (c + c_prime) / 3.0)
+                       + v * (1.0 / (2.0 - 2.0 * aj) + 2.0 * r0 * c_prime / (3.0 - 2.0 * aj)))
+    return scale * r0 * math.sqrt(square)
 
 
 def build_profile(
@@ -159,7 +187,7 @@ def build_profile(
         values = _radial_values(2.0 * kappa * r, coeffs, kp)
     if not np.all(np.isfinite(values)):
         raise OverflowError(f"the profile at j = {j} is beyond the float range")
-    return RadialProfile(r=r, values=values, kappa=kappa)
+    return RadialProfile(r, values, kappa, _origin_norm(coeffs, kp, r_lo))
 
 
 def _count_nodes(r: np.ndarray, values: np.ndarray) -> int:
@@ -182,18 +210,15 @@ def _count_nodes(r: np.ndarray, values: np.ndarray) -> int:
 
 
 def normalize_and_count_nodes(profile: RadialProfile) -> tuple[float, int]:
-    """L2 norm sqrt(integral |F|^2 r dr) over the sampled range, by
-    trapezoidal quadrature on the graded mesh, plus the count of strict
-    sign changes.
-
-    The profile must reach down to 1e-4/kappa and out to 30/kappa so the
-    integrable r^{1-2|j|} origin behavior and the exponential tail are
-    both captured, and its last sample must be within 1e-6 of its peak,
-    or TruncationError is raised.
+    """L2 norm sqrt(integral |F|^2 r dr) over (0, r_max): the samples'
+    |F|^2 r^2 by the trapezoid rule in ln r, plus ``profile.origin_norm``
+    below them (ValueError where that is inf); and the count of strict sign
+    changes.  The profile must extend to 30/kappa, and its last sample must
+    be within 1e-6 of its peak, or TruncationError is raised.
     """
     kappa = profile.kappa
-    if profile.r[0] > 1e-4 / kappa * (1.0 + 1e-9):
-        raise ValueError(f"profile must start at or below 1e-4/kappa = {1e-4 / kappa}")
+    if math.isinf(profile.origin_norm):
+        raise ValueError("F ~ f0 r^{-|j|} with f0 != 0 at |j| >= 1 has no finite norm")
     if profile.r[-1] < 30.0 / kappa * (1.0 - 1e-9):
         raise ValueError(f"profile must extend to at least 30/kappa = {30.0 / kappa}")
     # on the scale of the peak: the raw values reach 1e169 and beyond at
@@ -205,7 +230,8 @@ def normalize_and_count_nodes(profile: RadialProfile) -> tuple[float, int]:
             "of its peak; extend r_max"
         )
     scaled = profile.values / peak if peak > 0.0 else profile.values
-    norm = peak * math.sqrt(float(np.trapezoid(scaled * scaled * profile.r, profile.r)))
+    sampled = float(np.trapezoid(np.square(scaled * profile.r), np.log(profile.r)))
+    norm = math.hypot(peak * math.sqrt(sampled), profile.origin_norm)
     if math.isinf(norm):
         raise OverflowError(f"the norm of the profile is beyond the float range (peak {peak})")
     return norm, _count_nodes(profile.r, scaled)

@@ -617,8 +617,9 @@ class TestWavefunctionCommand:
         assert values.size == 4000 and np.all(np.isfinite(values))
         assert np.count_nonzero(values[:-1] * values[1:] < 0.0) == root - 1
         kappa = solve_secular(float(lam), float(flux), PhysicalParams(), root)[-1].kappa
-        _, nodes = normalize_and_count_nodes(RadialProfile(r=r, values=values, kappa=kappa))
-        assert nodes == root - 1
+        # origin_norm only enters the norm, not the node count
+        profile = RadialProfile(r=r, values=values, kappa=kappa, origin_norm=0.0)
+        assert normalize_and_count_nodes(profile)[1] == root - 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -810,6 +811,24 @@ class TestPhysicsFlags:
             cli.main(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["secular", "--lambda", "0", "--j", "0.3", "--count", "100001"], "--count"),
+         (["wavefunction", "--n", "100001"], "--n"),
+         (["wavefunction", "--lambda", "1", "--flux", "0.3", "--root", "100001"], "--root"),
+         (["wavefunction", "--points", "100001"], "--points"),
+         (["scan", "--scan", "flux:0:1:100001"], "--scan")],
+    )
+    def test_work_sizes_capped_at_parse_time(self, capsys, argv, flag):
+        # each sets how much work is done (secular --count 200000 took 0.8 s
+        # and 107 MB); refused by argparse, so before any work, above the
+        # cap on integer lists
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and "100000, got 100001" in err
 
     def test_oversized_range_refused_before_it_is_expanded(self):
         # a billion entries would take tens of GB; under a 1 GB address-space

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import eval_genlaguerre
 
 from abcoulomb.model import PhysicalParams, SectorError
@@ -226,7 +227,7 @@ class TestProfiles:
         fine, _ = normalize_and_count_nodes(
             build_profile(coeffs, root.kappa, 0.2, ATOMIC, points=8000)
         )
-        assert coarse == pytest.approx(fine, rel=1e-6)
+        assert coarse == pytest.approx(fine, rel=1e-9)
 
     def test_exponential_tail(self):
         j = 0.3
@@ -293,12 +294,44 @@ class TestProfiles:
         profile = build_profile(SolutionCoefficients(0.0, 1.0), kappa, 0.3, ATOMIC, points=32000)
         assert normalize_and_count_nodes(profile)[1] == 149
 
-    def test_profile_range_guard(self):
-        # a profile that starts above 1e-4/kappa misses the origin behavior
-        profile = build_profile(SolutionCoefficients(1.0, 0.0), 2.0, 0.2, ATOMIC)
-        kept = profile.r >= 1e-3
-        with pytest.raises(ValueError):
-            normalize_and_count_nodes(RadialProfile(profile.r[kept], profile.values[kept], 2.0))
+    @pytest.mark.parametrize(
+        "lam, aj, index",
+        [(-1.0, 0.45, 1), (1.0, 0.3, 2), (-7.0, 0.2, 3), (0.3, 0.4, 1), (0.0, 0.499, 1),
+         (math.inf, 0.499, 1)],
+    )
+    def test_origin_norm_matches_series_quadrature(self, lam, aj, index):
+        # the closed form below the first sample, through first order in r,
+        # against the long-double series integrated over ln r below it; its
+        # leading order alone is 5e-5 to 5e-4 off here
+        if lam in (0.0, math.inf):
+            kappa = 1.0 / (index - 0.5 + (aj if lam == 0.0 else -aj))
+            coeffs = SolutionCoefficients(*((1.0, 0.0) if lam == 0.0 else (0.0, 1.0)))
+        else:
+            kappa = solve_secular(lam, aj, ATOMIC, index)[-1].kappa
+            coeffs = normalizable_coefficients(_kp(kappa, aj))
+        profile = build_profile(coeffs, kappa, aj, ATOMIC)
+        r0 = profile.r[0]
+
+        def integrand(s):
+            r = r0 * math.exp(s)
+            return (longdouble_series_value(r, coeffs.a_m, coeffs.b_m, kappa, aj) * r) ** 2
+
+        reference = math.sqrt(quad(integrand, -80.0, 0.0, epsabs=0.0, epsrel=1e-12, limit=200)[0])
+        assert profile.origin_norm == pytest.approx(reference, rel=1e-6)
+
+    @pytest.mark.parametrize("aj", [1.3, 2.6])
+    def test_norm_refused_where_the_origin_piece_diverges(self, aj):
+        # F ~ f0 r^{-|j|} is not square integrable at the origin for |j| >= 1
+        profile = build_profile(SolutionCoefficients(0.5, 1.0), 1.0, aj, ATOMIC)
+        assert profile.origin_norm == math.inf
+        with pytest.raises(ValueError, match="no finite norm"):
+            normalize_and_count_nodes(profile)
+
+    @pytest.mark.parametrize("origin_norm", [-1.0, math.nan])
+    def test_profile_origin_norm_validated(self, origin_norm):
+        r = np.geomspace(1e-4, 40.0, 50)
+        with pytest.raises(ValueError, match="origin_norm"):
+            RadialProfile(r, np.exp(-r), 1.0, origin_norm)
 
     def test_unrepresentable_range_refused(self):
         # the origin node (1e-300)^(1/(2|j|)) underflows to a start at r = 0
@@ -341,7 +374,7 @@ class TestProfiles:
             values *= np.exp(-0.5 * r)  # below 1e-6 of the peak at r = 40
             dips = rng.random(r.size) < 0.02
             values[dips] = rng.normal(0.0, 1e-14, dips.sum())
-            profile = RadialProfile(r, values, 1.0)
+            profile = RadialProfile(r, values, 1.0, origin_norm=0.0)
             try:
                 got = normalize_and_count_nodes(profile)[1]
             except ResolutionError:
@@ -352,11 +385,12 @@ class TestProfiles:
     @pytest.mark.parametrize("aj", [60, 100, 140])
     def test_norm_of_large_j_ladder_ground_state(self, aj):
         # the samples reach 5e98, 5e186 and 6e281, whose squares overflow a
-        # double; the unscaled quadrature in long double is the reference
+        # double; the unscaled trapezoid in ln r in long double is the
+        # reference, and the origin piece underflows to 0 beside the peak
         profile = build_profile(SolutionCoefficients(1.0, 0.0), 1.0 / (aj + 0.5), aj, ATOMIC)
         norm, nodes = normalize_and_count_nodes(profile)
         values, r = profile.values.astype(np.longdouble), profile.r.astype(np.longdouble)
-        reference = float(np.sqrt(np.trapezoid(values * values * r, r)))
+        reference = float(np.sqrt(np.trapezoid(values * values * r * r, np.log(r))))
         assert math.isfinite(norm) and nodes == 0
         assert norm == pytest.approx(reference, rel=1e-13)
 
@@ -373,21 +407,17 @@ class TestProfiles:
         kappa = 1.0 / (aj + 0.5)
         profile = build_profile(SolutionCoefficients(1.0, 0.0), kappa, aj, ATOMIC)
         norm, nodes = normalize_and_count_nodes(profile)
-        # |F|^2 r dr = x^{2|j|+1} e^{-x} dx / (2 kappa)^2; the trapezoid in r
-        # on the default mesh is good to about 1e-6
+        # |F|^2 r dr = x^{2|j|+1} e^{-x} dx / (2 kappa)^2; the trapezoid in
+        # ln r on the default mesh is good to about 1e-13 here
         exact = math.exp(0.5 * math.lgamma(2.0 * aj + 2.0)) / (2.0 * kappa)
         assert nodes == 0
-        assert norm == pytest.approx(exact, rel=2e-6)
+        assert norm == pytest.approx(exact, rel=1e-9)
         # cut at x = 70, the end of the mesh before it followed t
         kept = profile.r <= 35.0 / kappa
         with pytest.raises(TruncationError):
-            normalize_and_count_nodes(RadialProfile(profile.r[kept], profile.values[kept], kappa))
+            normalize_and_count_nodes(RadialProfile(profile.r[kept], profile.values[kept], kappa,
+                                                    profile.origin_norm))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the trapezoid in r misses the integral below r_min, which grows "
-        "like x_min^(2 - 2|j|) toward the sector edge, and is second order",
-    )
     @pytest.mark.parametrize(
         "branch, aj",
         [("irregular", 0.3), ("irregular", 0.45), ("irregular", 0.49), ("irregular", 0.499),
@@ -395,8 +425,8 @@ class TestProfiles:
     )
     def test_ladder_ground_state_norm_matches_closed_form(self, branch, aj):
         # the n = 1 profile is c x^{+-|j|} e^{-x/2}, whose norm is
-        # |c| sqrt(Gamma(2 +- 2|j|)) / (2 kappa); at 4000 points the
-        # quadrature reads -1.8e-6, -4.0e-5, -8.3e-5, -9.7e-5 and 8.5e-7 off
+        # |c| sqrt(Gamma(2 +- 2|j|)) / (2 kappa); without the piece below
+        # r_min the sampled range alone is up to 1e-4 off toward |j| = 1/2
         sign = 1.0 if branch == "regular" else -1.0
         kappa = 1.0 / (0.5 + sign * aj)
         coeffs = normalizable_coefficients(_kp(kappa, aj))
