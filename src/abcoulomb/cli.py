@@ -431,11 +431,11 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     params = _params(args)
     flux = decompose_flux(args.flux)
     j = args.m + flux.phi
-    n, branch = args.n, args.branch
+    n, branch, root = args.n or 1, args.branch or REGULAR, args.root or 1
     try:
         if args.lam in (0.0, math.inf):  # their states are the ladders', at |j| < 1/2
             _require_extension_sector(args.lam, j)
-            n, branch = args.root, REGULAR if args.lam == 0.0 else IRREGULAR
+            n, branch = root, REGULAR if args.lam == 0.0 else IRREGULAR
         if args.lam in (None, 0.0, math.inf):
             level = closed_form_energy(QuantumState(n, args.m, args.spin, branch), params, flux)
             if not level.exists:
@@ -444,10 +444,10 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
             # the ladder's own piece, x^{+-|j|} e^{-x/2} L_{n-1}^{(+-2|j|)}(x)
             coeffs = SolutionCoefficients(*((1.0, 0.0) if branch == REGULAR else (0.0, 1.0)))
         else:
-            roots = solve_secular(args.lam, j, params, args.root)
-            if len(roots) < args.root:
+            roots = solve_secular(args.lam, j, params, root)
+            if len(roots) < root:
                 raise ExistenceError(
-                    f"lambda = {args.lam} has no bound state {args.root} (it has {len(roots)})")
+                    f"lambda = {args.lam} has no bound state {root} (it has {len(roots)})")
             kappa = roots[-1].kappa
             coeffs = normalizable_coefficients(KummerParams.for_state(kappa, j, params))
         profile = build_profile(coeffs, kappa, j, params, points=args.points)
@@ -522,14 +522,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     wv = sub.add_parser("wavefunction", help="export a radial profile as CSV (r,F)")
     _add_physics_flags(wv)
-    wv.add_argument("--n", type=_single(_parse_levels, MAX_LIST_ENTRIES), default=1)
+    # --n and --branch pick a closed-form state, --lambda and --root an
+    # extension's; a flag of the other kind would be ignored, so it exits 2.
+    # The defaults are None because argparse tells a given flag from its
+    # default by identity, and `--n 1` parses to the shared int 1.
+    level, kind = wv.add_mutually_exclusive_group(), wv.add_mutually_exclusive_group()
+    level.add_argument("--n", type=_single(_parse_levels, MAX_LIST_ENTRIES), default=None,
+                       help="closed-form level (default 1)")
     wv.add_argument("--m", type=_single(_parse_int_list), default=0)
     wv.add_argument("--spin", type=_single(_parse_spins), default=1)
-    wv.add_argument("--branch", choices=(REGULAR, IRREGULAR), default=REGULAR)
-    wv.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
-                    help="build the state of this extension instead of a closed form")
-    wv.add_argument("--root", type=_int_at_least(1), default=1,
-                    help="which secular root (1-based)")
+    kind.add_argument("--branch", choices=(REGULAR, IRREGULAR), default=None,
+                      help="closed-form branch (default regular)")
+    level.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
+                       help="build the state of this extension instead of a closed form")
+    kind.add_argument("--root", type=_int_at_least(1), default=None,
+                      help="which secular root (1-based, default 1)")
     wv.add_argument("--points", type=_int_at_least(16), default=2000)  # build_profile's minimum
     wv.add_argument("--out", default=None, help="write to this path instead of stdout")
     wv.set_defaults(handler=_cmd_wavefunction)

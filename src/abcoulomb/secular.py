@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 
 from .model import PhysicalParams, SectorError, is_singular_sector
-from .specfun import _snap_to_pole, gamma, reciprocal_gamma
+from .specfun import gamma, reciprocal_gamma
 
 __all__ = [
     "KummerParams",
@@ -64,6 +64,14 @@ def _require_extension_sector(lam: float, j: float) -> None:
             f"finite nonzero lambda is undefined at j = {j}: at j = 0 the "
             "irregular solution is log r"
         )
+
+
+def _snap_to_pole(z: float, tol: float) -> float:
+    """The nearest nonpositive integer if it lies within ``tol`` of z, else
+    z itself; a tol of 1/2 or more (t >= 5.6e14) can reach 0 from a
+    positive integer z."""
+    n = min(round(z), 0)
+    return float(n) if abs(z - n) <= tol else z
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,24 @@
 """Real-argument special functions: Gamma, reciprocal Gamma, and the
 confluent hypergeometric functions M = 1F1(a, b, x) and Tricomi's
-U(a, b, x).
+U(a, b, x), each on the one path the radial profiles reach.
 
 Gamma is the standard library's ``math.gamma`` and its reciprocal is
 1/math.gamma, both behind the pole and range guards below; the array
 reciprocal is scipy's ``rgamma``.
 
 1F1 and U take a scalar or an array ``x``, and on an array they cost a
-fixed number of numpy and scipy calls, not one per element:
+fixed number of numpy calls, not one per element:
 
-- 1F1(-m, c, x) and every U that terminates (a or a - b + 1 a nonpositive
-  integer, DLMF 13.2.7 and 13.2.40) are a Laguerre polynomial, summed by
-  its three-term recurrence: m array steps.
-- Any other 1F1 is scipy's ``hyp1f1``.
-- Any other U calls no scipy function.  From a start x_s that depends on
-  (a, b) alone, where the large-argument expansion (DLMF 13.7.3) keeps its
+- 1F1(-m, c, x), the terminating piece of a ladder state, is a Laguerre
+  polynomial (DLMF 13.6.19), summed by its three-term recurrence: m array
+  steps.  Any other a is refused.
+- U calls no scipy function.  From a start x_s that depends on (a, b)
+  alone, where the large-argument expansion (DLMF 13.7.3) keeps its
   digits, U is that expansion by Horner's rule; below x_s it is Kummer's
   equation integrated inward from the expansion's U and U' at x_s by
   Taylor steps, the direction in which U dominates the other solution.
+  A nonpositive integer a is refused: there U is a multiple of the
+  polynomial 1F1 of the same a.
 """
 
 from __future__ import annotations
@@ -133,27 +134,6 @@ def _asymptotic_alg_sum(a: float, b: float, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _snap_to_pole(z: float, tol: float) -> float:
-    """The nonpositive integer within ``tol`` of z, else z itself."""
-    n = round(z)
-    return float(n) if n <= 0 and abs(z - n) <= tol else z
-
-
-def _terminating_form(a: float, b: float) -> tuple[int, float, float] | None:
-    """(m, c, p) with U(a, b, x) = x^p (-1)^m (c)_m 1F1(-m, c, x) when a or
-    a - b + 1 is the nonpositive integer -m up to the rounding of a and b,
-    else None: c = b, p = 0 for a = -m (DLMF 13.2.7), and c = 2 - b,
-    p = 1 - b for a - b + 1 = -m (DLMF 13.2.40).  The smaller m wins, which
-    keeps c + k off zero for k < m."""
-    tol = 4.0 * sys.float_info.epsilon * max(1.0, abs(a), abs(b))
-    forms = []
-    for z, c, p in ((a, b, 0.0), (a - b + 1.0, 2.0 - b, 1.0 - b)):
-        z = _snap_to_pole(z, tol)
-        if _is_nonpositive_integer(z):
-            forms.append((-int(z), c, p))
-    return min(forms, default=None)
-
-
 def _laguerre(m: int, c: float, x: np.ndarray) -> np.ndarray:
     """1F1(-m, c, x), a Laguerre polynomial up to normalisation (DLMF
     13.6.19), by its three-term recurrence in m (DLMF 13.3.1):
@@ -170,27 +150,18 @@ def _laguerre(m: int, c: float, x: np.ndarray) -> np.ndarray:
 
 
 def kummer_1f1(a: float, b: float, x):
-    """Confluent hypergeometric function 1F1(a, b, x) for real arguments:
-    for a nonpositive integer ``a`` the polynomial by its Laguerre
-    recurrence, else scipy's ``hyp1f1``.
+    """The terminating confluent hypergeometric function 1F1(-m, b, x) for
+    real arguments, by the Laguerre recurrence of ``_laguerre``.
 
-    Raises GammaPoleError for a nonpositive integer ``b``.
+    Raises GammaPoleError for a nonpositive integer ``b``, and ValueError
+    for an ``a`` that is not a nonpositive integer: no profile needs that
+    1F1, which grows like e^x.
     """
     if _is_nonpositive_integer(b):
         raise GammaPoleError(f"1F1 undefined for nonpositive integer b = {b}")
-    xs = np.asarray(x, dtype=float)
-    if _is_nonpositive_integer(a):
-        out = _laguerre(-int(a), b, xs)
-        return out if out.ndim else float(out)
-    # Deferred: scipy.special costs ~0.05 s to import, and the closed-form
-    # spectra never need it.
-    from scipy import special
-
-    # hyp1f1 returns inf or nan next to zero on the negative side (scipy
-    # 1.17.1: 1F1(-0.125, 1.375, x) for -6e-165 < x < 0), where the series
-    # is 1 + a x / b to double precision.
-    linear = np.abs(xs) * (abs(a) + 1.0) <= sys.float_info.epsilon * abs(b)
-    out = np.where(linear, 1.0 + a * xs / b, special.hyp1f1(a, b, xs))
+    if not _is_nonpositive_integer(a):
+        raise ValueError(f"kummer_1f1 sums only the terminating 1F1(-m, b, x), got a = {a}")
+    out = _laguerre(-int(a), b, np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -280,25 +251,24 @@ def _kummer_march(a: float, b: float, start: tuple, x: np.ndarray) -> np.ndarray
 
 
 def tricomi_u(a: float, b: float, x):
-    """Tricomi's confluent hypergeometric function U(a, b, x) for x > 0.
+    """Tricomi's confluent hypergeometric function U(a, b, x) for x > 0: the
+    large-x expansion (DLMF 13.7.3) by Horner's rule from the x_s of
+    ``_expansion_start`` on, and ``_kummer_march`` below, which holds U at
+    x_s as a mantissa and a binary exponent, so U is finite wherever it is
+    a float.  Where a - b + 1 is the nonpositive integer -m the expansion
+    terminates (DLMF 13.2.40).
 
-    When a or a-b+1 is the nonpositive integer -m, U is a power of x times a
-    degree-m Laguerre polynomial (DLMF 13.2.7, 13.2.40), summed at every x by
-    the recurrence of ``kummer_1f1``.  Otherwise it is the large-x expansion
-    (DLMF 13.7.3) by Horner's rule from the x_s of ``_expansion_start`` on,
-    and ``_kummer_march`` below, which holds U at x_s as a mantissa and a
-    binary exponent, so U is finite wherever it is a float.
+    Raises ValueError for a nonpositive integer ``a``: U(-m, b, x) is
+    (-1)^m (b)_m 1F1(-m, b, x) (DLMF 13.2.7), which ``kummer_1f1`` sums.
+    That polynomial is recessive at the origin, so the march inward, which
+    follows the x^{1-b} solution there, loses it as b grows.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(xs > 0.0):
         raise ValueError("U(a, b, x) requires x > 0")
-    form = _terminating_form(a, b)
-    if form is not None:
-        m, c, p = form
-        out = math.prod(-c - k for k in range(m)) * _laguerre(m, c, xs)
-        if p:
-            out *= xs**p
-        return out if out.ndim else float(out)
+    if _is_nonpositive_integer(a):
+        raise ValueError(f"tricomi_u does not take a nonpositive integer a = {a}; "
+                         "U(-m, b, x) is a multiple of kummer_1f1(-m, b, x)")
     out = np.empty_like(xs)
     start = _expansion_start(a, b)
     far = xs >= start[0]

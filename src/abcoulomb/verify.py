@@ -86,34 +86,24 @@ def _checks_specfun() -> list[CheckResult]:
     )
     out.append(_check("specfun.reciprocal_gamma_product", prod, 1e-12))
 
-    # Five-point central differences: the three-point stencil cannot reach
-    # 1e-8 relative at x ~ 25 in double precision (rounding noise ~ eps/h^2
-    # against truncation ~ h^2 bottoms out near 1e-7).
-    ode = []
-    h = 6e-3
-    for a in (-2.3, -0.7, 0.4, 1.6, 3.2):
-        for b in (0.6, 1.3, 2.8):
-            for x in (0.3, 1.7, 6.0, 14.0, 25.0):
-                y0 = specfun.kummer_1f1(a, b, x)
-                yp1 = specfun.kummer_1f1(a, b, x + h)
-                ym1 = specfun.kummer_1f1(a, b, x - h)
-                yp2 = specfun.kummer_1f1(a, b, x + 2.0 * h)
-                ym2 = specfun.kummer_1f1(a, b, x - 2.0 * h)
-                d1 = (-yp2 + 8.0 * yp1 - 8.0 * ym1 + ym2) / (12.0 * h)
-                d2 = (-yp2 + 16.0 * yp1 - 30.0 * y0 + 16.0 * ym1 - ym2) / (
-                    12.0 * h * h
-                )
-                ode.append(abs(x * d2 + (b - x) * d1 - a * y0) / max(1.0, abs(y0)))
-    out.append(_check("specfun.kummer_ode_residual", _worst(ode), 1e-8))
+    # The Laguerre path of every ladder profile against scipy's (cephes)
+    # Laguerre polynomials, which share no code with specfun's recurrence:
+    # 1F1(-m, alpha + 1, x) = L_m^{(alpha)}(x) / binom(m + alpha, m) (DLMF
+    # 13.6.19), alpha = +-2|j|, on the profiles' x range, by absolute error
+    # against the peak of x^{alpha/2} e^{-x/2} 1F1, as the profiles are judged.
+    from scipy import special
 
-    transformation = []
-    for a in (-1.7, 0.3, 1.2, 2.6):
-        for b in (0.9, 1.4, 3.1):
-            for x in (-20.0, -8.0, -1.0, 1.0, 8.0, 20.0):
-                lhs = math.exp(-x) * specfun.kummer_1f1(a, b, x)
-                rhs = specfun.kummer_1f1(b - a, b, -x)
-                transformation.append(abs(lhs / rhs - 1.0))
-    out.append(_check("specfun.kummer_transformation", _worst(transformation), 1e-10))
+    laguerre = []
+    for aj in (0.05, 0.3, 0.45, 0.499, 1.3, 10.3):
+        for alpha in (2.0 * aj, -2.0 * aj) if aj < 0.5 else (2.0 * aj,):
+            for n in (1, 2, 8, 25, 60):
+                x = np.geomspace(2e-4, max(70.0, 10.0 * (n - 0.5 + 0.5 * alpha)), 400)
+                envelope = np.exp(0.5 * alpha * np.log(x) - 0.5 * x)
+                ours = envelope * specfun.kummer_1f1(1.0 - n, 1.0 + alpha, x)
+                ref = envelope * special.eval_genlaguerre(n - 1, alpha, x)
+                ref /= special.binom(n - 1 + alpha, n - 1)
+                laguerre.append(np.max(np.abs(ours - ref)) / np.max(np.abs(ref)))
+    out.append(_check("specfun.kummer_1f1_laguerre", _worst(laguerre), 1e-10))
 
     # W{M, U} = M U' - M' U = -Gamma(b)/Gamma(a) x^{-b} e^x (DLMF 13.2.34,
     # 13.3.15, 13.3.22) relative to its two products; M is scipy's hyp1f1,
@@ -123,8 +113,8 @@ def _checks_specfun() -> list[CheckResult]:
     wronskian = []
     for b in (1.006, 1.2, 1.6, 1.998):
         for a in (-20.3, -12.45, -3.7, -2.45, -1.3, -0.55, 0.2, 0.65, 0.95):
-            m_du = -a * specfun.kummer_1f1(a, b, x) * specfun.tricomi_u(a + 1.0, b + 1.0, x)
-            dm_u = a / b * specfun.kummer_1f1(a + 1.0, b + 1.0, x) * specfun.tricomi_u(a, b, x)
+            m_du = -a * special.hyp1f1(a, b, x) * specfun.tricomi_u(a + 1.0, b + 1.0, x)
+            dm_u = a / b * special.hyp1f1(a + 1.0, b + 1.0, x) * specfun.tricomi_u(a, b, x)
             exact = -specfun.gamma(b) * specfun.reciprocal_gamma(a) * x ** (-b) * np.exp(x)
             wronskian.append(np.max(np.abs(m_du - dm_u - exact) / (np.abs(m_du) + np.abs(dm_u))))
     out.append(_check("specfun.tricomi_u_wronskian", _worst(wronskian), 1e-10))
@@ -273,19 +263,18 @@ def _brute_force_groups(states, params, flux, tol):
 def _checks_secular() -> list[CheckResult]:
     out = []
     params = PhysicalParams()
-    limit_reg, limit_irr, residuals = [], [], []
+    # lambda -> 0 and lambda -> +-inf, where the finite-lambda roots meet
+    # the ladders t = n - 1/2 +- |j|; for lambda < 0 root 1 is the deep
+    # state, and roots 2-6 meet the regular ladder
+    limits = {1.0: [], -1.0: []}
     for j in (0.05, 0.2, 0.45):
-        reg = solve_secular(0.0, j, params, 5)
-        irr = solve_secular(math.inf, j, params, 5)
-        for n in range(1, 6):
-            k_reg = params.m_e * params.eta_prime / (n - 0.5 + j)
-            k_irr = params.m_e * params.eta_prime / (n - 0.5 - j)
-            limit_reg.append(abs(reg[n - 1].kappa / k_reg - 1.0))
-            limit_irr.append(abs(irr[n - 1].kappa / k_irr - 1.0))
-            residuals += [reg[n - 1].residual, irr[n - 1].residual]
-    out.append(_check("secular.limit_regular", _worst(limit_reg), 1e-10))
-    out.append(_check("secular.limit_irregular", _worst(limit_irr), 1e-10))
-    out.append(_check("secular.root_residuals", _worst(residuals), 1e-10))
+        for lam, sign in ((1e-12, 1.0), (-1e-12, 1.0), (1e12, -1.0), (-1e12, -1.0)):
+            roots = solve_secular(lam, j, params, 6)
+            for n, root in enumerate(roots[1:] if lam == -1e-12 else roots[:5], start=1):
+                k_ladder = params.m_e * params.eta_prime / (n - 0.5 + sign * j)
+                limits[sign].append(abs(root.kappa / k_ladder - 1.0))
+    out.append(_check("secular.limit_regular", _worst(limits[1.0]), 1e-10))
+    out.append(_check("secular.limit_irregular", _worst(limits[-1.0]), 1e-10))
 
     free = PhysicalParams(eta=0.0)
     out.append(
@@ -300,9 +289,12 @@ def _checks_secular() -> list[CheckResult]:
     out.append(_check_flag("secular.prefix_stability", prefix_ok))
 
     brackets_ok = True
+    residuals = []
     for lam in (-1e3, -7.0, -1.0, -0.3, -1e-3, 1e-3, 0.3, 1.0, 7.0, 1e3):
         for j in (0.05, 0.2, 0.45):
-            ts = [1.0 / r.kappa for r in solve_secular(lam, j, params, 5)]
+            roots = solve_secular(lam, j, params, 5)
+            residuals += [r.residual for r in roots]
+            ts = [1.0 / r.kappa for r in roots]
             brackets_ok &= all(a < b for a, b in zip(ts, ts[1:]))
             for n, t in enumerate(ts, start=1):
                 lo, hi = _interlacing_bracket(lam, j, n)
@@ -311,6 +303,7 @@ def _checks_secular() -> list[CheckResult]:
                 above = _secular_reference(t * (1.0 + 1e-9), lam, j)
                 brackets_ok &= below * above < 0.0
     out.append(_check_flag("secular.interlacing_brackets", brackets_ok))
+    out.append(_check("secular.root_residuals", _worst(residuals), 1e-10))
 
     # kappa ~ 1.1e15 and 1.1e50 against the small-t limit of F on scipy's
     # (cephes) gamma, which shares no code with specfun's math.gamma; kappa

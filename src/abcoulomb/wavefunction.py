@@ -1,20 +1,21 @@
 """Radial solution assembly, the origin boundary-closure residual, and
 profile normalization / node counting.
 
-The solution at fixed kappa is F = a_m R + b_m I with
+A profile is the bound state at kappa.  The solution at fixed kappa is
+F = a_m R + b_m I with
 
     R = x^{|j|} e^{-x/2} 1F1(a, b, x),   I = x^{-|j|} e^{-x/2} 1F1(a', b', x)
 
-and x = 2 kappa r.  Both pieces grow like e^{x/2}.  The combination
-(a_m^N, b_m^N) of ``normalizable_coefficients`` is exactly -2|j| N with
-N = x^{|j|} e^{-x/2} U(a, b, x) (DLMF 13.2.42), so F is sampled as
-
-    F = beta R - 2|j| alpha N,   alpha = b_m / b_m^N,   beta = a_m - alpha a_m^N
-
-and beta is exactly 0 for a bound state: no growing piece is cancelled
-numerically.  On either ladder a or a' is exactly a nonpositive integer
+and x = 2 kappa r.  Both pieces grow like e^{x/2} unless their 1F1
+terminates.  On either ladder a or a' is exactly a nonpositive integer
 (see ``KummerParams.for_state``), its 1F1 is a multiple of
-L_{n-1}^{(+-2|j|)}(x) (DLMF 13.6.19), and F is sampled as a_m R + b_m I.
+L_{n-1}^{(+-2|j|)}(x) (DLMF 13.6.19), and F is sampled as a_m R + b_m I
+with a zero coefficient on any piece that does not terminate.  Elsewhere
+the one normalizable solution is N = x^{|j|} e^{-x/2} U(a, b, x) (DLMF
+13.2.42), and the pair (a_m^N, b_m^N) of ``normalizable_coefficients`` is
+exactly -2|j| N; F is sampled as -2|j| alpha N, alpha = b_m / b_m^N, and
+the pair must be alpha (a_m^N, b_m^N) exactly.  No growing piece is
+cancelled numerically, and any other pair is refused.
 """
 
 from __future__ import annotations
@@ -67,26 +68,35 @@ class RadialProfile:
             raise ValueError(f"origin_norm must be >= 0, got {self.origin_norm}")
 
 
-def _radial_values(x: np.ndarray, coeffs: SolutionCoefficients, kp: KummerParams) -> np.ndarray:
-    """a_m R + b_m I at every x: piece by piece on a ladder, elsewhere as
-    beta R - 2|j| alpha N."""
+def _state_terms(coeffs: SolutionCoefficients, kp: KummerParams) -> list[tuple]:
+    """The terms (c, f, a, b, p) of F = sum c f(a, b, x) x^p e^{-x/2} for the
+    bound state at kappa that ``coeffs`` give: on a ladder each nonzero
+    coefficient's terminating piece, elsewhere -2|j| alpha N.  A pair that
+    is not the state raises ValueError."""
     aj = kp.abs_j
+    if _is_nonpositive_integer(kp.a) or _is_nonpositive_integer(kp.a_prime):
+        terms = [(c, kummer_1f1, a, b, p) for c, a, b, p in (
+            (coeffs.a_m, kp.a, kp.b, aj), (coeffs.b_m, kp.a_prime, kp.b_prime, -aj)) if c]
+        if all(_is_nonpositive_integer(a) for _, _, a, _, _ in terms):
+            return terms
+    elif coeffs.b_m:  # only then: a_m^N needs Gamma(b'), which has poles at integer 2|j|
+        normalizable = normalizable_coefficients(kp)
+        alpha = coeffs.b_m / normalizable.b_m
+        if coeffs.a_m == alpha * normalizable.a_m:
+            return [(-2.0 * aj * alpha, tricomi_u, kp.a, kp.b, aj)]
+    raise ValueError(
+        f"(a_m, b_m) = ({coeffs.a_m!r}, {coeffs.b_m!r}) is not the bound state at kappa = "
+        f"{kp.kappa!r}: pass normalizable_coefficients(KummerParams.for_state(kappa, j, params))"
+    )
+
+
+def _radial_values(x: np.ndarray, terms: list[tuple]) -> np.ndarray:
+    """The sum of ``_state_terms``' terms at every x."""
     # x^{+-|j|} e^{-x/2} as one exponential: at large |j| the power alone
     # overflows past the peak x = 2|j| of the product
     log_x = np.log(x)
-    if _is_nonpositive_integer(kp.a) or _is_nonpositive_integer(kp.a_prime):
-        pieces = [c * kummer_1f1(a, b, x) * np.exp(p * log_x - 0.5 * x) for c, a, b, p in (
-            (coeffs.a_m, kp.a, kp.b, aj), (coeffs.b_m, kp.a_prime, kp.b_prime, -aj)) if c]
-        return sum(pieces[1:], pieces[0])  # a lone piece as it is, -0.0 and all
-    alpha, beta = 0.0, coeffs.a_m
-    if coeffs.b_m:  # only then: a_m^N needs Gamma(b'), which has poles at integer 2|j|
-        normalizable = normalizable_coefficients(kp)
-        alpha = coeffs.b_m / normalizable.b_m
-        beta = coeffs.a_m - alpha * normalizable.a_m
-    regular = beta * kummer_1f1(kp.a, kp.b, x) if beta else np.zeros_like(x)
-    if alpha and aj:
-        regular -= 2.0 * aj * alpha * tricomi_u(kp.a, kp.b, x)
-    return regular * np.exp(aj * log_x - 0.5 * x)
+    pieces = [c * f(a, b, x) * np.exp(p * log_x - 0.5 * x) for c, f, a, b, p in terms]
+    return sum(pieces[1:], pieces[0])  # a lone piece as it is, -0.0 and all
 
 
 def _origin_pieces(coeffs: SolutionCoefficients, kp: KummerParams, x: float) -> tuple[float, float]:
@@ -159,7 +169,12 @@ def build_profile(
     params: PhysicalParams,
     points: int = 4000,
 ) -> RadialProfile:
-    """Sample the radial solution on a geometric mesh.
+    """Sample the bound state at kappa on a geometric mesh.
+
+    ``coeffs`` must be that state: on a ladder, nonzero only on pieces that
+    terminate (the ladder's own piece, or ``normalizable_coefficients``);
+    elsewhere ``normalizable_coefficients(KummerParams.for_state(kappa, j,
+    params))`` or a multiple of it.  Any other pair raises ValueError.
 
     The geometric grading resolves the r^{-|j|} origin behavior.  The mesh
     starts at 1e-4/kappa, or for lambda < 0 at or below r0/100, where
@@ -173,6 +188,7 @@ def build_profile(
     if points < 16:
         raise ValueError(f"points must be >= 16, got {points}")
     kp = KummerParams.for_state(kappa, j, params)
+    terms = _state_terms(coeffs, kp)
     r_lo = min(1e-4 / kappa, 0.01 * _origin_node(coeffs, kp))
     t = params.m_e * params.eta_prime / kappa
     r_hi = max(35.0, 5.0 * t) / kappa
@@ -184,7 +200,7 @@ def build_profile(
     r = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), points))
     r[0], r[-1] = r_lo, r_hi
     with np.errstate(over="ignore", invalid="ignore"):  # x^{|j|} at huge |j|, refused below
-        values = _radial_values(2.0 * kappa * r, coeffs, kp)
+        values = _radial_values(2.0 * kappa * r, terms)
     if not np.all(np.isfinite(values)):
         raise OverflowError(f"the profile at j = {j} is beyond the float range")
     return RadialProfile(r, values, kappa, _origin_norm(coeffs, kp, r_lo))

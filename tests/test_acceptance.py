@@ -79,8 +79,7 @@ def test_criterion_9_special_function_suite():
         [
             "specfun.gamma_recurrence",
             "specfun.reciprocal_gamma_product",
-            "specfun.kummer_ode_residual",
-            "specfun.kummer_transformation",
+            "specfun.kummer_1f1_laguerre",
             "specfun.tricomi_u_wronskian",
         ],
     )

@@ -724,6 +724,55 @@ class TestWavefunctionCommand:
 
 
 @pytest.mark.parametrize(
+    "argv, flag, other",
+    [(["--lambda=1", "--flux", "0.3", "--n", "5"], "--n", "--lambda"),
+     (["--n", "1", "--lambda", "0"], "--lambda", "--n"),
+     (["--branch", "irregular", "--flux", "0.3", "--root", "4"], "--root", "--branch"),
+     (["--root", "1", "--branch", "regular"], "--branch", "--root")],
+)
+def test_wavefunction_refuses_flags_it_would_ignore(capsys, argv, flag, other):
+    # --n and --branch pick a closed-form state, --lambda and --root an
+    # extension's; a flag of the other kind would be ignored without a word,
+    # also where its value is the default
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["wavefunction", *argv])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: not allowed with argument {other}" in captured.err
+
+
+def test_wavefunction_routes_load_no_scipy(tmp_path):
+    # both ladders, lambda = 0 and inf, and finite lambda of either sign:
+    # the Laguerre recurrence and U's expansion and march, no scipy module
+    routes = [
+        ["--branch", "regular", "--n", "3", "--flux", "0.3"],
+        ["--branch", "irregular", "--n", "3", "--flux", "0.3"],
+        ["--lambda", "0", "--root", "2", "--flux", "0.3"],
+        ["--lambda", "inf", "--root", "2", "--flux", "0.3"],
+        ["--lambda=1", "--root", "3", "--flux", "0.3"],
+        ["--lambda=-1", "--root", "3", "--flux", "0.2"],
+    ]
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import json, sys\n"
+        "from abcoulomb.cli import main\n"
+        "codes = [main(['wavefunction', *argv, '--out', sys.argv[1] + f'/{i}.csv'])\n"
+        "         for i, argv in enumerate(json.loads(sys.argv[2]))]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), json.dumps(routes)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout)
+    assert codes == [0] * len(routes)
+    assert scipy_modules == []
+
+
+@pytest.mark.parametrize(
     "command, many, one",
     [(["wavefunction"], ["--n", "1,3"], ["--n", "3"]),
      (["wavefunction"], ["--n", "1..2"], ["--n", "2"]),
@@ -933,7 +982,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "kernel, check",
-        [("kummer_1f1", "specfun.kummer_ode_residual"), ("tricomi_u", "specfun.tricomi_u_wronskian")],
+        [("kummer_1f1", "specfun.kummer_1f1_laguerre"), ("tricomi_u", "specfun.tricomi_u_wronskian")],
     )
     def test_nan_residual_fails_its_check(self, capsys, monkeypatch, kernel, check):
         # a kernel that returns nan at one point: the check's residual is nan,

@@ -68,6 +68,16 @@ class TestKummerParams:
         with pytest.raises(ValueError):
             KummerParams.for_state(0.0, 0.2, ATOMIC)
 
+    def test_ladder_snapped_where_t_is_huge(self):
+        # t = |j| + 1/2 carries a rounding error far above 1, and at |j| =
+        # 1e300 a = 0 comes out as the positive integer 1.5e284; it is put
+        # on the pole all the same
+        aj = 1e300
+        kappa = 1.0 / (0.5 + aj)
+        kp = KummerParams.for_state(kappa, aj, ATOMIC)
+        assert 0.5 + aj - 1.0 / kappa != 0.0
+        assert kp.a == 0.0
+
 
 class TestSecularFunction:
     def test_vanishes_at_regular_ladder(self):

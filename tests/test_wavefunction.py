@@ -17,6 +17,7 @@ from abcoulomb.wavefunction import (
     ResolutionError,
     TruncationError,
     _radial_values,
+    _state_terms,
     boundary_closure_residual,
     build_profile,
     normalize_and_count_nodes,
@@ -49,8 +50,15 @@ def longdouble_series_value(r, a_m, b_m, kappa, j, params=ATOMIC, nterms=200):
 
 
 def radial_solution(r, coeffs, kp):
-    """The radial solution at radius r, from the package's array path."""
-    return float(_radial_values(np.array([2.0 * kp.kappa * r]), coeffs, kp)[0])
+    """The bound state that ``coeffs`` give at radius r, from the package's
+    array path."""
+    return float(_radial_values(np.array([2.0 * kp.kappa * r]), _state_terms(coeffs, kp))[0])
+
+
+def _state(lam, j, index):
+    """kappa and the normalizable coefficients of root ``index`` of lambda."""
+    kappa = solve_secular(lam, j, ATOMIC, index)[-1].kappa
+    return kappa, normalizable_coefficients(_kp(kappa, j))
 
 
 def small_r_expansion(r, coeffs, kp):
@@ -72,7 +80,8 @@ def small_r_expansion(r, coeffs, kp):
 
 class TestRadialSolution:
     def test_regular_branch_vanishes_at_origin(self):
-        kp = KummerParams.for_state(1.0, 0.3, ATOMIC)
+        # the n = 2 regular ladder state
+        kp = KummerParams.for_state(1.0 / 1.8, 0.3, ATOMIC)
         coeffs = SolutionCoefficients(1.0, 0.0)
         values = [radial_solution(r, coeffs, kp) for r in (1e-5, 1e-7, 1e-9)]
         ratios = [values[i + 1] / values[i] for i in range(2)]
@@ -93,18 +102,22 @@ class TestRadialSolution:
             )
 
     def test_against_highres_series(self):
-        frozen = -0.1535187369883953  # longdouble series, 200 terms
-        kp = KummerParams.for_state(1.0, 0.2, ATOMIC)
-        value = radial_solution(1.0, SolutionCoefficients(1.0, 0.5), kp)
+        # the lambda = 1 ground state at j = 0.2 and r = 1
+        frozen = -0.030397982302751734  # longdouble series, 200 terms
+        kappa, coeffs = _state(1.0, 0.2, 1)
+        value = radial_solution(1.0, coeffs, _kp(kappa, 0.2))
         assert value == pytest.approx(frozen, rel=1e-10)
         assert value == pytest.approx(
-            longdouble_series_value(1.0, 1.0, 0.5, 1.0, 0.2), rel=1e-10
+            longdouble_series_value(1.0, coeffs.a_m, coeffs.b_m, kappa, 0.2), rel=1e-10
         )
 
     def test_mixed_state_random_points(self):
+        # both pieces of the second lambda = -1 state at j = 0.35, out to
+        # x = 20, where each grows like e^{x/2} and their sum decays
+        kappa, coeffs = _state(-1.0, 0.35, 2)
         for r in (0.03, 0.7, 3.1, 11.0):
-            ours = radial_solution(r, SolutionCoefficients(0.8, -0.4), _kp(0.61, 0.35))
-            ref = longdouble_series_value(r, 0.8, -0.4, 0.61, 0.35)
+            ours = radial_solution(r, coeffs, _kp(kappa, 0.35))
+            ref = longdouble_series_value(r, coeffs.a_m, coeffs.b_m, kappa, 0.35)
             assert ours == pytest.approx(ref, rel=1e-9)
 
 
@@ -116,22 +129,25 @@ class TestSmallRExpansion:
     """The array path against the test-local small-r expansion."""
 
     def test_regular_matches_full(self):
+        # the n = 2 ladder states
         coeffs = SolutionCoefficients(1.0, 0.0)
-        kp = _kp(1.0, 0.2)
+        kp = _kp(1.0 / 1.7, 0.2)
         full = radial_solution(0.01, coeffs, kp)
         approx = small_r_expansion(0.01, coeffs, kp)
         assert approx == pytest.approx(full, rel=1e-6)
 
     def test_irregular_matches_full(self):
         coeffs = SolutionCoefficients(0.0, 1.0)
-        kp = _kp(1.0, 0.2)
+        kp = _kp(1.0 / 1.3, 0.2)
         full = radial_solution(0.01, coeffs, kp)
         approx = small_r_expansion(0.01, coeffs, kp)
         assert approx == pytest.approx(full, rel=1e-6)
 
     def test_cubic_order_agreement(self):
-        coeffs = SolutionCoefficients(0.7, 0.3)
-        kp = _kp(1.0, 0.3)
+        # the second lambda = 1 state at j = 0.3, with both pieces; kappa =
+        # 0.78 keeps x = 2 kappa r below 0.1
+        kappa, coeffs = _state(1.0, 0.3, 2)
+        kp = _kp(kappa, 0.3)
         errors = []
         for r in (0.04, 0.02, 0.01):
             full = radial_solution(r, coeffs, kp)
@@ -321,8 +337,10 @@ class TestProfiles:
 
     @pytest.mark.parametrize("aj", [1.3, 2.6])
     def test_norm_refused_where_the_origin_piece_diverges(self, aj):
-        # F ~ f0 r^{-|j|} is not square integrable at the origin for |j| >= 1
-        profile = build_profile(SolutionCoefficients(0.5, 1.0), 1.0, aj, ATOMIC)
+        # F ~ f0 r^{-|j|} is not square integrable at the origin for |j| >= 1:
+        # the normalizable solution at kappa = 1, N ~ x^{-|j|}
+        coeffs = normalizable_coefficients(_kp(1.0, aj))
+        profile = build_profile(coeffs, 1.0, aj, ATOMIC)
         assert profile.origin_norm == math.inf
         with pytest.raises(ValueError, match="no finite norm"):
             normalize_and_count_nodes(profile)
@@ -333,14 +351,71 @@ class TestProfiles:
         with pytest.raises(ValueError, match="origin_norm"):
             RadialProfile(r, np.exp(-r), 1.0, origin_norm)
 
+    # the refusal names the pair to pass instead
+    NAMED = r"normalizable_coefficients\(KummerParams\.for_state\(kappa, j, params\)\)"
+
+    @pytest.mark.parametrize("lam", [1.0, -1.0, 0.3, -7.0, 1e-2, 1e2])
+    def test_boundary_condition_pairs_refused(self, lam):
+        # (1, lambda (2 kappa)^{2|j|}), the boundary condition's pair at a
+        # secular root, is the state only up to rounding, which leaves a
+        # piece that grows like e^{x/2}.  It is refused unless it is an
+        # exact multiple of the normalizable pair, and is then that state.
+        refused = 0
+        for j in (0.1, 0.2, 0.4):
+            for index, root in enumerate(solve_secular(lam, j, ATOMIC, 4), start=1):
+                kappa = root.kappa
+                normalizable = normalizable_coefficients(_kp(kappa, j))
+                state = build_profile(normalizable, kappa, j, ATOMIC)
+                assert normalize_and_count_nodes(state)[1] == index - 1, (j, index)
+                pair = SolutionCoefficients(1.0, lam * (2.0 * kappa) ** (2.0 * j))
+                alpha = pair.b_m / normalizable.b_m
+                if pair.a_m == alpha * normalizable.a_m:
+                    values = build_profile(pair, kappa, j, ATOMIC).values
+                    np.testing.assert_allclose(values, alpha * state.values, rtol=1e-15)
+                    continue
+                with pytest.raises(ValueError, match=self.NAMED):
+                    build_profile(pair, kappa, j, ATOMIC)
+                refused += 1
+        assert refused >= 10
+
+    @pytest.mark.parametrize(
+        "kappa, coeffs",
+        [(1.0, SolutionCoefficients(1.0, 0.0)),  # off the ladders
+         (1.0 / 1.8, SolutionCoefficients(0.0, 1.0)),  # regular ladder, I does not terminate
+         (1.0 / 1.2, SolutionCoefficients(1.0, 1.0)),  # irregular ladder, R does not
+         (1.0 / 1.2, SolutionCoefficients(1.0, 0.0))],
+    )
+    def test_pairs_that_are_not_the_state_refused(self, kappa, coeffs):
+        with pytest.raises(ValueError, match=self.NAMED):
+            build_profile(coeffs, kappa, 0.3, ATOMIC)
+
+    def test_normalizable_pair_off_by_one_rounding_refused(self):
+        kappa, coeffs = _state(1.0, 0.3, 2)
+        off = SolutionCoefficients(math.nextafter(coeffs.a_m, math.inf), coeffs.b_m)
+        with pytest.raises(ValueError, match=self.NAMED):
+            build_profile(off, kappa, 0.3, ATOMIC)
+
+    def test_multiple_of_the_state_is_the_state(self):
+        kappa, coeffs = _state(-1.0, 0.3, 3)
+        state = build_profile(coeffs, kappa, 0.3, ATOMIC)
+        double = build_profile(SolutionCoefficients(2.0 * coeffs.a_m, 2.0 * coeffs.b_m),
+                               kappa, 0.3, ATOMIC)
+        assert np.array_equal(double.values, 2.0 * state.values)
+        assert normalize_and_count_nodes(double)[1] == 2
+
     def test_unrepresentable_range_refused(self):
-        # the origin node (1e-300)^(1/(2|j|)) underflows to a start at r = 0
+        # the origin node (-f0/f1)^(1/(2|j|)) of the normalizable solution at
+        # |j| = 0.004, with a 1e-5 below the pole at 0, is about 1e-363: it
+        # underflows to a start at r = 0
+        kappa = 1.0 / (0.5 + 0.004 + 1e-5)
+        coeffs = normalizable_coefficients(_kp(kappa, 0.004))
         with pytest.raises(ValueError, match="need 0 < r_min < r_max"):
-            build_profile(SolutionCoefficients(1.0, -1e-300), 1.0, 0.01, ATOMIC)
-        # 35/kappa overflows while 1e-4/kappa does not
+            build_profile(coeffs, kappa, 0.004, ATOMIC)
+        # the regular ladder's ground state, where 35/kappa overflows while
+        # 1e-4/kappa does not
         weak = PhysicalParams(eta=1e-307)
         with pytest.raises(OverflowError, match="float range"):
-            build_profile(SolutionCoefficients(1.0, 0.0), 1e-307, 0.2, weak)
+            build_profile(SolutionCoefficients(1.0, 0.0), 1e-307 / 0.7, 0.2, weak)
 
     def test_coarse_mesh_raises_resolution_error(self):
         # 40 points cannot resolve the sign changes of an n=4 state
