@@ -24,13 +24,13 @@ PROFILES: list[tuple[str, list[str]]] = [
     ("irregular_n1_j0p45.csv",
      ["wavefunction", "--branch", "irregular", "--n", "1", "--m", "0", "--flux", "0.45"]),
     ("extension_neg1_root1_j0p2.csv",
-     ["wavefunction", "--lambda", "-1", "--root", "1", "--m", "0", "--flux", "0.2"]),
+     ["wavefunction", "--lambda", "-1", "--n", "1", "--m", "0", "--flux", "0.2"]),
     ("extension_neg1_root2_j0p2.csv",
-     ["wavefunction", "--lambda", "-1", "--root", "2", "--m", "0", "--flux", "0.2"]),
+     ["wavefunction", "--lambda", "-1", "--n", "2", "--m", "0", "--flux", "0.2"]),
     ("extension_pos1_root1_j0p2.csv",
-     ["wavefunction", "--lambda", "1", "--root", "1", "--m", "0", "--flux", "0.2"]),
+     ["wavefunction", "--lambda", "1", "--n", "1", "--m", "0", "--flux", "0.2"]),
     ("extension_pos1_root2_j0p2.csv",
-     ["wavefunction", "--lambda", "1", "--root", "2", "--m", "0", "--flux", "0.2"]),
+     ["wavefunction", "--lambda", "1", "--n", "2", "--m", "0", "--flux", "0.2"]),
 ]
 
 

@@ -3,9 +3,9 @@ roots, wavefunction export, and the verification suite.
 
 Output is deterministic CSV (LF endings, ``.`` decimal point, shortest
 round-trip float format) or JSON.  Exit codes: 0 success, 1 failed
-verification, 2 bad flags (argparse), 3 refused input: a sector violation,
-a state that is not bound, or a state whose kappa or energy is beyond the
-float range.
+verification, 2 bad flags (argparse, or more than ``MAX_ROWS`` rows), 3
+refused input: a sector violation, a state that is not bound, or a state
+whose kappa or energy is beyond the float range.
 """
 
 from __future__ import annotations
@@ -67,8 +67,14 @@ _JSON_ROW = (
 
 
 # Entries one integer list may hold, and the most of any integer that sets
-# the work done (scan steps, --count, --n, --root, --points); both at parse time.
+# the work done (scan steps, --count, wavefunction's --n, --points); both at
+# parse time.
 MAX_LIST_ENTRIES = 100_000
+# Rows one spectrum or scan may write, counted from the list lengths before
+# any array is built: lists each within MAX_LIST_ENTRIES can ask for many GB,
+# and 1 M rows already take 3-5 s and peak at 0.53 GB as CSV, 0.8-0.9 GB as
+# JSON (2-core Xeon, numpy 2.4).
+MAX_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -370,6 +376,11 @@ def _rows(variable: str, values: list[float], args: argparse.Namespace) -> tuple
 
 
 def _write_rows(variable: str, values: list[float], args: argparse.Namespace) -> int:
+    m_entries = 1 if variable == "m" else len(args.m)
+    rows = len(values) * len(args.n) * m_entries * len(args.spin) * len(_branches(args.branch))
+    if rows > MAX_ROWS:
+        print(f"error: the grid has {rows} rows, more than {MAX_ROWS}", file=sys.stderr)
+        return 2  # a bad flag, as argparse exits
     try:
         text, note = _rows(variable, values, args)
     except SectorViolation as exc:
@@ -395,7 +406,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_secular(args: argparse.Namespace) -> int:
     params = _params(args)
-    j = args.j if args.j is not None else args.m + args.flux
+    j = args.m + args.flux
     try:
         roots = solve_secular(args.lam, j, params, args.count)
     except (SectorError, RootSearchError) as exc:
@@ -431,23 +442,25 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     params = _params(args)
     flux = decompose_flux(args.flux)
     j = args.m + flux.phi
-    n, branch, root = args.n or 1, args.branch or REGULAR, args.root or 1
+    branch = args.branch or REGULAR
     try:
         if args.lam in (0.0, math.inf):  # their states are the ladders', at |j| < 1/2
             _require_extension_sector(args.lam, j)
-            n, branch = root, REGULAR if args.lam == 0.0 else IRREGULAR
+            branch = REGULAR if args.lam == 0.0 else IRREGULAR
         if args.lam in (None, 0.0, math.inf):
-            level = closed_form_energy(QuantumState(n, args.m, args.spin, branch), params, flux)
+            # s = 1 for both spins: neither kappa = m_e eta'/(n - 1/2 +- |j|)
+            # nor a secular root depends on s, so neither does the profile
+            level = closed_form_energy(QuantumState(args.n, args.m, 1, branch), params, flux)
             if not level.exists:
                 raise ExistenceError(f"no bound state: kappa = {level.kappa!r}")
             kappa = level.kappa
             # the ladder's own piece, x^{+-|j|} e^{-x/2} L_{n-1}^{(+-2|j|)}(x)
             coeffs = SolutionCoefficients(*((1.0, 0.0) if branch == REGULAR else (0.0, 1.0)))
         else:
-            roots = solve_secular(args.lam, j, params, root)
-            if len(roots) < root:
+            roots = solve_secular(args.lam, j, params, args.n)
+            if len(roots) < args.n:
                 raise ExistenceError(
-                    f"lambda = {args.lam} has no bound state {root} (it has {len(roots)})")
+                    f"lambda = {args.lam} has no bound state {args.n} (it has {len(roots)})")
             kappa = roots[-1].kappa
             coeffs = normalizable_coefficients(KummerParams.for_state(kappa, j, params))
         profile = build_profile(coeffs, kappa, j, params, points=args.points)
@@ -512,8 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_physics_flags(se)
     se.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True,
                     help="extension parameter (finite float or 'inf')")
-    se.add_argument("--j", type=_finite("j"), default=None,
-                    help="effective angular momentum; default m + flux")
     se.add_argument("--m", type=_single(_parse_int_list), default=0)
     se.add_argument("--spin", type=_single(_parse_spins), default=1)
     se.add_argument("--count", type=_int_at_least(1), default=3)
@@ -522,21 +533,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     wv = sub.add_parser("wavefunction", help="export a radial profile as CSV (r,F)")
     _add_physics_flags(wv)
-    # --n and --branch pick a closed-form state, --lambda and --root an
-    # extension's; a flag of the other kind would be ignored, so it exits 2.
-    # The defaults are None because argparse tells a given flag from its
-    # default by identity, and `--n 1` parses to the shared int 1.
-    level, kind = wv.add_mutually_exclusive_group(), wv.add_mutually_exclusive_group()
-    level.add_argument("--n", type=_single(_parse_levels, MAX_LIST_ENTRIES), default=None,
-                       help="closed-form level (default 1)")
+    wv.add_argument("--n", type=_single(_parse_levels, MAX_LIST_ENTRIES), default=1,
+                    help="level: the n-th state of the ladder or extension (default 1)")
     wv.add_argument("--m", type=_single(_parse_int_list), default=0)
-    wv.add_argument("--spin", type=_single(_parse_spins), default=1)
+    # a ladder or an extension, not both; --branch defaults to None as argparse
+    # tells a given flag from its default by identity (`--branch regular`)
+    kind = wv.add_mutually_exclusive_group()
     kind.add_argument("--branch", choices=(REGULAR, IRREGULAR), default=None,
-                      help="closed-form branch (default regular)")
-    level.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
-                       help="build the state of this extension instead of a closed form")
-    kind.add_argument("--root", type=_int_at_least(1), default=None,
-                      help="which secular root (1-based, default 1)")
+                      help="closed-form ladder (default regular)")
+    kind.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
+                      help="build the state of this extension instead of a ladder's")
     wv.add_argument("--points", type=_int_at_least(16), default=2000)  # build_profile's minimum
     wv.add_argument("--out", default=None, help="write to this path instead of stdout")
     wv.set_defaults(handler=_cmd_wavefunction)

@@ -261,7 +261,9 @@ def tricomi_u(a: float, b: float, x):
     Raises ValueError for a nonpositive integer ``a``: U(-m, b, x) is
     (-1)^m (b)_m 1F1(-m, b, x) (DLMF 13.2.7), which ``kummer_1f1`` sums.
     That polynomial is recessive at the origin, so the march inward, which
-    follows the x^{1-b} solution there, loses it as b grows.
+    follows the x^{1-b} solution there, loses it as b grows; for the same
+    reason an a within rounding of a nonpositive integer with b > 2 loses
+    relative digits (1.7e-9 at a = -3 + 1e-15, b = 3.5).
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(xs > 0.0):

@@ -30,7 +30,11 @@ from abcoulomb.wavefunction import RadialProfile, normalize_and_count_nodes
 
 
 def run_cli(capsys, argv):
-    code = cli.main(argv)
+    """(exit code, stdout, stderr) of ``abcoulomb *argv``, argparse's exits included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -431,8 +435,7 @@ def test_export_wavefunctions_writes_every_profile(tmp_path, monkeypatch, capsys
     assert {path.name for path in tmp_path.iterdir()} == {name for name, _ in export.PROFILES}
     assert len(export.PROFILES) == 8
     for name, argv in export.PROFILES:
-        # level index: --n of a closed-form state, --root of an extension's
-        index = int(argv[argv.index("--n" if "--n" in argv else "--root") + 1])
+        index = int(argv[argv.index("--n") + 1])
         lines = (tmp_path / name).read_text().split("\n")
         assert lines[0] == "r,F" and lines[-1] == ""
         values = np.array([float(line.split(",")[1]) for line in lines[1:-1]])
@@ -444,7 +447,7 @@ def test_export_wavefunctions_writes_every_profile(tmp_path, monkeypatch, capsys
 class TestSecularCommand:
     def test_regular_limit(self, capsys):
         code, out, _ = run_cli(
-            capsys, ["secular", "--lambda", "0", "--j", "0.2", "--count", "3"]
+            capsys, ["secular", "--lambda", "0", "--flux", "0.2", "--count", "3"]
         )
         assert code == 0
         lines = out.strip().split("\n")
@@ -454,7 +457,7 @@ class TestSecularCommand:
 
     def test_infinity_parsing(self, capsys):
         code, out, _ = run_cli(
-            capsys, ["secular", "--lambda", "inf", "--j", "0.2", "--count", "1"]
+            capsys, ["secular", "--lambda", "inf", "--flux", "0.2", "--count", "1"]
         )
         assert code == 0
         kappa = float(out.strip().split("\n")[1].split(",")[1])
@@ -463,7 +466,7 @@ class TestSecularCommand:
     @pytest.mark.parametrize("text", ["+inf", "Infinity", " +inf"])
     def test_infinity_spellings_give_the_irregular_ladder(self, capsys, text):
         code, out, _ = run_cli(
-            capsys, ["secular", f"--lambda={text}", "--j", "0.2", "--count", "3"]
+            capsys, ["secular", f"--lambda={text}", "--flux", "0.2", "--count", "3"]
         )
         assert code == 0
         kappas = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
@@ -473,7 +476,7 @@ class TestSecularCommand:
     def test_lambda_outside_its_range_exits_2(self, capsys, flag):
         # lambda lies in (-inf, +inf]: refused at parse time, before any solve
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["secular", *flag, "--j", "0.2"])
+            cli.main(["secular", *flag, "--flux", "0.2"])
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -481,14 +484,14 @@ class TestSecularCommand:
 
     def test_energy_column(self, capsys):
         _, out, _ = run_cli(
-            capsys, ["secular", "--lambda", "0", "--j", "0.2", "--count", "1"]
+            capsys, ["secular", "--lambda", "0", "--flux", "0.2", "--count", "1"]
         )
         _, kappa, energy, _ = out.strip().split("\n")[1].split(",")
         assert float(energy) == pytest.approx(-0.5 * float(kappa) ** 2, rel=1e-12)
 
     def test_sector_violation_exit_3(self, capsys):
         code, _, err = run_cli(
-            capsys, ["secular", "--lambda", "1", "--j", "0.7", "--count", "1"]
+            capsys, ["secular", "--lambda", "1", "--flux", "0.7", "--count", "1"]
         )
         assert code == 3
         assert "1/2" in err
@@ -500,7 +503,7 @@ class TestSecularCommand:
     )
     def test_beyond_float_range_exits_3(self, capsys, lam, j):
         code, out, err = run_cli(
-            capsys, ["secular", f"--lambda={lam}", "--j", j, "--count", "1"]
+            capsys, ["secular", f"--lambda={lam}", "--flux", j, "--count", "1"]
         )
         assert code == 3
         assert out == ""
@@ -511,7 +514,7 @@ class TestSecularCommand:
         # 1/Gamma(a) overflows for a < -171; every ladder root is still a
         # float, with its one term evaluated at the exact a or a' = 1 - n
         code, out, err = run_cli(
-            capsys, ["secular", "--lambda", lam, "--j", "0.3", "--count", "300"]
+            capsys, ["secular", "--lambda", lam, "--flux", "0.3", "--count", "300"]
         )
         assert code == 0, err
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
@@ -529,7 +532,7 @@ class TestSecularCommand:
     @pytest.mark.parametrize("j", ["0.5", "1", "0.7"])
     def test_infinite_lambda_outside_sector_exits_3(self, capsys, j):
         # the irregular ladder needs |j| < 1/2, as `spectrum --branch irregular`
-        code, out, err = run_cli(capsys, ["secular", "--lambda", "inf", "--j", j])
+        code, out, err = run_cli(capsys, ["secular", "--lambda", "inf", "--flux", j])
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
@@ -538,7 +541,7 @@ class TestSecularCommand:
     def test_j_zero_finite_lambda_exits_3(self, capsys):
         for lam in ("-1", "2"):
             code, out, err = run_cli(
-                capsys, ["secular", f"--lambda={lam}", "--j", "0", "--count", "3"]
+                capsys, ["secular", f"--lambda={lam}", "--flux", "0", "--count", "3"]
             )
             assert code == 3
             assert out == ""
@@ -594,7 +597,7 @@ class TestWavefunctionCommand:
         code, out, _ = run_cli(
             capsys,
             ["wavefunction", "--lambda", "-1", "--m", "0", "--flux", "0.2",
-             "--root", "1", "--points", "64"],
+             "--n", "1", "--points", "64"],
         )
         assert code == 0
         values = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
@@ -608,7 +611,7 @@ class TestWavefunctionCommand:
         # 12 on); the state is written, with one sign change per node
         code, out, err = run_cli(
             capsys,
-            ["wavefunction", f"--lambda={lam}", "--flux", flux, "--root", str(root),
+            ["wavefunction", f"--lambda={lam}", "--flux", flux, "--n", str(root),
              "--points", "4000"],
         )
         assert code == 0, err
@@ -623,10 +626,10 @@ class TestWavefunctionCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--lambda=1", "--flux", "1e-15", "--root", "2"],
+        [["--lambda=1", "--flux", "1e-15", "--n", "2"],
          ["--lambda=1e-300", "--flux", "1e-16"],
          ["--lambda=1e300", "--flux", "1e-16"],
-         ["--lambda=-1", "--flux", "5e-17", "--root", "2"]],
+         ["--lambda=-1", "--flux", "5e-17", "--n", "2"]],
     )
     def test_finite_lambda_at_the_j_zero_limit_exits_3(self, capsys, argv):
         # 2|j| is below the rounding of a and a', both are one integer, and
@@ -647,7 +650,7 @@ class TestWavefunctionCommand:
         # both normalizable coefficients vanish, and away from it
         common = [f"--m={m}", "--flux", flux, "--points", "300"]
         code, out, err = run_cli(
-            capsys, ["wavefunction", f"--lambda={lam}", "--root", str(root), *common])
+            capsys, ["wavefunction", f"--lambda={lam}", "--n", str(root), *common])
         assert code == 0, err
         assert run_cli(capsys, ["wavefunction", "--branch", branch, "--n", str(root), *common]) \
             == (0, out, "")
@@ -660,7 +663,7 @@ class TestWavefunctionCommand:
         code, out, err = run_cli(capsys, ["wavefunction", "--branch", "irregular", "--n", "150",
                                           *common])
         assert code == 0, err
-        assert run_cli(capsys, ["wavefunction", "--lambda", "inf", "--root", "150", *common]) \
+        assert run_cli(capsys, ["wavefunction", "--lambda", "inf", "--n", "150", *common]) \
             == (0, out, "")
         values = np.array([float(line.split(",")[1]) for line in out.strip().split("\n")[1:]])
         assert values.size == 8000
@@ -669,7 +672,7 @@ class TestWavefunctionCommand:
     def test_secular_state_where_u_at_the_expansion_start_overflows(self, capsys):
         # U(a, b, x_s) ~ 1e375 at x_s = 5 839, while U on the mesh is a float
         code, out, err = run_cli(
-            capsys, ["wavefunction", "--lambda=1", "--flux", "0.3", "--root", "90",
+            capsys, ["wavefunction", "--lambda=1", "--flux", "0.3", "--n", "90",
                      "--points", "8000"])
         assert code == 0, err
         values = np.array([float(line.split(",")[1]) for line in out.strip().split("\n")[1:]])
@@ -713,7 +716,7 @@ class TestWavefunctionCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [["wavefunction", "--lambda", "1", "--root", "0"],
+        [["wavefunction", "--lambda", "1", "--n", "0"],
          ["wavefunction", "--points", "15"],
          ["wavefunction", "--format", "json"]],  # profiles are CSV only
     )
@@ -723,23 +726,96 @@ class TestWavefunctionCommand:
         assert excinfo.value.code == 2
 
 
+SPECTRUM, SCAN = ["spectrum"], ["scan", "--scan", "flux:0:1:3"]
+SECULAR = ["secular", "--lambda", "1", "--flux", "0.3"]
+WAVEFUNCTION = ["wavefunction", "--flux", "0.3", "--points", "64"]
+# For each option of each subcommand, a pair of argv that differ only in it:
+# the command with its common flags, the first's own flags, the second's.
+FLAG_PAIRS = [
+    *[(command, [], flag) for command in (SPECTRUM, SCAN, SECULAR, WAVEFUNCTION)
+      for flag in (["--eta", "2"], ["--mass", "2"], ["--hbar", "2"])],
+    *[(command, [], flag) for command in (SPECTRUM, SCAN, SECULAR)
+      for flag in (["--omega", "1"], ["--format", "json"])],
+    *[(command + ["--omega", "1"], [], ["--spin", "-1"]) for command in (SPECTRUM, SCAN, SECULAR)],
+    *[(command, [], flag) for command in (SPECTRUM, SCAN)
+      for flag in (["--n", "2"], ["--m", "1"], ["--branch", "both"])],
+    *[(command + ["--branch", "irregular", "--m", "1"], [], ["--strict"])
+      for command in (SPECTRUM, SCAN)],
+    (SPECTRUM, [], ["--flux", "0.3"]),
+    (["scan", "--scan", "omega:0:1:3"], [], ["--flux", "0.3"]),
+    (["scan"], ["--scan", "flux:0:1:3"], ["--scan", "flux:0:2:3"]),
+    # j is m + flux: both move the roots, or the state out of |j| < 1/2
+    (["secular", "--lambda", "1"], ["--flux", "0.2"], ["--flux", "0.3"]),
+    (["secular", "--lambda", "1", "--flux", "0.7"], [], ["--m=-1"]),
+    (["secular", "--flux", "0.3"], ["--lambda", "1"], ["--lambda=-1"]),
+    (SECULAR, [], ["--count", "1"]),
+    (["wavefunction", "--points", "64"], [], ["--flux", "0.3"]),
+    (WAVEFUNCTION, [], ["--m=-1"]),
+    (WAVEFUNCTION, [], ["--branch", "irregular"]),
+    (WAVEFUNCTION, [], ["--lambda=1"]),
+    # --n is the level of a ladder state and of an extension's
+    (WAVEFUNCTION, [], ["--n", "3"]),
+    (WAVEFUNCTION + ["--lambda=1"], [], ["--n", "3"]),
+    (["wavefunction"], [], ["--points", "64"]),
+    (["verify", "--only", "model"], [], ["--only", "spectrum"]),
+]
+UNCHANGED = {
+    # where the output goes, not what it is
+    "--out", "-h", "--help",
+    # the profile is that of kappa, which Omega does not change; --omega
+    # is one of the physics flags every command shares
+    "wavefunction --omega",
+    # not listed: scan's --flux, --omega and --m on a sweep of that same
+    # variable, which the sweep overrides; their pairs above sweep another
+}
+
+
+def test_every_flag_has_a_pair():
+    # a flag added without a pair fails here, before it can be ignored unseen
+    (commands,) = [a.choices for a in cli._build_parser()._actions if isinstance(a.choices, dict)]
+    options = {f"{name} {flag}" for name, sub in commands.items()
+               for action in sub._actions for flag in action.option_strings}
+    paired = {f"{command[0]} {second[0].split('=')[0]}" for command, _, second in FLAG_PAIRS}
+    unpaired = {o for o in options - paired if not UNCHANGED & {o, o.split()[1]}}
+    assert not unpaired
+    assert paired <= options
+
+
 @pytest.mark.parametrize(
-    "argv, flag, other",
-    [(["--lambda=1", "--flux", "0.3", "--n", "5"], "--n", "--lambda"),
-     (["--n", "1", "--lambda", "0"], "--lambda", "--n"),
-     (["--branch", "irregular", "--flux", "0.3", "--root", "4"], "--root", "--branch"),
-     (["--root", "1", "--branch", "regular"], "--branch", "--root")],
+    "command, first, second", FLAG_PAIRS,
+    ids=[" ".join(command + first + ["|"] + second) for command, first, second in FLAG_PAIRS],
 )
-def test_wavefunction_refuses_flags_it_would_ignore(capsys, argv, flag, other):
-    # --n and --branch pick a closed-form state, --lambda and --root an
-    # extension's; a flag of the other kind would be ignored without a word,
-    # also where its value is the default
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["wavefunction", *argv])
-    assert excinfo.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"argument {flag}: not allowed with argument {other}" in captured.err
+def test_each_flag_changes_the_output(capsys, command, first, second):
+    before, after = run_cli(capsys, command + first), run_cli(capsys, command + second)
+    assert 2 not in (before[0], after[0]), before[2] + after[2]
+    assert before != after
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["wavefunction", "--lambda=1", "--flux", "0.3", "--branch", "irregular"],
+      "argument --branch: not allowed with argument --lambda"),
+     (["wavefunction", "--branch", "regular", "--lambda", "0"],
+      "argument --lambda: not allowed with argument --branch"),
+     (["wavefunction", "--branch", "irregular", "--flux", "0.3", "--root", "4"],
+      "unrecognized arguments: --root 4"),
+     (["wavefunction", "--flux", "0.3", "--root", "4"], "unrecognized arguments: --root 4"),
+     (["wavefunction", "--spin", "-1"], "unrecognized arguments: --spin -1"),
+     (["secular", "--lambda", "1", "--j", "0.2", "--flux", "0.3"],
+      "unrecognized arguments: --j 0.2"),
+     (["secular", "--lambda", "1", "--j", "0.2", "--m", "5"], "unrecognized arguments: --j 0.2")],
+    ids=["lambda-then-branch", "branch-then-lambda", "root-with-branch", "root", "wavefunction-spin",
+         "j-with-flux", "j-with-m"],
+)
+def test_flags_that_would_be_ignored_exit_2(capsys, argv, message):
+    # --branch picks a ladder and --lambda an extension, whose --n-th state
+    # is written; the other would be ignored without a word, also where its
+    # value is the default.  Each input has one spelling: --n is the level of
+    # both (no --root), j is m + flux (no --j), and the profile, the same
+    # for both spins, has no --spin
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_wavefunction_routes_load_no_scipy(tmp_path):
@@ -748,10 +824,10 @@ def test_wavefunction_routes_load_no_scipy(tmp_path):
     routes = [
         ["--branch", "regular", "--n", "3", "--flux", "0.3"],
         ["--branch", "irregular", "--n", "3", "--flux", "0.3"],
-        ["--lambda", "0", "--root", "2", "--flux", "0.3"],
-        ["--lambda", "inf", "--root", "2", "--flux", "0.3"],
-        ["--lambda=1", "--root", "3", "--flux", "0.3"],
-        ["--lambda=-1", "--root", "3", "--flux", "0.2"],
+        ["--lambda", "0", "--n", "2", "--flux", "0.3"],
+        ["--lambda", "inf", "--n", "2", "--flux", "0.3"],
+        ["--lambda=1", "--n", "3", "--flux", "0.3"],
+        ["--lambda=-1", "--n", "3", "--flux", "0.2"],
     ]
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -777,7 +853,7 @@ def test_wavefunction_routes_load_no_scipy(tmp_path):
     [(["wavefunction"], ["--n", "1,3"], ["--n", "3"]),
      (["wavefunction"], ["--n", "1..2"], ["--n", "2"]),
      (["wavefunction"], ["--m=-5,-4"], ["--m=-5"]),
-     (["wavefunction"], ["--spin", "1,-1"], ["--spin", "-1"]),
+     (["wavefunction", "--lambda=1", "--flux", "0.3"], ["--n", "1,3"], ["--n", "3"]),
      (["secular", "--lambda", "1", "--flux", "0.7"], ["--m=-1,0"], ["--m=-1"]),
      (["secular", "--lambda", "1", "--flux", "0.3"], ["--spin", "1,-1"], ["--spin", "-1"])],
 )
@@ -799,7 +875,7 @@ def test_one_state_commands_refuse_lists(capsys, command, many, one):
     [["spectrum", "--eta", "1e200"],  # eta**2 overflows
      ["scan", "--scan", "flux:0:1:3", "--eta", "1e200"],
      ["spectrum", "--hbar", "1e-200"],  # hbar**2 underflows to 0
-     ["secular", "--lambda", "1", "--j", "0.3", "--hbar", "1e-200"],
+     ["secular", "--lambda", "1", "--flux", "0.3", "--hbar", "1e-200"],
      ["wavefunction", "--hbar", "1e-200"]],
 )
 def test_coulomb_scale_beyond_float_range_exits_3(capsys, argv):
@@ -841,9 +917,11 @@ class TestPhysicsFlags:
              "argument --m: entries must lie within"),
             (["wavefunction", f"--m={BEYOND_FLOAT}"], "argument --m: entries must lie within"),
             (["wavefunction", f"--n={BEYOND_FLOAT}"], "argument --n: entries must lie within"),
-            # they once exited 3 as a sector refusal, |j| = nan or inf
-            (["secular", "--lambda", "1", "--j", "nan"], "argument --j: j must be finite, got nan"),
-            (["secular", "--lambda", "1", "--j", "1e400"], "argument --j: j must be finite, got inf"),
+            # j = m + flux nan or inf: once exited 3 as a sector refusal
+            (["secular", "--lambda", "1", "--flux", "nan"],
+             "argument --flux: flux must be finite, got nan"),
+            (["secular", "--lambda", "1", "--flux", "1e400"],
+             "argument --flux: flux must be finite, got inf"),
             (["spectrum", "--m=-50000..50000"],
              "argument --m: '-50000..50000' takes the list beyond 100000 entries"),
             (["scan", "--scan", "flux:0:1:3", "--n", "1..99999,7,8"],
@@ -863,9 +941,9 @@ class TestPhysicsFlags:
 
     @pytest.mark.parametrize(
         "argv, flag",
-        [(["secular", "--lambda", "0", "--j", "0.3", "--count", "100001"], "--count"),
+        [(["secular", "--lambda", "0", "--flux", "0.3", "--count", "100001"], "--count"),
          (["wavefunction", "--n", "100001"], "--n"),
-         (["wavefunction", "--lambda", "1", "--flux", "0.3", "--root", "100001"], "--root"),
+         (["wavefunction", "--lambda", "1", "--flux", "0.3", "--n", "100001"], "--n"),
          (["wavefunction", "--points", "100001"], "--points"),
          (["scan", "--scan", "flux:0:1:100001"], "--scan")],
     )
@@ -879,21 +957,39 @@ class TestPhysicsFlags:
         err = capsys.readouterr().err
         assert f"argument {flag}: " in err and "100000, got 100001" in err
 
-    def test_oversized_range_refused_before_it_is_expanded(self):
-        # a billion entries would take tens of GB; under a 1 GB address-space
-        # limit expanding the range fails with MemoryError (exit 1), so the
-        # refusal, exit 2, shows the range was never expanded
+    @staticmethod
+    def run_within_1gb(argv):
+        """``abcoulomb *argv`` in a process limited to 1 GB of address space."""
         resource = pytest.importorskip("resource")  # POSIX only
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = "import sys; from abcoulomb.cli import main; sys.exit(main(sys.argv[1:]))"
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "spectrum", "--m", "0..1000000000"],
+        return subprocess.run(
+            [sys.executable, "-c", code, *argv],
             env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
         )
+
+    def test_oversized_range_refused_before_it_is_expanded(self):
+        # a billion entries would take tens of GB; under a 1 GB address-space
+        # limit expanding the range fails with MemoryError (exit 1), so the
+        # refusal, exit 2, shows the range was never expanded
+        proc = self.run_within_1gb(["spectrum", "--m", "0..1000000000"])
         assert proc.returncode == 2, proc.stderr
         assert "argument --m: '0..1000000000' takes the list beyond 100000 entries" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [(["spectrum", "--n", "1..20000", "--m", "0..20000"], 400_020_000),  # 2.98 GiB of floats
+         (["scan", "--scan", "flux:0:1:100000", "--m", "0..1000"], 100_100_000)],  # 764 MiB
+    )
+    def test_oversized_grid_refused_before_it_is_built(self, argv, rows):
+        # each list is within its cap, their product is not: under a 1 GB
+        # address-space limit building the grid fails with numpy's
+        # MemoryError (exit 1), so the refusal, exit 2, shows it was never built
+        proc = self.run_within_1gb(argv)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr == f"error: the grid has {rows} rows, more than {cli.MAX_ROWS}\n"
 
 
 def test_cached_parser_leaks_no_state(capsys):
