@@ -11,14 +11,10 @@ whose kappa or energy is beyond the float range.
 from __future__ import annotations
 
 import argparse
-import collections
 import functools
-import itertools
 import json
 import math
-import operator
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +68,9 @@ _JSON_ROW = (
 MAX_LIST_ENTRIES = 100_000
 # Rows one spectrum or scan may write, counted from the list lengths before
 # any array is built: lists each within MAX_LIST_ENTRIES can ask for many GB,
-# and 1 M rows already take 3-5 s and peak at 0.53 GB as CSV, 0.8-0.9 GB as
-# JSON (2-core Xeon, numpy 2.4).
+# and 1 M rows already take 1.4-3 s and peak at 0.32-0.47 GB as CSV, 1.9-4.2 s
+# and 0.75-0.81 GB as JSON (2-core Xeon, numpy 2.4; the spectrum --n 1..1000
+# --m 0..999 grid and scans of flux or omega).
 MAX_ROWS = 1_000_000
 
 
@@ -101,6 +98,10 @@ class ScanSpec:
             span = int(self.stop) - int(self.start)
             if span % (self.steps - 1) != 0:
                 raise ValueError("m scans need an integer stride")
+        values = self.values()
+        for before, value in zip(values, values[1:]):
+            if value <= before:
+                raise ValueError(f"steps below the float spacing repeat {value!r}")
 
     def values(self) -> list[float]:
         if self.variable == "m":
@@ -120,7 +121,8 @@ def _float_int(text: str) -> int:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Comma-separated integers with a..b range expansion, e.g. '-5..-1,3'."""
+    """Comma-separated distinct integers with a..b range expansion, e.g.
+    '-5..-1,3'."""
     values: list[int] = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -141,6 +143,10 @@ def _parse_int_list(text: str) -> list[int]:
         values.extend(range(lo, lo + size))
     if not values:
         raise argparse.ArgumentTypeError(f"no integers in {text!r}")
+    if len(set(values)) < len(values):
+        ordered = sorted(values)
+        repeated = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+        raise argparse.ArgumentTypeError(f"{repeated} is listed more than once")
     return values
 
 
@@ -229,12 +235,25 @@ def _parse_scan(text: str) -> ScanSpec:
 def _add_physics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eta", type=_physical("eta"), default=1.0,
                         help="Coulomb strength (default 1)")
-    parser.add_argument("--omega", type=_physical("omega"), default=0.0,
-                        help="rotation frequency (default 0)")
     parser.add_argument("--mass", type=_physical("m_e"), default=1.0,
                         help="particle mass (default 1)")
     parser.add_argument("--hbar", type=_physical("hbar"), default=1.0, help="hbar (default 1)")
     parser.add_argument("--flux", type=_finite("flux"), default=0.0, help="AB flux phi (default 0)")
+
+
+def _add_omega_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--omega", type=_physical("omega"), default=0.0,
+                        help="rotation frequency (default 0)")
+
+
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of a ``spectrum`` or ``scan`` grid beyond its sweep."""
+    _add_omega_flag(parser)
+    parser.add_argument("--n", type=_parse_levels, default=[1])
+    parser.add_argument("--m", type=_parse_int_list, default=[0])
+    parser.add_argument("--spin", type=_parse_spins, default=[1])
+    parser.add_argument("--branch", choices=(REGULAR, IRREGULAR, "both"), default=REGULAR)
+    parser.add_argument("--strict", action="store_true")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -262,114 +281,78 @@ class SectorViolation(Exception):
     """Raised in strict mode when an irregular request leaves |j| < 1/2."""
 
 
-def _axis(items: list) -> tuple[list, list[int]]:
-    """The distinct ``items`` in sorted order, and how often each is listed."""
-    counts = collections.Counter(items)
-    keys = sorted(counts)
-    return keys, [counts[k] for k in keys]
-
-
-def _spread(strings: list[str], shape: tuple, full: tuple) -> Sequence[str]:
-    """The ``strings`` of an array of ``shape``, one per entry of the
-    ``full`` grid it broadcasts to, in C order."""
-    if shape == full:
-        return strings
-    index = np.broadcast_to(np.arange(len(strings)).reshape(shape), full).ravel().tolist()
-    return operator.itemgetter(*index)(strings)  # more than one entry, so a tuple
-
-
 def _rows(variable: str, values: list[float], args: argparse.Namespace) -> tuple[str, str | None]:
-    """The rows of a sweep of ``variable`` over ``values``, rendered in
-    ``args.format`` and sorted by (scan_value, n, m, s, branch), and the
-    note on irregular rows outside |j| < 1/2 (None when there are none).
+    """The rows of a sweep of ``variable`` over the increasing ``values`` in
+    ``args.format``, and the note on irregular rows outside |j| < 1/2 (None
+    when there are none), or under ``--strict`` ``SectorViolation``; both
+    name the first such row.
 
-    The grid is evaluated as numpy arrays on the sorted distinct entries of
-    each axis (value, n, m, s, branch), whose C order is the row order, by
-    the closed form behind ``spectrum.closed_form_energy``, so each energy
-    and kappa is bit for bit ``closed_form_energy`` of its row.  A key
-    listed k times is written k times in a row.  Raises ``SectorViolation``
-    under ``--strict``, naming the first offending row in the given
-    (value, n, m, s, branch) loop order.
+    The grid's axes (value, n, m, s, branch) hold distinct entries in sorted
+    order, so its C order is the row order; on m scans the m axis has length
+    1 and m follows the value.  The closed form behind
+    ``spectrum.closed_form_energy`` is evaluated on it as numpy arrays, so
+    each energy and kappa is bit for bit ``closed_form_energy`` of its row.
     """
     params = _params(args)
-    branches = _branches(args.branch)
-    note = None
-    if IRREGULAR in branches:
-        column = np.array(values)[:, None]
-        m_column = column if variable == "m" else np.array([float(m) for m in args.m])[None, :]
-        outside = ~is_singular_sector(m_column + (column if variable == "flux" else args.flux))
-        if outside.any():
-            v, i = np.unravel_index(np.argmax(outside), outside.shape)
-            m = int(values[v]) if variable == "m" else args.m[i]
-            phi = values[v] if variable == "flux" else args.flux
-            if args.strict:
-                raise SectorViolation(
-                    f"irregular state needs |j| < 1/2 but m + phi = {m + phi} (m={m}, phi={phi})"
-                )
-            note = (
-                f"note: irregular rows with |m + phi| >= 1/2 marked exists=false "
-                f"(first at m={m}, phi={phi})"
-            )
-
-    # Axes (value, n, m, s, branch), each sorted and distinct; on m scans
-    # the m axis has length 1 and m follows the value.
-    values, v_count = _axis(values)
-    ns, n_count = _axis(args.n)
-    ms, m_count = (None, [1]) if variable == "m" else _axis(args.m)
-    spins, s_count = _axis(args.spin)
-    branches, b_count = _axis(branches)
+    ns, ms, spins = sorted(args.n), sorted(args.m), sorted(args.spin)
+    branches = sorted(_branches(args.branch))
     value = np.reshape(values, (-1, 1, 1, 1, 1))
     m_axis = value if variable == "m" else np.reshape([float(m) for m in ms], (1, 1, -1, 1, 1))
     j = m_axis + (value if variable == "flux" else args.flux)
     regular = np.array([b == REGULAR for b in branches])
+    refused = ~is_singular_sector(j) & ~regular  # no n or s axis
+    note = None
+    if refused.any():
+        v, _, i, _, _ = np.unravel_index(np.argmax(refused), refused.shape)
+        m = int(values[v]) if variable == "m" else ms[i]
+        phi = values[v] if variable == "flux" else args.flux
+        if args.strict:
+            raise SectorViolation(
+                f"irregular state needs |j| < 1/2 but m + phi = {m + phi} (m={m}, phi={phi})"
+            )
+        note = (
+            f"note: irregular rows with |m + phi| >= 1/2 marked exists=false "
+            f"(first at m={m}, phi={phi})"
+        )
+
     with np.errstate(all="ignore"):  # overflow to inf and inf * 0 = nan, as in Python floats
         coulomb, rotation, kappa = _closed_form_terms(
             params, value if variable == "omega" else params.omega,
             np.reshape([n - 0.5 for n in ns], (1, -1, 1, 1, 1)), np.where(regular, 1.0, -1.0),
             j, np.reshape(np.array(spins, dtype=float), (1, 1, 1, -1, 1)),
         )
-        energy = coulomb + rotation
-    refused = ~is_singular_sector(j) & ~regular
-    energy = np.where(refused, math.nan, energy)
+        energy = np.where(refused, math.nan, coulomb + rotation)
     kappa = np.where(refused, math.nan, kappa)  # no s axis, and no value axis on omega scans
-    full = energy.shape
 
-    def floats(array: np.ndarray) -> list[str]:
+    def floats(array: np.ndarray) -> np.ndarray:
         """Each entry of ``array`` as ``repr``, or as ``json.dumps`` writes it."""
-        strings = list(map(repr, array.ravel().tolist()))
+        strings = np.reshape(np.array(list(map(repr, array.ravel().tolist())), dtype=object),
+                             array.shape)
         if args.format == "json":
-            for i in np.flatnonzero(~np.isfinite(array)).tolist():
-                strings[i] = _JSON_FLOATS[strings[i]]
+            nonfinite = ~np.isfinite(array)
+            strings[nonfinite] = [_JSON_FLOATS[text] for text in strings[nonfinite]]
         return strings
 
-    def along(axis: int, strings: list[str]) -> tuple[list[str], tuple]:
-        return strings, tuple(len(strings) if a == axis else 1 for a in range(5))
+    def along(axis: int, strings: list[str]) -> np.ndarray:
+        return np.array(strings, dtype=object).reshape([-1 if a == axis else 1 for a in range(5)])
 
-    # The fixed text before each field and after the last; the labels (n,
-    # m, s, branch) are joined on their own small grid.
+    # The fixed text before each field and after the last.  Each column is
+    # joined from its pieces on its own axes, then broadcast to the grid.
     frag = [t.format(variable=variable) for t in (_JSON_ROW if args.format == "json" else _CSV_ROW)]
-    label_parts = [
-        along(1, [f"{frag[1]}{n}" for n in ns]),
-        along(0, [f"{frag[2]}{int(v)}" for v in values]) if variable == "m"
-        else along(2, [f"{frag[2]}{m}" for m in ms]),
-        along(3, [f"{frag[3]}{s}" for s in spins]),
-        along(4, [f"{frag[4]}{b}{frag[5]}" for b in branches]),
-    ]
-    label_shape = np.broadcast_shapes(*(shape for _, shape in label_parts))
-    labels = list(map("".join, zip(*(_spread(p, shape, label_shape) for p, shape in label_parts))))
-    rows = list(map("".join, zip(
-        _spread(*along(0, [f"{frag[0]}{v!r}" for v in values]), full),
-        _spread(labels, label_shape, full),
+    columns = [
+        along(0, [f"{frag[0]}{v!r}" for v in values]),
+        along(1, [f"{frag[1]}{n}" for n in ns])
+        + (along(0, [f"{frag[2]}{int(v)}" for v in values]) if variable == "m"
+           else along(2, [f"{frag[2]}{m}" for m in ms]))
+        + along(3, [f"{frag[3]}{s}" for s in spins])
+        + along(4, [f"{frag[4]}{b}{frag[5]}" for b in branches]),
         floats(energy),
-        itertools.repeat(frag[6]),
-        _spread(floats(kappa), kappa.shape, full),
-        itertools.repeat(frag[7]),
-        _spread(np.where(kappa > 0.0, "true" + frag[8], "false" + frag[8]).ravel().tolist(),
-                kappa.shape, full),
-    )))
-    count = functools.reduce(np.multiply, np.ix_(v_count, n_count, m_count, s_count, b_count))
-    if count.max() > 1:
-        rows = operator.itemgetter(*np.repeat(np.arange(count.size), count.ravel()).tolist())(rows)
+        frag[6] + floats(kappa) + frag[7]
+        + np.where(kappa > 0.0, "true" + frag[8], "false" + frag[8]).astype(object),
+    ]
+    rows = list(map("".join, zip(*(np.broadcast_to(c, energy.shape).ravel().tolist()
+                                   for c in columns))))
+    del columns  # and its strings, before the rows are joined
     if args.format == "json":
         return "[\n" + ",\n".join(rows) + "\n]\n", note
     return CSV_HEADER + "\n" + "\n".join(rows) + "\n", note
@@ -439,7 +422,8 @@ def _cmd_secular(args: argparse.Namespace) -> int:
 
 
 def _cmd_wavefunction(args: argparse.Namespace) -> int:
-    params = _params(args)
+    # no --omega: the profile is that of kappa, which rotation leaves alone
+    params = PhysicalParams(m_e=args.mass, hbar=args.hbar, eta=args.eta)
     flux = decompose_flux(args.flux)
     j = args.m + flux.phi
     branch = args.branch or REGULAR
@@ -488,6 +472,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAILED
 
 
+class _AppendDistinct(argparse.Action):
+    """``append``, refusing an entry already listed, as integer lists do."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        listed = getattr(namespace, self.dest) or []
+        if value in listed:
+            raise argparse.ArgumentError(self, f"{value} is listed more than once")
+        setattr(namespace, self.dest, [*listed, value])
+
+
 @functools.cache  # about 1.6 ms to build; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -501,11 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="closed-form energies at a single point")
     _add_physics_flags(sp)
-    sp.add_argument("--n", type=_parse_levels, default=[1])
-    sp.add_argument("--m", type=_parse_int_list, default=[0])
-    sp.add_argument("--spin", type=_parse_spins, default=[1])
-    sp.add_argument("--branch", choices=(REGULAR, IRREGULAR, "both"), default=REGULAR)
-    sp.add_argument("--strict", action="store_true")
+    _add_grid_flags(sp)
     _add_output_flags(sp)
     sp.set_defaults(handler=_cmd_spectrum)
 
@@ -513,16 +503,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_physics_flags(sc)
     sc.add_argument("--scan", type=_parse_scan, required=True,
                     help="var:start:stop:steps with var in flux|omega|m")
-    sc.add_argument("--n", type=_parse_levels, default=[1])
-    sc.add_argument("--m", type=_parse_int_list, default=[0])
-    sc.add_argument("--spin", type=_parse_spins, default=[1])
-    sc.add_argument("--branch", choices=(REGULAR, IRREGULAR, "both"), default=REGULAR)
-    sc.add_argument("--strict", action="store_true")
+    _add_grid_flags(sc)
     _add_output_flags(sc)
     sc.set_defaults(handler=_cmd_scan)
 
     se = sub.add_parser("secular", help="bound states of one extension parameter")
     _add_physics_flags(se)
+    _add_omega_flag(se)
     se.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True,
                     help="extension parameter (finite float or 'inf')")
     se.add_argument("--m", type=_single(_parse_int_list), default=0)
@@ -548,8 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
     wv.set_defaults(handler=_cmd_wavefunction)
 
     vf = sub.add_parser("verify", help="run the invariant suite, emit a JSON report")
-    vf.add_argument("--only", action="append", choices=tuple(verify_mod.GROUPS),
-                    help="restrict to one check group (repeatable)")
+    vf.add_argument("--only", action=_AppendDistinct, choices=tuple(verify_mod.GROUPS),
+                    help="restrict to one check group (repeatable, each group once)")
     vf.add_argument("--out", default=None)
     vf.set_defaults(handler=_cmd_verify)
     return parser

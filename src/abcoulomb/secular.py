@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .model import PhysicalParams, SectorError, is_singular_sector
 from .specfun import gamma, reciprocal_gamma
+from .spectrum import rotation_parts
 
 __all__ = [
     "KummerParams",
@@ -199,9 +200,13 @@ def energy_from_kappa(
     """Energy of a bound state with inverse decay length kappa:
 
         E = -hbar^2 kappa^2 / (2 m_e) - hbar*Omega*(j + s/2)
+
+    The shift is summed from ``rotation_parts`` as ``closed_form_energy``
+    sums it, so a ladder state with the same Coulomb term has the same energy.
     """
     coulomb = -(params.hbar**2) * kappa * kappa / (2.0 * params.m_e)
-    return coulomb - params.hbar * params.omega * (j + s / 2.0)
+    orbit, spin = rotation_parts(params, j, s)
+    return coulomb + (orbit + spin)
 
 
 def _bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float]:

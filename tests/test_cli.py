@@ -220,9 +220,10 @@ class TestScanCommand:
 
 def reference_output(argv):
     """Output of ``spectrum``/``scan`` from the row-by-row evaluator: one
-    QuantumState and closed_form_energy per row, a stable sort of the rows,
-    and json.dumps for JSON.  Returns the text written, or the error line
-    under --strict."""
+    QuantumState and closed_form_energy per row, in the loop order of the
+    increasing scan values and the sorted n, m, s and branch lists, and
+    json.dumps for JSON.  Returns the text written, or the error line under
+    --strict, which names the first offending row of that order."""
     args = cli._build_parser().parse_args(argv)
     params = PhysicalParams(m_e=args.mass, hbar=args.hbar, eta=args.eta, omega=args.omega)
     branches = [REGULAR, IRREGULAR] if args.branch == "both" else [args.branch]
@@ -240,7 +241,8 @@ def reference_output(argv):
     rows = []
     for var, value, point_params, phi, ms in points:
         flux = decompose_flux(phi)
-        for n, m, s, branch in itertools.product(args.n, ms, args.spin, branches):
+        for n, m, s, branch in itertools.product(
+                sorted(args.n), sorted(ms), sorted(args.spin), sorted(branches)):
             if branch == IRREGULAR and not is_singular_sector(m + flux.phi):
                 if args.strict:
                     return (
@@ -251,7 +253,6 @@ def reference_output(argv):
                 continue
             res = closed_form_energy(QuantumState(n, m, s, branch), point_params, flux)
             rows.append((var, value, n, m, s, branch, res.energy, res.kappa, res.exists))
-    rows.sort(key=lambda row: row[1:6])
     if args.format == "json":
         keys = cli.CSV_HEADER.split(",")
         return json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
@@ -265,12 +266,12 @@ def reference_output(argv):
 
 def random_argv(seed):
     """A seeded scan or spectrum: flux, omega or m sweeps that may cross
-    negative flux, unsorted lists with repeats, spins of both signs, every
-    branch choice, and random physics flags."""
+    negative flux, unsorted lists of distinct entries, spins of both signs,
+    every branch choice, and random physics flags."""
     rng = random.Random(seed)
 
     def int_list(lo, hi):
-        return ",".join(str(rng.randint(lo, hi)) for _ in range(rng.randint(1, 4)))
+        return ",".join(map(str, rng.sample(range(lo, hi + 1), rng.randint(1, 4))))
 
     command = rng.choice(["spectrum", "flux", "omega", "m"])
     argv = ["spectrum"] if command == "spectrum" else ["scan"]
@@ -284,7 +285,7 @@ def random_argv(seed):
     argv += [
         f"--n={int_list(1, 5)}",
         f"--m={int_list(-3, 3)}",
-        "--spin=" + ",".join(rng.choice(["+1", "-1"]) for _ in range(rng.randint(1, 3))),
+        "--spin=" + ",".join(rng.sample(["+1", "-1"], rng.randint(1, 2))),
         "--branch", rng.choice([REGULAR, IRREGULAR, "both"]),
         f"--flux={rng.uniform(-2.0, 2.0)!r}",
         f"--omega={rng.choice([0.0, rng.uniform(-2.0, 2.0)])!r}",
@@ -310,19 +311,26 @@ FIXED_ARGV = [
     ["scan", "--scan", "m:-10:10:21", "--flux", "0.6", "--omega", "1", "--spin", "+1,-1",
      "--branch", "both"],
     ["spectrum", "--branch", "irregular", "--m", "1", "--flux", "0", "--strict"],
-    # repeated and unsorted entries on every key axis: a repeated key's rows
-    # are adjacent across every m, s and branch
+    # repeated entries on the key axes, refused (FIXED_REFUSALS)
     ["scan", "--scan", "flux:-0.4:0.4:5", "--n", "3,1,3", "--m=2,-1,2", "--spin=+1,-1,+1",
      "--branch", "both"],
-    # and on the value axis too: the linspace steps underflow to repeated values
-    ["scan", "--scan", "flux:0:2e-323:9", "--n", "3,1,3", "--m=2,-1,2", "--spin=+1,-1,+1",
+    # and on the value axis: the linspace steps underflow to repeated values
+    ["scan", "--scan", "flux:0:2e-323:9", "--n", "3,1", "--m=2,-1", "--spin=+1,-1",
      "--branch", "both"],
     # JSON writes -Infinity and NaN energies, Infinity and NaN kappas
     ["scan", "--scan", "omega:1e307:1e308:3", "--hbar", "10", "--mass", "1e300", "--eta", "1e10",
      "--m=0,-1", "--spin=+1,-1", "--branch", "both"],
-    # the error names m=3, the first offending row in the given order, not m=-2
+    # the error names m=-2, the first offending row of the output, not m=3,
+    # the first in the given order
     ["scan", "--scan", "flux:0:0.4:3", "--m=3,-2,1", "--branch", "irregular", "--strict"],
 ]
+# The error line of each FIXED_ARGV entry refused at parse time, with exit 2.
+FIXED_REFUSALS = {
+    6: "argument --n: 3 is listed more than once",
+    7: "argument --scan: steps below the float spacing repeat 0.0",
+}
+COLUMNAR_CASES = [(random_argv(seed), None) for seed in range(48)] + [
+    (argv, FIXED_REFUSALS.get(i)) for i, argv in enumerate(FIXED_ARGV)]
 
 
 def assert_same_text(out, expected):
@@ -343,13 +351,17 @@ class TestColumnarRows:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
-        "argv", [random_argv(seed) for seed in range(48)] + FIXED_ARGV,
+        "argv, refusal", COLUMNAR_CASES,
         ids=[f"seed{seed}" for seed in range(48)] + [f"fixed{i}" for i in range(len(FIXED_ARGV))],
     )
-    def test_matches_row_by_row_reference(self, capsys, argv, fmt):
+    def test_matches_row_by_row_reference(self, capsys, argv, refusal, fmt):
         argv = argv + ["--format", fmt]
-        expected = reference_output(argv)
         code, out, err = run_cli(capsys, argv)
+        if refusal is not None:
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1].endswith(f": error: {refusal}")
+            return
+        expected = reference_output(argv)
         if expected.startswith("error:"):
             assert (code, err) == (3, expected)
             assert_same_text(out, "")
@@ -762,9 +774,6 @@ FLAG_PAIRS = [
 UNCHANGED = {
     # where the output goes, not what it is
     "--out", "-h", "--help",
-    # the profile is that of kappa, which Omega does not change; --omega
-    # is one of the physics flags every command shares
-    "wavefunction --omega",
     # not listed: scan's --flux, --omega and --m on a sweep of that same
     # variable, which the sweep overrides; their pairs above sweep another
 }
@@ -801,18 +810,20 @@ def test_each_flag_changes_the_output(capsys, command, first, second):
       "unrecognized arguments: --root 4"),
      (["wavefunction", "--flux", "0.3", "--root", "4"], "unrecognized arguments: --root 4"),
      (["wavefunction", "--spin", "-1"], "unrecognized arguments: --spin -1"),
+     (["wavefunction", "--omega", "1"], "unrecognized arguments: --omega 1"),
      (["secular", "--lambda", "1", "--j", "0.2", "--flux", "0.3"],
       "unrecognized arguments: --j 0.2"),
      (["secular", "--lambda", "1", "--j", "0.2", "--m", "5"], "unrecognized arguments: --j 0.2")],
     ids=["lambda-then-branch", "branch-then-lambda", "root-with-branch", "root", "wavefunction-spin",
-         "j-with-flux", "j-with-m"],
+         "wavefunction-omega", "j-with-flux", "j-with-m"],
 )
 def test_flags_that_would_be_ignored_exit_2(capsys, argv, message):
     # --branch picks a ladder and --lambda an extension, whose --n-th state
     # is written; the other would be ignored without a word, also where its
     # value is the default.  Each input has one spelling: --n is the level of
     # both (no --root), j is m + flux (no --j), and the profile, the same
-    # for both spins, has no --spin
+    # for both spins and every rotation (that of kappa), has no --spin and
+    # no --omega
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert message in err
@@ -926,18 +937,40 @@ class TestPhysicsFlags:
              "argument --m: '-50000..50000' takes the list beyond 100000 entries"),
             (["scan", "--scan", "flux:0:1:3", "--n", "1..99999,7,8"],
              "argument --n: '8' takes the list beyond 100000 entries"),
+            # an entry listed twice, whose rows were once written twice:
+            # overlapping ranges, a range's entry listed again, a spin spelled
+            # two ways, a sweep whose steps fall below the float spacing, and
+            # a --only group, whose checks were once reported twice
+            (["spectrum", "--m", "0..5,3"], "argument --m: 3 is listed more than once"),
+            (["scan", "--scan", "flux:0:1:3", "--n", "2,1..3"],
+             "argument --n: 2 is listed more than once"),
+            (["spectrum", "--spin=+1,-1,1"], "argument --spin: 1 is listed more than once"),
+            (["scan", "--scan", "m:9007199254740992:9007199254740996:5"],
+             "argument --scan: steps below the float spacing repeat 9007199254740992.0"),
+            (["verify", "--only", "model", "--only", "model"],
+             "argument --only: model is listed more than once"),
         ],
         ids=["spectrum-n", "wavefunction-n", "scan-n", "spectrum-eta", "wavefunction-eta",
              "scan-eta", "mass", "hbar", "omega", "flux-inf", "flux-nan", "scan-inf",
              "m-scan-inf", "scan-span-overflow", "spectrum-m-huge", "spectrum-n-huge",
              "scan-m-huge", "secular-m-huge", "wavefunction-m-huge", "wavefunction-n-huge",
-             "secular-j-nan", "secular-j-inf", "spectrum-m-range-too-long", "scan-n-list-too-long"],
+             "secular-j-nan", "secular-j-inf", "spectrum-m-range-too-long", "scan-n-list-too-long",
+             "m-overlapping-ranges", "n-in-a-range", "spin-spelled-twice", "m-scan-below-spacing",
+             "only-twice"],
     )
     def test_rejected_at_parse_time_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_repeated_entry_writes_nothing(self, capsys, tmp_path):
+        target = tmp_path / "rows.csv"
+        code, out, err = run_cli(
+            capsys, ["scan", "--scan", "flux:0:1:3", "--m", "0..5,3", "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "abcoulomb scan: error: argument --m: 3 is listed more than once"
+        assert not target.exists()
 
     @pytest.mark.parametrize(
         "argv, flag",

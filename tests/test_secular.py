@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -20,7 +21,7 @@ from abcoulomb.secular import (
     solve_secular,
 )
 from abcoulomb.spectrum import closed_form_energy
-from abcoulomb.model import IRREGULAR, QuantumState, decompose_flux
+from abcoulomb.model import IRREGULAR, REGULAR, QuantumState, decompose_flux
 from abcoulomb.wavefunction import boundary_closure_residual
 
 ATOMIC = PhysicalParams()
@@ -553,3 +554,24 @@ class TestEnergyFromKappa:
                     res = closed_form_energy(st_, params, flux)
                     e = energy_from_kappa(res.kappa, 0 + flux.phi, 1, params)
                     assert e == pytest.approx(res.energy, rel=1e-12)
+
+    def test_rotation_shift_rounds_as_the_closed_form(self):
+        # eta = t = n - 1/2 +- |j| puts kappa at exactly 1, where both
+        # Coulomb terms are -1/2: the energies then differ only in how the
+        # shift -hbar Omega (j + s/2) is rounded, and must agree bit for bit
+        flux = decompose_flux(0.3)
+        one_product = []
+        for omega, n, m, s, branch in itertools.product(
+                (0.37, -1.9, 2.3), range(1, 6), (-1, 0, 1, 2), (1, -1), (REGULAR, IRREGULAR)):
+            j = m + flux.phi
+            if branch == IRREGULAR and abs(j) >= 0.5:
+                continue
+            t = (n - 0.5) + (1.0 if branch == REGULAR else -1.0) * abs(j)
+            params = PhysicalParams(eta=t, omega=omega)
+            res = closed_form_energy(QuantumState(n, m, s, branch), params, flux)
+            assert res.kappa == 1.0
+            assert energy_from_kappa(res.kappa, j, s, params) == res.energy
+            one_product.append(-0.5 - omega * (j + s / 2.0) != res.energy)
+        # the 150 states tell the two roundings apart: the shift as one
+        # product misses on some of them
+        assert len(one_product) == 150 and any(one_product)
