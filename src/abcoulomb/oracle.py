@@ -17,8 +17,11 @@ for t = n_max - 1/2 + |j| and so holds every level asked for.  The
 closed-form ladder eps_k = -1/(k - 1/2 + |j|)^2 seeds Rayleigh-quotient
 inverse iteration (LAPACK gtsv solves of T - sigma) on a grid of
 BASE_POINTS nodes, whose levels seed it on the half-step refinement, and
-those on the next halving; Sturm counts certify every level by index, so
-a wrong seed can only be refused.  Romberg's scheme combines the three
+those on the next halving.  Each refined grid starts from the coarser
+grid's eigenvectors, interpolated onto its nodes, and every solve stops
+once its own residual is at rounding, so the two finer grids take about
+one solve per level.  Sturm counts certify every level by index, so a
+wrong seed can only be refused.  Romberg's scheme combines the three
 grids to cancel the O(h^2) and O(h^4) discretization errors.  Exactly
 n_max levels are returned, each with a gap between its two finest grids
 within TWO_GRID_AGREEMENT, or GridConvergenceError is raised.
@@ -27,6 +30,7 @@ within TWO_GRID_AGREEMENT, or GridConvergenceError is raised.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,10 +65,7 @@ BASE_POINTS = 1200
 # A refined level is certified when its Sturm window, this relative width
 # on each side, holds exactly it.
 RELATIVE_WINDOW = 1e-9
-# Rayleigh-quotient inverse iteration stops when a quotient moves by less
-# than this relative step from the last one; the quotient's error is then
-# of the order of the step cubed.
-_STEP_TOLERANCE = 1e-8
+# The most solves of T - sigma that inverse iteration takes for one level.
 _MAX_ITERATIONS = 20
 
 
@@ -147,7 +148,8 @@ def discretize_h0(j: float, grid: RadialGrid) -> TridiagonalOperator:
     return TridiagonalOperator(diagonal=diag, off_diagonal=off, mass=r * r)
 
 
-def bound_eigenvalues(op: TridiagonalOperator, seeds: np.ndarray) -> np.ndarray:
+def bound_eigenvalues(op: TridiagonalOperator, seeds: np.ndarray,
+                      vectors: np.ndarray | None = None) -> np.ndarray:
     """The len(seeds) lowest generalized eigenvalues of (A, M), ascending, on
     the congruent s A s, s = M^{-1/2}, from an ascending estimate of each.
 
@@ -155,14 +157,22 @@ def bound_eigenvalues(op: TridiagonalOperator, seeds: np.ndarray) -> np.ndarray:
     result certified by Sturm counts; a level that fails its count raises
     GridConvergenceError.  The counts resolve levels only to
     tiny * (largest squared entry); a pencil where that overflows or
-    exceeds the levels' rounding raises ValueError."""
+    exceeds the levels' rounding raises ValueError.
+
+    Each level's iteration starts from its row of ``vectors``, a
+    (len(seeds), n) array in the coordinates of T, y = M^{1/2} f, which is
+    overwritten with the levels' unit eigenvectors; without it every level
+    starts from a constant vector."""
     s = 1.0 / np.sqrt(op.mass)
     tiny = np.finfo(float).tiny
     with np.errstate(over="ignore"):
         diagonal, off_diagonal = op.diagonal * s * s, op.off_diagonal * s[:-1] * s[1:]
         floor = tiny * float(np.max(np.square(np.r_[1.0, diagonal, off_diagonal])))
     if math.isfinite(floor):
-        vals = _refine(op, diagonal, off_diagonal, s, np.asarray(seeds, dtype=float))
+        seeds = np.asarray(seeds, dtype=float)
+        if vectors is None:
+            vectors = np.ones((seeds.size, diagonal.size))
+        vals = _refine(op, diagonal, off_diagonal, s, seeds, vectors)
         if vals.size == 0 or floor <= np.finfo(float).eps * np.min(np.abs(vals)):
             return vals
     raise ValueError(f"r_min = {math.sqrt(op.mass[0]):.3g} is too small: Sturm "
@@ -170,15 +180,23 @@ def bound_eigenvalues(op: TridiagonalOperator, seeds: np.ndarray) -> np.ndarray:
 
 
 def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndarray,
-            s: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Rayleigh-quotient inverse iteration on T = s A s from each seed, then
-    Sturm counts: level k must have k - 1 eigenvalues of T below
+            s: np.ndarray, seeds: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Rayleigh-quotient inverse iteration on T = s A s from each seed and
+    its row of ``vectors``, which is overwritten with the unit eigenvector,
+    then Sturm counts: level k must have k - 1 eigenvalues of T below
     (1 - RELATIVE_WINDOW) eps_k and k below (1 + RELATIVE_WINDOW) eps_k.
 
     Each seed is first scaled by the ratio of the level below to its own
     seed: the grid shifts neighbouring levels alike, and on a coarse grid
     that shift reaches a third of the level spacing at high levels, enough
-    to draw an unscaled seed to the level above."""
+    to draw an unscaled seed to the level above.
+
+    A solve z = (T - sigma)^{-1} y of a unit y leaves z/|z| a residual of
+    sin(y, z)/|z| at its own quotient, which <y, z> and |z| give without
+    another pass.  Iteration stops once that is at most sqrt(eps) |sigma|:
+    the quotient's error, of the order of the residual squared over the
+    gap, is then at rounding.  Started from the coarser grid's eigenvector,
+    a refined level gets there in one solve."""
     from scipy.linalg.lapack import dgtsv, dstebz
 
     # The quotient f^T A f / f^T M f, f = s y, in difference form: the
@@ -194,19 +212,23 @@ def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndar
         df = np.diff(f)
         return float((np.dot(-b * df, df) + np.dot(row_sums * f, f)) / np.dot(op.mass * f, f))
 
+    eps = np.finfo(float).eps
     levels = np.empty(seeds.size)
     ratio = 1.0
     for k, seed in enumerate(seeds):
         sigma = ratio * seed
-        y = np.ones(diagonal.size)
-        previous = None  # the last Rayleigh quotient; the seed itself is none
+        y = vectors[k] / np.linalg.norm(vectors[k])
         for _ in range(_MAX_ITERATIONS):
-            y = dgtsv(off_diagonal, diagonal - sigma, off_diagonal, y, overwrite_b=1)[3]
-            y /= np.linalg.norm(y)
+            z = dgtsv(off_diagonal, diagonal - sigma, off_diagonal, y)[3]
+            size = np.linalg.norm(z)
+            cosine = np.dot(y, z) / size
+            y = z / size
             sigma = quotient(s * y)
-            if previous is not None and abs(sigma - previous) <= _STEP_TOLERANCE * abs(sigma):
+            # 1 - cos^2 is good to a few eps, far below the bound once sigma
+            # is near a level, where |sigma| |z| is large
+            if 1.0 - cosine * cosine <= eps * (sigma * size) ** 2:
                 break
-            previous = sigma
+        vectors[k] = y
         levels[k] = sigma
         ratio = sigma / seed
 
@@ -235,6 +257,17 @@ def _ladder_seeds(j: float, n_max: int) -> np.ndarray:
     return -1.0 / np.square(np.arange(1, n_max + 1) - 0.5 + abs(j))
 
 
+def _prolong(vectors: np.ndarray) -> np.ndarray:
+    """Rows of values on a grid's unknowns, linearly interpolated in ln r
+    onto the unknowns of its half-step refinement: the even nodes are the
+    coarse nodes, and the last odd node lies beside the Dirichlet zero."""
+    fine = np.empty((vectors.shape[0], 2 * vectors.shape[1]))
+    fine[:, ::2] = vectors
+    fine[:, 1:-1:2] = 0.5 * (vectors[:, :-1] + vectors[:, 1:])
+    fine[:, -1] = 0.5 * vectors[:, -1]
+    return fine
+
+
 def _three_grid_levels(j: float, n_max: int,
                        grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n_max lowest levels of the q = 1 pencil on ``grid`` and on its
@@ -243,14 +276,17 @@ def _three_grid_levels(j: float, n_max: int,
     GridConvergenceError.
 
     The closed-form ladder seeds the coarsest levels, and each grid's
-    levels seed the next.  All are certified by Sturm counts, so a seed far
-    from its level can only make the oracle refuse, never mislabel a level."""
+    levels and eigenvectors start the next.  All are certified by Sturm
+    counts, so a seed far from its level can only make the oracle refuse,
+    never mislabel a level."""
     seeds = _ladder_seeds(j, n_max)
+    vectors = np.ones((n_max, grid.points - 1))
     levels = []
-    for _ in range(3):
-        seeds = bound_eigenvalues(discretize_h0(j, grid), seeds)
+    for refinement in range(3):
+        if refinement:
+            grid, vectors = grid.refined(), _prolong(vectors)
+        seeds = bound_eigenvalues(discretize_h0(j, grid), seeds, vectors)
         levels.append(seeds)
-        grid = grid.refined()
     coarse, middle, fine = levels
     resolved = np.max(levels, axis=0) < 0.0
     resolved &= np.abs(fine - middle) <= TWO_GRID_AGREEMENT * np.abs(fine)
@@ -271,18 +307,28 @@ def oracle_regular_spectrum(j: float, params: PhysicalParams, n_max: int) -> lis
     kappa = q kappa_1.  For every extension t_n <= n - 1/2 + |j|, so the
     grid ends at max(35, 5t) t Coulomb lengths 1/q, t = n_max - 1/2 + |j|,
     as ``build_profile``'s range does.  Exactly n_max levels are returned,
-    or none with eta' = 0.
+    or none with eta' = 0.  A non-integer n_max, a non-finite j, and a j
+    whose box or pencil leaves the float range raise ValueError.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not isinstance(n_max, numbers.Integral) or n_max < 1:
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
+    if not math.isfinite(j):
+        raise ValueError(f"j must be finite, got {j}")
     q = params.m_e * params.eta_prime
     if q == 0.0:
         return []
     if not math.isfinite(q):
         raise ValueError("m_e eta' is beyond the float range")
     t = n_max - 0.5 + abs(j)
-    grid = RadialGrid(r_min=1e-5, r_max=max(35.0, 5.0 * t) * t, points=BASE_POINTS)
-    coarse, middle, fine = _three_grid_levels(j, n_max, grid)
+    r_max = max(35.0, 5.0 * t) * t
+    if not math.isfinite(r_max * r_max):  # the mass r^2 at the box's end
+        raise ValueError(f"j = {j} is beyond the float range: the box ends at "
+                         f"{r_max:.3g} Coulomb lengths, and the pencil's mass there overflows")
+    grid = RadialGrid(r_min=1e-5, r_max=r_max, points=BASE_POINTS)
+    try:
+        coarse, middle, fine = _three_grid_levels(j, n_max, grid)
+    except ValueError as exc:  # the symmetrised pencil is beyond the Sturm counts' range
+        raise ValueError(f"j = {j} is beyond the float range: {exc}") from exc
     gaps = np.abs(fine - middle) / np.abs(fine)
     # Romberg: (4 f - m)/3 and (4 m - c)/3 cancel h^2, and their 16:-1
     # blend cancels h^4

@@ -9,7 +9,8 @@ patched gamma) is caught rather than bypassed via stale local references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +49,7 @@ class CheckResult:
     residual: float
     tolerance: float
     error: str | None = None  # "Type: message" of the exception a check group raised
+    seconds: float = 0.0  # wall time of the run of the check's group
 
 
 def _check(name: str, residual: float, tolerance: float) -> CheckResult:
@@ -450,11 +452,14 @@ def run_checks(only: list[str] | None = None) -> list[CheckResult]:
         raise ValueError(f"unknown check groups {unknown}; available: {list(GROUPS)}")
     results: list[CheckResult] = []
     for group in selected:
+        started = time.perf_counter()
         try:
-            results.extend(GROUPS[group]())
+            checks = GROUPS[group]()
         except Exception as exc:  # a crash fails the gate; the other groups still run
             error = f"{type(exc).__name__}: {exc}"
-            results.append(CheckResult(f"{group}.error", False, math.inf, 0.0, error))
+            checks = [CheckResult(f"{group}.error", False, math.inf, 0.0, error)]
+        seconds = time.perf_counter() - started
+        results.extend(replace(check, seconds=seconds) for check in checks)
     return results
 
 
@@ -466,6 +471,7 @@ def build_report(results: list[CheckResult]) -> dict:
                 "pass": r.passed,
                 "residual": r.residual,
                 "tolerance": r.tolerance,
+                "seconds": r.seconds,
                 **({"error": r.error} if r.error is not None else {}),
             }
             for r in results

@@ -1036,14 +1036,25 @@ def test_cached_parser_leaks_no_state(capsys):
         ["spectrum"],
         ["verify", "--only", "spectrum"],
     ]
+
+    def untimed(argv):
+        # verify's group wall times differ from run to run; all else must not
+        code, out, err = run_cli(capsys, argv)
+        if argv[0] == "verify":
+            report = json.loads(out)
+            for check in report["checks"]:
+                assert check.pop("seconds") >= 0.0
+            out = report
+        return code, out, err
+
     fresh = []
     for argv in calls:
         cli._build_parser.cache_clear()
-        fresh.append(run_cli(capsys, argv))
+        fresh.append(untimed(argv))
     cli._build_parser.cache_clear()
     for _ in range(2):
         for argv, expected in zip(calls, fresh):
-            assert run_cli(capsys, argv) == expected
+            assert untimed(argv) == expected
     assert cli._build_parser.cache_info().misses == 1
 
 
@@ -1054,6 +1065,18 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["pass"] is True
         assert {"name", "pass", "residual", "tolerance"} <= set(report["checks"][0])
+
+    def test_group_wall_time_reported(self, capsys):
+        # every check carries the wall time of its group's run, the same for
+        # all checks of a group
+        code, out, _ = run_cli(capsys, ["verify", "--only", "model", "--only", "spectrum"])
+        assert code == 0
+        seconds = {}
+        for check in json.loads(out)["checks"]:
+            assert check["seconds"] >= 0.0
+            seconds.setdefault(check["name"].split(".")[0], set()).add(check["seconds"])
+        assert set(seconds) == {"model", "spectrum"}
+        assert all(len(times) == 1 for times in seconds.values())
 
     def test_only_filter(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--only", "secular"])

@@ -35,6 +35,15 @@ def _box(j, n_max, points=BASE_POINTS):
     return RadialGrid(r_min=1e-5, r_max=max(35.0, 5.0 * t) * t, points=points)
 
 
+def _benchmark_cases(monkeypatch):
+    """The benchmark's 40 seed-1 oracle inputs, (j, n_max) pairs."""
+    if str(ROOT) not in sys.path:
+        monkeypatch.syspath_prepend(str(ROOT))
+    from abbench.workloads import oracle_cases
+
+    return [(case.j, case.n_max) for case in oracle_cases(1)]
+
+
 def _romberg(j, n_max, grid):
     """The extrapolated levels of the three grids from ``grid``."""
     coarse, middle, fine = _three_grid_levels(j, n_max, grid)
@@ -231,17 +240,14 @@ class TestLadderSeeds:
             assert ev.kappa == pytest.approx(1.0 / (ev.index - 0.5 + abs(j)), rel=1e-6)
 
     def test_solves_per_level_on_each_grid(self, monkeypatch):
-        # on the benchmark's 40 seed-1 oracle inputs, 120 levels: the middle
-        # grid's levels seed the finest one closely enough that inverse
-        # iteration stops after its second solve of T - sigma on every
-        # level, the least its step test allows; the ladder is a rougher
-        # seed for the coarsest grid, and the coarsest levels for the middle
-        # one, so a few levels there take a third solve (282 and 267 with
-        # seeds not scaled by the shift of the level below)
-        if str(ROOT) not in sys.path:
-            monkeypatch.syspath_prepend(str(ROOT))
-        from abbench.workloads import oracle_cases
-
+        # on the benchmark's 40 seed-1 oracle inputs, 120 levels: started
+        # from the middle grid's eigenvector and level, inverse iteration
+        # on the finest grid meets its residual bound after one solve of
+        # T - sigma on every level.  The coarsest grid starts from a
+        # constant vector and takes two solves a level; the middle grid,
+        # from the coarsest eigenvectors, one on most levels.  With
+        # constant starts and a stop on the quotient's step the three grids
+        # took 246, 241 and 240 solves
         solves = []
         dgtsv = scipy.linalg.lapack.dgtsv
 
@@ -249,22 +255,39 @@ class TestLadderSeeds:
             solves[-1] += 1
             return dgtsv(*args, **kwargs)
 
-        def counted_bound_eigenvalues(op, seeds):
+        def counted_bound_eigenvalues(op, seeds, vectors=None):
             solves.append(0)
-            return bound_eigenvalues(op, seeds)
+            return bound_eigenvalues(op, seeds, vectors)
 
+        cases = _benchmark_cases(monkeypatch)
         monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted_dgtsv)
         monkeypatch.setattr(oracle, "bound_eigenvalues", counted_bound_eigenvalues)
-        cases = oracle_cases(1)
         assert len(cases) == 40
         totals = np.zeros(3, dtype=int)
-        for case in cases:
+        for j, n_max in cases:
             del solves[:]
-            oracle_regular_spectrum(case.j, ATOMIC, case.n_max)
-            assert len(solves) == 3 and solves[2] == 2 * case.n_max, (case, solves)
+            oracle_regular_spectrum(j, ATOMIC, n_max)
+            assert len(solves) == 3 and solves[2] == n_max, (j, n_max, solves)
             totals += solves
-        assert sum(case.n_max for case in cases) == 120
-        assert totals.tolist() == [246, 241, 240]
+        assert sum(n_max for _, n_max in cases) == 120
+        assert totals.tolist() == [240, 134, 120]
+
+    def test_warm_starts_give_the_cold_levels(self, monkeypatch):
+        # on every grid, the levels started from the coarser grid's
+        # eigenvectors are those of constant starts from the same seeds
+        gaps = []
+
+        def warm_and_cold(op, seeds, vectors=None):
+            warm = bound_eigenvalues(op, seeds, vectors)
+            gaps.append(np.max(np.abs(warm / bound_eigenvalues(op, seeds) - 1.0)))
+            return warm
+
+        cases = SEEDED_CASES + _benchmark_cases(monkeypatch)
+        monkeypatch.setattr(oracle, "bound_eigenvalues", warm_and_cold)
+        for j, n_max in cases:
+            _three_grid_levels(j, n_max, _box(j, n_max))
+        assert len(gaps) == 3 * len(cases)
+        assert max(gaps) <= 1e-14
 
 
 class TestCoulombUnits:
@@ -406,8 +429,18 @@ class TestSpectrum:
         assert errors[0] >= 48.0 * errors[1]
 
     def test_n_max_validated(self):
-        with pytest.raises(ValueError):
-            oracle_regular_spectrum(0.0, ATOMIC, 0)
+        # 2.5 returned three levels, against the promise of exactly n_max
+        for n_max in (0, -1, 2.5, 3.0):
+            with pytest.raises(ValueError, match="n_max"):
+                oracle_regular_spectrum(0.0, ATOMIC, n_max)
+
+    @pytest.mark.parametrize("j", [np.nan, np.inf, -np.inf, 1e73, -1e77, 1e100, 1e155])
+    def test_j_beyond_float_range_refused(self, j):
+        # named, and without a RuntimeWarning: nan failed on the box's
+        # bounds, and the others overflowed the box, the mass or the
+        # symmetrised pencil and blamed r_min
+        with pytest.raises(ValueError, match=r"^j "):
+            oracle_regular_spectrum(j, ATOMIC, 1)
 
 
 def test_cli_import_defers_scipy_linalg_and_sparse():
