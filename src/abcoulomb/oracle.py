@@ -21,7 +21,10 @@ those on the next halving.  Each refined grid starts from the coarser
 grid's eigenvectors, interpolated onto its nodes, and every solve stops
 once its own residual is at rounding, so the two finer grids take about
 one solve per level.  Sturm counts certify every level by index, so a
-wrong seed can only be refused.  Romberg's scheme combines the three
+wrong seed can only be refused: by Sylvester's law of inertia the
+eigenvalues of T below x are the nonpositive pivots of the LDL^T
+factorization of T - x, which LAPACK's dpttrf computes until it meets
+one and resumes after it.  Romberg's scheme combines the three
 grids to cancel the O(h^2) and O(h^4) discretization errors.  Exactly
 n_max levels are returned, each with a gap between its two finest grids
 within TWO_GRID_AGREEMENT, or GridConvergenceError is raised.
@@ -155,9 +158,10 @@ def bound_eigenvalues(op: TridiagonalOperator, seeds: np.ndarray,
 
     Every seed is refined by Rayleigh-quotient inverse iteration and the
     result certified by Sturm counts; a level that fails its count raises
-    GridConvergenceError.  The counts resolve levels only to
-    tiny * (largest squared entry); a pencil where that overflows or
-    exceeds the levels' rounding raises ValueError.
+    GridConvergenceError.  The counts hold their pivots at least
+    tiny * (largest squared entry) from zero, and so resolve levels only to
+    that; a pencil where it overflows or exceeds the levels' rounding raises
+    ValueError.
 
     Each level's iteration starts from its row of ``vectors``, a
     (len(seeds), n) array in the coordinates of T, y = M^{1/2} f, which is
@@ -172,7 +176,7 @@ def bound_eigenvalues(op: TridiagonalOperator, seeds: np.ndarray,
         seeds = np.asarray(seeds, dtype=float)
         if vectors is None:
             vectors = np.ones((seeds.size, diagonal.size))
-        vals = _refine(op, diagonal, off_diagonal, s, seeds, vectors)
+        vals = _refine(op, diagonal, off_diagonal, s, seeds, vectors, floor)
         if vals.size == 0 or floor <= np.finfo(float).eps * np.min(np.abs(vals)):
             return vals
     raise ValueError(f"r_min = {math.sqrt(op.mass[0]):.3g} is too small: Sturm "
@@ -180,11 +184,11 @@ def bound_eigenvalues(op: TridiagonalOperator, seeds: np.ndarray,
 
 
 def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndarray,
-            s: np.ndarray, seeds: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+            s: np.ndarray, seeds: np.ndarray, vectors: np.ndarray, pivmin: float) -> np.ndarray:
     """Rayleigh-quotient inverse iteration on T = s A s from each seed and
-    its row of ``vectors``, which is overwritten with the unit eigenvector,
-    then Sturm counts: level k must have k - 1 eigenvalues of T below
-    (1 - RELATIVE_WINDOW) eps_k and k below (1 + RELATIVE_WINDOW) eps_k.
+    its row of ``vectors``, which is overwritten with the unit eigenvector;
+    ``_certify`` then labels the levels by Sturm counts, their pivots
+    guarded by ``pivmin``.
 
     Each seed is first scaled by the ratio of the level below to its own
     seed: the grid shifts neighbouring levels alike, and on a coarse grid
@@ -196,8 +200,10 @@ def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndar
     another pass.  Iteration stops once that is at most sqrt(eps) |sigma|:
     the quotient's error, of the order of the residual squared over the
     gap, is then at rounding.  Started from the coarser grid's eigenvector,
-    a refined level gets there in one solve."""
-    from scipy.linalg.lapack import dgtsv, dstebz
+    a refined level gets there in one solve.  A solve whose norm overflows
+    (T - sigma singular to working precision, as at |j| ~ 1e30) raises
+    GridConvergenceError."""
+    from scipy.linalg.lapack import dgtsv
 
     # The quotient f^T A f / f^T M f, f = s y, in difference form: the
     # couplings as squared differences plus the row sums of A, which are
@@ -220,7 +226,11 @@ def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndar
         y = vectors[k] / np.linalg.norm(vectors[k])
         for _ in range(_MAX_ITERATIONS):
             z = dgtsv(off_diagonal, diagonal - sigma, off_diagonal, y)[3]
-            size = np.linalg.norm(z)
+            with np.errstate(over="ignore"):
+                size = np.linalg.norm(z)
+            if not math.isfinite(size):
+                raise GridConvergenceError(f"the solve for the level at index {k + 1} overflows: "
+                                           f"T - sigma is singular in floats at sigma = {sigma:.6g}")
             cosine = np.dot(y, z) / size
             y = z / size
             sigma = quotient(s * y)
@@ -231,24 +241,61 @@ def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndar
         vectors[k] = y
         levels[k] = sigma
         ratio = sigma / seed
+    _certify(diagonal, off_diagonal, levels, pivmin)
+    return levels
 
-    def count(vl: float, vu: float) -> int:
-        # an infinite tolerance counts the levels in (vl, vu] without bisecting
-        return int(dstebz(diagonal, off_diagonal, 1, vl, vu, 0, 0, math.inf, b"E")[0])
 
-    # Windows that each hold one level, and no level below the top one
-    # besides them, give every level its index: one count per window, one
-    # for the whole range.
+def _certify(diagonal: np.ndarray, off_diagonal: np.ndarray, levels: np.ndarray,
+             pivmin: float) -> None:
+    """GridConvergenceError unless each of the ascending ``levels`` is the
+    eigenvalue of T of its own index: the Sturm windows, RELATIVE_WINDOW of
+    each level on each side, lie apart, and window k (1-based) has k - 1
+    eigenvalues below it and k below its top.  So no eigenvalue below the
+    top level goes unreturned."""
     window = RELATIVE_WINDOW * np.abs(levels)
     lo, hi = levels - window, levels + window
     for k in range(levels.size):
-        if (k and lo[k] <= hi[k - 1]) or count(lo[k], hi[k]) != 1:
+        if k and lo[k] <= hi[k - 1]:
+            raise GridConvergenceError(f"the Sturm windows of the refined levels at "
+                                       f"index {k} and {k + 1} overlap")
+        below = (_sturm_count(diagonal, off_diagonal, lo[k], pivmin),
+                 _sturm_count(diagonal, off_diagonal, hi[k], pivmin))
+        if below != (k, k + 1):
             raise GridConvergenceError(
-                f"refined level {levels[k]} at index {k + 1} is not alone in its Sturm window")
-    if levels.size and count(-math.inf, hi[-1]) != levels.size:
-        raise GridConvergenceError(
-            f"the {levels.size} refined levels are not the lowest of the pencil by Sturm count")
-    return levels
+                f"refined level {levels[k]} is not level {k + 1} of the pencil: Sturm counts "
+                f"put {below[0]} levels below its window and {below[1]} below its top")
+
+
+def _sturm_count(diagonal: np.ndarray, off_diagonal: np.ndarray, x: float,
+                 pivmin: float) -> int:
+    """The eigenvalues of the symmetric tridiagonal T at or below x: by
+    Sylvester's law of inertia, the nonpositive pivots of the LDL^T
+    factorization of T - x.
+
+    LAPACK's dpttrf factors T - x until its first nonpositive pivot p and
+    reports that row; the count takes it, gives the next row the pivot
+    recurrence's shifted diagonal with p held at or below -pivmin (the
+    guard of LAPACK's own Sturm counts, so that an exact zero divides by
+    no zero), and resumes dpttrf on the rows after it.  One pass over the
+    rows in all, plus one call per eigenvalue below x."""
+    from scipy.linalg.lapack import dpttrf
+
+    shifted = diagonal - x
+    scratch = off_diagonal.copy()  # dpttrf overwrites the couplings it passes
+    below = start = 0
+    last = shifted.size - 1
+    while start < last:
+        pivots, _, info = dpttrf(shifted[start:], scratch[start:], 1, 1)
+        if not info:
+            return below
+        below += 1
+        row = start + info - 1
+        if row == last:
+            return below
+        shifted[row + 1] -= off_diagonal[row] ** 2 / min(pivots[info - 1], -pivmin)
+        start = row + 1
+    # dpttrf takes no single row
+    return below + int(shifted[last] <= 0.0)
 
 
 def _ladder_seeds(j: float, n_max: int) -> np.ndarray:

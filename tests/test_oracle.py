@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import subprocess
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from abcoulomb import oracle
 from abcoulomb.model import PhysicalParams
 from abcoulomb.oracle import (
     BASE_POINTS,
+    RELATIVE_WINDOW,
     TWO_GRID_AGREEMENT,
     GridConvergenceError,
     RadialGrid,
@@ -59,6 +62,38 @@ def _bisected(op, n):
     return eigh_tridiagonal(op.diagonal * s * s, op.off_diagonal * s[:-1] * s[1:],
                             eigvals_only=True, select="i", select_range=(0, n - 1),
                             lapack_driver="stebz", tol=np.finfo(float).tiny)
+
+
+def _symmetrised(op):
+    """The diagonal and couplings of T = s A s, s = M^{-1/2}, as
+    bound_eigenvalues forms them."""
+    s = 1.0 / np.sqrt(op.mass)
+    return op.diagonal * s * s, op.off_diagonal * s[:-1] * s[1:]
+
+
+def _pivmin(off_diagonal):
+    """LAPACK dstebz's pivot guard, tiny * max(1, largest squared coupling)."""
+    return np.finfo(float).tiny * max(1.0, float(np.max(np.square(off_diagonal))))
+
+
+def _stebz_below(diagonal, off_diagonal, x, vl=-math.inf):
+    """Eigenvalues of the tridiagonal T in (vl, x], by LAPACK dstebz: an
+    infinite tolerance counts without bisecting."""
+    return int(dstebz(diagonal, off_diagonal, 1, vl, x, 0, 0, math.inf, b"E")[0])
+
+
+def _stebz_certify(diagonal, off_diagonal, levels):
+    """The window certification the oracle made with dstebz before its
+    counts became resumed dpttrf factorizations: windows apart, one
+    eigenvalue in each window (vl, vu], and as many as levels below the top
+    one."""
+    window = RELATIVE_WINDOW * np.abs(levels)
+    lo, hi = levels - window, levels + window
+    for k in range(levels.size):
+        if (k and lo[k] <= hi[k - 1]) or _stebz_below(diagonal, off_diagonal, hi[k], lo[k]) != 1:
+            raise GridConvergenceError(f"level {k + 1} is not alone in its Sturm window")
+    if levels.size and _stebz_below(diagonal, off_diagonal, hi[-1]) != levels.size:
+        raise GridConvergenceError("the levels are not the lowest of the pencil")
 
 
 def _count_below(op, eps):
@@ -290,6 +325,153 @@ class TestLadderSeeds:
         assert max(gaps) <= 1e-14
 
 
+class TestSturmCount:
+    """oracle._sturm_count, the eigenvalues of T at or below a shift as the
+    nonpositive pivots of resumed dpttrf factorizations, against the
+    extended-precision pivots of the unscaled pencil and against dstebz."""
+
+    @pytest.mark.parametrize("j, n_max", [(0.0, 5), (0.3, 5), (-0.45, 5), (1.7, 5), (2.4, 5),
+                                          (0.3, 36)])
+    def test_window_counts_match_references(self, j, n_max):
+        grid = _box(j, n_max)
+        grids = (grid, grid.refined(), grid.refined().refined())
+        for levels, g in zip(_three_grid_levels(j, n_max, grid), grids, strict=True):
+            op = discretize_h0(j, g)
+            diagonal, off_diagonal = _symmetrised(op)
+            pivmin = _pivmin(off_diagonal)
+            for k, eps in enumerate(levels, start=1):
+                for x, expected in ((eps - RELATIVE_WINDOW * abs(eps), k - 1),
+                                    (eps + RELATIVE_WINDOW * abs(eps), k)):
+                    count = oracle._sturm_count(diagonal, off_diagonal, x, pivmin)
+                    assert count == expected, (g, k, x)
+                    assert _stebz_below(diagonal, off_diagonal, x) == count
+                    assert _count_below(op, x) == count
+
+    @pytest.mark.parametrize("j", [0.0, 0.3, 2.4])
+    def test_outside_the_bound_levels(self, j):
+        # below the spectrum nothing; at 0 every negative eigenvalue of the
+        # box, more than the bound levels the oracle asks for
+        op = discretize_h0(j, _box(j, 5))
+        diagonal, off_diagonal = _symmetrised(op)
+        pivmin = _pivmin(off_diagonal)
+        ground = _bisected(op, 1)[0]
+        assert oracle._sturm_count(diagonal, off_diagonal, 2.0 * ground, pivmin) == 0
+        assert _stebz_below(diagonal, off_diagonal, 2.0 * ground) == 0
+        negative = oracle._sturm_count(diagonal, off_diagonal, 0.0, pivmin)
+        assert negative > 5
+        assert negative == _stebz_below(diagonal, off_diagonal, 0.0) == _count_below(op, 0.0)
+
+    def test_only_the_last_pivot_nonpositive(self):
+        # between the lowest eigenvalues of the discrete Laplacian and of its
+        # leading block (interlacing), every pivot but the last is positive
+        diagonal, off_diagonal = np.full(10, 2.0), np.full(9, -1.0)
+        lowest = 2.0 - 2.0 * np.cos(np.pi / np.array([11.0, 10.0]))
+        x = float(np.mean(lowest))
+        pivots = [diagonal[0] - x]
+        for a, b in zip(diagonal[1:], off_diagonal):
+            pivots.append(a - x - b * b / pivots[-1])
+        assert min(pivots[:-1]) > 0.0 >= pivots[-1]
+        assert oracle._sturm_count(diagonal, off_diagonal, x, _pivmin(off_diagonal)) == 1
+        assert _stebz_below(diagonal, off_diagonal, x) == 1
+
+    @pytest.mark.parametrize("diagonal, expected", [([1.0, 1.0, 1.0, -1.0, -1.0], 2),
+                                                    ([-1.0] * 4, 4), ([3.0, -2.0, 5.0], 1)],
+                             ids=["last-two", "every-row", "middle"])
+    def test_uncoupled_rows(self, diagonal, expected):
+        # zero couplings: the count is the nonpositive diagonal entries,
+        # read through restarts that leave one row, or none, to dpttrf
+        diagonal = np.array(diagonal)
+        off_diagonal = np.zeros(diagonal.size - 1)
+        assert oracle._sturm_count(diagonal, off_diagonal, 0.0, _pivmin(off_diagonal)) == expected
+        assert _stebz_below(diagonal, off_diagonal, 0.0) == expected
+
+    def test_exactly_zero_pivot_guarded(self):
+        # the leading 2 x 2 block is singular, so the second pivot is an
+        # exact zero: the guard takes it as -pivmin, and the third row's
+        # pivot is large and positive.  T has one negative eigenvalue (its
+        # determinant is -1) and none at 0
+        diagonal, off_diagonal = np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.0])
+        assert diagonal[1] - off_diagonal[0] ** 2 / diagonal[0] == 0.0
+        pivmin = _pivmin(off_diagonal)
+        assert oracle._sturm_count(diagonal, off_diagonal, 0.0, pivmin) == 1
+        assert _stebz_below(diagonal, off_diagonal, 0.0) == 1
+        assert np.sum(np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off_diagonal, 1)
+                                         + np.diag(off_diagonal, -1)) <= 0.0) == 1
+
+
+class TestCertification:
+    """The resumed dpttrf counts accept exactly where the dstebz window
+    certification did."""
+
+    @staticmethod
+    def _compare(monkeypatch):
+        # each certification, by oracle._certify and by _stebz_certify on
+        # the same levels: (dstebz accepts, oracle accepts)
+        verdicts = []
+        certify = oracle._certify
+
+        def both(diagonal, off_diagonal, levels, pivmin):
+            try:
+                _stebz_certify(diagonal, off_diagonal, levels)
+                expected = True
+            except GridConvergenceError:
+                expected = False
+            try:
+                certify(diagonal, off_diagonal, levels, pivmin)
+            except GridConvergenceError:
+                verdicts.append((expected, False))
+                raise
+            verdicts.append((expected, True))
+
+        monkeypatch.setattr(oracle, "_certify", both)
+        return verdicts
+
+    @pytest.mark.parametrize("picks", [[1, 2], [1, 1], [0, 1, 2]],
+                             ids=["shifted", "repeated", "right"])
+    def test_seeds_on_one_grid(self, monkeypatch, picks):
+        op = discretize_h0(0.3, GRID)
+        levels = _bisected(op, 4)
+        verdicts = self._compare(monkeypatch)
+        try:
+            bound_eigenvalues(op, levels[picks])
+        except GridConvergenceError:
+            pass
+        accepted = picks == [0, 1, 2]
+        assert verdicts == [(accepted, accepted)]
+
+    @pytest.mark.parametrize("j, n_max", SEEDED_CASES)
+    def test_seeds_one_level_up(self, monkeypatch, j, n_max):
+        ladder = oracle._ladder_seeds
+        monkeypatch.setattr(oracle, "_ladder_seeds", lambda j, n: ladder(j, n + 1)[1:])
+        verdicts = self._compare(monkeypatch)
+        with pytest.raises(GridConvergenceError, match="Sturm"):
+            _three_grid_levels(j, n_max, _box(j, n_max))
+        assert verdicts == [(False, False)]
+
+    @pytest.mark.parametrize("j", [0.0, 0.3, -0.45, 1.7, 2.4])
+    def test_unresolved_grid(self, monkeypatch, j):
+        verdicts = self._compare(monkeypatch)
+        with pytest.raises(GridConvergenceError):
+            _three_grid_levels(j, 5, RadialGrid(r_min=1e-30, r_max=1e6, points=100))
+        assert verdicts and all(expected == got for expected, got in verdicts)
+
+    def test_benchmark_inputs(self, monkeypatch):
+        # the 40 seed-1 oracle inputs: every grid accepted both ways, and
+        # the kappa of the dstebz certification to the bit
+        cases = _benchmark_cases(monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_certify",
+                      lambda diagonal, off_diagonal, levels, pivmin:
+                      _stebz_certify(diagonal, off_diagonal, levels))
+            reference = [[ev.kappa for ev in oracle_regular_spectrum(j, ATOMIC, n_max)]
+                         for j, n_max in cases]
+        verdicts = self._compare(monkeypatch)
+        kappas = [[ev.kappa for ev in oracle_regular_spectrum(j, ATOMIC, n_max)]
+                  for j, n_max in cases]
+        assert verdicts == [(True, True)] * (3 * len(cases))
+        assert kappas == reference
+
+
 class TestCoulombUnits:
     """Every level is solved at m_e eta' = 1 and scaled by q = m_e eta'."""
 
@@ -441,6 +623,14 @@ class TestSpectrum:
         # symmetrised pencil and blamed r_min
         with pytest.raises(ValueError, match=r"^j "):
             oracle_regular_spectrum(j, ATOMIC, 1)
+
+    @pytest.mark.parametrize("j, n_max", [(1.3e30, 2), (1.3e38, 2), (1e40, 1)])
+    def test_huge_j_refused_without_warning(self, j, n_max):
+        # T - sigma is singular in floats: the norm of the solve overflowed
+        # with a RuntimeWarning, which warnings-as-errors raised in place of
+        # the refusal
+        with pytest.raises(GridConvergenceError, match="overflows"):
+            oracle_regular_spectrum(j, ATOMIC, n_max)
 
 
 def test_cli_import_defers_scipy_linalg_and_sparse():
