@@ -20,14 +20,19 @@ BASE_POINTS nodes, whose levels seed it on the half-step refinement, and
 those on the next halving.  Each refined grid starts from the coarser
 grid's eigenvectors, interpolated onto its nodes, and every solve stops
 once its own residual is at rounding, so the two finer grids take about
-one solve per level.  Sturm counts certify every level by index, so a
-wrong seed can only be refused: by Sylvester's law of inertia the
-eigenvalues of T below x are the nonpositive pivots of the LDL^T
-factorization of T - x, which LAPACK's dpttrf computes until it meets
-one and resumes after it.  Romberg's scheme combines the three
-grids to cancel the O(h^2) and O(h^4) discretization errors.  Exactly
-n_max levels are returned, each with a gap between its two finest grids
-within TWO_GRID_AGREEMENT, or GridConvergenceError is raised.
+one solve per level.  Each level's last solve also gives it a residual
+ball that holds an eigenvalue of T, and one Sturm count per grid
+certifies every level by index, so a wrong seed can only be refused:
+when the balls lie apart and exactly as many eigenvalues as levels lie
+at or below the top ball, they are the lowest, one in each ball.  By
+Sylvester's law of inertia the eigenvalues of T below x are the
+nonpositive pivots of the LDL^T factorization of T - x, which LAPACK's
+dpttrf computes until it meets one and resumes after it.  Romberg's
+scheme combines the three grids to cancel the O(h^2) and O(h^4)
+discretization errors.  Exactly n_max levels are returned, each with a
+gap between its two finest grids within TWO_GRID_AGREEMENT, or
+GridConvergenceError is raised; each carries its finest-grid ball's
+relative radius.
 """
 
 from __future__ import annotations
@@ -65,8 +70,8 @@ TWO_GRID_AGREEMENT = 3e-3
 # 4 797, each halving the step of the one before.
 BASE_POINTS = 1200
 
-# A refined level is certified when its Sturm window, this relative width
-# on each side, holds exactly it.
+# The least relative margin above the top level of a grid at which its one
+# Sturm count is taken, when the top level's residual ball is narrower.
 RELATIVE_WINDOW = 1e-9
 # The most solves of T - sigma that inverse iteration takes for one level.
 _MAX_ITERATIONS = 20
@@ -120,6 +125,9 @@ class OracleEigenvalue:
     # |eps_fine - eps_middle| / |eps_fine| on the two finest grids, the
     # quantity held below TWO_GRID_AGREEMENT
     two_grid_gap: float
+    # rho / |eps_fine|: the finest grid's eigenvalue of this index lies
+    # within its residual ball, this relative radius, of eps_fine
+    residual_bound: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,21 +160,24 @@ def discretize_h0(j: float, grid: RadialGrid) -> TridiagonalOperator:
 
 
 def bound_eigenvalues(op: TridiagonalOperator, seeds: np.ndarray,
-                      vectors: np.ndarray | None = None) -> np.ndarray:
+                      vectors: np.ndarray | None = None,
+                      radii: np.ndarray | None = None) -> np.ndarray:
     """The len(seeds) lowest generalized eigenvalues of (A, M), ascending, on
     the congruent s A s, s = M^{-1/2}, from an ascending estimate of each.
 
     Every seed is refined by Rayleigh-quotient inverse iteration and the
-    result certified by Sturm counts; a level that fails its count raises
-    GridConvergenceError.  The counts hold their pivots at least
-    tiny * (largest squared entry) from zero, and so resolve levels only to
-    that; a pencil where it overflows or exceeds the levels' rounding raises
-    ValueError.
+    results certified, each within its residual ball, by one Sturm count;
+    a level that does not converge or certify raises GridConvergenceError.
+    The count holds its pivots at least tiny * (largest squared entry) from
+    zero, and so resolves levels only to that; a pencil where it overflows
+    or exceeds the levels' rounding raises ValueError.
 
     Each level's iteration starts from its row of ``vectors``, a
     (len(seeds), n) array in the coordinates of T, y = M^{1/2} f, which is
     overwritten with the levels' unit eigenvectors; without it every level
-    starts from a constant vector."""
+    starts from a constant vector.  ``radii``, when given, is overwritten
+    with the radius of each level's ball: the eigenvalue of T of its index
+    lies within it."""
     s = 1.0 / np.sqrt(op.mass)
     tiny = np.finfo(float).tiny
     with np.errstate(over="ignore"):
@@ -176,7 +187,10 @@ def bound_eigenvalues(op: TridiagonalOperator, seeds: np.ndarray,
         seeds = np.asarray(seeds, dtype=float)
         if vectors is None:
             vectors = np.ones((seeds.size, diagonal.size))
-        vals = _refine(op, diagonal, off_diagonal, s, seeds, vectors, floor)
+        if radii is None:
+            radii = np.empty(seeds.size)
+        vals = _refine(op, diagonal, off_diagonal, s, seeds, vectors, radii)
+        _certify(diagonal, off_diagonal, vals, radii, floor)
         if vals.size == 0 or floor <= np.finfo(float).eps * np.min(np.abs(vals)):
             return vals
     raise ValueError(f"r_min = {math.sqrt(op.mass[0]):.3g} is too small: Sturm "
@@ -184,25 +198,63 @@ def bound_eigenvalues(op: TridiagonalOperator, seeds: np.ndarray,
 
 
 def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndarray,
-            s: np.ndarray, seeds: np.ndarray, vectors: np.ndarray, pivmin: float) -> np.ndarray:
+            s: np.ndarray, seeds: np.ndarray, vectors: np.ndarray,
+            radii: np.ndarray) -> np.ndarray:
     """Rayleigh-quotient inverse iteration on T = s A s from each seed and
-    its row of ``vectors``, which is overwritten with the unit eigenvector;
-    ``_certify`` then labels the levels by Sturm counts, their pivots
-    guarded by ``pivmin``.
+    its row of ``vectors``, which is overwritten with the unit eigenvector,
+    and each level's ball radius in ``radii``.
 
     Each seed is first scaled by the ratio of the level below to its own
     seed: the grid shifts neighbouring levels alike, and on a coarse grid
     that shift reaches a third of the level spacing at high levels, enough
     to draw an unscaled seed to the level above.
 
-    A solve z = (T - sigma)^{-1} y of a unit y leaves z/|z| a residual of
-    sin(y, z)/|z| at its own quotient, which <y, z> and |z| give without
+    A solve z = (T - sigma0)^{-1} y of a unit y gives y' = z/|z| with
+    (T - sigma0) y' = y/|z|, whose part normal to y' is the residual at
+    y''s own quotient: sin(y, z)/|z|, which <y, z> and |z| give without
     another pass.  Iteration stops once that is at most sqrt(eps) |sigma|:
     the quotient's error, of the order of the residual squared over the
     gap, is then at rounding.  Started from the coarser grid's eigenvector,
-    a refined level gets there in one solve.  A solve whose norm overflows
-    (T - sigma singular to working precision, as at |j| ~ 1e30) raises
-    GridConvergenceError."""
+    a refined level gets there in one solve.  A level that does not within
+    _MAX_ITERATIONS solves, or whose solve overflows (T - sigma singular to
+    working precision, as at |j| ~ 1e30), raises GridConvergenceError.
+
+    The ball, to first order in eps.  gtsv, elimination with partial
+    pivoting, whose growth on a tridiagonal matrix is at most 2, returns
+    the z of T - sigma0 + E for an E within a few eps of |T - sigma0| row
+    by row, and rounding y' and forming T's entries from s A s add a few
+    eps more of |T|: y' is exactly what the iteration above makes of T + E,
+    |E| <= 12 eps |T - sigma0|.  So
+
+    - by the residual theorem (Parlett, The Symmetric Eigenvalue Problem,
+      4-5), T + E has an eigenvalue within sin(y, z)/|z| of y''s quotient
+      on T + E;
+    - that quotient, and the eigenvalue of T + E near it, are each within
+      |y'^T E y'| <= 12 eps (|y'|^T |T| |y'| + |sigma0|) of their
+      counterparts on T;
+    - sin(y, z) squared is the computed 1 - cos^2 to within 4 (n + 6) eps,
+      n the rows, counting the dot products' worst-case rounding and y's
+      own length;
+    - sigma is y''s quotient on T to within (2 n + 16) eps sum_i u_i y'_i^2,
+      u_i row i of |A| over the mass with its couplings counted three
+      times, which bounds the absolute terms of the difference form's sums
+      and |sigma| (each rounded by at most n eps) and the row sums'
+      rounding;
+    - |y'|^T |T| |y'| <= sum_i u_i y'_i^2 too, as 2 |y_i y_{i+1}| / sqrt(m_i
+      m_{i+1}) <= y_i^2 / m_i + y_{i+1}^2 / m_{i+1}.
+
+    So T has an eigenvalue within
+
+        rho = sqrt(max(0, 1 - cos^2) + 4 (n + 6) eps) / |z|
+              + eps ((2 n + 40) sum_i u_i y'_i^2 + 24 |sigma0|)
+
+    of sigma, u built once per pencil and its sum one product per level.
+    The normwise residual |(T - sigma) y'|, which the residual theorem
+    takes alone, would charge E's share at the innermost rows, where T
+    reaches 1/(h r_min)^2, as eps | |T| |y'| |: 3e15 on a 100-point grid
+    from r_min = 1e-30, where y' is still accurate entry by entry and its
+    quotient to rounding.  ``_certify`` labels the levels from their
+    balls."""
     from scipy.linalg.lapack import dgtsv
 
     # The quotient f^T A f / f^T M f, f = s y, in difference form: the
@@ -218,19 +270,30 @@ def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndar
         df = np.diff(f)
         return float((np.dot(-b * df, df) + np.dot(row_sums * f, f)) / np.dot(op.mass * f, f))
 
+    # u above, the per-row weights of the balls' rounding term
+    u = np.abs(op.diagonal)
+    thrice = 3.0 * np.abs(b)
+    u[:-1] += thrice
+    u[1:] += thrice
+    u /= op.mass
+
+    n = u.size
     eps = np.finfo(float).eps
+    sine_floor = 4.0 * (n + 6) * eps
+    rounding = (2.0 * n + 40.0) * eps
     levels = np.empty(seeds.size)
     ratio = 1.0
     for k, seed in enumerate(seeds):
         sigma = ratio * seed
         y = vectors[k] / np.linalg.norm(vectors[k])
         for _ in range(_MAX_ITERATIONS):
-            z = dgtsv(off_diagonal, diagonal - sigma, off_diagonal, y)[3]
+            shift = sigma
+            z = dgtsv(off_diagonal, diagonal - shift, off_diagonal, y)[3]
             with np.errstate(over="ignore"):
                 size = np.linalg.norm(z)
             if not math.isfinite(size):
                 raise GridConvergenceError(f"the solve for the level at index {k + 1} overflows: "
-                                           f"T - sigma is singular in floats at sigma = {sigma:.6g}")
+                                           f"T - sigma is singular in floats at sigma = {shift:.6g}")
             cosine = np.dot(y, z) / size
             y = z / size
             sigma = quotient(s * y)
@@ -238,32 +301,38 @@ def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndar
             # is near a level, where |sigma| |z| is large
             if 1.0 - cosine * cosine <= eps * (sigma * size) ** 2:
                 break
+        else:
+            raise GridConvergenceError(f"the level at index {k + 1} has not converged "
+                                       f"after {_MAX_ITERATIONS} solves")
         vectors[k] = y
         levels[k] = sigma
         ratio = sigma / seed
-    _certify(diagonal, off_diagonal, levels, pivmin)
+        radii[k] = (math.sqrt(max(0.0, 1.0 - cosine * cosine) + sine_floor) / size
+                    + rounding * np.dot(u, np.square(y)) + 24.0 * eps * abs(shift))
     return levels
 
 
 def _certify(diagonal: np.ndarray, off_diagonal: np.ndarray, levels: np.ndarray,
-             pivmin: float) -> None:
-    """GridConvergenceError unless each of the ascending ``levels`` is the
-    eigenvalue of T of its own index: the Sturm windows, RELATIVE_WINDOW of
-    each level on each side, lie apart, and window k (1-based) has k - 1
-    eigenvalues below it and k below its top.  So no eigenvalue below the
-    top level goes unreturned."""
-    window = RELATIVE_WINDOW * np.abs(levels)
-    lo, hi = levels - window, levels + window
-    for k in range(levels.size):
-        if k and lo[k] <= hi[k - 1]:
-            raise GridConvergenceError(f"the Sturm windows of the refined levels at "
-                                       f"index {k} and {k + 1} overlap")
-        below = (_sturm_count(diagonal, off_diagonal, lo[k], pivmin),
-                 _sturm_count(diagonal, off_diagonal, hi[k], pivmin))
-        if below != (k, k + 1):
-            raise GridConvergenceError(
-                f"refined level {levels[k]} is not level {k + 1} of the pencil: Sturm counts "
-                f"put {below[0]} levels below its window and {below[1]} below its top")
+             radii: np.ndarray, pivmin: float) -> None:
+    """GridConvergenceError unless each of the ``levels`` is the eigenvalue
+    of T of its own index.  Each ball levels[k] +- radii[k] holds an
+    eigenvalue of T; when the balls ascend apart and one Sturm count finds
+    exactly as many eigenvalues as levels at or below the top ball, widened
+    to at least RELATIVE_WINDOW of its level, those are the lowest, one in
+    each ball.  So no eigenvalue below the top level goes unreturned."""
+    if not levels.size:
+        return
+    apart = levels[1:] - radii[1:] > levels[:-1] + radii[:-1]
+    if not np.all(apart):
+        k = int(np.argmin(apart)) + 1
+        raise GridConvergenceError(f"the residual balls of the refined levels at "
+                                   f"index {k} and {k + 1} overlap")
+    top = levels[-1] + max(radii[-1], RELATIVE_WINDOW * abs(levels[-1]))
+    below = _sturm_count(diagonal, off_diagonal, top, pivmin)
+    if below != levels.size:
+        raise GridConvergenceError(
+            f"the refined levels are not the lowest {levels.size} of the pencil: a Sturm count "
+            f"puts {below} at or below the top one's ball")
 
 
 def _sturm_count(diagonal: np.ndarray, off_diagonal: np.ndarray, x: float,
@@ -315,16 +384,18 @@ def _prolong(vectors: np.ndarray) -> np.ndarray:
     return fine
 
 
-def _three_grid_levels(j: float, n_max: int,
-                       grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _three_grid_levels(
+        j: float, n_max: int, grid: RadialGrid,
+        radii: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n_max lowest levels of the q = 1 pencil on ``grid`` and on its
     two successive halvings of the step, each bound on all three, with the
     two finest within TWO_GRID_AGREEMENT of each other, or
-    GridConvergenceError.
+    GridConvergenceError; ``radii``, when given, is overwritten with the
+    finest grid's ball radii.
 
     The closed-form ladder seeds the coarsest levels, and each grid's
-    levels and eigenvectors start the next.  All are certified by Sturm
-    counts, so a seed far from its level can only make the oracle refuse,
+    levels and eigenvectors start the next.  All are certified by a Sturm
+    count, so a seed far from its level can only make the oracle refuse,
     never mislabel a level."""
     seeds = _ladder_seeds(j, n_max)
     vectors = np.ones((n_max, grid.points - 1))
@@ -332,7 +403,7 @@ def _three_grid_levels(j: float, n_max: int,
     for refinement in range(3):
         if refinement:
             grid, vectors = grid.refined(), _prolong(vectors)
-        seeds = bound_eigenvalues(discretize_h0(j, grid), seeds, vectors)
+        seeds = bound_eigenvalues(discretize_h0(j, grid), seeds, vectors, radii)
         levels.append(seeds)
     coarse, middle, fine = levels
     resolved = np.max(levels, axis=0) < 0.0
@@ -372,15 +443,18 @@ def oracle_regular_spectrum(j: float, params: PhysicalParams, n_max: int) -> lis
         raise ValueError(f"j = {j} is beyond the float range: the box ends at "
                          f"{r_max:.3g} Coulomb lengths, and the pencil's mass there overflows")
     grid = RadialGrid(r_min=1e-5, r_max=r_max, points=BASE_POINTS)
+    radii = np.empty(n_max)
     try:
-        coarse, middle, fine = _three_grid_levels(j, n_max, grid)
+        coarse, middle, fine = _three_grid_levels(j, n_max, grid, radii)
     except ValueError as exc:  # the symmetrised pencil is beyond the Sturm counts' range
         raise ValueError(f"j = {j} is beyond the float range: {exc}") from exc
     gaps = np.abs(fine - middle) / np.abs(fine)
+    bounds = radii / np.abs(fine)
     # Romberg: (4 f - m)/3 and (4 m - c)/3 cancel h^2, and their 16:-1
     # blend cancels h^4
     levels = (64.0 * fine - 20.0 * middle + coarse) / 45.0
     return [
-        OracleEigenvalue(kappa=q * math.sqrt(-eps), index=index, grid=grid, two_grid_gap=float(gap))
-        for index, (eps, gap) in enumerate(zip(levels, gaps), start=1)
+        OracleEigenvalue(kappa=q * math.sqrt(-eps), index=index, grid=grid, two_grid_gap=float(gap),
+                         residual_bound=float(bound))
+        for index, (eps, gap, bound) in enumerate(zip(levels, gaps, bounds), start=1)
     ]

@@ -222,8 +222,16 @@ class TestRefinement:
         op = discretize_h0(0.3, GRID)
         levels = _bisected(op, 3)
         assert bound_eigenvalues(op, levels) == pytest.approx(levels, rel=1e-10)
-        with pytest.raises(GridConvergenceError, match="Sturm"):
+        with pytest.raises(GridConvergenceError, match="Sturm|overlap"):
             bound_eigenvalues(op, levels[picks])
+
+    def test_unconverged_level_refused(self, monkeypatch):
+        # the coarsest grid's constant start takes two solves a level, so
+        # with one allowed the first level is refused by its index rather
+        # than certified within its ball
+        monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 1)
+        with pytest.raises(GridConvergenceError, match="index 1 has not converged after 1 solves"):
+            oracle_regular_spectrum(0.3, ATOMIC, 3)
 
     def test_unrepresentable_pencil_refused_with_seeds(self):
         # the refusal holds for the closed-form ladder the oracle seeds with,
@@ -290,9 +298,9 @@ class TestLadderSeeds:
             solves[-1] += 1
             return dgtsv(*args, **kwargs)
 
-        def counted_bound_eigenvalues(op, seeds, vectors=None):
+        def counted_bound_eigenvalues(op, seeds, *out):
             solves.append(0)
-            return bound_eigenvalues(op, seeds, vectors)
+            return bound_eigenvalues(op, seeds, *out)
 
         cases = _benchmark_cases(monkeypatch)
         monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted_dgtsv)
@@ -307,13 +315,35 @@ class TestLadderSeeds:
         assert sum(n_max for _, n_max in cases) == 120
         assert totals.tolist() == [240, 134, 120]
 
+    def test_one_sturm_count_per_grid(self, monkeypatch):
+        # the balls need one count at the top level of each grid, whatever
+        # the number of levels: 120 over the 40 seed-1 inputs, where the
+        # window certification took two a level, 240 on each of the grids
+        counts = []
+        sturm_count = oracle._sturm_count
+
+        def counted_sturm_count(*args):
+            counts[-1] += 1
+            return sturm_count(*args)
+
+        def counted_bound_eigenvalues(op, seeds, *out):
+            counts.append(0)
+            return bound_eigenvalues(op, seeds, *out)
+
+        cases = _benchmark_cases(monkeypatch)
+        monkeypatch.setattr(oracle, "_sturm_count", counted_sturm_count)
+        monkeypatch.setattr(oracle, "bound_eigenvalues", counted_bound_eigenvalues)
+        for j, n_max in cases:
+            oracle_regular_spectrum(j, ATOMIC, n_max)
+        assert counts == [1] * (3 * len(cases)) and sum(counts) == 120
+
     def test_warm_starts_give_the_cold_levels(self, monkeypatch):
         # on every grid, the levels started from the coarser grid's
         # eigenvectors are those of constant starts from the same seeds
         gaps = []
 
-        def warm_and_cold(op, seeds, vectors=None):
-            warm = bound_eigenvalues(op, seeds, vectors)
+        def warm_and_cold(op, seeds, *out):
+            warm = bound_eigenvalues(op, seeds, *out)
             gaps.append(np.max(np.abs(warm / bound_eigenvalues(op, seeds) - 1.0)))
             return warm
 
@@ -400,8 +430,8 @@ class TestSturmCount:
 
 
 class TestCertification:
-    """The resumed dpttrf counts accept exactly where the dstebz window
-    certification did."""
+    """The residual balls and their one Sturm count accept exactly where the
+    dstebz window certification did."""
 
     @staticmethod
     def _compare(monkeypatch):
@@ -410,14 +440,14 @@ class TestCertification:
         verdicts = []
         certify = oracle._certify
 
-        def both(diagonal, off_diagonal, levels, pivmin):
+        def both(diagonal, off_diagonal, levels, radii, pivmin):
             try:
                 _stebz_certify(diagonal, off_diagonal, levels)
                 expected = True
             except GridConvergenceError:
                 expected = False
             try:
-                certify(diagonal, off_diagonal, levels, pivmin)
+                certify(diagonal, off_diagonal, levels, radii, pivmin)
             except GridConvergenceError:
                 verdicts.append((expected, False))
                 raise
@@ -461,7 +491,7 @@ class TestCertification:
         cases = _benchmark_cases(monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(oracle, "_certify",
-                      lambda diagonal, off_diagonal, levels, pivmin:
+                      lambda diagonal, off_diagonal, levels, radii, pivmin:
                       _stebz_certify(diagonal, off_diagonal, levels))
             reference = [[ev.kappa for ev in oracle_regular_spectrum(j, ATOMIC, n_max)]
                          for j, n_max in cases]
@@ -470,6 +500,32 @@ class TestCertification:
                   for j, n_max in cases]
         assert verdicts == [(True, True)] * (3 * len(cases))
         assert kappas == reference
+
+
+class TestResidualBalls:
+    """Each certified level's ball holds the eigenvalue of T of its index,
+    and lies far inside the spacing of the levels beside it."""
+
+    def test_balls_hold_the_bisected_levels(self, monkeypatch):
+        balls = []
+
+        def recorded(op, seeds, vectors=None, radii=None):
+            radii = np.empty(len(seeds)) if radii is None else radii
+            levels = bound_eigenvalues(op, seeds, vectors, radii)
+            balls.append((op, levels, radii))
+            return levels
+
+        cases = _benchmark_cases(monkeypatch) + SEEDED_CASES + [(0.3, 36)]
+        monkeypatch.setattr(oracle, "bound_eigenvalues", recorded)
+        for j, n_max in cases:
+            _three_grid_levels(j, n_max, _box(j, n_max))
+        assert len(balls) == 3 * len(cases)
+        for op, levels, radii in balls:
+            bisected = _bisected(op, levels.size)
+            assert np.all(np.abs(levels - bisected) <= radii), (levels, bisected, radii)
+            spacing = np.diff(levels)
+            nearest = np.minimum(np.r_[np.inf, spacing], np.r_[spacing, np.inf])
+            assert np.all(100.0 * radii <= nearest), (levels, radii)
 
 
 class TestCoulombUnits:
@@ -511,6 +567,11 @@ class TestSpectrum:
     def test_two_grid_gap_reported(self):
         for ev in oracle_regular_spectrum(0.25, ATOMIC, 3):
             assert 0.0 < ev.two_grid_gap < TWO_GRID_AGREEMENT
+
+    @pytest.mark.parametrize("j, n_max", [(0.0, 5), (0.25, 3), (2.4, 9), (0.3, 36)])
+    def test_residual_bound_reported(self, j, n_max):
+        for ev in oracle_regular_spectrum(j, ATOMIC, n_max):
+            assert 0.0 < ev.residual_bound <= TWO_GRID_AGREEMENT
 
     def test_no_coupling_no_bound_states(self):
         assert oracle_regular_spectrum(0.2, PhysicalParams(eta=0.0), 3) == []
