@@ -20,7 +20,6 @@ from .secular import (
     KummerParams,
     SecularRoot,
     SolutionCoefficients,
-    energy_from_kappa,
     normalizable_coefficients,
     secular_function,
     solve_secular,

@@ -35,11 +35,10 @@ from .secular import (
     SolutionCoefficients,
     _check_lambda,
     _require_extension_sector,
-    energy_from_kappa,
     normalizable_coefficients,
     solve_secular,
 )
-from .spectrum import ExistenceError, _closed_form_terms, closed_form_energy
+from .spectrum import ExistenceError, _energy_terms, closed_form_energy, rotation_parts
 from .wavefunction import build_profile
 
 __all__ = ["main", "ScanSpec"]
@@ -316,9 +315,10 @@ def _rows(variable: str, values: list[float], args: argparse.Namespace) -> tuple
         )
 
     with np.errstate(all="ignore"):  # overflow to inf and inf * 0 = nan, as in Python floats
-        coulomb, rotation, kappa = _closed_form_terms(
+        coulomb, rotation, kappa = _energy_terms(
             params, value if variable == "omega" else params.omega,
-            np.reshape([n - 0.5 for n in ns], (1, -1, 1, 1, 1)), np.where(regular, 1.0, -1.0),
+            np.reshape([n - 0.5 for n in ns], (1, -1, 1, 1, 1))
+            + np.where(regular, 1.0, -1.0) * abs(j),
             j, np.reshape(np.array(spins, dtype=float), (1, 1, 1, -1, 1)),
         )
         energy = np.where(refused, math.nan, coulomb + rotation)
@@ -398,26 +398,30 @@ def _cmd_secular(args: argparse.Namespace) -> int:
     except (OverflowError, ZeroDivisionError):  # eta / hbar**2, or 1/Gamma at a huge count
         print("error: the secular roots are beyond the float range", file=sys.stderr)
         return EXIT_REFUSED
-    energies = [energy_from_kappa(r.kappa, j, args.spin, params) for r in roots]
-    for i, (root, energy) in enumerate(zip(roots, energies), start=1):
+    orbit, spin = rotation_parts(params, j, args.spin)  # the shift as _energy_terms sums it
+    rows = []
+    for i, root in enumerate(roots, start=1):
+        try:
+            # the Coulomb term in t, or in kappa where t^2 is not a normal
+            # float: 0/0 at t = 0 (eta' = 0, lambda < 0), short of digits at a
+            # deep lambda < 0 root
+            coulomb = (_energy_terms(params, params.omega, root.t, j, args.spin)[0]
+                       if root.t * root.t >= sys.float_info.min
+                       else -(params.hbar**2) * root.kappa * root.kappa / (2.0 * params.m_e))
+            energy = coulomb + (orbit + spin)
+        except OverflowError:  # eta**2 or hbar**2
+            energy = math.nan
         if not math.isfinite(energy):
-            print(
-                f"error: root {i} at kappa = {root.kappa!r} has an energy "
-                "beyond the float range",
-                file=sys.stderr,
-            )
+            print(f"error: root {i} at kappa = {root.kappa!r} has an energy beyond the float range",
+                  file=sys.stderr)
             return EXIT_REFUSED
+        rows.append((i, root.kappa, energy, root.residual))
+    fields = ("index", "kappa", "energy", "residual")
     if args.format == "json":
-        payload = [
-            {"index": i, "kappa": r.kappa, "energy": e, "residual": r.residual}
-            for i, (r, e) in enumerate(zip(roots, energies), start=1)
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        text = json.dumps([dict(zip(fields, row)) for row in rows], indent=2)
     else:
-        lines = ["index,kappa,energy,residual"]
-        for i, (r, e) in enumerate(zip(roots, energies), start=1):
-            lines.append(f"{i},{r.kappa!r},{e!r},{r.residual!r}")
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join([",".join(fields), *(",".join(map(repr, row)) for row in rows)])
+    _emit(text + "\n", args.out)
     return EXIT_OK
 
 

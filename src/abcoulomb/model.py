@@ -1,14 +1,14 @@
 """Physical parameters and quantum-number bookkeeping.
 
 Covers the flux decomposition phi = N + beta, the effective angular
-momentum j = m + phi, and the |j| < 1/2 sector in which the radial
-operator admits a one-parameter family of boundary conditions at the
-origin.
+momentum j = m + phi, and the |j| < 1/2 sector in which the package
+parametrizes the boundary conditions at the origin by lambda.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -108,6 +108,8 @@ class QuantumState:
     branch: str = REGULAR
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.n, numbers.Integral) and isinstance(self.m, numbers.Integral)):
+            raise ValueError(f"n and m must be integers, got n = {self.n!r}, m = {self.m!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.s not in (1, -1):
@@ -122,8 +124,12 @@ def effective_j(m: int, phi: float) -> float:
 
 
 def is_singular_sector(j: float) -> bool:
-    """True iff |j| < 1/2, where the radial operator is not essentially
-    self-adjoint and the irregular origin behavior is admissible."""
+    """True iff |j| < 1/2, where the package's lambda convention, and with
+    it the irregular branch, is defined: Gamma(1 - 2|j|) has a pole at
+    |j| = 1/2.  The radial operator is limit-circle at the origin for all
+    |j| < 1 (Weyl's criterion for -u'' + (j^2 - 1/4) u / r^2), but at
+    1/2 <= |j| < 1 only the regular ladder is given, and every lambda is
+    refused with SectorError, until a convention without that pole is chosen."""
     return abs(j) < 0.5
 
 

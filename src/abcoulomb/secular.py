@@ -16,6 +16,8 @@ t = n - 1/2 +- |j|.  The roots of every finite lambda interlace with those
 ladders, so each is solved to adjacent floats on its own known interval,
 directly in t with Gamma(b) and Gamma(b') computed once per solve, by
 inverse quadratic interpolation safeguarded by bisection.
+Each ``SecularRoot`` carries its t, from which ``abcoulomb secular`` takes
+its energy by the closed form's formula: on the ladders, ``spectrum``'s bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 
 from .model import PhysicalParams, SectorError, is_singular_sector
 from .specfun import gamma, reciprocal_gamma
-from .spectrum import rotation_parts
 
 __all__ = [
     "KummerParams",
@@ -36,7 +37,6 @@ __all__ = [
     "secular_function",
     "solve_secular",
     "normalizable_coefficients",
-    "energy_from_kappa",
 ]
 
 
@@ -95,8 +95,10 @@ class KummerParams:
         if self.b < 1.0:
             raise ValueError(f"b = 1 + 2|j| must be >= 1, got {self.b}")
         shared = (self.a - self.b) - (self.a_prime - self.b_prime)
-        # a - b + |j| == a' - b' - |j| up to rounding
-        if abs(shared + (self.b - self.b_prime) / 2.0) > 1e-9:
+        # a - b + |j| == a' - b' - |j| up to rounding and for_state's snaps of
+        # a and a', each up to 4 eps max(1, t) with t <= 1.5 max(1, |a'|)
+        scale = max(1.0, abs(self.a), abs(self.a_prime))
+        if abs(shared + (self.b - self.b_prime) / 2.0) > 16.0 * sys.float_info.epsilon * scale:
             raise ValueError("inconsistent Kummer parameters")
 
     @property
@@ -140,6 +142,9 @@ class SolutionCoefficients:
 
 @dataclass(frozen=True)
 class SecularRoot:
+    """A root's t = m_e eta'/kappa (0 at eta' = 0), kappa and normalized residual."""
+
+    t: float
     kappa: float
     residual: float
 
@@ -192,21 +197,6 @@ def normalizable_coefficients(kp: KummerParams) -> SolutionCoefficients:
         raise SectorError(f"a and a' round to the same integer {kp.a!r}: the state is the "
                           "j = 0 limit, where the irregular solution is log r")
     return SolutionCoefficients(a_m=a_m, b_m=b_m)
-
-
-def energy_from_kappa(
-    kappa: float, j: float, s: int, params: PhysicalParams
-) -> float:
-    """Energy of a bound state with inverse decay length kappa:
-
-        E = -hbar^2 kappa^2 / (2 m_e) - hbar*Omega*(j + s/2)
-
-    The shift is summed from ``rotation_parts`` as ``closed_form_energy``
-    sums it, so a ladder state with the same Coulomb term has the same energy.
-    """
-    coulomb = -(params.hbar**2) * kappa * kappa / (2.0 * params.m_e)
-    orbit, spin = rotation_parts(params, j, s)
-    return coulomb + (orbit + spin)
 
 
 def _bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float]:
@@ -306,7 +296,7 @@ def _solve_zero_coupling(lam: float, j: float, regular, irregular) -> list[Secul
     def f(k: float) -> float:
         return f_regular + irregular(0.5 - aj, 2.0 * k)
 
-    return [SecularRoot(kappa=kappa, residual=_normalized_residual(f, kappa, f(kappa)))]
+    return [SecularRoot(t=0.0, kappa=kappa, residual=_normalized_residual(f, kappa, f(kappa)))]
 
 
 def solve_secular(lam: float, j: float, params: PhysicalParams, count: int) -> list[SecularRoot]:
@@ -337,7 +327,7 @@ def solve_secular(lam: float, j: float, params: PhysicalParams, count: int) -> l
         return regular(half_plus - t) + irregular(half_minus - t, two_q / t)
 
     def root_at(t: float, value: float) -> SecularRoot:
-        return SecularRoot(kappa=q / t, residual=_normalized_residual(f, t, value))
+        return SecularRoot(t=t, kappa=q / t, residual=_normalized_residual(f, t, value))
 
     def regular_ladder(n: int) -> tuple[float, float]:
         # t = n - 1/2 + |j|, where a = 1 - n

@@ -70,15 +70,14 @@ def rotation_parts(params: PhysicalParams, j: float, s: int) -> tuple[float, flo
     return -(hw * j), -s * (hw / 2.0)
 
 
-def _closed_form_terms(params: PhysicalParams, omega, half, sign, j, s):
-    """(coulomb, rotation, kappa) at t = half + sign |j|, half = n - 1/2, on
-    floats or broadcasting arrays (``omega`` too); sign = +1 is the regular
-    branch and -1 the irregular one, as half + sign |j| rounds as half +- |j|."""
-    denom = half + sign * abs(j)
-    coulomb = -(params.m_e * params.eta**2 / (2.0 * params.hbar**2)) / (denom * denom)
+def _energy_terms(params: PhysicalParams, omega, t, j, s):
+    """(coulomb, rotation, kappa) at t = m_e eta'/kappa, on floats or broadcasting
+    arrays (``omega`` too): the package's one energy formula, -m_e eta^2 / (2 hbar^2
+    t^2) - hbar Omega (j + s/2), its shift summed as ``rotation_parts`` sums it."""
+    coulomb = -(params.m_e * params.eta**2 / (2.0 * params.hbar**2)) / (t * t)
     hw = params.hbar * omega
     rotation = -(hw * j) + -s * (hw / 2.0)
-    return coulomb, rotation, params.m_e * params.eta_prime / denom
+    return coulomb, rotation, params.m_e * params.eta_prime / t
 
 
 def closed_form_energy(
@@ -100,8 +99,8 @@ def closed_form_energy(
             f"irregular branch requires |j| < 1/2, got j = {j} "
             f"(m = {state.m}, phi = {flux.phi})"
         )
-    sign = 1.0 if regular else -1.0
-    coulomb, rotation, kappa = _closed_form_terms(params, params.omega, state.n - 0.5, sign, j, state.s)
+    t = state.n - 0.5 + (abs(j) if regular else -abs(j))
+    coulomb, rotation, kappa = _energy_terms(params, params.omega, t, j, state.s)
     return SpectralResult(
         energy=coulomb + rotation,
         kappa=kappa,

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
@@ -500,6 +501,82 @@ class TestSecularCommand:
         )
         _, kappa, energy, _ = out.strip().split("\n")[1].split(",")
         assert float(energy) == pytest.approx(-0.5 * float(kappa) ** 2, rel=1e-12)
+
+    @staticmethod
+    def _energy_kappa(out, fmt):
+        """The (energy, kappa) text of each row of ``secular`` or ``spectrum``."""
+        if fmt == "json":
+            rows = json.loads(out, parse_float=str)
+        else:
+            header, *lines = out.strip().split("\n")
+            rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        return [(row["energy"], row["kappa"]) for row in rows]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_ladder_energies_are_the_spectrum_bytes(self, capsys, fmt):
+        # one energy formula, in t: each lambda = 0 or inf root writes the
+        # energy and kappa text that spectrum writes for the same state
+        rng = random.Random(28)
+        for _ in range(25):
+            m = rng.randint(-3, 3)
+            count = rng.randint(1, 30)
+            flags = [
+                "--mass", repr(10 ** rng.uniform(-2, 2)), "--hbar", repr(10 ** rng.uniform(-1, 1)),
+                "--eta", repr(10 ** rng.uniform(-2, 2)), "--omega", repr(rng.uniform(-3.0, 3.0)),
+                "--flux", repr(rng.uniform(-0.499, 0.499) - m), f"--m={m}",
+                f"--spin={rng.choice((1, -1))}", "--format", fmt,
+            ]
+            for lam, branch in (("0", REGULAR), ("inf", IRREGULAR)):
+                code, secular, err = run_cli(
+                    capsys, ["secular", "--lambda", lam, "--count", str(count), *flags])
+                assert code == 0, err
+                code, ladder, err = run_cli(
+                    capsys, ["spectrum", "--branch", branch, "--n", f"1..{count}", *flags])
+                assert code == 0, err
+                rows = self._energy_kappa(secular, fmt)
+                assert len(rows) == count and rows == self._energy_kappa(ladder, fmt)
+
+    def test_default_ladder_energy_is_the_closed_forms(self, capsys):
+        # both take the Coulomb term from t; from kappa^2 it rounds to -0.78125
+        for argv in (["secular", "--lambda", "0", "--count", "1"], ["spectrum"]):
+            _, out, _ = run_cli(capsys, [*argv, "--flux", "0.3"])
+            assert self._energy_kappa(out, "csv") == [("-0.7812499999999999", "1.25")]
+
+    def test_zero_coupling_energy(self, capsys):
+        # eta = 0 leaves one root at lambda < 0, at t = 0, where the Coulomb
+        # term is -hbar^2 kappa^2 / (2 m_e); the shift is summed as
+        # rotation_parts sums it
+        code, out, err = run_cli(capsys, [
+            "secular", "--eta", "0", "--lambda=-1", "--flux", "0.3", "--mass", "2",
+            "--hbar", "0.5", "--omega", "0.7"])
+        assert code == 0, err
+        ((energy, kappa),) = self._energy_kappa(out, "csv")
+        params = PhysicalParams(m_e=2.0, hbar=0.5, eta=0.0, omega=0.7)
+        (root,) = solve_secular(-1.0, 0.3, params, 3)
+        assert float(kappa) == root.kappa and root.t == 0.0
+        orbit, spin = spectrum.rotation_parts(params, 0.3, 1)
+        assert float(energy) == -(0.5**2) * root.kappa * root.kappa / (2.0 * 2.0) + (orbit + spin)
+
+    def test_deep_root_of_subnormal_t_squared(self, capsys):
+        # root 1 at t = 1.4e-161, where t*t is subnormal: the Coulomb term
+        # on t would be 4.4e-3 off, and on kappa it is at rounding
+        mass, hbar = 0.16439672947206355, 45.41963010757421
+        code, out, err = run_cli(capsys, [
+            "secular", "--lambda=-0.0015793999370947848", "--flux", "0.00927038015712793",
+            "--mass", repr(mass), "--hbar", repr(hbar), "--eta", "2.498914864749128e-06",
+            "--count", "1"])
+        assert code == 0, err
+        ((energy, kappa),) = self._energy_kappa(out, "csv")
+        with mpmath.workdps(40):
+            exact = -mpmath.mpf(hbar) ** 2 * mpmath.mpf(kappa) ** 2 / (2 * mpmath.mpf(mass))
+            assert abs(float(energy) - exact) <= 4e-16 * abs(exact)
+
+    def test_huge_hbar_energy_exits_3(self, capsys):
+        # hbar^2 overflows in the Coulomb term of the eta' = 0 root
+        code, out, err = run_cli(
+            capsys, ["secular", "--lambda=-1", "--hbar", "1e160", "--flux", "0.3", "--count", "1"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: root 1") and "float range" in err
 
     def test_sector_violation_exit_3(self, capsys):
         code, _, err = run_cli(

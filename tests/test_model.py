@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -111,6 +112,15 @@ class TestQuantumState:
             QuantumState(n=1, m=0, s=2)
         with pytest.raises(ValueError):
             QuantumState(n=1, m=0, s=1, branch="bogus")
+        # a non-integer n or m names no state: closed_form_energy would give
+        # E = -0.5 for n = 1.5 and -0.8889 for m = 0.25 at phi = 0
+        for n, m in ((1.5, 0), (1, 0.25), (2.0, 0), (1, -1.0)):
+            with pytest.raises(ValueError, match="must be integers"):
+                QuantumState(n=n, m=m, s=1)
+
+    def test_numpy_integers_accepted(self):
+        st_ = QuantumState(np.int64(2), np.int32(-1), 1)
+        assert (st_.n, st_.m) == (2, -1)
 
     def test_hashable(self):
         assert len({QuantumState(1, 0, 1), QuantumState(1, 0, 1)}) == 1

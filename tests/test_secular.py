@@ -15,12 +15,11 @@ from abcoulomb.secular import (
     RootSearchError,
     SolutionCoefficients,
     _bracketed_root,
-    energy_from_kappa,
     normalizable_coefficients,
     secular_function,
     solve_secular,
 )
-from abcoulomb.spectrum import closed_form_energy
+from abcoulomb.spectrum import _energy_terms, closed_form_energy
 from abcoulomb.model import IRREGULAR, REGULAR, QuantumState, decompose_flux
 from abcoulomb.wavefunction import boundary_closure_residual
 
@@ -68,6 +67,22 @@ class TestKummerParams:
     def test_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError):
             KummerParams.for_state(0.0, 0.2, ATOMIC)
+
+    def test_consistency_bound_scales_with_the_parameters(self):
+        # the snap moves a by up to 4 eps max(1, t), beyond 1e-9 from t of
+        # about 1e6 on, so the bound scales with the parameters
+        kp = KummerParams.for_state(1e-9, 0.3, ATOMIC)
+        t = 1.0 / 1e-9
+        assert (kp.a, kp.a_prime) == (0.5 + 0.3 - t, 0.5 - 0.3 - t)
+        n = 10**7
+        regular = KummerParams.for_state(1.0 / (n - 0.5 + 0.3), 0.3, ATOMIC)
+        irregular = KummerParams.for_state(1.0 / (n - 0.5 - 0.3), 0.3, ATOMIC)
+        assert regular.a == 1.0 - n and irregular.a_prime == 1.0 - n
+        # a set inconsistent beyond rounding is refused at any size
+        for a, off in ((0.3, 1e-12), (1.0 - n, 1e-6), (-1e15, 64.0)):
+            with pytest.raises(ValueError, match="inconsistent Kummer parameters"):
+                KummerParams(a=a, b=1.6, a_prime=a - 0.6 + off, b_prime=0.4, kappa=1.0)
+            KummerParams(a=a, b=1.6, a_prime=a - 0.6, b_prime=0.4, kappa=1.0)
 
     def test_ladder_snapped_where_t_is_huge(self):
         # t = |j| + 1/2 carries a rounding error far above 1, and at |j| =
@@ -543,35 +558,37 @@ class TestLadderSnap:
                     assert coeffs.a_m == 0.0
 
 
-class TestEnergyFromKappa:
-    def test_matches_closed_form(self):
-        for omega in (0.0, 1.3, -0.7):
-            params = PhysicalParams(omega=omega)
-            for phi in (0.0, 0.3):
-                flux = decompose_flux(phi)
-                for n in (1, 2, 4):
-                    st_ = QuantumState(n, 0, 1)
-                    res = closed_form_energy(st_, params, flux)
-                    e = energy_from_kappa(res.kappa, 0 + flux.phi, 1, params)
-                    assert e == pytest.approx(res.energy, rel=1e-12)
+class TestRootsCarryT:
+    """Each root carries the t it was solved in, with kappa = m_e eta'/t."""
 
-    def test_rotation_shift_rounds_as_the_closed_form(self):
-        # eta = t = n - 1/2 +- |j| puts kappa at exactly 1, where both
-        # Coulomb terms are -1/2: the energies then differ only in how the
-        # shift -hbar Omega (j + s/2) is rounded, and must agree bit for bit
-        flux = decompose_flux(0.3)
-        one_product = []
-        for omega, n, m, s, branch in itertools.product(
-                (0.37, -1.9, 2.3), range(1, 6), (-1, 0, 1, 2), (1, -1), (REGULAR, IRREGULAR)):
-            j = m + flux.phi
-            if branch == IRREGULAR and abs(j) >= 0.5:
-                continue
-            t = (n - 0.5) + (1.0 if branch == REGULAR else -1.0) * abs(j)
-            params = PhysicalParams(eta=t, omega=omega)
-            res = closed_form_energy(QuantumState(n, m, s, branch), params, flux)
-            assert res.kappa == 1.0
-            assert energy_from_kappa(res.kappa, j, s, params) == res.energy
-            one_product.append(-0.5 - omega * (j + s / 2.0) != res.energy)
-        # the 150 states tell the two roundings apart: the shift as one
-        # product misses on some of them
-        assert len(one_product) == 150 and any(one_product)
+    PARAMS = (ATOMIC, PhysicalParams(m_e=1.3, hbar=0.7, eta=2.9, omega=0.37),
+              PhysicalParams(m_e=0.02, hbar=3.1, eta=0.6, omega=-1.9))
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_ladder_t_gives_the_closed_form_bit_for_bit(self, params):
+        # t = n - 1/2 +- |j|, the float closed_form_energy forms, so the one
+        # energy formula on the root's t is the closed form's on every field
+        for phi, branch, s in itertools.product((0.3, -0.45, 1e-6, 0.2), (REGULAR, IRREGULAR),
+                                                (1, -1)):
+            lam = 0.0 if branch == REGULAR else math.inf
+            roots = solve_secular(lam, phi, params, 12)
+            for n, root in enumerate(roots, start=1):
+                res = closed_form_energy(QuantumState(n, 0, s, branch), params, decompose_flux(phi))
+                assert root.t == n - 0.5 + (abs(phi) if branch == REGULAR else -abs(phi))
+                coulomb, rotation, kappa = _energy_terms(params, params.omega, root.t, phi, s)
+                assert (root.kappa, kappa) == (res.kappa, res.kappa)
+                assert (coulomb, rotation, coulomb + rotation) == (
+                    res.coulomb_energy, res.rotation_energy, res.energy)
+
+    @pytest.mark.parametrize("params", PARAMS)
+    @pytest.mark.parametrize("lam", [-1.0, -1e-3, 2.5, 1e6])
+    def test_finite_lambda_kappa_is_q_over_t(self, params, lam):
+        q = params.m_e * params.eta_prime
+        roots = solve_secular(lam, 0.3, params, 5)
+        assert [r.kappa for r in roots] == [q / r.t for r in roots]
+        # ground state first: t increases
+        assert all(0.0 < a.t < b.t for a, b in zip(roots, roots[1:]))
+
+    def test_zero_coupling_root_has_t_zero(self):
+        (root,) = solve_secular(-1.0, 0.3, PhysicalParams(eta=0.0), 3)
+        assert root.t == 0.0 and root.kappa > 0.0
