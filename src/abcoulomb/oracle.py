@@ -102,8 +102,14 @@ class RadialGrid:
     points: int
 
     def __post_init__(self) -> None:
+        for name in ("r_min", "r_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError(f"need 0 < r_min < r_max, got ({self.r_min}, {self.r_max})")
+        # an integer count keeps refined() at 2 points - 1, whose nodes nest
+        if not isinstance(self.points, numbers.Integral) or isinstance(self.points, bool):
+            raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 100:
             raise ValueError(f"points must be >= 100, got {self.points}")
 
@@ -111,7 +117,9 @@ class RadialGrid:
         return np.geomspace(self.r_min, self.r_max, self.points)
 
     def refined(self) -> "RadialGrid":
-        """Same endpoints, half the mesh step."""
+        """Same endpoints, half the mesh step.  Its nodes() nest bit for
+        bit: every other one is a node of this grid, as np.geomspace's step
+        in log10 r is this grid's halved exactly."""
         return replace(self, points=2 * self.points - 1)
 
 
@@ -140,12 +148,15 @@ class TridiagonalOperator:
     mass: np.ndarray
 
 
-def discretize_h0(j: float, grid: RadialGrid) -> TridiagonalOperator:
+def discretize_h0(j: float, grid: RadialGrid,
+                  log_nodes: np.ndarray | None = None) -> TridiagonalOperator:
     """Finite-difference pencil whose generalized eigenvalues approximate
     the spectrum of H0 at m_e eta' = 1, ``grid`` in Coulomb lengths, with
-    the regular boundary behavior at r_min and Dirichlet at r_max."""
+    the regular boundary behavior at r_min and Dirichlet at r_max.
+    ``log_nodes``, when given, is np.log(grid.nodes()), taken once for
+    grids that share their nodes."""
     aj = abs(j)
-    y = np.log(grid.nodes())
+    y = np.log(grid.nodes()) if log_nodes is None else log_nodes
     h = y[1] - y[0]
     r = np.exp(y[:-1])  # unknowns on all nodes but the Dirichlet outer one
     diag = 2.0 / h**2 + j * j - 2.0 * r
@@ -182,14 +193,20 @@ def bound_eigenvalues(op: TridiagonalOperator, seeds: np.ndarray,
     tiny = np.finfo(float).tiny
     with np.errstate(over="ignore"):
         diagonal, off_diagonal = op.diagonal * s * s, op.off_diagonal * s[:-1] * s[1:]
-        floor = tiny * float(np.max(np.square(np.r_[1.0, diagonal, off_diagonal])))
+    # squared as a product: a float's ** raises OverflowError, and the
+    # reductions carry a nan through to the isfinite test
+    largest = float(np.abs(off_diagonal).max(initial=np.abs(diagonal).max(initial=1.0)))
+    floor = tiny * (largest * largest)
     if math.isfinite(floor):
         seeds = np.asarray(seeds, dtype=float)
         if vectors is None:
             vectors = np.ones((seeds.size, diagonal.size))
         if radii is None:
             radii = np.empty(seeds.size)
-        vals = _refine(op, diagonal, off_diagonal, s, seeds, vectors, radii)
+        # |z| overflows where T - sigma is singular in floats, which _refine
+        # refuses
+        with np.errstate(over="ignore"):
+            vals = _refine(op, diagonal, off_diagonal, s, seeds, vectors, radii)
         _certify(diagonal, off_diagonal, vals, radii, floor)
         if vals.size == 0 or floor <= np.finfo(float).eps * np.min(np.abs(vals)):
             return vals
@@ -262,13 +279,14 @@ def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndar
     # the potential and the boundary terms.  The naive y^T T y on the
     # graded T loses up to about 5e-10 to cancellation.
     b = op.off_diagonal
+    minus_b = -b
     row_sums = op.diagonal.copy()
     row_sums[:-1] += b
     row_sums[1:] += b
 
     def quotient(f: np.ndarray) -> float:
-        df = np.diff(f)
-        return float((np.dot(-b * df, df) + np.dot(row_sums * f, f)) / np.dot(op.mass * f, f))
+        df = f[1:] - f[:-1]
+        return float((np.dot(minus_b * df, df) + np.dot(row_sums * f, f)) / np.dot(op.mass * f, f))
 
     # u above, the per-row weights of the balls' rounding term
     u = np.abs(op.diagonal)
@@ -285,12 +303,11 @@ def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndar
     ratio = 1.0
     for k, seed in enumerate(seeds):
         sigma = ratio * seed
-        y = vectors[k] / np.linalg.norm(vectors[k])
+        y = vectors[k] / math.sqrt(np.dot(vectors[k], vectors[k]))
         for _ in range(_MAX_ITERATIONS):
             shift = sigma
-            z = dgtsv(off_diagonal, diagonal - shift, off_diagonal, y)[3]
-            with np.errstate(over="ignore"):
-                size = np.linalg.norm(z)
+            z = dgtsv(off_diagonal, diagonal - shift, off_diagonal, y, overwrite_d=1)[3]
+            size = math.sqrt(np.dot(z, z))
             if not math.isfinite(size):
                 raise GridConvergenceError(f"the solve for the level at index {k + 1} overflows: "
                                            f"T - sigma is singular in floats at sigma = {shift:.6g}")
@@ -298,8 +315,9 @@ def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndar
             y = z / size
             sigma = quotient(s * y)
             # 1 - cos^2 is good to a few eps, far below the bound once sigma
-            # is near a level, where |sigma| |z| is large
-            if 1.0 - cosine * cosine <= eps * (sigma * size) ** 2:
+            # is near a level, where |sigma| |z| is large; squared as a
+            # product, which is inf where a float's ** would raise
+            if 1.0 - cosine * cosine <= eps * ((sigma * size) * (sigma * size)):
                 break
         else:
             raise GridConvergenceError(f"the level at index {k + 1} has not converged "
@@ -308,7 +326,7 @@ def _refine(op: TridiagonalOperator, diagonal: np.ndarray, off_diagonal: np.ndar
         levels[k] = sigma
         ratio = sigma / seed
         radii[k] = (math.sqrt(max(0.0, 1.0 - cosine * cosine) + sine_floor) / size
-                    + rounding * np.dot(u, np.square(y)) + 24.0 * eps * abs(shift))
+                    + rounding * np.dot(u, y * y) + 24.0 * eps * abs(shift))
     return levels
 
 
@@ -396,20 +414,24 @@ def _three_grid_levels(
     The closed-form ladder seeds the coarsest levels, and each grid's
     levels and eigenvectors start the next.  All are certified by a Sturm
     count, so a seed far from its level can only make the oracle refuse,
-    never mislabel a level."""
+    never mislabel a level.  The grids' nodes nest, so ln r is taken once,
+    on the finest, and sliced for the other two."""
     seeds = _ladder_seeds(j, n_max)
     vectors = np.ones((n_max, grid.points - 1))
+    halved = grid.refined()
+    grids = (grid, halved, halved.refined())
+    y = np.log(grids[-1].nodes())
     levels = []
-    for refinement in range(3):
-        if refinement:
-            grid, vectors = grid.refined(), _prolong(vectors)
-        seeds = bound_eigenvalues(discretize_h0(j, grid), seeds, vectors, radii)
+    for g, stride in zip(grids, (4, 2, 1)):
+        if g is not grid:
+            vectors = _prolong(vectors)
+        seeds = bound_eigenvalues(discretize_h0(j, g, log_nodes=y[::stride]), seeds, vectors, radii)
         levels.append(seeds)
     coarse, middle, fine = levels
     resolved = np.max(levels, axis=0) < 0.0
     resolved &= np.abs(fine - middle) <= TWO_GRID_AGREEMENT * np.abs(fine)
-    index = int(np.argmin(np.r_[resolved, False]))  # the first level not resolved
-    if index < n_max:
+    if not np.all(resolved):
+        index = int(np.argmin(resolved))  # the first level not resolved
         raise GridConvergenceError(f"the level at index {index + 1} is not bound on all three "
                                    f"grids within a two-grid gap of {TWO_GRID_AGREEMENT}")
     return coarse, middle, fine
@@ -426,10 +448,14 @@ def oracle_regular_spectrum(j: float, params: PhysicalParams, n_max: int) -> lis
     grid ends at max(35, 5t) t Coulomb lengths 1/q, t = n_max - 1/2 + |j|,
     as ``build_profile``'s range does.  Exactly n_max levels are returned,
     or none with eta' = 0.  A non-integer n_max, a non-finite j, and a j
-    whose box or pencil leaves the float range raise ValueError.
+    whose box or pencil leaves the float range raise ValueError, as does an
+    n_max above the BASE_POINTS - 1 unknowns of the coarsest pencil.
     """
-    if not isinstance(n_max, numbers.Integral) or n_max < 1:
+    if not isinstance(n_max, numbers.Integral) or isinstance(n_max, bool) or n_max < 1:
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
+    if n_max > BASE_POINTS - 1:
+        raise ValueError(f"n_max = {n_max} exceeds the {BASE_POINTS - 1} unknowns "
+                         "of the coarsest pencil")
     if not math.isfinite(j):
         raise ValueError(f"j must be finite, got {j}")
     q = params.m_e * params.eta_prime

@@ -243,10 +243,11 @@ def _kummer_march(a: float, b: float, start: tuple, x: np.ndarray) -> np.ndarray
     # the point at or above each sample, and the sample's offset from it
     k = points.size - 1 - np.searchsorted(points[::-1], x)
     s = x / points[k] - 1.0
-    out = coef[-1].take(k)
-    for row in coef[-2::-1]:
+    rows = coef.take(k, axis=1)
+    out = rows[-1]
+    for row in rows[-2::-1]:
         out *= s
-        out += row.take(k)
+        out += row
     return np.ldexp(out, np.array(exponents, dtype=np.int32).take(k))  # int32: 4x int64's speed
 
 

@@ -206,8 +206,9 @@ def build_profile(
     return RadialProfile(r, values, kappa, _origin_norm(coeffs, kp, r_lo))
 
 
-def _count_nodes(r: np.ndarray, values: np.ndarray) -> int:
-    noise_floor = 1e-13 * float(np.max(np.abs(values)))
+def _count_nodes(r: np.ndarray, values: np.ndarray, peak: float) -> int:
+    """Strict sign changes of ``values``, whose largest |value| is ``peak``."""
+    noise_floor = 1e-13 * peak
     # Tangential touches dip to the noise floor without flipping sign, so
     # only samples above the floor participate in the sign sequence.
     significant = np.flatnonzero(np.abs(values) > noise_floor)
@@ -250,4 +251,5 @@ def normalize_and_count_nodes(profile: RadialProfile) -> tuple[float, int]:
     norm = math.hypot(peak * math.sqrt(sampled), profile.origin_norm)
     if math.isinf(norm):
         raise OverflowError(f"the norm of the profile is beyond the float range (peak {peak})")
-    return norm, _count_nodes(profile.r, scaled)
+    # the scaled peak is exactly 1: x / peak <= 1 for |x| <= peak
+    return norm, _count_nodes(profile.r, scaled, 1.0 if peak > 0.0 else 0.0)

@@ -132,6 +132,35 @@ class TestRadialGrid:
         with pytest.raises(ValueError):
             RadialGrid(r_min=1e-5, r_max=200.0, points=10)
 
+    @pytest.mark.parametrize("field, value", [
+        ("r_min", np.nan), ("r_min", -np.inf), ("r_max", np.inf), ("r_max", np.nan),
+        ("points", 150.5), ("points", 200.0), ("points", True), ("points", "200"),
+    ])
+    def test_field_refused_by_name(self, field, value):
+        # an infinite r_max was accepted and failed in discretize_h0 with a
+        # RuntimeWarning; 150.5 points failed in numpy, and 200.0 refined to
+        # a float count of points
+        with pytest.raises(ValueError, match=field):
+            replace(GRID, **{field: value})
+
+    def test_numpy_integer_points_accepted(self):
+        assert RadialGrid(r_min=1e-5, r_max=200.0, points=np.int64(200)).refined().points == 399
+
+    def test_refined_nodes_nest(self):
+        # np.geomspace's step in log10 r on 2p - 1 points is the step on p
+        # halved exactly, so the refinements' even nodes are the grid's
+        # nodes bit for bit: the oracle takes ln r once, on its finest grid
+        rng = np.random.default_rng(29)
+        grids = [RadialGrid(r_min=10.0 ** rng.uniform(-30.0, 0.0),
+                            r_max=10.0 ** rng.uniform(math.log10(17.0), 60.0), points=points)
+                 for points in (100, BASE_POINTS) for _ in range(200)]
+        for grid in grids + [GRID, _box(0.3, 36), _box(45.0, 22)]:
+            middle = grid.refined()
+            fine = middle.refined()
+            assert np.array_equal(middle.nodes()[::2], grid.nodes()), grid
+            assert np.array_equal(fine.nodes()[::2], middle.nodes()), grid
+            assert np.array_equal(fine.nodes()[::4], grid.nodes()), grid
+
     def test_refinement_halves_step(self):
         grid = replace(GRID, points=500)
         fine = grid.refined()
@@ -149,6 +178,17 @@ class TestDiscretization:
         assert op.mass.shape == op.diagonal.shape
         assert np.all(np.isfinite(op.diagonal)) and np.all(np.isfinite(op.off_diagonal))
         assert np.all(op.mass > 0.0)
+
+    @pytest.mark.parametrize("j", [0.0, 0.3, -2.4, 45.0])
+    def test_log_nodes_give_the_same_pencil(self, j):
+        # given ln r, or a slice of the finest refinement's, the pencil is
+        # the one discretize_h0 builds from the grid's own nodes
+        grid = _box(j, 5)
+        finest = np.log(grid.refined().refined().nodes())
+        for log_nodes in (np.log(grid.nodes()), finest[::4]):
+            given, own = discretize_h0(j, grid, log_nodes=log_nodes), discretize_h0(j, grid)
+            for field in ("diagonal", "off_diagonal", "mass"):
+                assert np.array_equal(getattr(given, field), getattr(own, field)), field
 
     def test_lowest_eigenvalue_matches_coulomb_ground(self):
         op = discretize_h0(0.0, GRID)
@@ -314,6 +354,30 @@ class TestLadderSeeds:
             totals += solves
         assert sum(n_max for _, n_max in cases) == 120
         assert totals.tolist() == [240, 134, 120]
+
+    def test_one_node_array_and_three_pencils(self, monkeypatch):
+        # the grids' nodes are taken once, on the finest grid, and each of
+        # the three pencils is built by the module's discretize_h0, which
+        # the benchmark's tracer counts
+        pencils, nodes = [], []
+        own_nodes = RadialGrid.nodes
+
+        def counted_discretize_h0(j, grid, **kwargs):
+            pencils.append(grid.points)
+            assert kwargs["log_nodes"].size == grid.points
+            return discretize_h0(j, grid, **kwargs)
+
+        def counted_nodes(grid):
+            nodes.append(grid.points)
+            return own_nodes(grid)
+
+        monkeypatch.setattr(oracle, "discretize_h0", counted_discretize_h0)
+        monkeypatch.setattr(RadialGrid, "nodes", counted_nodes)
+        for j, n_max in [(0.3, 5), (-2.4, 9)]:
+            del pencils[:], nodes[:]
+            _three_grid_levels(j, n_max, _box(j, n_max))
+            assert pencils == [BASE_POINTS, 2 * BASE_POINTS - 1, 4 * BASE_POINTS - 3]
+            assert nodes == [4 * BASE_POINTS - 3]
 
     def test_one_sturm_count_per_grid(self, monkeypatch):
         # the balls need one count at the top level of each grid, whatever
@@ -672,8 +736,9 @@ class TestSpectrum:
         assert errors[0] >= 48.0 * errors[1]
 
     def test_n_max_validated(self):
-        # 2.5 returned three levels, against the promise of exactly n_max
-        for n_max in (0, -1, 2.5, 3.0):
+        # 2.5 returned three levels, against the promise of exactly n_max;
+        # True failed in numpy, and 10**6 asked for 8.9 GiB of start vectors
+        for n_max in (0, -1, 2.5, 3.0, True, False, BASE_POINTS, 10**6):
             with pytest.raises(ValueError, match="n_max"):
                 oracle_regular_spectrum(0.0, ATOMIC, n_max)
 
