@@ -7,6 +7,7 @@ wavefunctions, and an independent finite-difference cross-check."""
 from .model import (
     IRREGULAR,
     REGULAR,
+    FloatRangeError,
     FluxConfig,
     PhysicalParams,
     QuantumState,

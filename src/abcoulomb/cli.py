@@ -4,8 +4,9 @@ roots, wavefunction export, and the verification suite.
 Output is deterministic CSV (LF endings, ``.`` decimal point, shortest
 round-trip float format) or JSON.  Exit codes: 0 success, 1 failed
 verification, 2 bad flags (argparse, or more than ``MAX_ROWS`` rows), 3
-refused input: a sector violation, a state that is not bound, or a state
-whose kappa or energy is beyond the float range.
+refused input: a sector violation, a state that is not bound, parameters
+whose Coulomb scale no float holds, or a state whose kappa or energy is
+beyond the float range.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import verify as verify_mod
 from .model import (
     IRREGULAR,
     REGULAR,
+    FloatRangeError,
     PhysicalParams,
     QuantumState,
     SectorError,
@@ -195,12 +197,15 @@ def _int_at_least(minimum: int):
 
 
 def _physical(field: str):
-    """A float that ``PhysicalParams`` accepts as ``field``."""
+    """A float that ``PhysicalParams`` accepts as ``field``; the Coulomb scale
+    it makes with the other flags is checked once they are all read."""
 
     def number(text: str) -> float:
         value = float(text)
         try:
             PhysicalParams(**{field: value})
+        except FloatRangeError:
+            pass
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
@@ -261,7 +266,11 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _params(args: argparse.Namespace) -> PhysicalParams:
-    return PhysicalParams(m_e=args.mass, hbar=args.hbar, eta=args.eta, omega=args.omega)
+    """The flags' parameters; FloatRangeError, which ``main`` maps to exit 3,
+    where their Coulomb scale is beyond the float range.  ``wavefunction``
+    has no --omega: its profile is that of kappa, which rotation leaves alone."""
+    return PhysicalParams(m_e=args.mass, hbar=args.hbar, eta=args.eta,
+                          omega=getattr(args, "omega", 0.0))
 
 
 def _branches(choice: str) -> list[str]:
@@ -369,10 +378,6 @@ def _write_rows(variable: str, values: list[float], args: argparse.Namespace) ->
     except SectorViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (OverflowError, ZeroDivisionError):  # eta**2 overflows or hbar**2 underflows
-        print("error: the Coulomb scale m_e eta^2 / hbar^2 is beyond the float range",
-              file=sys.stderr)
-        return EXIT_REFUSED
     if note is not None:
         print(note, file=sys.stderr)
     _emit(text, args.out)
@@ -395,22 +400,19 @@ def _cmd_secular(args: argparse.Namespace) -> int:
     except (SectorError, RootSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (OverflowError, ZeroDivisionError):  # eta / hbar**2, or 1/Gamma at a huge count
+    except OverflowError:  # 1/Gamma past root 171
         print("error: the secular roots are beyond the float range", file=sys.stderr)
         return EXIT_REFUSED
     orbit, spin = rotation_parts(params, j, args.spin)  # the shift as _energy_terms sums it
     rows = []
     for i, root in enumerate(roots, start=1):
-        try:
-            # the Coulomb term in t, or in kappa where t^2 is not a normal
-            # float: 0/0 at t = 0 (eta' = 0, lambda < 0), short of digits at a
-            # deep lambda < 0 root
-            coulomb = (_energy_terms(params, params.omega, root.t, j, args.spin)[0]
-                       if root.t * root.t >= sys.float_info.min
-                       else -(params.hbar**2) * root.kappa * root.kappa / (2.0 * params.m_e))
-            energy = coulomb + (orbit + spin)
-        except OverflowError:  # eta**2 or hbar**2
-            energy = math.nan
+        # the Coulomb term in t, or in kappa where t^2 is not a normal float:
+        # 0/0 at t = 0 (q = 0, lambda < 0), short of digits at a deep
+        # lambda < 0 root
+        coulomb = (_energy_terms(params, params.omega, root.t, j, args.spin)[0]
+                   if root.t * root.t >= sys.float_info.min
+                   else -(params.hbar**2) * root.kappa * root.kappa / (2.0 * params.m_e))
+        energy = coulomb + (orbit + spin)
         if not math.isfinite(energy):
             print(f"error: root {i} at kappa = {root.kappa!r} has an energy beyond the float range",
                   file=sys.stderr)
@@ -426,8 +428,7 @@ def _cmd_secular(args: argparse.Namespace) -> int:
 
 
 def _cmd_wavefunction(args: argparse.Namespace) -> int:
-    # no --omega: the profile is that of kappa, which rotation leaves alone
-    params = PhysicalParams(m_e=args.mass, hbar=args.hbar, eta=args.eta)
+    params = _params(args)
     flux = decompose_flux(args.flux)
     j = args.m + flux.phi
     branch = args.branch or REGULAR
@@ -436,7 +437,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
             _require_extension_sector(args.lam, j)
             branch = REGULAR if args.lam == 0.0 else IRREGULAR
         if args.lam in (None, 0.0, math.inf):
-            # s = 1 for both spins: neither kappa = m_e eta'/(n - 1/2 +- |j|)
+            # s = 1 for both spins: neither kappa = q/(n - 1/2 +- |j|)
             # nor a secular root depends on s, so neither does the profile
             level = closed_form_energy(QuantumState(args.n, args.m, 1, branch), params, flux)
             if not level.exists:
@@ -455,7 +456,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     except (SectorError, RootSearchError, ExistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (OverflowError, ZeroDivisionError):  # x^{|j|} at huge |j|; hbar**2 = 0
+    except OverflowError:  # x^{|j|} at huge |j|, or an end of the mesh
         print(f"error: the profile at j = {j!r} is beyond the float range", file=sys.stderr)
         return EXIT_REFUSED
     lines = ["r,F"] + [
@@ -548,7 +549,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except FloatRangeError as exc:  # the flags' Coulomb scale, or a kappa beyond it
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

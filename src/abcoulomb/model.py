@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 __all__ = [
     "REGULAR",
     "IRREGULAR",
     "SectorError",
+    "FloatRangeError",
     "PhysicalParams",
     "FluxConfig",
     "QuantumState",
@@ -33,6 +35,15 @@ class SectorError(ValueError):
     """An irregular-solution operation was requested outside |j| < 1/2."""
 
 
+class FloatRangeError(ValueError):
+    """A Coulomb scale, or a kappa, that no normal float holds."""
+
+
+def _is_normal(x: float) -> bool:
+    """True iff x is a positive, normal, finite float."""
+    return sys.float_info.min <= x <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Masses, hbar, Coulomb strength and rotation frequency.
@@ -40,6 +51,13 @@ class PhysicalParams:
     Defaults are atomic units (hbar = m_e = eta = 1) with no rotation.
     ``eta`` is the Coulomb strength in energy*length; ``omega`` the signed
     rotation frequency about the z axis.
+
+    Every layer takes its Coulomb scale from ``q`` and ``energy_unit``, so
+    the parameters are refused here, with FloatRangeError, where no float
+    holds that scale: hbar*hbar not a normal float, an energy unit whose
+    squares overflow, or q = m_e eta / hbar^2 not a normal float at eta > 0.
+    An energy unit that overflows to inf in its product is kept: the levels
+    are then -inf, and their kappa still a float.
     """
 
     m_e: float = 1.0
@@ -57,11 +75,27 @@ class PhysicalParams:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         if self.eta < 0.0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
+        if not _is_normal(self.hbar * self.hbar):
+            raise FloatRangeError(f"hbar^2 at hbar = {self.hbar!r} is beyond the float range")
+        try:
+            self.energy_unit
+        except OverflowError:  # eta**2 or hbar**2
+            raise FloatRangeError(
+                f"the energy unit m_e eta^2 / (2 hbar^2) at eta = {self.eta!r}, "
+                f"hbar = {self.hbar!r} is beyond the float range") from None
+        if self.eta > 0.0 and not _is_normal(self.q):
+            raise FloatRangeError(
+                f"the Coulomb scale q = m_e eta / hbar^2 = {self.q!r} is beyond the float range")
 
     @property
-    def eta_prime(self) -> float:
-        """Coulomb strength rescaled by hbar**2."""
-        return self.eta / (self.hbar * self.hbar)
+    def q(self) -> float:
+        """Inverse Coulomb length m_e eta / hbar^2: kappa = q / t."""
+        return self.m_e * (self.eta / (self.hbar * self.hbar))
+
+    @property
+    def energy_unit(self) -> float:
+        """m_e eta^2 / (2 hbar^2): the Coulomb term of a level is -energy_unit / t^2."""
+        return self.m_e * self.eta**2 / (2.0 * self.hbar**2)
 
 
 @dataclass(frozen=True)

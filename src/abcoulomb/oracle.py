@@ -1,18 +1,18 @@
 """Independent finite-difference eigensolver for the radial operator
 
-    H0 = -(1/r) d/dr (r d/dr) + j^2/r^2 - 2 m_e eta'/r
+    H0 = -(1/r) d/dr (r d/dr) + j^2/r^2 - 2 q/r
 
 used to cross-check the closed-form and secular spectra.
 
 On a logarithmic grid (y = ln r, unknown F itself) the operator
-becomes -F_yy + (j^2 - 2 m_e eta' e^y) F = eps e^{2y} F: a generalized
+becomes -F_yy + (j^2 - 2 q e^y) F = eps e^{2y} F: a generalized
 symmetric-definite problem A F = eps M F with tridiagonal A and diagonal
 mass M = r^2 carrying the r dr measure.  The inner boundary eliminates
 the ghost point through the regular origin behavior
-r^{|j|} (1 - 2 m_e eta' r / (2|j| + 1)); the outer boundary is Dirichlet.
+r^{|j|} (1 - 2 q r / (2|j| + 1)); the outer boundary is Dirichlet.
 Bound eigenvalues eps = -kappa^2 are the lowest levels of the
 symmetrised tridiagonal T = M^{-1/2} A M^{-1/2}.  The problem is solved in
-Coulomb units, m_e eta' = 1, and scaled, in a box that ends at max(35, 5t) t
+Coulomb units, q = 1, and scaled, in a box that ends at max(35, 5t) t
 for t = n_max - 1/2 + |j| and so holds every level asked for.  The
 closed-form ladder eps_k = -1/(k - 1/2 + |j|)^2 seeds Rayleigh-quotient
 inverse iteration (LAPACK gtsv solves of T - sigma) on a grid of
@@ -127,7 +127,7 @@ class RadialGrid:
 class OracleEigenvalue:
     kappa: float
     index: int
-    # the coarsest of the three grids, in Coulomb lengths 1/(m_e eta'), the
+    # the coarsest of the three grids, in Coulomb lengths 1/q, the
     # units the pencils are solved in
     grid: RadialGrid
     # |eps_fine - eps_middle| / |eps_fine| on the two finest grids, the
@@ -151,7 +151,7 @@ class TridiagonalOperator:
 def discretize_h0(j: float, grid: RadialGrid,
                   log_nodes: np.ndarray | None = None) -> TridiagonalOperator:
     """Finite-difference pencil whose generalized eigenvalues approximate
-    the spectrum of H0 at m_e eta' = 1, ``grid`` in Coulomb lengths, with
+    the spectrum of H0 at q = 1, ``grid`` in Coulomb lengths, with
     the regular boundary behavior at r_min and Dirichlet at r_max.
     ``log_nodes``, when given, is np.log(grid.nodes()), taken once for
     grids that share their nodes."""
@@ -387,7 +387,7 @@ def _sturm_count(diagonal: np.ndarray, off_diagonal: np.ndarray, x: float,
 
 def _ladder_seeds(j: float, n_max: int) -> np.ndarray:
     """The closed-form regular levels eps_k = -1/(k - 1/2 + |j|)^2,
-    k = 1..n_max, of H0 at m_e eta' = 1."""
+    k = 1..n_max, of H0 at q = 1."""
     return -1.0 / np.square(np.arange(1, n_max + 1) - 0.5 + abs(j))
 
 
@@ -442,12 +442,12 @@ def oracle_regular_spectrum(j: float, params: PhysicalParams, n_max: int) -> lis
     Romberg-extrapolated from a grid and its two successive half-step
     refinements.
 
-    H0 is scale-covariant: with r = rho/q, q = m_e eta', its levels are
+    H0 is scale-covariant: with r = rho/q, q = m_e eta/hbar^2, its levels are
     q^2 times those at q = 1.  So the pencil is solved at q = 1 and
     kappa = q kappa_1.  For every extension t_n <= n - 1/2 + |j|, so the
     grid ends at max(35, 5t) t Coulomb lengths 1/q, t = n_max - 1/2 + |j|,
     as ``build_profile``'s range does.  Exactly n_max levels are returned,
-    or none with eta' = 0.  A non-integer n_max, a non-finite j, and a j
+    or none with q = 0.  A non-integer n_max, a non-finite j, and a j
     whose box or pencil leaves the float range raise ValueError, as does an
     n_max above the BASE_POINTS - 1 unknowns of the coarsest pencil.
     """
@@ -458,11 +458,9 @@ def oracle_regular_spectrum(j: float, params: PhysicalParams, n_max: int) -> lis
                          "of the coarsest pencil")
     if not math.isfinite(j):
         raise ValueError(f"j must be finite, got {j}")
-    q = params.m_e * params.eta_prime
+    q = params.q
     if q == 0.0:
         return []
-    if not math.isfinite(q):
-        raise ValueError("m_e eta' is beyond the float range")
     t = n_max - 0.5 + abs(j)
     r_max = max(35.0, 5.0 * t) * t
     if not math.isfinite(r_max * r_max):  # the mass r^2 at the box's end

@@ -10,10 +10,11 @@ Combining the two gives the pole-safe secular function
 whose zeros are the bound states.  lambda is a plain float in
 (-inf, +inf]: ``math.inf`` is the purely irregular extension, with
 G(kappa) = Gamma(b')/Gamma(a') alone, and NaN and -inf raise ValueError.
-The gamma reciprocals are entire, so F is smooth.  Roots are searched in t = m_e*eta'/kappa, where the
-lambda = 0 and lambda = inf limits sit at the closed-form ladders
-t = n - 1/2 +- |j|.  The roots of every finite lambda interlace with those
-ladders, so each is solved to adjacent floats on its own known interval,
+The gamma reciprocals are entire, so F is smooth.  Roots are searched in
+t = q/kappa, q = m_e eta/hbar^2, where the lambda = 0 and lambda = inf
+limits sit at the closed-form ladders t = n - 1/2 +- |j|.  The roots of
+every finite lambda interlace with those ladders, so each is solved to
+adjacent floats on its own known interval,
 directly in t with Gamma(b) and Gamma(b') computed once per solve, by
 inverse quadratic interpolation safeguarded by bisection.
 Each ``SecularRoot`` carries its t, from which ``abcoulomb secular`` takes
@@ -23,10 +24,11 @@ its energy by the closed form's formula: on the ladders, ``spectrum``'s bytes.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
-from .model import PhysicalParams, SectorError, is_singular_sector
+from .model import FloatRangeError, PhysicalParams, SectorError, _is_normal, is_singular_sector
 from .specfun import gamma, reciprocal_gamma
 
 __all__ = [
@@ -67,6 +69,16 @@ def _require_extension_sector(lam: float, j: float) -> None:
         )
 
 
+def _check_kappa(kappa: float) -> None:
+    """Refuse a kappa that is not positive, and with FloatRangeError one that
+    is not a normal float: at a subnormal kappa t = q/kappa keeps too few
+    digits for a ladder's integer, or is inf, and at kappa = inf it is 0."""
+    if not (kappa > 0.0):
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not _is_normal(kappa):
+        raise FloatRangeError(f"kappa = {kappa!r} is beyond the float range")
+
+
 def _snap_to_pole(z: float, tol: float) -> float:
     """The nearest nonpositive integer if it lies within ``tol`` of z, else
     z itself; a tol of 1/2 or more (t >= 5.6e14) can reach 0 from a
@@ -79,8 +91,8 @@ def _snap_to_pole(z: float, tol: float) -> float:
 class KummerParams:
     """Hypergeometric parametrization of the radial solution at fixed kappa:
 
-        a  = 1/2 + |j| - m_e eta'/kappa      b  = 1 + 2|j|
-        a' = 1/2 - |j| - m_e eta'/kappa      b' = 1 - 2|j|
+        a  = 1/2 + |j| - q/kappa      b  = 1 + 2|j|
+        a' = 1/2 - |j| - q/kappa      b' = 1 - 2|j|
     """
 
     a: float
@@ -112,12 +124,12 @@ class KummerParams:
 
         A closed-form ladder kappa leaves a (or a') within 1.4 eps max(1, t)
         of 1 - n; on the integer its 1/Gamma is exactly zero, so a ladder
-        state carries no residue of the growing solution.
+        state carries no residue of the growing solution.  A kappa that is
+        not a positive normal float is refused (``_check_kappa``).
         """
-        if not (kappa > 0.0):
-            raise ValueError(f"kappa must be positive, got {kappa}")
+        _check_kappa(kappa)
         aj = abs(j)
-        t = params.m_e * params.eta_prime / kappa
+        t = params.q / kappa
         tol = 4.0 * sys.float_info.epsilon * max(1.0, t)
         return cls(
             a=_snap_to_pole(0.5 + aj - t, tol),
@@ -142,7 +154,7 @@ class SolutionCoefficients:
 
 @dataclass(frozen=True)
 class SecularRoot:
-    """A root's t = m_e eta'/kappa (0 at eta' = 0), kappa and normalized residual."""
+    """A root's t = q/kappa (0 at q = 0), kappa and normalized residual."""
 
     t: float
     kappa: float
@@ -175,12 +187,12 @@ def secular_function(kappa: float, lam: float, j: float, params: PhysicalParams)
     Finite lambda:  Gamma(b)/Gamma(a) + lambda*(2k)**(2|j|)*Gamma(b')/Gamma(a')
     lambda = inf:   Gamma(b')/Gamma(a')
     written with reciprocal gammas so both terms stay finite everywhere.
+    A kappa that is not a positive normal float is refused (``_check_kappa``).
     """
-    if not (kappa > 0.0):
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_kappa(kappa)
     _require_extension_sector(lam, j)
     aj = abs(j)
-    t = params.m_e * params.eta_prime / kappa
+    t = params.q / kappa
     regular, irregular = _secular_terms(lam, aj)
     return regular(0.5 + aj - t) + irregular(0.5 - aj - t, 2.0 * kappa)
 
@@ -279,7 +291,7 @@ def _normalized_residual(f, t_root: float, value: float) -> float:
 
 
 def _solve_zero_coupling(lam: float, j: float, regular, irregular) -> list[SecularRoot]:
-    # eta' = 0: t = m_e*eta'/kappa degenerates to 0.  The secular function
+    # q = 0: t = q/kappa degenerates to 0.  The secular function
     # becomes c1 + lambda*(2 kappa)**(2|j|)*c2 with constants c1, c2 > 0:
     # no roots unless lambda < 0, where exactly one survives in closed form.
     aj = abs(j)
@@ -287,10 +299,13 @@ def _solve_zero_coupling(lam: float, j: float, regular, irregular) -> list[Secul
         return []
     c1 = gamma(1.0 + 2.0 * aj) * reciprocal_gamma(0.5 + aj)
     c2 = gamma(1.0 - 2.0 * aj) * reciprocal_gamma(0.5 - aj)
-    log_two_kappa = math.log(-c1 / (lam * c2)) / (2.0 * aj)
+    lam_c2 = lam * c2  # 0 where lambda is subnormal: 2 kappa overflows
+    log_two_kappa = math.log(-c1 / lam_c2) / (2.0 * aj) if lam_c2 else math.inf
     if log_two_kappa > math.log(0.5 * sys.float_info.max):
         raise RootSearchError(f"lambda={lam}, j={j}: root beyond float range")
     kappa = 0.5 * math.exp(log_two_kappa)
+    if not _is_normal(kappa):  # at a huge |lambda|
+        raise RootSearchError(f"lambda={lam}, j={j}: root kappa = {kappa!r} beyond float range")
     f_regular = regular(0.5 + aj)
 
     def f(k: float) -> float:
@@ -306,19 +321,19 @@ def solve_secular(lam: float, j: float, params: PhysicalParams, count: int) -> l
     lambda = 0 and lambda = inf return the ladders t = n - 1/2 +- |j|,
     all positive in |j| < 1/2.  Otherwise root n is solved to adjacent
     floats by ``_bracketed_root`` on its interlacing interval in
-    t = m_e*eta'/kappa: for lambda > 0 [n - 1/2 - |j|, n - 1/2 + |j|]; for
+    t = q/kappa: for lambda > 0 [n - 1/2 - |j|, n - 1/2 + |j|]; for
     lambda < 0 [n - 3/2 + |j|, n - 1/2 - |j|], and (0, 1/2 - |j|) in log t
     for n = 1, whose kappa beyond the float range raises RootSearchError.
     Each interval ends on the ladders, where one term of F vanishes: F is
     the other term there.  With no Coulomb attraction fewer roots
     (possibly none) are returned.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     _require_extension_sector(lam, j)
     aj = abs(j)
     regular, irregular = _secular_terms(lam, aj)
-    q = params.m_e * params.eta_prime
+    q = params.q
     if q == 0.0:
         return _solve_zero_coupling(lam, j, regular, irregular)
     half_plus, half_minus, two_q = 0.5 + aj, 0.5 - aj, 2.0 * q

@@ -71,13 +71,14 @@ def rotation_parts(params: PhysicalParams, j: float, s: int) -> tuple[float, flo
 
 
 def _energy_terms(params: PhysicalParams, omega, t, j, s):
-    """(coulomb, rotation, kappa) at t = m_e eta'/kappa, on floats or broadcasting
+    """(coulomb, rotation, kappa) at t = q/kappa, on floats or broadcasting
     arrays (``omega`` too): the package's one energy formula, -m_e eta^2 / (2 hbar^2
-    t^2) - hbar Omega (j + s/2), its shift summed as ``rotation_parts`` sums it."""
-    coulomb = -(params.m_e * params.eta**2 / (2.0 * params.hbar**2)) / (t * t)
+    t^2) - hbar Omega (j + s/2), its shift summed as ``rotation_parts`` sums it and
+    its scale read from ``params.energy_unit`` and ``params.q``."""
+    coulomb = -params.energy_unit / (t * t)
     hw = params.hbar * omega
     rotation = -(hw * j) + -s * (hw / 2.0)
-    return coulomb, rotation, params.m_e * params.eta_prime / t
+    return coulomb, rotation, params.q / t
 
 
 def closed_form_energy(
@@ -90,7 +91,7 @@ def closed_form_energy(
     with j = m + phi, + on the regular branch (extension parameter zero)
     and - on the irregular one (infinite extension parameter), which is
     only defined in the singular sector |j| < 1/2 and raises SectorError
-    outside it.  The associated kappa is m_e eta' / (n - 1/2 +- |j|).
+    outside it.  The associated kappa is q / (n - 1/2 +- |j|).
     """
     j = state.m + flux.phi
     regular = state.branch == REGULAR
@@ -116,17 +117,20 @@ def kappa_of_energy(
     """Inverse decay length kappa = sqrt(-[2 m_e E / hbar^2 + (2 m_e Omega/hbar)(j + s/2)]).
 
     Raises ExistenceError when the bracketed quantity is nonnegative
-    (oscillatory regime, no bound state).
+    (oscillatory regime, no bound state), and ValueError on an energy that
+    is not finite.
     """
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy}")
     j = state.m + flux.phi
-    q = (2.0 * params.m_e * energy / params.hbar**2) + (
+    bracket = (2.0 * params.m_e * energy / params.hbar**2) + (
         2.0 * params.m_e * params.omega / params.hbar
     ) * (j + state.s / 2.0)
-    if q >= 0.0:
+    if bracket >= 0.0:
         raise ExistenceError(
-            f"no bound state: 2 m_e E/hbar^2 + 2 m_e Omega (j + s/2)/hbar = {q} >= 0"
+            f"no bound state: 2 m_e E/hbar^2 + 2 m_e Omega (j + s/2)/hbar = {bracket} >= 0"
         )
-    return math.sqrt(-q)
+    return math.sqrt(-bracket)
 
 
 def detect_degeneracies(
@@ -141,7 +145,7 @@ def detect_degeneracies(
     its energy lies within ``tol`` of the group's first (smallest) member,
     which keeps all pairs within ``tol``.  Singleton groups are dropped.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
     evaluated = [(closed_form_energy(s, params, flux).energy, s) for s in states]
     evaluated.sort(key=lambda pair: pair[0])

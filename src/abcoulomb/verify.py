@@ -273,7 +273,7 @@ def _checks_secular() -> list[CheckResult]:
         for lam, sign in ((1e-12, 1.0), (-1e-12, 1.0), (1e12, -1.0), (-1e12, -1.0)):
             roots = solve_secular(lam, j, params, 6)
             for n, root in enumerate(roots[1:] if lam == -1e-12 else roots[:5], start=1):
-                k_ladder = params.m_e * params.eta_prime / (n - 0.5 + sign * j)
+                k_ladder = params.q / (n - 0.5 + sign * j)
                 limits[sign].append(abs(root.kappa / k_ladder - 1.0))
     out.append(_check("secular.limit_regular", _worst(limits[1.0]), 1e-10))
     out.append(_check("secular.limit_irregular", _worst(limits[-1.0]), 1e-10))
@@ -331,7 +331,7 @@ def _checks_secular() -> list[CheckResult]:
 
 
 def _interlacing_bracket(lam: float, aj: float, n: int) -> tuple[float, float]:
-    """Interval in t = m_e eta'/kappa that holds root n of a finite lam != 0."""
+    """Interval in t = q/kappa that holds root n of a finite lam != 0."""
     if lam > 0.0:
         return n - 0.5 - aj, n - 0.5 + aj
     return (0.0 if n == 1 else n - 1.5 + aj), n - 0.5 - aj
@@ -405,7 +405,7 @@ def _ladder_norm_errors(params: PhysicalParams) -> list[float]:
         for aj in (0.05, 0.3, 0.45, 0.499):
             for n in (1, 2, 4, 8):
                 alpha = 2.0 * sign * aj
-                kappa = params.m_e * params.eta_prime / (n - 0.5 + sign * aj)
+                kappa = params.q / (n - 0.5 + sign * aj)
                 profile = build_profile(coeffs, kappa, aj, params, points=2000)
                 x = 2.0 * kappa * profile.r
                 ladder = special.eval_genlaguerre(n - 1, alpha, x)
@@ -430,7 +430,7 @@ def _checks_oracle() -> list[CheckResult]:
         if len(levels) != n_max:
             errors.append(math.inf)
         for ev in levels:
-            exact = params.m_e * params.eta_prime / (ev.index - 0.5 + abs(j))
+            exact = params.q / (ev.index - 0.5 + abs(j))
             errors.append(abs(ev.kappa / exact - 1.0))
     return [_check("oracle.closed_form_agreement", _worst(errors), 1e-6)]
 

@@ -21,6 +21,7 @@ cancelled numerically, and any other pair is refused.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,18 +180,18 @@ def build_profile(
     The geometric grading resolves the r^{-|j|} origin behavior.  The mesh
     starts at 1e-4/kappa, or for lambda < 0 at or below r0/100, where
     r0 = (-f0/f1)^{1/(2|j|)} is the node of the origin behavior.  It ends
-    at x = 2 kappa r = max(70, 10 t), t = m_e eta'/kappa, where the
+    at x = 2 kappa r = max(70, 10 t), t = q/kappa, where the
     large-x envelope x^{t - 1/2} e^{-x/2} of a bound state, which peaks at
     x = 2t - 1, is below 3e-8 of its largest value past x = 1 for every t.
     A range that no float can hold raises ValueError (an origin node that
     underflows to 0) or OverflowError (an end beyond the float range).
     """
-    if points < 16:
-        raise ValueError(f"points must be >= 16, got {points}")
+    if not isinstance(points, numbers.Integral) or isinstance(points, bool) or points < 16:
+        raise ValueError(f"points must be an integer >= 16, got {points!r}")
     kp = KummerParams.for_state(kappa, j, params)
     terms = _state_terms(coeffs, kp)
     r_lo = min(1e-4 / kappa, 0.01 * _origin_node(coeffs, kp))
-    t = params.m_e * params.eta_prime / kappa
+    t = params.q / kappa
     r_hi = max(35.0, 5.0 * t) / kappa
     if not (0.0 < r_lo < r_hi):
         raise ValueError(f"need 0 < r_min < r_max, got ({r_lo}, {r_hi})")

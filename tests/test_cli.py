@@ -572,9 +572,16 @@ class TestSecularCommand:
             assert abs(float(energy) - exact) <= 4e-16 * abs(exact)
 
     def test_huge_hbar_energy_exits_3(self, capsys):
-        # hbar^2 overflows in the Coulomb term of the eta' = 0 root
+        # hbar^2 overflows: the parameters are refused before any root is solved
         code, out, err = run_cli(
             capsys, ["secular", "--lambda=-1", "--hbar", "1e160", "--flux", "0.3", "--count", "1"])
+        assert code == 3 and out == ""
+        assert err == "error: hbar^2 at hbar = 1e+160 is beyond the float range\n"
+        # an energy beyond the float range, here from the rotation shift, is
+        # refused at its root
+        code, out, err = run_cli(capsys, [
+            "secular", "--lambda=-1", "--hbar", "10", "--omega", "1e308", "--flux", "0.3",
+            "--count", "1"])
         assert code == 3 and out == ""
         assert err.startswith("error: root 1") and "float range" in err
 
@@ -786,6 +793,15 @@ class TestWavefunctionCommand:
         assert out == ""
         assert err.startswith("error:") and "float range" in err
 
+    def test_subnormal_kappa_exits_3(self, capsys):
+        # q = 3e-308 is normal, kappa = q/(n - 1/2) = 3e-313 is not: t = q/kappa
+        # lost the ladder's integer, and the command once refused its own
+        # coefficients with a traceback
+        code, out, err = run_cli(
+            capsys, ["wavefunction", "--eta", "3e-308", "--n", "100000", "--points", "16"])
+        assert code == 3 and out == ""
+        assert err == f"error: kappa = {3e-308 / (100000 - 0.5)!r} is beyond the float range\n"
+
     @pytest.mark.parametrize("m", [100, 150])
     def test_large_m_ladder_profile(self, capsys, m):
         # Gamma(1 + 2|j|) and (2 kappa)^{-2|j|} overflow, the profile does not
@@ -964,7 +980,15 @@ def test_one_state_commands_refuse_lists(capsys, command, many, one):
      ["scan", "--scan", "flux:0:1:3", "--eta", "1e200"],
      ["spectrum", "--hbar", "1e-200"],  # hbar**2 underflows to 0
      ["secular", "--lambda", "1", "--flux", "0.3", "--hbar", "1e-200"],
-     ["wavefunction", "--hbar", "1e-200"]],
+     ["wavefunction", "--hbar", "1e-200"],
+     # q = m_e eta / hbar^2 underflows to 0: a Coulomb problem once solved
+     # as a free one, with no rows or exists=false
+     ["secular", "--lambda", "1", "--flux", "0.3", "--hbar", "1e200"],
+     ["secular", "--lambda", "1", "--flux", "0.3", "--mass", "1e-300", "--eta", "1e-300"],
+     ["spectrum", "--mass", "1e-300", "--eta", "1e-300"],
+     # q is subnormal: kappa with 3 digits, or a traceback
+     ["secular", "--lambda", "1", "--flux", "0.3", "--eta", "1e-300", "--hbar", "1e10"],
+     ["wavefunction", "--eta", "1e-300", "--hbar", "1e10", "--points", "16"]],
 )
 def test_coulomb_scale_beyond_float_range_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, argv)

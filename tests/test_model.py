@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from abcoulomb.model import (
     IRREGULAR,
+    FloatRangeError,
     FluxConfig,
     PhysicalParams,
     QuantumState,
@@ -23,11 +24,11 @@ class TestPhysicalParams:
     def test_atomic_defaults(self):
         p = PhysicalParams()
         assert (p.m_e, p.hbar, p.eta, p.omega) == (1.0, 1.0, 1.0, 0.0)
-        assert p.eta_prime == 1.0
+        assert p.q == 1.0
 
-    def test_eta_prime_scaling(self):
+    def test_q_scaling(self):
         p = PhysicalParams(eta=3.0, hbar=2.0)
-        assert p.eta_prime == 0.75
+        assert p.q == 0.75
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -36,6 +37,47 @@ class TestPhysicalParams:
             PhysicalParams(hbar=-1.0)
         with pytest.raises(ValueError):
             PhysicalParams(eta=-0.1)
+
+    def test_scale_formed_as_the_layers_formed_it(self):
+        # q and the energy unit keep the bytes of m_e * (eta / (hbar * hbar))
+        # and m_e * eta**2 / (2.0 * hbar**2): hbar * hbar and hbar**2 can
+        # differ in the last bit, so neither is rewritten as the other
+        rng = np.random.default_rng(3)
+        for m_e, hbar, eta in 10.0 ** rng.uniform(-3.0, 3.0, (200, 3)):
+            p = PhysicalParams(m_e=m_e, hbar=hbar, eta=eta)
+            assert p.q == m_e * (eta / (hbar * hbar))
+            assert p.energy_unit == m_e * eta**2 / (2.0 * hbar**2)
+
+    @pytest.mark.parametrize(
+        "fields, rule",
+        [({"hbar": 1e-200}, "hbar^2"),  # hbar * hbar underflows to 0
+         ({"hbar": 1e-200, "eta": 0.0}, "hbar^2"),
+         ({"hbar": 1e-160}, "hbar^2"),  # subnormal
+         ({"hbar": 1e160}, "hbar^2"),  # inf
+         ({"eta": 1e200}, "energy unit"),  # eta**2 raises OverflowError
+         ({"eta": 1e100, "hbar": 1e-110}, "q = m_e eta / hbar^2 = inf"),
+         ({"m_e": 1e-300, "eta": 1e-300}, "q = m_e eta / hbar^2 = 0.0"),
+         ({"eta": 1e-300, "hbar": 1e10}, "q = m_e eta / hbar^2 = 1e-320")],
+        ids=["hbar2-zero", "hbar2-zero-eta0", "hbar2-subnormal", "hbar2-inf", "eta2-raises",
+             "q-inf", "q-zero", "q-subnormal"],
+    )
+    def test_scale_beyond_float_range_refused(self, fields, rule):
+        with pytest.raises(FloatRangeError, match="float range") as excinfo:
+            PhysicalParams(**fields)
+        assert rule in str(excinfo.value)
+        assert isinstance(excinfo.value, ValueError)
+
+    def test_scale_edges_accepted(self):
+        # no Coulomb attraction at a large hbar: q and the energy unit are 0
+        free = PhysicalParams(eta=0.0, hbar=1e100)
+        assert (free.q, free.energy_unit) == (0.0, 0.0)
+        # an energy unit that overflows in its product, without raising: the
+        # levels are -inf, their kappa a float
+        heavy = PhysicalParams(m_e=1e300, eta=1e10, hbar=10.0)
+        assert (heavy.q, heavy.energy_unit) == (1e300 * (1e10 / 100.0), math.inf)
+        # a small q, still normal: tests/test_wavefunction.py builds its
+        # ground state, whose mesh end 35/kappa overflows
+        assert PhysicalParams(eta=1e-307).q == 1e-307
 
 
 class TestFluxDecomposition:

@@ -12,7 +12,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstebz
 
 from abcoulomb import oracle
-from abcoulomb.model import PhysicalParams
+from abcoulomb.model import FloatRangeError, PhysicalParams
 from abcoulomb.oracle import (
     BASE_POINTS,
     RELATIVE_WINDOW,
@@ -593,7 +593,7 @@ class TestResidualBalls:
 
 
 class TestCoulombUnits:
-    """Every level is solved at m_e eta' = 1 and scaled by q = m_e eta'."""
+    """Every level is solved at q = 1 and scaled by q = m_e eta / hbar^2."""
 
     @pytest.mark.parametrize(
         "params",
@@ -602,14 +602,15 @@ class TestCoulombUnits:
         ids=["eta=0.01", "eta=0.05", "eta=1e4", "m_e=2,hbar=0.5"],
     )
     def test_levels_at_every_coupling(self, params):
-        q = params.m_e * params.eta_prime
+        q = params.q
         evs = oracle_regular_spectrum(0.3, params, 3)
         assert [ev.index for ev in evs] == [1, 2, 3]
         for ev in evs:
             assert ev.kappa == pytest.approx(q / (ev.index - 0.5 + 0.3), rel=1e-6)
 
     def test_coupling_beyond_float_range_refused(self):
-        with pytest.raises(ValueError, match="float range"):
+        # refused with the parameters, before the oracle is asked
+        with pytest.raises(FloatRangeError, match="float range"):
             oracle_regular_spectrum(0.3, PhysicalParams(eta=1e300, hbar=1e-10), 1)
 
 

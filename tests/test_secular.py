@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abcoulomb.secular as secular
-from abcoulomb.model import PhysicalParams, SectorError
+from abcoulomb.model import FloatRangeError, PhysicalParams, SectorError
 from abcoulomb.secular import (
     KummerParams,
     RootSearchError,
@@ -67,6 +67,19 @@ class TestKummerParams:
     def test_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError):
             KummerParams.for_state(0.0, 0.2, ATOMIC)
+
+    @pytest.mark.parametrize("kappa", [math.inf, 1e-310, 5e-324])
+    def test_kappa_beyond_float_range_refused(self, kappa):
+        # at kappa = inf, t = 0 gave a = 0.8 and a' = 0.2, and F was inf; at a
+        # subnormal kappa t keeps too few digits for a ladder's integer
+        with pytest.raises(FloatRangeError, match="float range"):
+            KummerParams.for_state(kappa, 0.3, ATOMIC)
+        with pytest.raises(FloatRangeError, match="float range"):
+            secular_function(kappa, 1.0, 0.3, ATOMIC)
+        # the smallest and largest normal kappa are kept
+        for edge in (sys.float_info.min, sys.float_info.max):
+            assert KummerParams.for_state(edge, 0.3, ATOMIC).kappa == edge
+        assert secular_function(sys.float_info.min, 1.0, 0.3, ATOMIC) == 0.0
 
     def test_consistency_bound_scales_with_the_parameters(self):
         # the snap moves a by up to 4 eps max(1, t), beyond 1e-9 from t of
@@ -222,6 +235,11 @@ class TestSolveSecular:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             solve_secular(0.0, 0.2, ATOMIC, 0)
+        # True once gave one root, 2.5 a bare TypeError
+        for count in (True, False, 2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="count must be an integer"):
+                solve_secular(1.0, 0.2, ATOMIC, count)
+        assert len(solve_secular(1.0, 0.2, ATOMIC, np.int64(2))) == 2
 
     @pytest.mark.parametrize("j", [0.5, -0.5, 0.7, 1.0, 2.3])
     def test_infinite_lambda_sector_error(self, j):
@@ -559,7 +577,7 @@ class TestLadderSnap:
 
 
 class TestRootsCarryT:
-    """Each root carries the t it was solved in, with kappa = m_e eta'/t."""
+    """Each root carries the t it was solved in, with kappa = q/t."""
 
     PARAMS = (ATOMIC, PhysicalParams(m_e=1.3, hbar=0.7, eta=2.9, omega=0.37),
               PhysicalParams(m_e=0.02, hbar=3.1, eta=0.6, omega=-1.9))
@@ -583,7 +601,7 @@ class TestRootsCarryT:
     @pytest.mark.parametrize("params", PARAMS)
     @pytest.mark.parametrize("lam", [-1.0, -1e-3, 2.5, 1e6])
     def test_finite_lambda_kappa_is_q_over_t(self, params, lam):
-        q = params.m_e * params.eta_prime
+        q = params.q
         roots = solve_secular(lam, 0.3, params, 5)
         assert [r.kappa for r in roots] == [q / r.t for r in roots]
         # ground state first: t increases
@@ -592,3 +610,11 @@ class TestRootsCarryT:
     def test_zero_coupling_root_has_t_zero(self):
         (root,) = solve_secular(-1.0, 0.3, PhysicalParams(eta=0.0), 3)
         assert root.t == 0.0 and root.kappa > 0.0
+
+    @pytest.mark.parametrize("lam", [-1e300, -1e200, -5e-324])
+    def test_zero_coupling_root_beyond_float_range_refused(self, lam):
+        # kappa ~ |lambda|^(-1/(2|j|)) underflows at a huge |lambda|, and
+        # overflows where lambda Gamma(b')/Gamma(a') rounds to 0; both once
+        # raised ZeroDivisionError
+        with pytest.raises(RootSearchError, match="float range"):
+            solve_secular(lam, 0.3, PhysicalParams(eta=0.0), 1)

@@ -88,6 +88,12 @@ class TestKappaOfEnergy:
         with pytest.raises(ExistenceError):
             kappa_of_energy(1.0, QuantumState(1, 0, 1), ATOMIC, NO_FLUX)
 
+    @pytest.mark.parametrize("energy", [math.nan, -math.inf, math.inf])
+    def test_non_finite_energy_refused(self, energy):
+        # NaN gave kappa = nan and -inf gave inf
+        with pytest.raises(ValueError, match=f"energy must be finite, got {energy}"):
+            kappa_of_energy(energy, QuantumState(1, 0, 1), ATOMIC, NO_FLUX)
+
     def test_rotation_bound_zero_energy(self):
         st_ = QuantumState(1, -1, 1)
         rot = PhysicalParams(omega=1.0)
@@ -246,3 +252,7 @@ class TestDegeneracies:
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):
             detect_degeneracies([QuantumState(1, 0, 1)], ATOMIC, NO_FLUX, tol=0.0)
+        # NaN passed tol <= 0 and found no group
+        states = [QuantumState(1, 0, 1), QuantumState(1, 0, 1)]
+        with pytest.raises(ValueError, match="tol must be positive, got nan"):
+            detect_degeneracies(states, ATOMIC, NO_FLUX, tol=math.nan)

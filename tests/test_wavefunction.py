@@ -29,7 +29,7 @@ ATOMIC = PhysicalParams()
 def longdouble_series_value(r, a_m, b_m, kappa, j, params=ATOMIC, nterms=200):
     """Independent high-resolution oracle: extended-precision power series."""
     aj = abs(j)
-    t = params.m_e * params.eta_prime / kappa
+    t = params.q / kappa
     x = np.longdouble(2.0 * kappa * r)
 
     def series(a, b):
@@ -402,6 +402,16 @@ class TestProfiles:
                                kappa, 0.3, ATOMIC)
         assert np.array_equal(double.values, 2.0 * state.values)
         assert normalize_and_count_nodes(double)[1] == 2
+
+    def test_points_validated(self):
+        # 100.0 once raised a bare TypeError, and True was refused only as
+        # "points must be >= 16, got True"
+        kappa = 1.0 / (0.5 + 0.3)
+        coeffs = SolutionCoefficients(1.0, 0.0)
+        for points in (15, 100.0, True, "100"):
+            with pytest.raises(ValueError, match="points must be an integer >= 16"):
+                build_profile(coeffs, kappa, 0.3, ATOMIC, points=points)
+        assert build_profile(coeffs, kappa, 0.3, ATOMIC, points=np.int64(16)).r.size == 16
 
     def test_unrepresentable_range_refused(self):
         # the origin node (-f0/f1)^(1/(2|j|)) of the normalizable solution at
