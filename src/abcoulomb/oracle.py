@@ -14,12 +14,14 @@ Bound eigenvalues eps = -kappa^2 are the lowest levels of the
 symmetrised tridiagonal T = M^{-1/2} A M^{-1/2}.  The problem is solved in
 Coulomb units, q = 1, and scaled, in a box that ends at max(35, 5t) t
 for t = n_max - 1/2 + |j| and so holds every level asked for.  The
+coarsest grid steps COARSE_STEP / t in ln r, on at most BASE_POINTS
+nodes: the grid error of the top level is a function of t h.  The
 closed-form ladder eps_k = -1/(k - 1/2 + |j|)^2 seeds Rayleigh-quotient
-inverse iteration (LAPACK gtsv solves of T - sigma) on a grid of
-BASE_POINTS nodes, whose levels seed it on the half-step refinement, and
-those on the next halving.  Each refined grid starts from the coarser
-grid's eigenvectors, interpolated onto its nodes, and every solve stops
-once its own residual is at rounding, so the two finer grids take about
+inverse iteration (LAPACK gtsv solves of T - sigma) on that grid, and the
+h^2 extrapolation of the grids before seeds it on the half-step
+refinement and on the next halving.  Each refined grid starts from the
+coarser grid's eigenvectors, interpolated onto its nodes, and every solve
+stops once its own residual is at rounding, so the two finer grids take
 one solve per level.  Each level's last solve also gives it a residual
 ball that holds an eigenvalue of T, and one Sturm count per grid
 certifies every level by index, so a wrong seed can only be refused:
@@ -57,18 +59,27 @@ __all__ = [
 
 # Two-grid accuracy bound: a level is returned only when its values on the
 # two finest grids differ by at most this relative gap.  Swept over 31 |j|
-# from 0 to 45 and n_max <= 50 on the derived boxes, every level returned
+# from 0 to 45 and n_max <= 50 on the derived grids, every level returned
 # under this bound is within 1.6e-7 of the ladder up to |j| = 30 and within
-# 2.4e-7 up to |j| = 45, and the oracle returns up to n_max = 36 at
+# 2.6e-7 up to |j| = 45, and the oracle returns up to n_max = 36 at
 # |j| < 1/2, 34 at |j| = 2.4, 32 at 6, 29 at 12, 24 at 30 and 22 at 45.
-# The finest step is 1.67 times that of two-grid Richardson on 4 000 and
-# 7 999 points, so its gaps are 2.78 times larger: under 3 times that
-# scheme's bound of 1e-3, every call it answered is answered.
+# Those worst levels and reach edges all lie on capped grids, of
+# BASE_POINTS nodes, whose finest step is 1.67 times that of two-grid
+# Richardson on 4 000 and 7 999 points, so their gaps are 2.78 times
+# larger: under 3 times that scheme's bound of 1e-3, every call it answered
+# is answered.  On the grids below the cap the gaps reach 2.3e-4, and the
+# levels lie within 8.6e-10 of the ladder (the floor of r_min at j = 0).
 TWO_GRID_AGREEMENT = 3e-3
 
-# Nodes of the coarsest of the three grids; the other two have 2 399 and
-# 4 797, each halving the step of the one before.
+# The most nodes of the coarsest of the three grids, at which the other two
+# have 2 399 and 4 797, each halving the step of the one before: the step
+# the reach edges above need.
 BASE_POINTS = 1200
+# The coarsest grid's step in ln r is COARSE_STEP / t, t = n_max - 1/2 + |j|,
+# where that takes fewer than BASE_POINTS nodes
+COARSE_STEP = 0.15
+# The fewest nodes of a RadialGrid
+MIN_POINTS = 100
 
 # The least relative margin above the top level of a grid at which its one
 # Sturm count is taken, when the top level's residual ball is narrower.
@@ -110,8 +121,8 @@ class RadialGrid:
         # an integer count keeps refined() at 2 points - 1, whose nodes nest
         if not isinstance(self.points, numbers.Integral) or isinstance(self.points, bool):
             raise ValueError(f"points must be an integer, got {self.points!r}")
-        if self.points < 100:
-            raise ValueError(f"points must be >= 100, got {self.points}")
+        if self.points < MIN_POINTS:
+            raise ValueError(f"points must be >= {MIN_POINTS}, got {self.points}")
 
     def nodes(self) -> np.ndarray:
         return np.geomspace(self.r_min, self.r_max, self.points)
@@ -402,6 +413,23 @@ def _prolong(vectors: np.ndarray) -> np.ndarray:
     return fine
 
 
+def _coarse_grid(j: float, n_max: int) -> RadialGrid:
+    """The coarsest of the three grids for the n_max lowest levels at j, in
+    Coulomb lengths: from 1e-5 to max(35, 5t) t, t = n_max - 1/2 + |j|, with
+    a step in ln r of COARSE_STEP / t, at least MIN_POINTS nodes and at most
+    BASE_POINTS.  The Romberg error and the two-grid gap of the top level
+    are functions of t h, h the step in ln r, so the step shrinks with the
+    highest level asked for.  A j whose box leaves the float range raises
+    ValueError."""
+    t = n_max - 0.5 + abs(j)
+    r_min, r_max = 1e-5, max(35.0, 5.0 * t) * t
+    if not math.isfinite(r_max * r_max):  # the mass r^2 at the box's end
+        raise ValueError(f"j = {j} is beyond the float range: the box ends at "
+                         f"{r_max:.3g} Coulomb lengths, and the pencil's mass there overflows")
+    points = math.ceil(t * math.log(r_max / r_min) / COARSE_STEP) + 1
+    return RadialGrid(r_min=r_min, r_max=r_max, points=min(BASE_POINTS, max(MIN_POINTS, points)))
+
+
 def _three_grid_levels(
         j: float, n_max: int, grid: RadialGrid,
         radii: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -411,23 +439,29 @@ def _three_grid_levels(
     GridConvergenceError; ``radii``, when given, is overwritten with the
     finest grid's ball radii.
 
-    The closed-form ladder seeds the coarsest levels, and each grid's
-    levels and eigenvectors start the next.  All are certified by a Sturm
-    count, so a seed far from its level can only make the oracle refuse,
-    never mislabel a level.  The grids' nodes nest, so ln r is taken once,
-    on the finest, and sliced for the other two."""
-    seeds = _ladder_seeds(j, n_max)
-    vectors = np.ones((n_max, grid.points - 1))
+    The closed-form ladder seeds the coarsest levels.  The grid error goes
+    as h^2, so the middle grid is seeded a quarter of the way from the
+    coarsest levels to the ladder, coarse + 3/4 (ladder - coarse), and the
+    finest a quarter of the step between the two before beyond the middle,
+    middle + 1/4 (middle - coarse); each refined grid starts from the
+    coarser grid's eigenvectors.  All are certified by a Sturm count, so a
+    seed far from its level can only make the oracle refuse, never
+    mislabel a level.  The grids' nodes nest, so ln r is taken once, on the
+    finest, and sliced for the other two."""
+    ladder = _ladder_seeds(j, n_max)
     halved = grid.refined()
-    grids = (grid, halved, halved.refined())
-    y = np.log(grids[-1].nodes())
-    levels = []
-    for g, stride in zip(grids, (4, 2, 1)):
-        if g is not grid:
-            vectors = _prolong(vectors)
-        seeds = bound_eigenvalues(discretize_h0(j, g, log_nodes=y[::stride]), seeds, vectors, radii)
-        levels.append(seeds)
-    coarse, middle, fine = levels
+    finest = halved.refined()
+    y = np.log(finest.nodes())
+
+    def solve(g: RadialGrid, stride: int, seeds: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        return bound_eigenvalues(discretize_h0(j, g, log_nodes=y[::stride]), seeds, vectors, radii)
+
+    vectors = np.ones((n_max, grid.points - 1))
+    coarse = solve(grid, 4, ladder, vectors)
+    vectors = _prolong(vectors)
+    middle = solve(halved, 2, coarse + 0.75 * (ladder - coarse), vectors)
+    fine = solve(finest, 1, middle + 0.25 * (middle - coarse), _prolong(vectors))
+    levels = (coarse, middle, fine)
     resolved = np.max(levels, axis=0) < 0.0
     resolved &= np.abs(fine - middle) <= TWO_GRID_AGREEMENT * np.abs(fine)
     if not np.all(resolved):
@@ -446,10 +480,11 @@ def oracle_regular_spectrum(j: float, params: PhysicalParams, n_max: int) -> lis
     q^2 times those at q = 1.  So the pencil is solved at q = 1 and
     kappa = q kappa_1.  For every extension t_n <= n - 1/2 + |j|, so the
     grid ends at max(35, 5t) t Coulomb lengths 1/q, t = n_max - 1/2 + |j|,
-    as ``build_profile``'s range does.  Exactly n_max levels are returned,
-    or none with q = 0.  A non-integer n_max, a non-finite j, and a j
-    whose box or pencil leaves the float range raise ValueError, as does an
-    n_max above the BASE_POINTS - 1 unknowns of the coarsest pencil.
+    as ``build_profile``'s range does, and steps COARSE_STEP / t in ln r on
+    at most BASE_POINTS nodes (``_coarse_grid``).  Exactly n_max levels are
+    returned, or none with q = 0.  A non-integer n_max, a non-finite j, and
+    a j whose box or pencil leaves the float range raise ValueError, as does
+    an n_max above BASE_POINTS - 1, the most unknowns of the coarsest pencil.
     """
     if not isinstance(n_max, numbers.Integral) or isinstance(n_max, bool) or n_max < 1:
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
@@ -461,12 +496,7 @@ def oracle_regular_spectrum(j: float, params: PhysicalParams, n_max: int) -> lis
     q = params.q
     if q == 0.0:
         return []
-    t = n_max - 0.5 + abs(j)
-    r_max = max(35.0, 5.0 * t) * t
-    if not math.isfinite(r_max * r_max):  # the mass r^2 at the box's end
-        raise ValueError(f"j = {j} is beyond the float range: the box ends at "
-                         f"{r_max:.3g} Coulomb lengths, and the pencil's mass there overflows")
-    grid = RadialGrid(r_min=1e-5, r_max=r_max, points=BASE_POINTS)
+    grid = _coarse_grid(j, n_max)
     radii = np.empty(n_max)
     try:
         coarse, middle, fine = _three_grid_levels(j, n_max, grid, radii)

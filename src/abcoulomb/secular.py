@@ -187,9 +187,14 @@ def secular_function(kappa: float, lam: float, j: float, params: PhysicalParams)
     Finite lambda:  Gamma(b)/Gamma(a) + lambda*(2k)**(2|j|)*Gamma(b')/Gamma(a')
     lambda = inf:   Gamma(b')/Gamma(a')
     written with reciprocal gammas so both terms stay finite everywhere.
-    A kappa that is not a positive normal float is refused (``_check_kappa``).
+    A kappa that is not a positive normal float is refused (``_check_kappa``),
+    and with FloatRangeError one above float max / 4, the most that
+    ``solve_secular`` returns: 2 kappa overflows above float max / 2.
     """
     _check_kappa(kappa)
+    if kappa > sys.float_info.max / 4.0:
+        raise FloatRangeError(f"kappa = {kappa!r} is beyond the float range of the secular "
+                              "function, float max / 4")
     _require_extension_sector(lam, j)
     aj = abs(j)
     t = params.q / kappa

@@ -15,6 +15,7 @@ from abcoulomb import oracle
 from abcoulomb.model import FloatRangeError, PhysicalParams
 from abcoulomb.oracle import (
     BASE_POINTS,
+    MIN_POINTS,
     RELATIVE_WINDOW,
     TWO_GRID_AGREEMENT,
     GridConvergenceError,
@@ -32,10 +33,17 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 GRID = RadialGrid(r_min=1e-5, r_max=200.0, points=4000)
 
 
-def _box(j, n_max, points=BASE_POINTS):
-    """The grid oracle_regular_spectrum derives for (j, n_max)."""
-    t = n_max - 0.5 + abs(j)
-    return RadialGrid(r_min=1e-5, r_max=max(35.0, 5.0 * t) * t, points=points)
+def _box(j, n_max, points=None):
+    """The grid oracle_regular_spectrum derives for (j, n_max), or its box
+    on ``points`` nodes."""
+    grid = oracle._coarse_grid(j, n_max)
+    return grid if points is None else replace(grid, points=points)
+
+
+# a sweep of (j, n_max) over the ladder's regimes, whose derived grids run
+# from MIN_POINTS nodes to the BASE_POINTS cap
+SWEEP = [(j, n_max) for j in (0.0, 0.1, 0.3, 0.45, 0.75, 1.7, 2.4, 6.0, 12.0, 30.0, 45.0)
+         for n_max in (1, 2, 3, 5, 8)]
 
 
 def _benchmark_cases(monkeypatch):
@@ -117,12 +125,16 @@ def _count_below(op, eps):
 
 class TestRadialGrid:
     def test_box_follows_the_levels(self):
-        # r_max = max(35, 5t) t Coulomb lengths, t = n_max - 1/2 + |j|
-        for j, n_max in [(0.0, 1), (0.3, 10), (-2.4, 9), (6.0, 7)]:
+        # r_max = max(35, 5t) t Coulomb lengths, t = n_max - 1/2 + |j|, on a
+        # step in ln r of 0.15 / t, between 100 and 1 200 nodes
+        for j, n_max, points in [(0.0, 1, 100), (0.0, 2, 156), (0.3, 5, 534), (2.4, 1, 313),
+                                 (0.3, 10, 1157), (-2.4, 9, 1200), (6.0, 7, 1200)]:
             t = n_max - 0.5 + abs(j)
+            r_max = max(35.0, 5.0 * t) * t
+            derived = math.ceil(t * math.log(r_max / 1e-5) / 0.15) + 1
+            assert points == min(BASE_POINTS, max(MIN_POINTS, derived))
             for ev in oracle_regular_spectrum(j, ATOMIC, n_max):
-                assert ev.grid == RadialGrid(r_min=1e-5, r_max=max(35.0, 5.0 * t) * t,
-                                             points=BASE_POINTS)
+                assert ev.grid == RadialGrid(r_min=1e-5, r_max=r_max, points=points)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -154,7 +166,8 @@ class TestRadialGrid:
         grids = [RadialGrid(r_min=10.0 ** rng.uniform(-30.0, 0.0),
                             r_max=10.0 ** rng.uniform(math.log10(17.0), 60.0), points=points)
                  for points in (100, BASE_POINTS) for _ in range(200)]
-        for grid in grids + [GRID, _box(0.3, 36), _box(45.0, 22)]:
+        derived = [_box(j, n_max) for j, n_max in SWEEP]
+        for grid in grids + derived + [GRID, _box(0.3, 36), _box(45.0, 22)]:
             middle = grid.refined()
             fine = middle.refined()
             assert np.array_equal(middle.nodes()[::2], grid.nodes()), grid
@@ -324,13 +337,13 @@ class TestLadderSeeds:
 
     def test_solves_per_level_on_each_grid(self, monkeypatch):
         # on the benchmark's 40 seed-1 oracle inputs, 120 levels: started
-        # from the middle grid's eigenvector and level, inverse iteration
-        # on the finest grid meets its residual bound after one solve of
-        # T - sigma on every level.  The coarsest grid starts from a
-        # constant vector and takes two solves a level; the middle grid,
-        # from the coarsest eigenvectors, one on most levels.  With
-        # constant starts and a stop on the quotient's step the three grids
-        # took 246, 241 and 240 solves
+        # from the coarser grid's eigenvector and the h^2 extrapolation of
+        # the grids before, inverse iteration on each refined grid meets its
+        # residual bound after one solve of T - sigma on every level.  The
+        # coarsest grid starts from a constant vector and takes two solves a
+        # level.  Seeded by the coarser grid's levels alone, the middle grid
+        # took 134; with constant starts and a stop on the quotient's step
+        # the three grids took 246, 241 and 240 solves
         solves = []
         dgtsv = scipy.linalg.lapack.dgtsv
 
@@ -350,10 +363,10 @@ class TestLadderSeeds:
         for j, n_max in cases:
             del solves[:]
             oracle_regular_spectrum(j, ATOMIC, n_max)
-            assert len(solves) == 3 and solves[2] == n_max, (j, n_max, solves)
+            assert len(solves) == 3 and solves[1] == solves[2] == n_max, (j, n_max, solves)
             totals += solves
         assert sum(n_max for _, n_max in cases) == 120
-        assert totals.tolist() == [240, 134, 120]
+        assert totals.tolist() == [240, 120, 120]
 
     def test_one_node_array_and_three_pencils(self, monkeypatch):
         # the grids' nodes are taken once, on the finest grid, and each of
@@ -375,9 +388,11 @@ class TestLadderSeeds:
         monkeypatch.setattr(RadialGrid, "nodes", counted_nodes)
         for j, n_max in [(0.3, 5), (-2.4, 9)]:
             del pencils[:], nodes[:]
-            _three_grid_levels(j, n_max, _box(j, n_max))
-            assert pencils == [BASE_POINTS, 2 * BASE_POINTS - 1, 4 * BASE_POINTS - 3]
-            assert nodes == [4 * BASE_POINTS - 3]
+            grid = _box(j, n_max)
+            _three_grid_levels(j, n_max, grid)
+            p = grid.points
+            assert pencils == [p, 2 * p - 1, 4 * p - 3]
+            assert nodes == [4 * p - 3]
 
     def test_one_sturm_count_per_grid(self, monkeypatch):
         # the balls need one count at the top level of each grid, whatever
@@ -675,6 +690,18 @@ class TestSpectrum:
         assert [ev.index for ev in evs] == list(range(1, n_max + 1))
         for ev in evs:
             assert ev.kappa == pytest.approx(1.0 / (ev.index - 0.5 + abs(j)), rel=1e-7)
+
+    @pytest.mark.parametrize("j, n_max", SWEEP)
+    def test_derived_grid_keeps_the_ladder(self, j, n_max):
+        # below the BASE_POINTS cap, the step of 0.15 / t in ln r keeps every
+        # level within 1e-9 of the closed form: the floor of r_min = 1e-5
+        # reads 8e-10 at j = 0 on 1 200 points too, and every other level
+        # measured at most 1.2e-10.  Capped grids are held to the oracle's 1e-6
+        evs = oracle_regular_spectrum(j, ATOMIC, n_max)
+        assert [ev.index for ev in evs] == list(range(1, n_max + 1))
+        rel = 1e-9 if evs[0].grid.points < BASE_POINTS else 1e-6
+        for ev in evs:
+            assert ev.kappa == pytest.approx(1.0 / (ev.index - 0.5 + abs(j)), rel=rel)
 
     @pytest.mark.parametrize(
         "j, n_max",

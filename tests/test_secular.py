@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -80,6 +81,17 @@ class TestKummerParams:
         for edge in (sys.float_info.min, sys.float_info.max):
             assert KummerParams.for_state(edge, 0.3, ATOMIC).kappa == edge
         assert secular_function(sys.float_info.min, 1.0, 0.3, ATOMIC) == 0.0
+
+    @pytest.mark.parametrize("lam", [1.0, -1.0, math.inf])
+    def test_kappa_above_a_quarter_of_float_max_refused(self, lam):
+        # 2 kappa overflowed: at float max F was inf, and at float max / 2 it
+        # read 4.3e184 at lambda = 1; float max / 4, the most solve_secular
+        # returns, is kept
+        top = sys.float_info.max
+        for kappa in (top, top / 2.0, math.nextafter(top / 4.0, math.inf)):
+            with pytest.raises(FloatRangeError, match=re.escape(f"kappa = {kappa!r}")):
+                secular_function(kappa, lam, 0.3, ATOMIC)
+        assert math.isfinite(secular_function(top / 4.0, lam, 0.3, ATOMIC))
 
     def test_consistency_bound_scales_with_the_parameters(self):
         # the snap moves a by up to 4 eps max(1, t), beyond 1e-9 from t of
