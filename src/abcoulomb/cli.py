@@ -1,12 +1,12 @@
-"""Command-line driver: single-point spectra, parameter scans, secular
-roots, wavefunction export, and the verification suite.
+"""Command-line driver: spectra and parameter scans of the ladders and of
+any extension lambda, wavefunction export, and the verification suite.
 
 Output is deterministic CSV (LF endings, ``.`` decimal point, shortest
 round-trip float format) or JSON.  Exit codes: 0 success, 1 failed
 verification, 2 bad flags (argparse, or more than ``MAX_ROWS`` rows), 3
-refused input: a sector violation, a state that is not bound, parameters
-whose Coulomb scale no float holds, or a state whose kappa or energy is
-beyond the float range.
+refused input: a refused row under ``--strict``, a sector violation, a
+state that is not bound, parameters whose Coulomb scale no float holds, or
+a state whose kappa or energy is beyond the float range.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .secular import (
     normalizable_coefficients,
     solve_secular,
 )
-from .spectrum import ExistenceError, _energy_terms, closed_form_energy, rotation_parts
+from .spectrum import ExistenceError, _energy_terms, closed_form_energy
 from .wavefunction import build_profile
 
 __all__ = ["main", "ScanSpec"]
@@ -51,6 +51,7 @@ EXIT_REFUSED = 3
 
 CSV_HEADER = "scan_var,scan_value,n,m,s,branch,energy,kappa,exists"
 SCAN_VARIABLES = ("flux", "omega", "m")
+EXTENSION = "extension"  # the branch column of a finite nonzero lambda's rows
 # json.dumps spellings of the floats that repr spells nan, inf and -inf.
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # The text of a row around its fields: before scan_value, n, m, s, branch,
@@ -64,8 +65,8 @@ _JSON_ROW = (
 
 
 # Entries one integer list may hold, and the most of any integer that sets
-# the work done (scan steps, --count, wavefunction's --n, --points); both at
-# parse time.
+# the work done (scan steps, wavefunction's --n, --points); both at parse
+# time.
 MAX_LIST_ENTRIES = 100_000
 # Rows one spectrum or scan may write, counted from the list lengths before
 # any array is built: lists each within MAX_LIST_ENTRIES can ask for many GB,
@@ -245,18 +246,25 @@ def _add_physics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--flux", type=_finite("flux"), default=0.0, help="AB flux phi (default 0)")
 
 
-def _add_omega_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--omega", type=_physical("omega"), default=0.0,
-                        help="rotation frequency (default 0)")
+def _add_kind_flags(parser: argparse.ArgumentParser, branches: tuple[str, ...], what: str) -> None:
+    """A ladder (--branch) or an extension (--lambda), not both; --branch defaults
+    to None, as argparse tells a given flag from its default by identity."""
+    kind = parser.add_mutually_exclusive_group()
+    kind.add_argument("--branch", choices=branches, default=None,
+                      help="closed-form ladder (default regular)")
+    kind.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
+                      help=f"{what} of this extension instead of a ladder's "
+                           "(a float in (-inf, +inf], 'inf' too)")
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     """The flags of a ``spectrum`` or ``scan`` grid beyond its sweep."""
-    _add_omega_flag(parser)
+    parser.add_argument("--omega", type=_physical("omega"), default=0.0,
+                        help="rotation frequency (default 0)")
     parser.add_argument("--n", type=_parse_levels, default=[1])
     parser.add_argument("--m", type=_parse_int_list, default=[0])
     parser.add_argument("--spin", type=_parse_spins, default=[1])
-    parser.add_argument("--branch", choices=(REGULAR, IRREGULAR, "both"), default=REGULAR)
+    _add_kind_flags(parser, (REGULAR, IRREGULAR, "both"), "write the levels")
     parser.add_argument("--strict", action="store_true")
 
 
@@ -273,8 +281,13 @@ def _params(args: argparse.Namespace) -> PhysicalParams:
                           omega=getattr(args, "omega", 0.0))
 
 
-def _branches(choice: str) -> list[str]:
-    return [REGULAR, IRREGULAR] if choice == "both" else [choice]
+def _branches(args: argparse.Namespace) -> list[str]:
+    """The branch column's entries: the ladders --branch names, or the one
+    whose states are those of --lambda (REGULAR at 0, IRREGULAR at inf), or
+    EXTENSION at a finite nonzero --lambda."""
+    if args.lam is None:
+        return [REGULAR, IRREGULAR] if args.branch == "both" else [args.branch or REGULAR]
+    return [{0.0: REGULAR, math.inf: IRREGULAR}.get(args.lam, EXTENSION)]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -285,53 +298,95 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
-class SectorViolation(Exception):
-    """Raised in strict mode when an irregular request leaves |j| < 1/2."""
+def _extension_levels(lam: float, j: np.ndarray, ns: list[int], params: PhysicalParams):
+    """t and kappa of the levels ``ns`` of a finite ``lam`` on j's axes and the
+    n axis, NaN past the last root and outside |j| < 1/2, from one solve per
+    j; and on j's axes the solver's refusal of that j's roots, or None."""
+    t = np.full(np.broadcast_shapes(j.shape, (1, len(ns), 1, 1, 1)), math.nan)
+    kappa, refusals = t.copy(), np.full(j.shape, None, dtype=object)
+    for index in zip(*np.nonzero(is_singular_sector(j))):
+        try:
+            roots = solve_secular(lam, float(j[index]), params, ns[-1])
+        except (SectorError, RootSearchError, OverflowError) as exc:  # 1/Gamma past root 171
+            refusals[index] = str(exc)
+            continue
+        found = [roots[n - 1] for n in ns if n <= len(roots)]
+        at = (index[0], slice(len(found)), *index[2:])
+        t[at], kappa[at] = [r.t for r in found], [r.kappa for r in found]
+    return t, kappa, refusals
 
 
-def _rows(variable: str, values: list[float], args: argparse.Namespace) -> tuple[str, str | None]:
+def _rows(variable: str, values: list[float],
+          args: argparse.Namespace) -> tuple[str | None, str | None]:
     """The rows of a sweep of ``variable`` over the increasing ``values`` in
-    ``args.format``, and the note on irregular rows outside |j| < 1/2 (None
-    when there are none), or under ``--strict`` ``SectorViolation``; both
-    name the first such row.
+    ``args.format`` and the note on refused rows (None when there are none),
+    or under ``--strict`` None and the error; both name the first such row.
 
     The grid's axes (value, n, m, s, branch) hold distinct entries in sorted
     order, so its C order is the row order; on m scans the m axis has length
     1 and m follows the value.  The closed form behind
-    ``spectrum.closed_form_energy`` is evaluated on it as numpy arrays, so
-    each energy and kappa is bit for bit ``closed_form_energy`` of its row.
+    ``spectrum.closed_form_energy`` is evaluated on it as numpy arrays, at a
+    ladder's t = n - 1/2 +- |j| (bit for bit ``closed_form_energy`` of each
+    row) or at each secular root's t.  A row is refused (exists=false, NaN)
+    at |j| >= 1/2 on the irregular ladder and under every --lambda, where
+    the solver refuses its root, where its kappa is positive but not a
+    normal float, and at a finite lambda where its energy is beyond the
+    float range.
     """
     params = _params(args)
     ns, ms, spins = sorted(args.n), sorted(args.m), sorted(args.spin)
-    branches = sorted(_branches(args.branch))
+    branches = sorted(_branches(args))
     value = np.reshape(values, (-1, 1, 1, 1, 1))
     m_axis = value if variable == "m" else np.reshape([float(m) for m in ms], (1, 1, -1, 1, 1))
     j = m_axis + (value if variable == "flux" else args.flux)
     regular = np.array([b == REGULAR for b in branches])
-    refused = ~is_singular_sector(j) & ~regular  # no n or s axis
-    note = None
-    if refused.any():
-        v, _, i, _, _ = np.unravel_index(np.argmax(refused), refused.shape)
-        m = int(values[v]) if variable == "m" else ms[i]
-        phi = values[v] if variable == "flux" else args.flux
-        if args.strict:
-            raise SectorViolation(
-                f"irregular state needs |j| < 1/2 but m + phi = {m + phi} (m={m}, phi={phi})"
-            )
-        note = (
-            f"note: irregular rows with |m + phi| >= 1/2 marked exists=false "
-            f"(first at m={m}, phi={phi})"
-        )
+    sector = ~is_singular_sector(j) & (~regular if args.lam is None else True)  # no n or s axis
+    extension = branches == [EXTENSION]
+    if extension:
+        t, kappa, refusals = _extension_levels(args.lam, j, ns, params)
+    else:
+        t = (np.reshape([n - 0.5 for n in ns], (1, -1, 1, 1, 1))
+             + np.where(regular, 1.0, -1.0) * abs(j))
 
     with np.errstate(all="ignore"):  # overflow to inf and inf * 0 = nan, as in Python floats
-        coulomb, rotation, kappa = _energy_terms(
-            params, value if variable == "omega" else params.omega,
-            np.reshape([n - 0.5 for n in ns], (1, -1, 1, 1, 1))
-            + np.where(regular, 1.0, -1.0) * abs(j),
-            j, np.reshape(np.array(spins, dtype=float), (1, 1, 1, -1, 1)),
+        coulomb, rotation, q_over_t = _energy_terms(
+            params, value if variable == "omega" else params.omega, t, j,
+            np.reshape(np.array(spins, dtype=float), (1, 1, 1, -1, 1)),
         )
-        energy = np.where(refused, math.nan, coulomb + rotation)
-    kappa = np.where(refused, math.nan, kappa)  # no s axis, and no value axis on omega scans
+        if extension:  # the Coulomb term in kappa where t^2 is not a normal float:
+            # 0/0 at t = 0 (q = 0, lambda < 0), short of digits at a deep lambda < 0 root
+            coulomb = np.where(t * t >= sys.float_info.min, coulomb,
+                               -(params.hbar**2) * kappa * kappa / (2.0 * params.m_e))
+        else:
+            kappa = q_over_t  # no s axis, and no value axis on omega scans
+        energy = coulomb + rotation
+    refused = sector | ((kappa > 0.0) & (kappa < sys.float_info.min))
+    if extension:
+        refused = refused | np.not_equal(refusals, None) | ((kappa > 0.0) & ~np.isfinite(energy))
+    note = None
+    if refused.any():
+        first = np.unravel_index(np.argmax(np.broadcast_to(refused, energy.shape)), energy.shape)
+        v, ni, mi, si, _ = first
+        m = int(values[v]) if variable == "m" else ms[mi]
+        phi = values[v] if variable == "flux" else args.flux
+        if np.broadcast_to(sector, energy.shape)[first]:
+            kind = "irregular" if args.lam is None else f"lambda = {args.lam!r}"
+            message = f"{kind} state needs |j| < 1/2 but m + phi = {m + phi} (m={m}, phi={phi})"
+            note = (f"{kind} rows with |m + phi| >= 1/2 marked exists=false "
+                    f"(first at m={m}, phi={phi})")
+        else:
+            level = float(np.broadcast_to(kappa, energy.shape)[first])
+            what = "kappa" if level < sys.float_info.min else "the energy at kappa"
+            solver = np.broadcast_to(refusals, energy.shape)[first] if extension else None
+            reason = f"{what} = {level!r} is beyond the float range" if solver is None else solver
+            where = f"n={ns[ni]}, m={m}, s={spins[si]}, phi={phi}" + (
+                f", omega={values[v]}" if variable == "omega" else "")
+            message = f"{reason} ({where})"
+            note = f"refused rows marked exists=false (first at {where}: {reason})"
+        if args.strict:
+            return None, message
+    energy = np.where(refused, math.nan, energy)
+    kappa = np.where(refused, math.nan, kappa)
 
     def floats(array: np.ndarray) -> np.ndarray:
         """Each entry of ``array`` as ``repr``, or as ``json.dumps`` writes it."""
@@ -369,17 +424,16 @@ def _rows(variable: str, values: list[float], args: argparse.Namespace) -> tuple
 
 def _write_rows(variable: str, values: list[float], args: argparse.Namespace) -> int:
     m_entries = 1 if variable == "m" else len(args.m)
-    rows = len(values) * len(args.n) * m_entries * len(args.spin) * len(_branches(args.branch))
+    rows = len(values) * len(args.n) * m_entries * len(args.spin) * len(_branches(args))
     if rows > MAX_ROWS:
         print(f"error: the grid has {rows} rows, more than {MAX_ROWS}", file=sys.stderr)
         return 2  # a bad flag, as argparse exits
-    try:
-        text, note = _rows(variable, values, args)
-    except SectorViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    text, note = _rows(variable, values, args)
+    if text is None:
+        print(f"error: {note}", file=sys.stderr)
         return EXIT_REFUSED
     if note is not None:
-        print(note, file=sys.stderr)
+        print(f"note: {note}", file=sys.stderr)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -392,59 +446,23 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return _write_rows(args.scan.variable, args.scan.values(), args)
 
 
-def _cmd_secular(args: argparse.Namespace) -> int:
-    params = _params(args)
-    j = args.m + args.flux
-    try:
-        roots = solve_secular(args.lam, j, params, args.count)
-    except (SectorError, RootSearchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except OverflowError:  # 1/Gamma past root 171
-        print("error: the secular roots are beyond the float range", file=sys.stderr)
-        return EXIT_REFUSED
-    orbit, spin = rotation_parts(params, j, args.spin)  # the shift as _energy_terms sums it
-    rows = []
-    for i, root in enumerate(roots, start=1):
-        # the Coulomb term in t, or in kappa where t^2 is not a normal float:
-        # 0/0 at t = 0 (q = 0, lambda < 0), short of digits at a deep
-        # lambda < 0 root
-        coulomb = (_energy_terms(params, params.omega, root.t, j, args.spin)[0]
-                   if root.t * root.t >= sys.float_info.min
-                   else -(params.hbar**2) * root.kappa * root.kappa / (2.0 * params.m_e))
-        energy = coulomb + (orbit + spin)
-        if not math.isfinite(energy):
-            print(f"error: root {i} at kappa = {root.kappa!r} has an energy beyond the float range",
-                  file=sys.stderr)
-            return EXIT_REFUSED
-        rows.append((i, root.kappa, energy, root.residual))
-    fields = ("index", "kappa", "energy", "residual")
-    if args.format == "json":
-        text = json.dumps([dict(zip(fields, row)) for row in rows], indent=2)
-    else:
-        text = "\n".join([",".join(fields), *(",".join(map(repr, row)) for row in rows)])
-    _emit(text + "\n", args.out)
-    return EXIT_OK
-
-
 def _cmd_wavefunction(args: argparse.Namespace) -> int:
     params = _params(args)
     flux = decompose_flux(args.flux)
     j = args.m + flux.phi
-    branch = args.branch or REGULAR
+    (ladder,) = _branches(args)
     try:
-        if args.lam in (0.0, math.inf):  # their states are the ladders', at |j| < 1/2
+        if args.lam is not None:
             _require_extension_sector(args.lam, j)
-            branch = REGULAR if args.lam == 0.0 else IRREGULAR
-        if args.lam in (None, 0.0, math.inf):
+        if ladder != EXTENSION:
             # s = 1 for both spins: neither kappa = q/(n - 1/2 +- |j|)
             # nor a secular root depends on s, so neither does the profile
-            level = closed_form_energy(QuantumState(args.n, args.m, 1, branch), params, flux)
+            level = closed_form_energy(QuantumState(args.n, args.m, 1, ladder), params, flux)
             if not level.exists:
                 raise ExistenceError(f"no bound state: kappa = {level.kappa!r}")
             kappa = level.kappa
             # the ladder's own piece, x^{+-|j|} e^{-x/2} L_{n-1}^{(+-2|j|)}(x)
-            coeffs = SolutionCoefficients(*((1.0, 0.0) if branch == REGULAR else (0.0, 1.0)))
+            coeffs = SolutionCoefficients(*((1.0, 0.0) if ladder == REGULAR else (0.0, 1.0)))
         else:
             roots = solve_secular(args.lam, j, params, args.n)
             if len(roots) < args.n:
@@ -498,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="closed-form energies at a single point")
+    sp = sub.add_parser("spectrum", help="the levels of a ladder or an extension at a single point")
     _add_physics_flags(sp)
     _add_grid_flags(sp)
     _add_output_flags(sp)
@@ -512,29 +530,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sc)
     sc.set_defaults(handler=_cmd_scan)
 
-    se = sub.add_parser("secular", help="bound states of one extension parameter")
-    _add_physics_flags(se)
-    _add_omega_flag(se)
-    se.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True,
-                    help="extension parameter (finite float or 'inf')")
-    se.add_argument("--m", type=_single(_parse_int_list), default=0)
-    se.add_argument("--spin", type=_single(_parse_spins), default=1)
-    se.add_argument("--count", type=_int_at_least(1), default=3)
-    _add_output_flags(se)
-    se.set_defaults(handler=_cmd_secular)
-
     wv = sub.add_parser("wavefunction", help="export a radial profile as CSV (r,F)")
     _add_physics_flags(wv)
     wv.add_argument("--n", type=_single(_parse_levels, MAX_LIST_ENTRIES), default=1,
                     help="level: the n-th state of the ladder or extension (default 1)")
     wv.add_argument("--m", type=_single(_parse_int_list), default=0)
-    # a ladder or an extension, not both; --branch defaults to None as argparse
-    # tells a given flag from its default by identity (`--branch regular`)
-    kind = wv.add_mutually_exclusive_group()
-    kind.add_argument("--branch", choices=(REGULAR, IRREGULAR), default=None,
-                      help="closed-form ladder (default regular)")
-    kind.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
-                      help="build the state of this extension instead of a ladder's")
+    _add_kind_flags(wv, (REGULAR, IRREGULAR), "build the state")
     wv.add_argument("--points", type=_int_at_least(16), default=2000)  # build_profile's minimum
     wv.add_argument("--out", default=None, help="write to this path instead of stdout")
     wv.set_defaults(handler=_cmd_wavefunction)

@@ -56,8 +56,8 @@ class PhysicalParams:
     the parameters are refused here, with FloatRangeError, where no float
     holds that scale: hbar*hbar not a normal float, an energy unit whose
     squares overflow, or q = m_e eta / hbar^2 not a normal float at eta > 0.
-    An energy unit that overflows to inf in its product is kept: the levels
-    are then -inf, and their kappa still a float.
+    An energy unit that overflows to inf is kept: the levels are then -inf,
+    and their kappa still a float.
     """
 
     m_e: float = 1.0
@@ -94,8 +94,16 @@ class PhysicalParams:
 
     @property
     def energy_unit(self) -> float:
-        """m_e eta^2 / (2 hbar^2): the Coulomb term of a level is -energy_unit / t^2."""
-        return self.m_e * self.eta**2 / (2.0 * self.hbar**2)
+        """m_e eta^2 / (2 hbar^2): the Coulomb term of a level is -energy_unit / t^2.
+
+        Formed in that order wherever eta^2 and m_e eta^2 are normal floats,
+        and as q eta / 2 where either underflows or m_e eta^2 overflows: there
+        the first order loses the unit (at eta = 1e-200, m_e = 1e300 it rounds
+        to 0, not 5e-101), while q is a normal float at eta > 0."""
+        eta_squared = self.eta**2
+        if _is_normal(eta_squared) and _is_normal(self.m_e * eta_squared):
+            return self.m_e * eta_squared / (2.0 * self.hbar**2)
+        return 0.5 * self.q * self.eta
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ every finite lambda interlace with those ladders, so each is solved to
 adjacent floats on its own known interval,
 directly in t with Gamma(b) and Gamma(b') computed once per solve, by
 inverse quadratic interpolation safeguarded by bisection.
-Each ``SecularRoot`` carries its t, from which ``abcoulomb secular`` takes
-its energy by the closed form's formula: on the ladders, ``spectrum``'s bytes.
+Each ``SecularRoot`` carries its t, from which ``abcoulomb spectrum --lambda``
+and ``scan --lambda`` take its energy by the closed form's formula.
 """
 
 from __future__ import annotations

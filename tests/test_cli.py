@@ -109,6 +109,33 @@ class TestSpectrumCommand:
             cli.main(["spectrum", "--branch", "bogus"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", [["spectrum"], ["scan", "--scan", "omega:0:1:2"]])
+    def test_subnormal_kappa_refused(self, capsys, command):
+        # q = 3e-308 is normal, kappa = q/(n - 1/2) = 3e-313 is not: the row
+        # is refused as wavefunction refuses the state, not written as a
+        # 3-digit kappa beside an energy of -0.0
+        argv = [*command, "--eta", "3e-308", "--n", "1,100000"]
+        kappa = 3e-308 / (100000 - 0.5)
+        where = "n=100000, m=0, s=1, phi=0.0" + (", omega=0.0" if command[0] == "scan" else "")
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0
+        assert err == (f"note: refused rows marked exists=false (first at {where}: "
+                       f"kappa = {kappa!r} is beyond the float range)\n")
+        rows = parse_rows(out)
+        assert [row["exists"] for row in rows] == [True, False] * (len(rows) // 2)
+        assert all(math.isnan(row["energy"]) and math.isnan(row["kappa"]) for row in rows[1::2])
+        code, out, err = run_cli(capsys, [*argv, "--strict"])
+        assert (code, out) == (3, "")
+        assert err == f"error: kappa = {kappa!r} is beyond the float range ({where})\n"
+
+    def test_energy_unit_below_the_float_range(self, capsys):
+        # m_e eta^2 / (2 hbar^2) formed as q eta / 2 where eta^2 underflows:
+        # E = -2e-100 beside kappa = 2e100, once -0.0
+        code, out, err = run_cli(capsys, ["spectrum", "--mass", "1e300", "--eta", "1e-200"])
+        assert (code, err) == (0, "")
+        (row,) = parse_rows(out)
+        assert (row["energy"], row["kappa"], row["exists"]) == (-2e-100, 2e100, True)
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, ["spectrum", "--n", "1,2", "--format", "json"]
@@ -458,53 +485,55 @@ def test_export_wavefunctions_writes_every_profile(tmp_path, monkeypatch, capsys
 
 
 class TestSecularCommand:
+    """The levels of an extension, written by ``spectrum --lambda``: the
+    closed-form ladders at lambda = 0 and inf, the secular roots elsewhere."""
+
     def test_regular_limit(self, capsys):
         code, out, _ = run_cli(
-            capsys, ["secular", "--lambda", "0", "--flux", "0.2", "--count", "3"]
+            capsys, ["spectrum", "--lambda", "0", "--flux", "0.2", "--n", "1..3"]
         )
         assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "index,kappa,energy,residual"
-        kappas = [float(line.split(",")[1]) for line in lines[1:]]
-        assert kappas == pytest.approx([1 / 0.7, 1 / 1.7, 1 / 2.7], rel=1e-10)
+        rows = parse_rows(out)
+        assert [r["branch"] for r in rows] == [REGULAR] * 3
+        assert [r["kappa"] for r in rows] == pytest.approx([1 / 0.7, 1 / 1.7, 1 / 2.7], rel=1e-10)
 
     def test_infinity_parsing(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["secular", "--lambda", "inf", "--flux", "0.2", "--count", "1"]
-        )
+        code, out, _ = run_cli(capsys, ["spectrum", "--lambda", "inf", "--flux", "0.2"])
         assert code == 0
-        kappa = float(out.strip().split("\n")[1].split(",")[1])
-        assert kappa == pytest.approx(1 / 0.3, rel=1e-10)
+        (row,) = parse_rows(out)
+        assert row["branch"] == IRREGULAR
+        assert row["kappa"] == pytest.approx(1 / 0.3, rel=1e-10)
 
     @pytest.mark.parametrize("text", ["+inf", "Infinity", " +inf"])
     def test_infinity_spellings_give_the_irregular_ladder(self, capsys, text):
         code, out, _ = run_cli(
-            capsys, ["secular", f"--lambda={text}", "--flux", "0.2", "--count", "3"]
+            capsys, ["spectrum", f"--lambda={text}", "--flux", "0.2", "--n", "1..3"]
         )
         assert code == 0
-        kappas = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+        kappas = [row["kappa"] for row in parse_rows(out)]
         assert kappas == [1.0 / (n - 0.5 - 0.2) for n in (1, 2, 3)]
 
     @pytest.mark.parametrize("flag", [["--lambda", "nan"], ["--lambda=-inf"]])
     def test_lambda_outside_its_range_exits_2(self, capsys, flag):
         # lambda lies in (-inf, +inf]: refused at parse time, before any solve
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["secular", *flag, "--flux", "0.2"])
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "argument --lambda: invalid" in captured.err
+        for command in (["spectrum"], ["scan", "--scan", "flux:0:0.4:3"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main([*command, *flag, "--flux", "0.2"])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "argument --lambda: invalid" in captured.err
 
     def test_energy_column(self, capsys):
-        _, out, _ = run_cli(
-            capsys, ["secular", "--lambda", "0", "--flux", "0.2", "--count", "1"]
-        )
-        _, kappa, energy, _ = out.strip().split("\n")[1].split(",")
-        assert float(energy) == pytest.approx(-0.5 * float(kappa) ** 2, rel=1e-12)
+        _, out, _ = run_cli(capsys, ["spectrum", "--lambda=-1", "--flux", "0.2", "--n", "1..3"])
+        rows = parse_rows(out)
+        assert [r["branch"] for r in rows] == [cli.EXTENSION] * 3
+        for row in rows:
+            assert row["energy"] == pytest.approx(-0.5 * row["kappa"] ** 2, rel=1e-12)
 
     @staticmethod
     def _energy_kappa(out, fmt):
-        """The (energy, kappa) text of each row of ``secular`` or ``spectrum``."""
+        """The (energy, kappa) text of each row of ``spectrum``."""
         if fmt == "json":
             rows = json.loads(out, parse_float=str)
         else:
@@ -514,31 +543,36 @@ class TestSecularCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_ladder_energies_are_the_spectrum_bytes(self, capsys, fmt):
-        # one energy formula, in t: each lambda = 0 or inf root writes the
-        # energy and kappa text that spectrum writes for the same state
+        # lambda = 0 and inf take the ladders' t: inside |j| < 1/2 their
+        # rows are the --branch regular|irregular bytes, branch column
+        # included, on single points and on flux and omega scans
         rng = random.Random(28)
         for _ in range(25):
             m = rng.randint(-3, 3)
-            count = rng.randint(1, 30)
+            low = rng.uniform(-0.499, 0.3)
+            sweep = rng.choice([
+                [],
+                ["--scan", f"flux:{low - m!r}:{rng.uniform(low + 0.01, 0.499) - m!r}:"
+                           f"{rng.randint(2, 9)}"],
+                ["--scan", f"omega:{rng.uniform(-3.0, 0.0)!r}:{rng.uniform(0.1, 3.0)!r}:"
+                           f"{rng.randint(2, 9)}"],
+            ])
             flags = [
-                "--mass", repr(10 ** rng.uniform(-2, 2)), "--hbar", repr(10 ** rng.uniform(-1, 1)),
-                "--eta", repr(10 ** rng.uniform(-2, 2)), "--omega", repr(rng.uniform(-3.0, 3.0)),
-                "--flux", repr(rng.uniform(-0.499, 0.499) - m), f"--m={m}",
-                f"--spin={rng.choice((1, -1))}", "--format", fmt,
+                *sweep, "--mass", repr(10 ** rng.uniform(-2, 2)),
+                "--hbar", repr(10 ** rng.uniform(-1, 1)), "--eta", repr(10 ** rng.uniform(-2, 2)),
+                "--omega", repr(rng.uniform(-3.0, 3.0)), "--flux", repr(rng.uniform(-0.499, 0.499) - m),
+                f"--m={m}", "--spin=" + ",".join(rng.sample(["+1", "-1"], rng.randint(1, 2))),
+                f"--n=1..{rng.randint(1, 30)}", "--format", fmt,
             ]
+            command = "scan" if sweep else "spectrum"
             for lam, branch in (("0", REGULAR), ("inf", IRREGULAR)):
-                code, secular, err = run_cli(
-                    capsys, ["secular", "--lambda", lam, "--count", str(count), *flags])
-                assert code == 0, err
-                code, ladder, err = run_cli(
-                    capsys, ["spectrum", "--branch", branch, "--n", f"1..{count}", *flags])
-                assert code == 0, err
-                rows = self._energy_kappa(secular, fmt)
-                assert len(rows) == count and rows == self._energy_kappa(ladder, fmt)
+                code, extension, err = run_cli(capsys, [command, "--lambda", lam, *flags])
+                assert (code, err) == (0, "")
+                assert run_cli(capsys, [command, "--branch", branch, *flags]) == (0, extension, "")
 
     def test_default_ladder_energy_is_the_closed_forms(self, capsys):
         # both take the Coulomb term from t; from kappa^2 it rounds to -0.78125
-        for argv in (["secular", "--lambda", "0", "--count", "1"], ["spectrum"]):
+        for argv in (["spectrum", "--lambda", "0"], ["spectrum"]):
             _, out, _ = run_cli(capsys, [*argv, "--flux", "0.3"])
             assert self._energy_kappa(out, "csv") == [("-0.7812499999999999", "1.25")]
 
@@ -547,9 +581,9 @@ class TestSecularCommand:
         # term is -hbar^2 kappa^2 / (2 m_e); the shift is summed as
         # rotation_parts sums it
         code, out, err = run_cli(capsys, [
-            "secular", "--eta", "0", "--lambda=-1", "--flux", "0.3", "--mass", "2",
+            "spectrum", "--eta", "0", "--lambda=-1", "--flux", "0.3", "--mass", "2",
             "--hbar", "0.5", "--omega", "0.7"])
-        assert code == 0, err
+        assert (code, err) == (0, "")
         ((energy, kappa),) = self._energy_kappa(out, "csv")
         params = PhysicalParams(m_e=2.0, hbar=0.5, eta=0.0, omega=0.7)
         (root,) = solve_secular(-1.0, 0.3, params, 3)
@@ -562,10 +596,9 @@ class TestSecularCommand:
         # on t would be 4.4e-3 off, and on kappa it is at rounding
         mass, hbar = 0.16439672947206355, 45.41963010757421
         code, out, err = run_cli(capsys, [
-            "secular", "--lambda=-0.0015793999370947848", "--flux", "0.00927038015712793",
-            "--mass", repr(mass), "--hbar", repr(hbar), "--eta", "2.498914864749128e-06",
-            "--count", "1"])
-        assert code == 0, err
+            "spectrum", "--lambda=-0.0015793999370947848", "--flux", "0.00927038015712793",
+            "--mass", repr(mass), "--hbar", repr(hbar), "--eta", "2.498914864749128e-06"])
+        assert (code, err) == (0, "")
         ((energy, kappa),) = self._energy_kappa(out, "csv")
         with mpmath.workdps(40):
             exact = -mpmath.mpf(hbar) ** 2 * mpmath.mpf(kappa) ** 2 / (2 * mpmath.mpf(mass))
@@ -574,23 +607,26 @@ class TestSecularCommand:
     def test_huge_hbar_energy_exits_3(self, capsys):
         # hbar^2 overflows: the parameters are refused before any root is solved
         code, out, err = run_cli(
-            capsys, ["secular", "--lambda=-1", "--hbar", "1e160", "--flux", "0.3", "--count", "1"])
+            capsys, ["spectrum", "--lambda=-1", "--hbar", "1e160", "--flux", "0.3"])
         assert code == 3 and out == ""
         assert err == "error: hbar^2 at hbar = 1e+160 is beyond the float range\n"
         # an energy beyond the float range, here from the rotation shift, is
-        # refused at its root
-        code, out, err = run_cli(capsys, [
-            "secular", "--lambda=-1", "--hbar", "10", "--omega", "1e308", "--flux", "0.3",
-            "--count", "1"])
+        # refused at its root: exit 3 under --strict, else an exists=false
+        # row and a note
+        argv = ["spectrum", "--lambda=-1", "--hbar", "10", "--omega", "1e308", "--flux", "0.3"]
+        code, out, err = run_cli(capsys, [*argv, "--strict"])
         assert code == 3 and out == ""
-        assert err.startswith("error: root 1") and "float range" in err
+        assert err.startswith("error: the energy at kappa = ") and "float range" in err
+        assert err.endswith(" (n=1, m=0, s=1, phi=0.3)\n")
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err.startswith("note: refused rows marked exists=false")
+        (row,) = parse_rows(out)
+        assert not row["exists"] and math.isnan(row["energy"]) and math.isnan(row["kappa"])
 
     def test_sector_violation_exit_3(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["secular", "--lambda", "1", "--flux", "0.7", "--count", "1"]
-        )
+        code, _, err = run_cli(capsys, ["spectrum", "--lambda", "1", "--flux", "0.7", "--strict"])
         assert code == 3
-        assert "1/2" in err
+        assert err == "error: lambda = 1.0 state needs |j| < 1/2 but m + phi = 0.7 (m=0, phi=0.7)\n"
 
     @pytest.mark.parametrize(
         "lam, j",
@@ -598,37 +634,47 @@ class TestSecularCommand:
          ("-0.06", "0.0018")],  # kappa ~ 1e339
     )
     def test_beyond_float_range_exits_3(self, capsys, lam, j):
-        code, out, err = run_cli(
-            capsys, ["secular", f"--lambda={lam}", "--flux", j, "--count", "1"]
-        )
+        argv = ["spectrum", f"--lambda={lam}", "--flux", j, "--n", "1,2"]
+        code, out, err = run_cli(capsys, [*argv, "--strict"])
         assert code == 3
         assert out == ""
-        assert err.startswith("error:") and "float range" in err
+        assert err.startswith("error:") and "float range" in err and err.count("\n") == 1
+        # without --strict the root is an exists=false row, named by the note
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0
+        assert err.startswith("note: refused rows marked exists=false (first at n=1,")
+        rows = parse_rows(out)
+        assert not rows[0]["exists"] and math.isnan(rows[0]["kappa"])
 
     @pytest.mark.parametrize("lam, sign", [("0", 1.0), ("inf", -1.0)])
     def test_ladder_past_root_171(self, capsys, lam, sign):
-        # 1/Gamma(a) overflows for a < -171; every ladder root is still a
-        # float, with its one term evaluated at the exact a or a' = 1 - n
+        # 1/Gamma(a) overflows for a < -171; every ladder level is still a
+        # float, t = n - 1/2 +- |j| needing no gamma function
         code, out, err = run_cli(
-            capsys, ["secular", "--lambda", lam, "--flux", "0.3", "--count", "300"]
+            capsys, ["spectrum", "--lambda", lam, "--flux", "0.3", "--n", "1..300"]
         )
-        assert code == 0, err
-        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-        assert [int(row[0]) for row in rows] == list(range(1, 301))
-        kappas = [float(row[1]) for row in rows]
+        assert (code, err) == (0, "")
+        rows = parse_rows(out)
+        assert [row["n"] for row in rows] == list(range(1, 301))
+        assert all(row["exists"] for row in rows)
         exact = [1.0 / (n - 0.5 + sign * 0.3) for n in range(1, 301)]
-        assert kappas == pytest.approx(exact, rel=1e-13)
-        assert all(float(row[3]) == 0.0 for row in rows)
+        assert [row["kappa"] for row in rows] == pytest.approx(exact, rel=1e-13)
+
+    def test_secular_command_is_gone(self, capsys):
+        # its levels are spectrum --lambda's: one spectrum command
+        code, out, err = run_cli(capsys, ["secular", "--lambda", "1", "--count", "3"])
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'secular'" in err
 
     def test_count_below_one_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["secular", "--lambda", "0", "--count", "0"])
+            cli.main(["spectrum", "--lambda", "0", "--n", "0"])
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("j", ["0.5", "1", "0.7"])
     def test_infinite_lambda_outside_sector_exits_3(self, capsys, j):
         # the irregular ladder needs |j| < 1/2, as `spectrum --branch irregular`
-        code, out, err = run_cli(capsys, ["secular", "--lambda", "inf", "--flux", j])
+        code, out, err = run_cli(capsys, ["spectrum", "--lambda", "inf", "--flux", j, "--strict"])
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
@@ -637,11 +683,68 @@ class TestSecularCommand:
     def test_j_zero_finite_lambda_exits_3(self, capsys):
         for lam in ("-1", "2"):
             code, out, err = run_cli(
-                capsys, ["secular", f"--lambda={lam}", "--flux", "0", "--count", "3"]
+                capsys, ["spectrum", f"--lambda={lam}", "--flux", "0", "--n", "1..3", "--strict"]
             )
             assert code == 3
             assert out == ""
             assert "log r" in err
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [["spectrum", "--flux", "0.3", "--m=-1..1"],
+         ["scan", "--scan", "flux:-0.45:0.4:6", "--m=-1..1"],
+         ["scan", "--scan", "omega:-1:2:4", "--flux", "0.2"],
+         ["scan", "--scan", "m:-2:2:5", "--flux", "1.7"]],
+        ids=["spectrum", "flux", "omega", "m"],
+    )
+    @pytest.mark.parametrize("lam", ["-3.5", "-0.01", "0.2", "40"])
+    def test_rows_are_the_roots_of_each_j(self, capsys, sweep, lam):
+        # each row's kappa is its root's, and its energy the closed form's
+        # formula at the root's t with the shift summed as rotation_parts
+        # sums it; rows outside |j| < 1/2 are refused, with a note
+        flags = ["--n", "1..4", "--spin", "+1,-1", "--omega", "0.3", "--mass", "1.3", "--eta", "0.7"]
+        code, out, err = run_cli(capsys, [*sweep, f"--lambda={lam}", *flags])
+        assert code == 0
+        rows = parse_rows(out)
+        assert {row["branch"] for row in rows} == {cli.EXTENSION}
+        refused = 0
+        for row in rows:
+            j = row["m"] + (row["scan_value"] if row["scan_var"] == "flux" else 0.0)
+            if row["scan_var"] != "flux":
+                j += float(sweep[sweep.index("--flux") + 1])
+            omega = row["scan_value"] if row["scan_var"] == "omega" else 0.3
+            params = PhysicalParams(m_e=1.3, eta=0.7, omega=omega)
+            if not is_singular_sector(j):
+                refused += 1
+                assert not row["exists"] and math.isnan(row["energy"])
+                continue
+            root = solve_secular(float(lam), j, params, 4)[row["n"] - 1]
+            orbit, spin = spectrum.rotation_parts(params, j, row["s"])
+            assert row["exists"] and row["kappa"] == root.kappa
+            assert row["energy"] == -params.energy_unit / (root.t * root.t) + (orbit + spin)
+        assert bool(refused) == err.startswith(f"note: lambda = {float(lam)!r} rows with")
+
+    def test_rows_past_the_last_root_exist_false_without_a_note(self, capsys):
+        # with no Coulomb attraction lambda > 0 has no root and lambda < 0
+        # one, as the closed form's rows at eta = 0 are exists=false
+        for lam, roots in (("1", 0), ("-1", 1)):
+            code, out, err = run_cli(
+                capsys, ["spectrum", f"--lambda={lam}", "--eta", "0", "--flux", "0.2", "--n", "1..3"])
+            assert (code, err) == (0, "")
+            rows = parse_rows(out)
+            assert [row["exists"] for row in rows] == [True] * roots + [False] * (3 - roots)
+            assert all(math.isnan(row["kappa"]) for row in rows[roots:])
+
+    def test_flux_scan_every_root_exists(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["scan", "--scan", "flux:0.05:0.45:9", "--lambda=-1", "--n", "1..3"])
+        assert (code, err) == (0, "")
+        rows = parse_rows(out)
+        assert len(rows) == 27 and all(row["exists"] for row in rows)
+        # root 1 of lambda < 0 is the deep state, below the irregular ladder
+        for row in rows:
+            if row["n"] == 1:
+                assert row["kappa"] > 1.0 / (0.5 - row["scan_value"])
 
 
 class TestWavefunctionCommand:
@@ -832,16 +935,16 @@ class TestWavefunctionCommand:
 
 
 SPECTRUM, SCAN = ["spectrum"], ["scan", "--scan", "flux:0:1:3"]
-SECULAR = ["secular", "--lambda", "1", "--flux", "0.3"]
+FINITE = ["spectrum", "--lambda", "1", "--flux", "0.3"]
 WAVEFUNCTION = ["wavefunction", "--flux", "0.3", "--points", "64"]
 # For each option of each subcommand, a pair of argv that differ only in it:
 # the command with its common flags, the first's own flags, the second's.
 FLAG_PAIRS = [
-    *[(command, [], flag) for command in (SPECTRUM, SCAN, SECULAR, WAVEFUNCTION)
+    *[(command, [], flag) for command in (SPECTRUM, SCAN, FINITE, WAVEFUNCTION)
       for flag in (["--eta", "2"], ["--mass", "2"], ["--hbar", "2"])],
-    *[(command, [], flag) for command in (SPECTRUM, SCAN, SECULAR)
+    *[(command, [], flag) for command in (SPECTRUM, SCAN, FINITE)
       for flag in (["--omega", "1"], ["--format", "json"])],
-    *[(command + ["--omega", "1"], [], ["--spin", "-1"]) for command in (SPECTRUM, SCAN, SECULAR)],
+    *[(command + ["--omega", "1"], [], ["--spin", "-1"]) for command in (SPECTRUM, SCAN, FINITE)],
     *[(command, [], flag) for command in (SPECTRUM, SCAN)
       for flag in (["--n", "2"], ["--m", "1"], ["--branch", "both"])],
     *[(command + ["--branch", "irregular", "--m", "1"], [], ["--strict"])
@@ -850,10 +953,11 @@ FLAG_PAIRS = [
     (["scan", "--scan", "omega:0:1:3"], [], ["--flux", "0.3"]),
     (["scan"], ["--scan", "flux:0:1:3"], ["--scan", "flux:0:2:3"]),
     # j is m + flux: both move the roots, or the state out of |j| < 1/2
-    (["secular", "--lambda", "1"], ["--flux", "0.2"], ["--flux", "0.3"]),
-    (["secular", "--lambda", "1", "--flux", "0.7"], [], ["--m=-1"]),
-    (["secular", "--flux", "0.3"], ["--lambda", "1"], ["--lambda=-1"]),
-    (SECULAR, [], ["--count", "1"]),
+    (["spectrum", "--lambda", "1"], ["--flux", "0.2"], ["--flux", "0.3"]),
+    (["spectrum", "--lambda", "1", "--flux", "0.7"], [], ["--m=-1"]),
+    (["spectrum", "--flux", "0.3"], ["--lambda", "1"], ["--lambda=-1"]),
+    (FINITE, [], ["--n", "2"]),
+    (["scan", "--scan", "flux:0.1:0.3:3"], [], ["--lambda=1"]),
     (["wavefunction", "--points", "64"], [], ["--flux", "0.3"]),
     (WAVEFUNCTION, [], ["--m=-1"]),
     (WAVEFUNCTION, [], ["--branch", "irregular"]),
@@ -904,16 +1008,21 @@ def test_each_flag_changes_the_output(capsys, command, first, second):
      (["wavefunction", "--flux", "0.3", "--root", "4"], "unrecognized arguments: --root 4"),
      (["wavefunction", "--spin", "-1"], "unrecognized arguments: --spin -1"),
      (["wavefunction", "--omega", "1"], "unrecognized arguments: --omega 1"),
-     (["secular", "--lambda", "1", "--j", "0.2", "--flux", "0.3"],
+     (["spectrum", "--lambda", "1", "--j", "0.2", "--flux", "0.3"],
       "unrecognized arguments: --j 0.2"),
-     (["secular", "--lambda", "1", "--j", "0.2", "--m", "5"], "unrecognized arguments: --j 0.2")],
+     (["spectrum", "--lambda", "1", "--j", "0.2", "--m", "5"], "unrecognized arguments: --j 0.2"),
+     (["spectrum", "--lambda=1", "--flux", "0.3", "--branch", "regular"],
+      "argument --branch: not allowed with argument --lambda"),
+     (["scan", "--scan", "flux:0:0.4:3", "--branch", "both", "--lambda", "0"],
+      "argument --lambda: not allowed with argument --branch")],
     ids=["lambda-then-branch", "branch-then-lambda", "root-with-branch", "root", "wavefunction-spin",
-         "wavefunction-omega", "j-with-flux", "j-with-m"],
+         "wavefunction-omega", "j-with-flux", "j-with-m", "spectrum-lambda-then-branch",
+         "scan-branch-then-lambda"],
 )
 def test_flags_that_would_be_ignored_exit_2(capsys, argv, message):
     # --branch picks a ladder and --lambda an extension, whose --n-th state
-    # is written; the other would be ignored without a word, also where its
-    # value is the default.  Each input has one spelling: --n is the level of
+    # (whose levels, on spectrum and scan) is written; the other would be
+    # ignored without a word, also where its value is the default.  Each input has one spelling: --n is the level of
     # both (no --root), j is m + flux (no --j), and the profile, the same
     # for both spins and every rotation (that of kappa), has no --spin and
     # no --omega
@@ -958,8 +1067,8 @@ def test_wavefunction_routes_load_no_scipy(tmp_path):
      (["wavefunction"], ["--n", "1..2"], ["--n", "2"]),
      (["wavefunction"], ["--m=-5,-4"], ["--m=-5"]),
      (["wavefunction", "--lambda=1", "--flux", "0.3"], ["--n", "1,3"], ["--n", "3"]),
-     (["secular", "--lambda", "1", "--flux", "0.7"], ["--m=-1,0"], ["--m=-1"]),
-     (["secular", "--lambda", "1", "--flux", "0.3"], ["--spin", "1,-1"], ["--spin", "-1"])],
+     (["wavefunction", "--lambda", "1", "--flux", "0.7"], ["--m=-1,0"], ["--m=-1"]),
+     (["wavefunction", "--branch", "irregular", "--flux", "0.3"], ["--n", "2..3"], ["--n", "3"])],
 )
 def test_one_state_commands_refuse_lists(capsys, command, many, one):
     # one profile or one set of energies: a list once lost all but its
@@ -979,15 +1088,15 @@ def test_one_state_commands_refuse_lists(capsys, command, many, one):
     [["spectrum", "--eta", "1e200"],  # eta**2 overflows
      ["scan", "--scan", "flux:0:1:3", "--eta", "1e200"],
      ["spectrum", "--hbar", "1e-200"],  # hbar**2 underflows to 0
-     ["secular", "--lambda", "1", "--flux", "0.3", "--hbar", "1e-200"],
+     ["spectrum", "--lambda", "1", "--flux", "0.3", "--hbar", "1e-200"],
      ["wavefunction", "--hbar", "1e-200"],
      # q = m_e eta / hbar^2 underflows to 0: a Coulomb problem once solved
      # as a free one, with no rows or exists=false
-     ["secular", "--lambda", "1", "--flux", "0.3", "--hbar", "1e200"],
-     ["secular", "--lambda", "1", "--flux", "0.3", "--mass", "1e-300", "--eta", "1e-300"],
+     ["spectrum", "--lambda", "1", "--flux", "0.3", "--hbar", "1e200"],
+     ["scan", "--scan", "flux:0.1:0.3:3", "--lambda", "1", "--mass", "1e-300", "--eta", "1e-300"],
      ["spectrum", "--mass", "1e-300", "--eta", "1e-300"],
      # q is subnormal: kappa with 3 digits, or a traceback
-     ["secular", "--lambda", "1", "--flux", "0.3", "--eta", "1e-300", "--hbar", "1e10"],
+     ["spectrum", "--lambda", "1", "--flux", "0.3", "--eta", "1e-300", "--hbar", "1e10"],
      ["wavefunction", "--eta", "1e-300", "--hbar", "1e10", "--points", "16"]],
 )
 def test_coulomb_scale_beyond_float_range_exits_3(capsys, argv):
@@ -1010,7 +1119,7 @@ class TestPhysicsFlags:
             (["spectrum", "--eta", "-1"], "eta must be nonnegative"),
             (["wavefunction", "--eta", "-1"], "eta must be nonnegative"),
             (["scan", "--scan", "flux:0:1:3", "--eta", "-1"], "eta must be nonnegative"),
-            (["secular", "--lambda", "1", "--mass", "0"], "m_e must be positive"),
+            (["spectrum", "--lambda", "1", "--mass", "0"], "m_e must be positive"),
             (["spectrum", "--hbar", "-1"], "hbar must be positive"),
             (["scan", "--scan", "flux:0:1:3", "--omega", "inf"], "omega must be finite"),
             (["spectrum", "--flux", "inf"], "flux must be finite"),
@@ -1025,14 +1134,16 @@ class TestPhysicsFlags:
             (["spectrum", f"--n={BEYOND_FLOAT}"], "argument --n: entries must lie within"),
             (["scan", "--scan", "flux:0:1:3", f"--m=-{BEYOND_FLOAT}..0"],
              "argument --m: entries must lie within"),
-            (["secular", "--lambda", "1", f"--m={BEYOND_FLOAT}"],
+            # secular-m-huge, secular-j-nan and secular-j-inf: the flags of
+            # finite-lambda (secular root) rows
+            (["spectrum", "--lambda", "1", f"--m={BEYOND_FLOAT}"],
              "argument --m: entries must lie within"),
             (["wavefunction", f"--m={BEYOND_FLOAT}"], "argument --m: entries must lie within"),
             (["wavefunction", f"--n={BEYOND_FLOAT}"], "argument --n: entries must lie within"),
             # j = m + flux nan or inf: once exited 3 as a sector refusal
-            (["secular", "--lambda", "1", "--flux", "nan"],
+            (["spectrum", "--lambda", "1", "--flux", "nan"],
              "argument --flux: flux must be finite, got nan"),
-            (["secular", "--lambda", "1", "--flux", "1e400"],
+            (["spectrum", "--lambda", "1", "--flux", "1e400"],
              "argument --flux: flux must be finite, got inf"),
             (["spectrum", "--m=-50000..50000"],
              "argument --m: '-50000..50000' takes the list beyond 100000 entries"),
@@ -1075,16 +1186,15 @@ class TestPhysicsFlags:
 
     @pytest.mark.parametrize(
         "argv, flag",
-        [(["secular", "--lambda", "0", "--flux", "0.3", "--count", "100001"], "--count"),
+        [(["scan", "--scan", "omega:0:1:100001"], "--scan"),
          (["wavefunction", "--n", "100001"], "--n"),
          (["wavefunction", "--lambda", "1", "--flux", "0.3", "--n", "100001"], "--n"),
          (["wavefunction", "--points", "100001"], "--points"),
          (["scan", "--scan", "flux:0:1:100001"], "--scan")],
     )
     def test_work_sizes_capped_at_parse_time(self, capsys, argv, flag):
-        # each sets how much work is done (secular --count 200000 took 0.8 s
-        # and 107 MB); refused by argparse, so before any work, above the
-        # cap on integer lists
+        # each sets how much work is done; refused by argparse, so before any
+        # work, above the cap on integer lists
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -47,6 +49,29 @@ class TestPhysicalParams:
             p = PhysicalParams(m_e=m_e, hbar=hbar, eta=eta)
             assert p.q == m_e * (eta / (hbar * hbar))
             assert p.energy_unit == m_e * eta**2 / (2.0 * hbar**2)
+
+    def test_energy_unit_where_its_first_order_leaves_the_float_range(self):
+        # eta^2 underflows (eta = 1e-200) or m_e eta^2 overflows (m_e = 1e300,
+        # eta = 1e10): the unit is q eta / 2, not 0 or inf; elsewhere it keeps
+        # the bytes of m_e * eta**2 / (2.0 * hbar**2)
+        assert PhysicalParams(m_e=1e300, eta=1e-200).energy_unit == 5e-101
+        assert PhysicalParams(m_e=1e300, eta=1e10, hbar=1e10).energy_unit == 5e299
+        rng = np.random.default_rng(32)
+        for m_e, hbar, eta in (10.0 ** rng.uniform(-300.0, 300.0, (2000, 3))).tolist():
+            try:
+                p = PhysicalParams(m_e=m_e, hbar=hbar, eta=eta)
+            except FloatRangeError:
+                continue
+            normal = all(sys.float_info.min <= x <= sys.float_info.max
+                         for x in (eta**2, m_e * eta**2))
+            unit = p.energy_unit
+            assert unit == (m_e * eta**2 / (2.0 * hbar**2) if normal else 0.5 * p.q * eta)
+            # to rounding where the unit is a normal float; not where q's own
+            # eta / (hbar * hbar) is subnormal, which leaves q short of digits
+            exact = mpmath.mpf(m_e) * mpmath.mpf(eta) ** 2 / (2 * mpmath.mpf(hbar) ** 2)
+            if (sys.float_info.min <= exact <= sys.float_info.max
+                    and eta / (hbar * hbar) >= sys.float_info.min):
+                assert abs(unit - exact) <= 4 * sys.float_info.epsilon * exact
 
     @pytest.mark.parametrize(
         "fields, rule",

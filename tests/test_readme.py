@@ -38,7 +38,14 @@ def test_library_quick_start_runs():
     assert lines[3].startswith("3.3333")
 
 
-@pytest.mark.parametrize("argv", CLI_EXAMPLES, ids=[argv[0] for argv in CLI_EXAMPLES])
+def _example_id(index: int) -> str:
+    """The command of the example, numbered from its second example on."""
+    command = CLI_EXAMPLES[index][0]
+    earlier = [argv[0] for argv in CLI_EXAMPLES[:index]].count(command)
+    return f"{command}-{earlier + 1}" if earlier else command
+
+
+@pytest.mark.parametrize("argv", CLI_EXAMPLES, ids=map(_example_id, range(len(CLI_EXAMPLES))))
 def test_cli_example_runs(tmp_path, argv):
     # as written, with the output sent to a temporary file
     if "--out" in argv:

@@ -194,6 +194,18 @@ class TestSolveSecular:
         for root, t_oracle in zip(roots, oracle_ts):
             assert abs(1.0 / root.kappa - t_oracle) <= dt
 
+    @pytest.mark.parametrize("aj", [0.05, 0.3, 0.45])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_kappa_rises_with_lambda(self, aj, sign):
+        # d(kappa^2)/d lambda = 2|j| f1^2 / ||F||^2 > 0: on each side of
+        # lambda = 0 the kappa of every root rises strictly with lambda, here
+        # roots 1-4 over 161 log-spaced |lambda| from 1e-8 to 1e8
+        lams = np.sort(sign * np.logspace(-8.0, 8.0, 161))
+        kappas = np.array([[root.kappa for root in solve_secular(float(lam), aj, ATOMIC, 4)]
+                           for lam in lams])
+        assert kappas.shape == (161, 4)
+        assert np.all(kappas[1:] > kappas[:-1])
+
     def test_residuals_tiny(self):
         for lam in (0.0, -1.0, 2.5, math.inf):
             for root in solve_secular(lam, 0.25, ATOMIC, 3):
