@@ -4,9 +4,10 @@ any extension lambda, wavefunction export, and the verification suite.
 Output is deterministic CSV (LF endings, ``.`` decimal point, shortest
 round-trip float format) or JSON.  Exit codes: 0 success, 1 failed
 verification, 2 bad flags (argparse, or more than ``MAX_ROWS`` rows), 3
-refused input: a refused row under ``--strict``, a sector violation, a
-state that is not bound, parameters whose Coulomb scale no float holds, or
-a state whose kappa or energy is beyond the float range.
+refused input: a refused row under ``--strict`` (a bound row whose kappa or
+energy leaves the float range among them, though ``closed_form_energy``
+returns it), a sector violation, a state that is not bound, parameters whose
+Coulomb scale no float holds, or a state whose kappa or energy leaves the float range.
 """
 
 from __future__ import annotations
@@ -329,9 +330,9 @@ def _rows(variable: str, values: list[float],
     ladder's t = n - 1/2 +- |j| (bit for bit ``closed_form_energy`` of each
     row) or at each secular root's t.  A row is refused (exists=false, NaN)
     at |j| >= 1/2 on the irregular ladder and under every --lambda, where
-    the solver refuses its root, where its kappa is positive but not a
-    normal float, and at a finite lambda where its energy is beyond the
-    float range.
+    the solver refuses its root, and where it is bound (kappa > 0) but its
+    kappa is not a normal float or its energy not finite (``--mass 1e300
+    --eta 1e10 --hbar 10``, whose inf kappa closed_form_energy returns).
     """
     params = _params(args)
     ns, ms, spins = sorted(args.n), sorted(args.m), sorted(args.spin)
@@ -341,28 +342,26 @@ def _rows(variable: str, values: list[float],
     j = m_axis + (value if variable == "flux" else args.flux)
     regular = np.array([b == REGULAR for b in branches])
     sector = ~is_singular_sector(j) & (~regular if args.lam is None else True)  # no n or s axis
-    extension = branches == [EXTENSION]
-    if extension:
-        t, kappa, refusals = _extension_levels(args.lam, j, ns, params)
-    else:
-        t = (np.reshape([n - 0.5 for n in ns], (1, -1, 1, 1, 1))
-             + np.where(regular, 1.0, -1.0) * abs(j))
-
     with np.errstate(all="ignore"):  # overflow to inf and inf * 0 = nan, as in Python floats
-        coulomb, rotation, q_over_t = _energy_terms(
+        if branches == [EXTENSION]:
+            t, kappa, refusals = _extension_levels(args.lam, j, ns, params)
+        else:  # no s axis, and no value axis on omega scans
+            t = (np.reshape([n - 0.5 for n in ns], (1, -1, 1, 1, 1))
+                 + np.where(regular, 1.0, -1.0) * abs(j))
+            kappa, refusals = params.q / t, None
+        coulomb, rotation, _ = _energy_terms(
             params, value if variable == "omega" else params.omega, t, j,
             np.reshape(np.array(spins, dtype=float), (1, 1, 1, -1, 1)),
         )
-        if extension:  # the Coulomb term in kappa where t^2 is not a normal float:
-            # 0/0 at t = 0 (q = 0, lambda < 0), short of digits at a deep lambda < 0 root
-            coulomb = np.where(t * t >= sys.float_info.min, coulomb,
-                               -(params.hbar**2) * kappa * kappa / (2.0 * params.m_e))
-        else:
-            kappa = q_over_t  # no s axis, and no value axis on omega scans
-        energy = coulomb + rotation
-    refused = sector | ((kappa > 0.0) & (kappa < sys.float_info.min))
-    if extension:
-        refused = refused | np.not_equal(refusals, None) | ((kappa > 0.0) & ~np.isfinite(energy))
+        # the Coulomb term in kappa where t^2 is not a normal float (no kept ladder
+        # row: t >= 2^-54): 0/0 at t = 0 (q = 0, lambda < 0), short of digits at a deep root
+        energy = np.where(t * t >= sys.float_info.min, coulomb,
+                          -(params.hbar**2) * kappa * kappa / (2.0 * params.m_e)) + rotation
+    # the energy is tested only where one is not finite: kappa keeps its own axes
+    finite, bound = np.isfinite(energy), kappa > 0.0
+    abnormal = bound & ((kappa < sys.float_info.min) | (kappa > sys.float_info.max))
+    refused = (sector | np.not_equal(refusals, None) | abnormal
+               | (False if finite.all() else bound & ~finite))
     note = None
     if refused.any():
         first = np.unravel_index(np.argmax(np.broadcast_to(refused, energy.shape)), energy.shape)
@@ -376,9 +375,10 @@ def _rows(variable: str, values: list[float],
                     f"(first at m={m}, phi={phi})")
         else:
             level = float(np.broadcast_to(kappa, energy.shape)[first])
-            what = "kappa" if level < sys.float_info.min else "the energy at kappa"
-            solver = np.broadcast_to(refusals, energy.shape)[first] if extension else None
-            reason = f"{what} = {level!r} is beyond the float range" if solver is None else solver
+            what = ("kappa" if np.broadcast_to(abnormal, energy.shape)[first]
+                    else "the energy at kappa")
+            reason = (np.broadcast_to(refusals, energy.shape)[first]
+                      or f"{what} = {level!r} is beyond the float range")
             where = f"n={ns[ni]}, m={m}, s={spins[si]}, phi={phi}" + (
                 f", omega={values[v]}" if variable == "omega" else "")
             message = f"{reason} ({where})"

@@ -56,8 +56,10 @@ class PhysicalParams:
     the parameters are refused here, with FloatRangeError, where no float
     holds that scale: hbar*hbar not a normal float, an energy unit whose
     squares overflow, or q = m_e eta / hbar^2 not a normal float at eta > 0.
-    An energy unit that overflows to inf is kept: the levels are then -inf,
-    and their kappa still a float.
+    An energy unit that overflows to inf is kept: ``closed_form_energy`` then
+    returns -inf levels, and an inf kappa where q / t overflows
+    (``m_e = 1e300, eta = 1e10, hbar = 10``); ``spectrum`` and ``scan``
+    refuse those rows.
     """
 
     m_e: float = 1.0
@@ -89,8 +91,19 @@ class PhysicalParams:
 
     @property
     def q(self) -> float:
-        """Inverse Coulomb length m_e eta / hbar^2: kappa = q / t."""
-        return self.m_e * (self.eta / (self.hbar * self.hbar))
+        """Inverse Coulomb length m_e eta / hbar^2: kappa = q / t.
+
+        Formed as m_e (eta / hbar^2) wherever eta / hbar^2 is not below the
+        normal range.  Below it that ratio loses digits, so there the three
+        factors are split into mantissa and power of two, the mantissas
+        combined in the same order, and the power put back once (q < 4
+        there, so nothing overflows)."""
+        ratio = self.eta / (self.hbar * self.hbar)
+        if ratio >= sys.float_info.min:
+            return self.m_e * ratio
+        (m_e, m_exp), (eta, eta_exp), (hbar, hbar_exp) = map(
+            math.frexp, (self.m_e, self.eta, self.hbar))
+        return math.ldexp(m_e * (eta / (hbar * hbar)), m_exp + eta_exp - 2 * hbar_exp)
 
     @property
     def energy_unit(self) -> float:

@@ -20,6 +20,7 @@ from abcoulomb import cli, oracle, spectrum
 from abcoulomb.model import (
     IRREGULAR,
     REGULAR,
+    FloatRangeError,
     PhysicalParams,
     QuantumState,
     decompose_flux,
@@ -127,6 +128,27 @@ class TestSpectrumCommand:
         code, out, err = run_cli(capsys, [*argv, "--strict"])
         assert (code, out) == (3, "")
         assert err == f"error: kappa = {kappa!r} is beyond the float range ({where})\n"
+
+    @pytest.mark.parametrize("argv, reason, where", [
+        (["--omega", "1e308", "--hbar", "10", "--branch", "both"],
+         "the energy at kappa = 0.02", "n=1, m=0, s=1, phi=0.0"),
+        (["--omega", "1e308", "--hbar", "10", "--lambda", "0", "--flux", "0.3"],
+         "the energy at kappa = 0.012499999999999999", "n=1, m=0, s=1, phi=0.3"),
+        (["--mass", "1e300", "--eta", "1e10", "--hbar", "10", "--branch", "both"],
+         "kappa = inf", "n=1, m=0, s=1, phi=0.0"),
+    ], ids=["rotation", "rotation-lambda0", "kappa"])
+    def test_rows_beyond_the_float_range_refused(self, capsys, argv, reason, where):
+        # the rotation shift (nan or -inf energy) or q / t (inf kappa)
+        # overflows: each bound ladder row is refused, as a finite lambda's is
+        reason += " is beyond the float range"
+        code, out, err = run_cli(capsys, ["spectrum", *argv])
+        assert (code, err) == (0, f"note: refused rows marked exists=false (first at {where}: "
+                                  f"{reason})\n")
+        rows = parse_rows(out)
+        assert rows and not any(row["exists"] for row in rows)
+        assert all(math.isnan(row["energy"]) and math.isnan(row["kappa"]) for row in rows)
+        code, out, err = run_cli(capsys, ["spectrum", *argv, "--strict"])
+        assert (code, out, err) == (3, "", f"error: {reason} ({where})\n")
 
     def test_energy_unit_below_the_float_range(self, capsys):
         # m_e eta^2 / (2 hbar^2) formed as q eta / 2 where eta^2 underflows:
@@ -250,8 +272,11 @@ def reference_output(argv):
     """Output of ``spectrum``/``scan`` from the row-by-row evaluator: one
     QuantumState and closed_form_energy per row, in the loop order of the
     increasing scan values and the sorted n, m, s and branch lists, and
-    json.dumps for JSON.  Returns the text written, or the error line under
-    --strict, which names the first offending row of that order."""
+    json.dumps for JSON.  A row is refused (nan, nan, false) outside the
+    irregular ladder's |j| < 1/2, and where it is bound (kappa > 0) but its
+    kappa is not a normal float or its energy not finite.  Returns the text
+    written, or the error line under --strict, which names the first refused
+    row of that order."""
     args = cli._build_parser().parse_args(argv)
     params = PhysicalParams(m_e=args.mass, hbar=args.hbar, eta=args.eta, omega=args.omega)
     branches = [REGULAR, IRREGULAR] if args.branch == "both" else [args.branch]
@@ -280,6 +305,15 @@ def reference_output(argv):
                 rows.append((var, value, n, m, s, branch, math.nan, math.nan, False))
                 continue
             res = closed_form_energy(QuantumState(n, m, s, branch), point_params, flux)
+            normal = sys.float_info.min <= res.kappa <= sys.float_info.max
+            if res.kappa > 0.0 and not (normal and math.isfinite(res.energy)):
+                if args.strict:
+                    what = "the energy at kappa" if normal else "kappa"
+                    where = f"n={n}, m={m}, s={s}, phi={phi}" + (
+                        f", omega={value}" if var == "omega" else "")
+                    return f"error: {what} = {res.kappa!r} is beyond the float range ({where})\n"
+                rows.append((var, value, n, m, s, branch, math.nan, math.nan, False))
+                continue
             rows.append((var, value, n, m, s, branch, res.energy, res.kappa, res.exists))
     if args.format == "json":
         keys = cli.CSV_HEADER.split(",")
@@ -327,9 +361,12 @@ def random_argv(seed):
 
 
 FIXED_ARGV = [
-    # rotation beyond the float range: inf and nan energies
+    # rotation beyond the float range: every row refused, its energy inf or
+    # nan beside a finite kappa
     ["spectrum", "--omega", "1e308", "--hbar", "10", "--m=-1..1", "--spin=+1,-1",
      "--branch", "both"],
+    # and from omega = 4e307 on, where hbar * omega overflows; below it the
+    # rows are written
     ["scan", "--scan", "omega:1e307:1e308:4", "--hbar", "10", "--m=-1,1,0", "--spin=-1,+1",
      "--branch", "both", "--flux", "0.2"],
     ["scan", "--scan", "flux:0:10:401", "--omega", "1", "--n", "2,3", "--m", "0..5",
@@ -345,12 +382,17 @@ FIXED_ARGV = [
     # and on the value axis: the linspace steps underflow to repeated values
     ["scan", "--scan", "flux:0:2e-323:9", "--n", "3,1", "--m=2,-1", "--spin=+1,-1",
      "--branch", "both"],
-    # JSON writes -Infinity and NaN energies, Infinity and NaN kappas
+    # an energy unit beyond the float range: every row refused, its energy
+    # -inf, and its kappa inf too at t = 1/2
     ["scan", "--scan", "omega:1e307:1e308:3", "--hbar", "10", "--mass", "1e300", "--eta", "1e10",
      "--m=0,-1", "--spin=+1,-1", "--branch", "both"],
     # the error names m=-2, the first offending row of the output, not m=3,
     # the first in the given order
     ["scan", "--scan", "flux:0:0.4:3", "--m=3,-2,1", "--branch", "irregular", "--strict"],
+    # no Coulomb attraction: rows with kappa = 0 are not bound, so their inf,
+    # -inf and nan energies are written (JSON's Infinity, -Infinity and NaN)
+    ["spectrum", "--eta", "0", "--omega", "1e308", "--hbar", "10", "--m=-2..1", "--spin=+1,-1",
+     "--branch", "both"],
 ]
 # The error line of each FIXED_ARGV entry refused at parse time, with exit 2.
 FIXED_REFUSALS = {
@@ -399,14 +441,14 @@ class TestColumnarRows:
 
     def test_fixed_cases_write_every_json_spelling_of_a_nonfinite_float(self, capsys):
         spellings = set()
-        for argv in FIXED_ARGV[:2] + FIXED_ARGV[8:9]:
+        for argv in FIXED_ARGV[:2] + FIXED_ARGV[8:9] + FIXED_ARGV[10:11]:
             code, out, _ = run_cli(capsys, argv + ["--format", "json"])
             assert code == 0
             rows = json.loads(out)
             spellings |= {(key, repr(row[key])) for row in rows for key in ("energy", "kappa")
                           if not math.isfinite(row[key])}
         assert spellings >= {("energy", "inf"), ("energy", "-inf"), ("energy", "nan"),
-                             ("kappa", "inf"), ("kappa", "nan")}
+                             ("kappa", "nan")}
 
     def test_random_cases_cover_every_kind(self):
         argvs = [random_argv(seed) for seed in range(48)]
@@ -545,8 +587,11 @@ class TestSecularCommand:
     def test_ladder_energies_are_the_spectrum_bytes(self, capsys, fmt):
         # lambda = 0 and inf take the ladders' t: inside |j| < 1/2 their
         # rows are the --branch regular|irregular bytes, branch column
-        # included, on single points and on flux and omega scans
+        # included, on single points and on flux and omega scans; where the
+        # rotation shift or the energy unit overflows, both refuse every row
+        # with the same note
         rng = random.Random(28)
+        cases = []
         for _ in range(25):
             m = rng.randint(-3, 3)
             low = rng.uniform(-0.499, 0.3)
@@ -564,11 +609,45 @@ class TestSecularCommand:
                 f"--m={m}", "--spin=" + ",".join(rng.sample(["+1", "-1"], rng.randint(1, 2))),
                 f"--n=1..{rng.randint(1, 30)}", "--format", fmt,
             ]
-            command = "scan" if sweep else "spectrum"
+            cases.append(("scan" if sweep else "spectrum", flags, False))
+        for overflow in (["--omega", "1e308", "--hbar", "10"],
+                         ["--mass", "1e300", "--eta", "1e10", "--hbar", "10"]):
+            flags = [*overflow, "--spin=+1,-1", "--n=1..3", "--format", fmt]
+            cases.append(("spectrum", flags, True))
+        for command, flags, refused in cases:
             for lam, branch in (("0", REGULAR), ("inf", IRREGULAR)):
                 code, extension, err = run_cli(capsys, [command, "--lambda", lam, *flags])
-                assert (code, err) == (0, "")
-                assert run_cli(capsys, [command, "--branch", branch, *flags]) == (0, extension, "")
+                assert code == 0
+                note = "note: refused rows marked exists=false"
+                assert err.startswith(note) if refused else err == ""
+                assert run_cli(capsys, [command, "--branch", branch, *flags]) == (0, extension, err)
+
+    def test_no_written_row_leaves_the_float_range(self, capsys):
+        # log-uniform units and rotation across the float range: every row
+        # written as bound has a normal kappa and a finite energy, on both
+        # ladders and at finite lambda alike
+        rng = random.Random(33)
+        checked = 0
+        for _ in range(400):
+            mass, hbar, eta, omega = (10.0 ** rng.uniform(-307.0, 308.0) for _ in range(4))
+            omega *= rng.choice([1.0, -1.0])
+            try:
+                PhysicalParams(m_e=mass, hbar=hbar, eta=eta, omega=omega)
+            except FloatRangeError:
+                continue
+            flags = ["--mass", repr(mass), "--hbar", repr(hbar), "--eta", repr(eta),
+                     f"--omega={omega!r}", f"--flux={rng.uniform(-0.45, 0.45)!r}",
+                     "--m=-1..1", "--spin=+1,-1", "--n=1..3"]
+            for kind in (["--branch", "both"], ["--lambda=0"], ["--lambda=inf"],
+                         ["--lambda=-1"], ["--lambda=2"]):
+                code, out, _ = run_cli(capsys, ["spectrum", *kind, *flags])
+                assert code == 0
+                for row in parse_rows(out):
+                    if row["exists"]:
+                        checked += 1
+                        assert sys.float_info.min <= row["kappa"] <= sys.float_info.max, flags
+                        assert math.isfinite(row["energy"]), flags
+        assert checked > 100
 
     def test_default_ladder_energy_is_the_closed_forms(self, capsys):
         # both take the Coulomb term from t; from kappa^2 it rounds to -0.78125

@@ -66,12 +66,14 @@ class TestPhysicalParams:
                          for x in (eta**2, m_e * eta**2))
             unit = p.energy_unit
             assert unit == (m_e * eta**2 / (2.0 * hbar**2) if normal else 0.5 * p.q * eta)
-            # to rounding where the unit is a normal float; not where q's own
-            # eta / (hbar * hbar) is subnormal, which leaves q short of digits
-            exact = mpmath.mpf(m_e) * mpmath.mpf(eta) ** 2 / (2 * mpmath.mpf(hbar) ** 2)
-            if (sys.float_info.min <= exact <= sys.float_info.max
-                    and eta / (hbar * hbar) >= sys.float_info.min):
-                assert abs(unit - exact) <= 4 * sys.float_info.epsilon * exact
+            # q to rounding, eta / (hbar * hbar) below the normal range included,
+            # and the unit too where it is a normal float
+            with mpmath.workdps(40):
+                exact_q = mpmath.mpf(m_e) * mpmath.mpf(eta) / mpmath.mpf(hbar) ** 2
+                assert abs(p.q - exact_q) <= 4 * sys.float_info.epsilon * exact_q
+                exact = exact_q * mpmath.mpf(eta) / 2
+                if sys.float_info.min <= exact <= sys.float_info.max:
+                    assert abs(unit - exact) <= 4 * sys.float_info.epsilon * exact
 
     @pytest.mark.parametrize(
         "fields, rule",
@@ -103,6 +105,12 @@ class TestPhysicalParams:
         # a small q, still normal: tests/test_wavefunction.py builds its
         # ground state, whose mesh end 35/kappa overflows
         assert PhysicalParams(eta=1e-307).q == 1e-307
+        # eta / hbar^2 = 1e-360 underflows to 0, while q = 1e-60 is a normal
+        # float: the scale is accepted, with q to rounding
+        tiny = PhysicalParams(m_e=1e300, eta=1e-300, hbar=1e30)
+        with mpmath.workdps(40):
+            exact = mpmath.mpf(1e300) * mpmath.mpf(1e-300) / mpmath.mpf(1e30) ** 2
+            assert abs(tiny.q - exact) <= 4 * sys.float_info.epsilon * exact
 
 
 class TestFluxDecomposition:
