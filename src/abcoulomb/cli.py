@@ -4,10 +4,10 @@ any extension lambda, wavefunction export, and the verification suite.
 Output is deterministic CSV (LF endings, ``.`` decimal point, shortest
 round-trip float format) or JSON.  Exit codes: 0 success, 1 failed
 verification, 2 bad flags (argparse, or more than ``MAX_ROWS`` rows), 3
-refused input: a refused row under ``--strict`` (a bound row whose kappa or
-energy leaves the float range among them, though ``closed_form_energy``
-returns it), a sector violation, a state that is not bound, parameters whose
-Coulomb scale no float holds, or a state whose kappa or energy leaves the float range.
+refused input: a refused row under ``--strict`` or as ``wavefunction``'s state
+(the s = 1 row of its flags), a state that is not bound or whose profile leaves
+the float range, or parameters whose Coulomb scale no float holds.  A refused
+row or state prints one line, ``error: <reason> (<where>)``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from .model import (
     REGULAR,
     FloatRangeError,
     PhysicalParams,
-    QuantumState,
     SectorError,
-    decompose_flux,
     is_singular_sector,
 )
 from .secular import (
@@ -37,11 +35,10 @@ from .secular import (
     RootSearchError,
     SolutionCoefficients,
     _check_lambda,
-    _require_extension_sector,
     normalizable_coefficients,
     solve_secular,
 )
-from .spectrum import ExistenceError, _energy_terms, closed_form_energy
+from .spectrum import _energy_terms
 from .wavefunction import build_profile
 
 __all__ = ["main", "ScanSpec"]
@@ -277,7 +274,9 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 def _params(args: argparse.Namespace) -> PhysicalParams:
     """The flags' parameters; FloatRangeError, which ``main`` maps to exit 3,
     where their Coulomb scale is beyond the float range.  ``wavefunction``
-    has no --omega: its profile is that of kappa, which rotation leaves alone."""
+    has no --omega: rotation leaves kappa and the profile alone, so its state is
+    the omega = 0 row, refused for its energy only where the Coulomb term is
+    beyond the float range (an energy unit or a deep lambda < 0 root's kappa^2)."""
     return PhysicalParams(m_e=args.mass, hbar=args.hbar, eta=args.eta,
                           omega=getattr(args, "omega", 0.0))
 
@@ -317,25 +316,24 @@ def _extension_levels(lam: float, j: np.ndarray, ns: list[int], params: Physical
     return t, kappa, refusals
 
 
-def _rows(variable: str, values: list[float],
-          args: argparse.Namespace) -> tuple[str | None, str | None]:
-    """The rows of a sweep of ``variable`` over the increasing ``values`` in
-    ``args.format`` and the note on refused rows (None when there are none),
-    or under ``--strict`` None and the error; both name the first such row.
+def _rows(variable: str, values: list[float], ns: list[int], ms: list[int], spins: list[int],
+          args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray, tuple[str, str] | None]:
+    """The energy and kappa of a sweep of ``variable`` over the increasing
+    ``values``, NaN on refused rows, and the first refused row's (reason,
+    where), or None.
 
     The grid's axes (value, n, m, s, branch) hold distinct entries in sorted
     order, so its C order is the row order; on m scans the m axis has length
     1 and m follows the value.  The closed form behind
     ``spectrum.closed_form_energy`` is evaluated on it as numpy arrays, at a
     ladder's t = n - 1/2 +- |j| (bit for bit ``closed_form_energy`` of each
-    row) or at each secular root's t.  A row is refused (exists=false, NaN)
-    at |j| >= 1/2 on the irregular ladder and under every --lambda, where
-    the solver refuses its root, and where it is bound (kappa > 0) but its
-    kappa is not a normal float or its energy not finite (``--mass 1e300
-    --eta 1e10 --hbar 10``, whose inf kappa closed_form_energy returns).
+    row) or at each secular root's t.  A row is refused at |j| >= 1/2 on the
+    irregular ladder and under every --lambda, where the solver refuses its
+    root, and where it is bound (kappa > 0) but its kappa is not a normal
+    float or its energy not finite (``--mass 1e300 --eta 1e10 --hbar 10``,
+    whose inf kappa closed_form_energy returns).
     """
     params = _params(args)
-    ns, ms, spins = sorted(args.n), sorted(args.m), sorted(args.spin)
     branches = sorted(_branches(args))
     value = np.reshape(values, (-1, 1, 1, 1, 1))
     m_axis = value if variable == "m" else np.reshape([float(m) for m in ms], (1, 1, -1, 1, 1))
@@ -349,7 +347,7 @@ def _rows(variable: str, values: list[float],
             t = (np.reshape([n - 0.5 for n in ns], (1, -1, 1, 1, 1))
                  + np.where(regular, 1.0, -1.0) * abs(j))
             kappa, refusals = params.q / t, None
-        coulomb, rotation, _ = _energy_terms(
+        coulomb, rotation = _energy_terms(
             params, value if variable == "omega" else params.omega, t, j,
             np.reshape(np.array(spins, dtype=float), (1, 1, 1, -1, 1)),
         )
@@ -362,7 +360,7 @@ def _rows(variable: str, values: list[float],
     abnormal = bound & ((kappa < sys.float_info.min) | (kappa > sys.float_info.max))
     refused = (sector | np.not_equal(refusals, None) | abnormal
                | (False if finite.all() else bound & ~finite))
-    note = None
+    refusal = None
     if refused.any():
         first = np.unravel_index(np.argmax(np.broadcast_to(refused, energy.shape)), energy.shape)
         v, ni, mi, si, _ = first
@@ -370,23 +368,22 @@ def _rows(variable: str, values: list[float],
         phi = values[v] if variable == "flux" else args.flux
         if np.broadcast_to(sector, energy.shape)[first]:
             kind = "irregular" if args.lam is None else f"lambda = {args.lam!r}"
-            message = f"{kind} state needs |j| < 1/2 but m + phi = {m + phi} (m={m}, phi={phi})"
-            note = (f"{kind} rows with |m + phi| >= 1/2 marked exists=false "
-                    f"(first at m={m}, phi={phi})")
+            reason = f"{kind} state needs |j| < 1/2 but m + phi = {m + phi}"
         else:
             level = float(np.broadcast_to(kappa, energy.shape)[first])
             what = ("kappa" if np.broadcast_to(abnormal, energy.shape)[first]
                     else "the energy at kappa")
             reason = (np.broadcast_to(refusals, energy.shape)[first]
                       or f"{what} = {level!r} is beyond the float range")
-            where = f"n={ns[ni]}, m={m}, s={spins[si]}, phi={phi}" + (
-                f", omega={values[v]}" if variable == "omega" else "")
-            message = f"{reason} ({where})"
-            note = f"refused rows marked exists=false (first at {where}: {reason})"
-        if args.strict:
-            return None, message
-    energy = np.where(refused, math.nan, energy)
-    kappa = np.where(refused, math.nan, kappa)
+        refusal = reason, f"n={ns[ni]}, m={m}, s={spins[si]}, phi={phi}" + (
+            f", omega={values[v]}" if variable == "omega" else "")
+    return np.where(refused, math.nan, energy), np.where(refused, math.nan, kappa), refusal
+
+
+def _format_rows(variable: str, values: list[float], ns: list[int], ms: list[int],
+                 spins: list[int], energy: np.ndarray, kappa: np.ndarray,
+                 args: argparse.Namespace) -> str:
+    """The rows ``_rows`` evaluated, with the header, in ``args.format``."""
 
     def floats(array: np.ndarray) -> np.ndarray:
         """Each entry of ``array`` as ``repr``, or as ``json.dumps`` writes it."""
@@ -409,7 +406,7 @@ def _rows(variable: str, values: list[float],
         + (along(0, [f"{frag[2]}{int(v)}" for v in values]) if variable == "m"
            else along(2, [f"{frag[2]}{m}" for m in ms]))
         + along(3, [f"{frag[3]}{s}" for s in spins])
-        + along(4, [f"{frag[4]}{b}{frag[5]}" for b in branches]),
+        + along(4, [f"{frag[4]}{b}{frag[5]}" for b in sorted(_branches(args))]),
         floats(energy),
         frag[6] + floats(kappa) + frag[7]
         + np.where(kappa > 0.0, "true" + frag[8], "false" + frag[8]).astype(object),
@@ -418,8 +415,14 @@ def _rows(variable: str, values: list[float],
                                    for c in columns))))
     del columns  # and its strings, before the rows are joined
     if args.format == "json":
-        return "[\n" + ",\n".join(rows) + "\n]\n", note
-    return CSV_HEADER + "\n" + "\n".join(rows) + "\n", note
+        return "[\n" + ",\n".join(rows) + "\n]\n"
+    return CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+
+
+def _refuse(reason: str, where: str) -> int:
+    """Print the one line of a refusal and return its exit code."""
+    print(f"error: {reason} ({where})", file=sys.stderr)
+    return EXIT_REFUSED
 
 
 def _write_rows(variable: str, values: list[float], args: argparse.Namespace) -> int:
@@ -428,13 +431,15 @@ def _write_rows(variable: str, values: list[float], args: argparse.Namespace) ->
     if rows > MAX_ROWS:
         print(f"error: the grid has {rows} rows, more than {MAX_ROWS}", file=sys.stderr)
         return 2  # a bad flag, as argparse exits
-    text, note = _rows(variable, values, args)
-    if text is None:
-        print(f"error: {note}", file=sys.stderr)
-        return EXIT_REFUSED
-    if note is not None:
-        print(f"note: {note}", file=sys.stderr)
-    _emit(text, args.out)
+    keys = sorted(args.n), sorted(args.m), sorted(args.spin)
+    energy, kappa, refusal = _rows(variable, values, *keys, args)
+    if refusal is not None:
+        if args.strict:
+            return _refuse(*refusal)
+        reason, where = refusal
+        print(f"note: refused rows marked exists=false (first at {where}: {reason})",
+              file=sys.stderr)
+    _emit(_format_rows(variable, values, *keys, energy, kappa, args), args.out)
     return EXIT_OK
 
 
@@ -447,36 +452,25 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_wavefunction(args: argparse.Namespace) -> int:
-    params = _params(args)
-    flux = decompose_flux(args.flux)
-    j = args.m + flux.phi
-    (ladder,) = _branches(args)
+    # the state is the s = 1 row of `spectrum --strict` with these flags:
+    # neither kappa nor the profile depends on s
+    _, kappa, refusal = _rows("flux", [args.flux], [args.n], [args.m], [1], args)
+    if refusal is not None:
+        return _refuse(*refusal)
+    kappa, where = kappa.item(), f"n={args.n}, m={args.m}, phi={args.flux}"
+    if not kappa > 0.0:
+        return _refuse("no bound state", where)
+    j, params, (branch,) = args.m + args.flux, _params(args), _branches(args)
     try:
-        if args.lam is not None:
-            _require_extension_sector(args.lam, j)
-        if ladder != EXTENSION:
-            # s = 1 for both spins: neither kappa = q/(n - 1/2 +- |j|)
-            # nor a secular root depends on s, so neither does the profile
-            level = closed_form_energy(QuantumState(args.n, args.m, 1, ladder), params, flux)
-            if not level.exists:
-                raise ExistenceError(f"no bound state: kappa = {level.kappa!r}")
-            kappa = level.kappa
-            # the ladder's own piece, x^{+-|j|} e^{-x/2} L_{n-1}^{(+-2|j|)}(x)
-            coeffs = SolutionCoefficients(*((1.0, 0.0) if ladder == REGULAR else (0.0, 1.0)))
-        else:
-            roots = solve_secular(args.lam, j, params, args.n)
-            if len(roots) < args.n:
-                raise ExistenceError(
-                    f"lambda = {args.lam} has no bound state {args.n} (it has {len(roots)})")
-            kappa = roots[-1].kappa
+        if branch == EXTENSION:
             coeffs = normalizable_coefficients(KummerParams.for_state(kappa, j, params))
+        else:  # the ladder's own piece, x^{+-|j|} e^{-x/2} L_{n-1}^{(+-2|j|)}(x)
+            coeffs = SolutionCoefficients(*((1.0, 0.0) if branch == REGULAR else (0.0, 1.0)))
         profile = build_profile(coeffs, kappa, j, params, points=args.points)
-    except (SectorError, RootSearchError, ExistenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+    except SectorError as exc:  # the j = 0 limit, where a and a' are one integer
+        return _refuse(str(exc), where)
     except OverflowError:  # x^{|j|} at huge |j|, or an end of the mesh
-        print(f"error: the profile at j = {j!r} is beyond the float range", file=sys.stderr)
-        return EXIT_REFUSED
+        return _refuse(f"the profile at j = {j!r} is beyond the float range", where)
     lines = ["r,F"] + [
         f"{r!r},{v!r}" for r, v in zip(profile.r.tolist(), profile.values.tolist())
     ]

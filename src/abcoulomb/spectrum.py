@@ -71,14 +71,14 @@ def rotation_parts(params: PhysicalParams, j: float, s: int) -> tuple[float, flo
 
 
 def _energy_terms(params: PhysicalParams, omega, t, j, s):
-    """(coulomb, rotation, kappa) at t = q/kappa, on floats or broadcasting
+    """(coulomb, rotation) at t = q/kappa, on floats or broadcasting
     arrays (``omega`` too): the package's one energy formula, -m_e eta^2 / (2 hbar^2
     t^2) - hbar Omega (j + s/2), its shift summed as ``rotation_parts`` sums it and
-    its scale read from ``params.energy_unit`` and ``params.q``."""
+    its scale read from ``params.energy_unit``; kappa is q/t, formed by the caller."""
     coulomb = -params.energy_unit / (t * t)
     hw = params.hbar * omega
     rotation = -(hw * j) + -s * (hw / 2.0)
-    return coulomb, rotation, params.q / t
+    return coulomb, rotation
 
 
 def closed_form_energy(
@@ -101,7 +101,8 @@ def closed_form_energy(
             f"(m = {state.m}, phi = {flux.phi})"
         )
     t = state.n - 0.5 + (abs(j) if regular else -abs(j))
-    coulomb, rotation, kappa = _energy_terms(params, params.omega, t, j, state.s)
+    coulomb, rotation = _energy_terms(params, params.omega, t, j, state.s)
+    kappa = params.q / t
     return SpectralResult(
         energy=coulomb + rotation,
         kappa=kappa,

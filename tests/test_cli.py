@@ -263,8 +263,8 @@ class TestScanCommand:
         assert code == 0
         notes = [line for line in err.splitlines() if line.startswith("note:")]
         assert notes == [
-            "note: irregular rows with |m + phi| >= 1/2 marked exists=false "
-            "(first at m=1, phi=0.0)"
+            "note: refused rows marked exists=false (first at n=2, m=1, s=1, phi=0.0: "
+            "irregular state needs |j| < 1/2 but m + phi = 1.0)"
         ]
 
 
@@ -296,11 +296,13 @@ def reference_output(argv):
         flux = decompose_flux(phi)
         for n, m, s, branch in itertools.product(
                 sorted(args.n), sorted(ms), sorted(args.spin), sorted(branches)):
+            where = f"n={n}, m={m}, s={s}, phi={phi}" + (
+                f", omega={value}" if var == "omega" else "")
             if branch == IRREGULAR and not is_singular_sector(m + flux.phi):
                 if args.strict:
                     return (
                         f"error: irregular state needs |j| < 1/2 but m + phi = "
-                        f"{m + flux.phi} (m={m}, phi={flux.phi})\n"
+                        f"{m + flux.phi} ({where})\n"
                     )
                 rows.append((var, value, n, m, s, branch, math.nan, math.nan, False))
                 continue
@@ -309,8 +311,6 @@ def reference_output(argv):
             if res.kappa > 0.0 and not (normal and math.isfinite(res.energy)):
                 if args.strict:
                     what = "the energy at kappa" if normal else "kappa"
-                    where = f"n={n}, m={m}, s={s}, phi={phi}" + (
-                        f", omega={value}" if var == "omega" else "")
                     return f"error: {what} = {res.kappa!r} is beyond the float range ({where})\n"
                 rows.append((var, value, n, m, s, branch, math.nan, math.nan, False))
                 continue
@@ -705,7 +705,8 @@ class TestSecularCommand:
     def test_sector_violation_exit_3(self, capsys):
         code, _, err = run_cli(capsys, ["spectrum", "--lambda", "1", "--flux", "0.7", "--strict"])
         assert code == 3
-        assert err == "error: lambda = 1.0 state needs |j| < 1/2 but m + phi = 0.7 (m=0, phi=0.7)\n"
+        assert err == ("error: lambda = 1.0 state needs |j| < 1/2 but m + phi = 0.7 "
+                       "(n=1, m=0, s=1, phi=0.7)\n")
 
     @pytest.mark.parametrize(
         "lam, j",
@@ -801,7 +802,8 @@ class TestSecularCommand:
             orbit, spin = spectrum.rotation_parts(params, j, row["s"])
             assert row["exists"] and row["kappa"] == root.kappa
             assert row["energy"] == -params.energy_unit / (root.t * root.t) + (orbit + spin)
-        assert bool(refused) == err.startswith(f"note: lambda = {float(lam)!r} rows with")
+        assert bool(refused) == err.startswith("note: refused rows marked exists=false (first at ")
+        assert bool(refused) == (f": lambda = {float(lam)!r} state needs |j| < 1/2" in err)
 
     def test_rows_past_the_last_root_exist_false_without_a_note(self, capsys):
         # with no Coulomb attraction lambda > 0 has no root and lambda < 0
@@ -982,7 +984,8 @@ class TestWavefunctionCommand:
         code, out, err = run_cli(
             capsys, ["wavefunction", "--eta", "3e-308", "--n", "100000", "--points", "16"])
         assert code == 3 and out == ""
-        assert err == f"error: kappa = {3e-308 / (100000 - 0.5)!r} is beyond the float range\n"
+        assert err == (f"error: kappa = {3e-308 / (100000 - 0.5)!r} is beyond the float range "
+                       "(n=100000, m=0, s=1, phi=0.0)\n")
 
     @pytest.mark.parametrize("m", [100, 150])
     def test_large_m_ladder_profile(self, capsys, m):
@@ -1001,6 +1004,20 @@ class TestWavefunctionCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "float range" in err
 
+    @pytest.mark.xfail(strict=True, reason="U in -2|j|N overflows before the envelope scales it")
+    def test_secular_state_past_root_105(self, capsys):
+        # spectrum --strict writes root 106 of lambda = 2 at flux 0.2, and root
+        # 105's profile (104 sign changes, peak 3.0e165) is written; root 106's
+        # is refused as beyond the float range, since U in -2|j|N overflows
+        # before the large-x envelope scales it
+        code, out, err = run_cli(
+            capsys, ["wavefunction", "--lambda=2", "--flux", "0.2", "--n", "106",
+                     "--points", "8000"])
+        assert code == 0, err
+        values = np.array([float(line.split(",")[1]) for line in out.strip().split("\n")[1:]])
+        assert values.size == 8000 and np.all(np.isfinite(values))
+        assert np.count_nonzero(values[:-1] * values[1:] < 0.0) == 105
+
     @pytest.mark.parametrize(
         "argv",
         [["wavefunction", "--lambda", "1", "--n", "0"],
@@ -1011,6 +1028,51 @@ class TestWavefunctionCommand:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
+
+
+def random_state_flags(rng):
+    """One state's flags: a ladder or an extension, and n, m and flux from
+    lists that cross |j| = 1/2, root 171 and the j = 0 limit; mass, eta and
+    hbar each 1 or log-uniform over the floats, and eta sometimes 0."""
+    kind = rng.choice([["--branch", REGULAR], ["--branch", IRREGULAR],
+                       *(["--lambda=" + lam] for lam in ("0", "inf", "-1", "2", "1e-300"))])
+    flags = [*kind, f"--n={rng.choice([1, 2, 5, 106, 200, 100000])}",
+             f"--m={rng.choice([-1, 0, 1, 150, 300])}",
+             f"--flux={rng.choice([0.0, 1e-16, 0.003, 0.2, -0.45, 0.7])!r}"]
+    for name in ("mass", "eta", "hbar"):
+        scale = 10.0 ** rng.uniform(-307.0, 308.0)
+        flags.append(f"--{name}={rng.choice([1.0, scale] + [0.0] * (name == 'eta'))!r}")
+    return flags
+
+
+def test_wavefunction_refuses_as_spectrum_strict(capsys):
+    # wavefunction's state is the s = 1 row of `spectrum --strict` with its
+    # flags: where that exits 3, wavefunction exits 3 with the same line;
+    # where the row is unbound it has no state; where the row is written the
+    # profile is too, or refused by the profile's own reasons
+    rng = random.Random(34)
+    outcomes = set()
+    for _ in range(200):
+        flags = random_state_flags(rng)
+        code, out, err = run_cli(capsys, ["spectrum", *flags, "--strict"])
+        wave = run_cli(capsys, ["wavefunction", *flags, "--points", "64"])
+        if code == 3:
+            assert wave == (3, "", err), flags
+            outcomes.add("refused")
+            continue
+        (row,) = parse_rows(out)
+        where = f" (n={row['n']}, m={row['m']}, phi={row['scan_value']})\n"
+        if not row["exists"]:
+            assert wave == (3, "", f"error: no bound state{where}"), flags
+            outcomes.add("unbound")
+        elif wave[0] == 0:
+            assert wave[1].startswith("r,F\n") and wave[2] == "", flags
+            outcomes.add("written")
+        else:
+            assert wave[:2] == (3, "") and wave[2].endswith(where), flags
+            assert "the profile at j = " in wave[2] or "j = 0 limit" in wave[2], flags
+            outcomes.add("profile")
+    assert outcomes == {"refused", "unbound", "written", "profile"}
 
 
 SPECTRUM, SCAN = ["spectrum"], ["scan", "--scan", "flux:0:1:3"]

@@ -617,8 +617,8 @@ class TestRootsCarryT:
             for n, root in enumerate(roots, start=1):
                 res = closed_form_energy(QuantumState(n, 0, s, branch), params, decompose_flux(phi))
                 assert root.t == n - 0.5 + (abs(phi) if branch == REGULAR else -abs(phi))
-                coulomb, rotation, kappa = _energy_terms(params, params.omega, root.t, phi, s)
-                assert (root.kappa, kappa) == (res.kappa, res.kappa)
+                coulomb, rotation = _energy_terms(params, params.omega, root.t, phi, s)
+                assert (root.kappa, params.q / root.t) == (res.kappa, res.kappa)
                 assert (coulomb, rotation, coulomb + rotation) == (
                     res.coulomb_energy, res.rotation_energy, res.energy)
 
