@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +70,16 @@ _JSON_ROW = (
 MAX_LIST_ENTRIES = 100_000
 # Rows one spectrum or scan may write, counted from the list lengths before
 # any array is built: lists each within MAX_LIST_ENTRIES can ask for many GB,
-# and 1 M rows already take 1.4-3 s and peak at 0.32-0.47 GB as CSV, 1.9-4.2 s
-# and 0.75-0.81 GB as JSON (2-core Xeon, numpy 2.4; the spectrum --n 1..1000
-# --m 0..999 grid and scans of flux or omega).
+# and 1 M rows already take 0.8-2.6 s and peak at 54-105 MB RSS, as CSV or
+# JSON, mostly the grid's float arrays (2-core Xeon, Python 3.11, numpy 2.4;
+# the spectrum --n 1..1000 --m 0..999 grid and scans of flux or omega).
 MAX_ROWS = 1_000_000
+# Rows formatted and written at a time, so the text in memory is one block's,
+# not the output's.  Each block pays about 0.2 ms of numpy set-up, 2% of
+# formatting 4 096 rows: over 200 000 rows, 256-row blocks took 10-35% longer
+# than blocks of 1 024 to 16 384 rows, which time alike, and 65 536-row
+# blocks peaked 23-29 MB higher on 1 M rows (same machine as MAX_ROWS).
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -290,12 +298,13 @@ def _branches(args: argparse.Namespace) -> list[str]:
     return [{0.0: REGULAR, math.inf: IRREGULAR}.get(args.lam, EXTENSION)]
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(pieces: Iterable[str], out_path: str | None) -> None:
+    """Write each piece of text as it is made, to stdout or ``out_path``."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def _extension_levels(lam: float, j: np.ndarray, ns: list[int], params: PhysicalParams):
@@ -380,10 +389,23 @@ def _rows(variable: str, values: list[float], ns: list[int], ms: list[int], spin
     return np.where(refused, math.nan, energy), np.where(refused, math.nan, kappa), refusal
 
 
+def _blocks(shape: tuple[int, ...]) -> Iterator[tuple[slice, ...]]:
+    """The grid ``shape`` in C order as blocks of at most ``BLOCK_ROWS`` rows,
+    a slice per axis: runs of entries of the outermost axis whose trailing
+    rows fit in a block, one entry of each axis outside it at a time."""
+    axis = next(a for a in range(len(shape)) if math.prod(shape[a + 1:]) <= BLOCK_ROWS)
+    step = BLOCK_ROWS // math.prod(shape[axis + 1:])
+    inner = (slice(None),) * (len(shape) - axis - 1)
+    for outer in np.ndindex(*shape[:axis]):
+        for start in range(0, shape[axis], step):
+            yield *(slice(i, i + 1) for i in outer), slice(start, start + step), *inner
+
+
 def _format_rows(variable: str, values: list[float], ns: list[int], ms: list[int],
                  spins: list[int], energy: np.ndarray, kappa: np.ndarray,
-                 args: argparse.Namespace) -> str:
-    """The rows ``_rows`` evaluated, with the header, in ``args.format``."""
+                 args: argparse.Namespace) -> Iterator[str]:
+    """The rows ``_rows`` evaluated, in ``args.format``, as pieces of text: the
+    header, then one piece per block of ``_blocks``, then the closer."""
 
     def floats(array: np.ndarray) -> np.ndarray:
         """Each entry of ``array`` as ``repr``, or as ``json.dumps`` writes it."""
@@ -397,26 +419,40 @@ def _format_rows(variable: str, values: list[float], ns: list[int], ms: list[int
     def along(axis: int, strings: list[str]) -> np.ndarray:
         return np.array(strings, dtype=object).reshape([-1 if a == axis else 1 for a in range(5)])
 
+    def cut(array: np.ndarray, block: tuple[slice, ...]) -> np.ndarray:
+        """The entries of ``block`` on ``array``'s own axes."""
+        return array[tuple(s if size > 1 else slice(None) for s, size in zip(block, array.shape))]
+
     # The fixed text before each field and after the last.  Each column is
-    # joined from its pieces on its own axes, then broadcast to the grid.
+    # formatted, for one block at a time, on its own axes, then broadcast to
+    # the block.
     frag = [t.format(variable=variable) for t in (_JSON_ROW if args.format == "json" else _CSV_ROW)]
-    columns = [
-        along(0, [f"{frag[0]}{v!r}" for v in values]),
-        along(1, [f"{frag[1]}{n}" for n in ns])
-        + (along(0, [f"{frag[2]}{int(v)}" for v in values]) if variable == "m"
-           else along(2, [f"{frag[2]}{m}" for m in ms]))
-        + along(3, [f"{frag[3]}{s}" for s in spins])
-        + along(4, [f"{frag[4]}{b}{frag[5]}" for b in sorted(_branches(args))]),
-        floats(energy),
-        frag[6] + floats(kappa) + frag[7]
-        + np.where(kappa > 0.0, "true" + frag[8], "false" + frag[8]).astype(object),
+    labels = [  # the columns before the energy: (axis, entries, text of an entry, text before it)
+        (0, values, repr, frag[0]),
+        (1, ns, str, frag[1]),
+        (0, [int(v) for v in values], str, frag[2]) if variable == "m" else (2, ms, str, frag[2]),
+        (3, spins, str, frag[3]),
+        (4, [b + frag[5] for b in sorted(_branches(args))], str, frag[4]),
     ]
-    rows = list(map("".join, zip(*(np.broadcast_to(c, energy.shape).ravel().tolist()
-                                   for c in columns))))
-    del columns  # and its strings, before the rows are joined
-    if args.format == "json":
-        return "[\n" + ",\n".join(rows) + "\n]\n"
-    return CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+    head, between, closer = (("[\n", ",\n", "\n]\n") if args.format == "json"
+                             else (CSV_HEADER + "\n", "\n", "\n"))
+    yield head
+    for count, block in enumerate(_blocks(energy.shape)):
+        energies, level = energy[block], cut(kappa, block)
+        value, n, m, s, branch = (
+            along(axis, [before + entry for entry in map(text, entries[block[axis]])])
+            for axis, entries, text, before in labels)
+        columns = [
+            value,
+            n + m + s + branch,
+            floats(energies),
+            frag[6] + floats(level) + frag[7]
+            + np.where(level > 0.0, "true" + frag[8], "false" + frag[8]).astype(object),
+        ]
+        rows = map("".join, zip(*(np.broadcast_to(c, energies.shape).ravel().tolist()
+                                  for c in columns)))
+        yield (between if count else "") + between.join(rows)
+    yield closer
 
 
 def _refuse(reason: str, where: str) -> int:
@@ -471,17 +507,17 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         return _refuse(str(exc), where)
     except OverflowError:  # x^{|j|} at huge |j|, or an end of the mesh
         return _refuse(f"the profile at j = {j!r} is beyond the float range", where)
-    lines = ["r,F"] + [
-        f"{r!r},{v!r}" for r, v in zip(profile.r.tolist(), profile.values.tolist())
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    r, values = profile.r.tolist(), profile.values.tolist()
+    blocks = ("".join(f"{x!r},{v!r}\n" for x, v in zip(r[at], values[at]))
+              for (at,) in _blocks((len(r),)))
+    _emit(itertools.chain(["r,F\n"], blocks), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = verify_mod.run_checks(args.only or None)
     report = verify_mod.build_report(results)
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit([json.dumps(report, indent=2) + "\n"], args.out)
     for check in report["checks"]:
         if not check["pass"]:
             reason = check.get("error", f"residual {check['residual']} exceeds {check['tolerance']}")

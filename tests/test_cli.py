@@ -9,6 +9,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -393,6 +394,21 @@ FIXED_ARGV = [
     # -inf and nan energies are written (JSON's Infinity, -Infinity and NaN)
     ["spectrum", "--eta", "0", "--omega", "1e308", "--hbar", "10", "--m=-2..1", "--spin=+1,-1",
      "--branch", "both"],
+    # grids of more than one block (cli.BLOCK_ROWS rows): a flux scan cut
+    # along the value axis into six blocks, with kappa formatted without the
+    # spin axis and the irregular rows refused from |j| = 1/2 on
+    ["scan", "--scan", "flux:0:3:1200", "--omega", "0.7", "--m=-2..2", "--spin=+1,-1",
+     "--branch", "both"],
+    # kappa without the value axis
+    ["scan", "--scan", "omega:-1:1:2100", "--flux", "0.3", "--m=-1..1", "--spin=-1,+1",
+     "--branch", "regular"],
+    # m follows the value, six values to a block
+    ["scan", "--scan", "m:-20:20:41", "--n", "1..300", "--flux", "0.3", "--spin=+1,-1",
+     "--branch", "regular"],
+    # one value: cut along the n axis, 102 levels to a block
+    ["spectrum", "--n", "1..300", "--m", "0..19", "--branch", "both", "--flux", "0.2"],
+    # the first refused row (row 5 001, at flux 0.5) lies past the first block
+    ["scan", "--scan", "flux:0:0.6:3000", "--branch", "irregular", "--n", "1..2", "--strict"],
 ]
 # The error line of each FIXED_ARGV entry refused at parse time, with exit 2.
 FIXED_REFUSALS = {
@@ -450,12 +466,54 @@ class TestColumnarRows:
         assert spellings >= {("energy", "inf"), ("energy", "-inf"), ("energy", "nan"),
                              ("kappa", "nan")}
 
+    def test_strict_refusal_past_the_first_block_writes_nothing(self, capsys, tmp_path):
+        argv = FIXED_ARGV[-1]
+        code, out, _ = run_cli(capsys, [arg for arg in argv if arg != "--strict"])
+        assert code == 0
+        first = [row["exists"] for row in parse_rows(out)].index(False)
+        assert first >= cli.BLOCK_ROWS
+        target = tmp_path / "rows.csv"
+        code, out, err = run_cli(capsys, [*argv, "--out", str(target)])
+        assert (code, out, err) == (3, "", reference_output(argv))
+        assert not target.exists()
+
     def test_random_cases_cover_every_kind(self):
         argvs = [random_argv(seed) for seed in range(48)]
         kinds = {argv[1].split(":")[0] if argv[0] == "scan" else "spectrum" for argv in argvs}
         assert kinds == {"--scan=flux", "--scan=omega", "--scan=m", "spectrum"}
         assert any("--strict" in argv for argv in argvs)
         assert {argv[argv.index("--branch") + 1] for argv in argvs} == {REGULAR, IRREGULAR, "both"}
+
+
+# The float arrays of the grid that cli._rows makes, a bound on those it
+# holds at once: j, t, kappa, the two energy terms, the energy and two
+# temporaries of its formula, and the copies of the energy and kappa with
+# their refused rows.
+GRID_ARRAYS = 10
+# Bytes of one block's text per row: a JSON row's ~220 characters held at
+# most three times over (as fields, as the row and in the joined piece), and
+# about ten string objects of ~60 bytes of header each.
+BLOCK_BYTES_PER_ROW = 2048
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--scan", "flux:0:10:20000", "--m=-5..4"],
+    ["spectrum", "--n", "1..1000", "--m", "0..199"],
+], ids=["flux-scan", "spectrum"])
+def test_peak_memory_follows_one_block(tmp_path, argv):
+    # 200 000 rows as JSON: the arrays of the grid plus one block's text, not
+    # the text of every row (about 45 MB)
+    rows, target = 200_000, tmp_path / "rows.json"
+    tracemalloc.start()
+    try:
+        code = cli.main([*argv, "--format", "json", "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    with open(target, encoding="utf-8") as handle:
+        assert sum('"scan_var"' in line for line in handle) == rows
+    assert peak < GRID_ARRAYS * 8 * rows + BLOCK_BYTES_PER_ROW * cli.BLOCK_ROWS
 
 
 # SHA-256 of each file scripts/run_scans.py writes, recorded from the
