@@ -316,7 +316,7 @@ def _extension_levels(lam: float, j: np.ndarray, ns: list[int], params: Physical
     for index in zip(*np.nonzero(is_singular_sector(j))):
         try:
             roots = solve_secular(lam, float(j[index]), params, ns[-1])
-        except (SectorError, RootSearchError, OverflowError) as exc:  # 1/Gamma past root 171
+        except (SectorError, RootSearchError) as exc:
             refusals[index] = str(exc)
             continue
         found = [roots[n - 1] for n in ns if n <= len(roots)]
@@ -503,7 +503,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         else:  # the ladder's own piece, x^{+-|j|} e^{-x/2} L_{n-1}^{(+-2|j|)}(x)
             coeffs = SolutionCoefficients(*((1.0, 0.0) if branch == REGULAR else (0.0, 1.0)))
         profile = build_profile(coeffs, kappa, j, params, points=args.points)
-    except SectorError as exc:  # the j = 0 limit, where a and a' are one integer
+    except SectorError as exc:  # the j = 0 limit, where a and a' are one float
         return _refuse(str(exc), where)
     except OverflowError:  # x^{|j|} at huge |j|, or an end of the mesh
         return _refuse(f"the profile at j = {j!r} is beyond the float range", where)

@@ -3,22 +3,23 @@
 For a finite extension parameter ``lambda`` the boundary condition fixes
 the irregular/regular coefficient ratio b_m/a_m = lambda*(2 kappa)**(2|j|),
 and normalizability kills the growing part of the large-x asymptotics.
-Combining the two gives the pole-safe secular function
+The bound states are the zeros of F = Gamma(b)/Gamma(a) + lambda (2 kappa)^(2|j|)
+Gamma(b')/Gamma(a') in t = q/kappa, q = m_e eta/hbar^2.  By the reflection
+formula (DLMF 5.5.3) F times pi/(Gamma(1/2 - |j| + t) Gamma(1 + 2|j|)) > 0 is
 
-    F(kappa) = Gamma(b)/Gamma(a) + lambda*(2 kappa)**(2|j|) * Gamma(b')/Gamma(a')
+    G(t) = cos(pi(t - |j|)) + lambda W(t) cos(pi(t + |j|)),
+    W(t) = (2q/t)^(2|j|) Gamma(1/2 + |j| + t)/Gamma(1/2 - |j| + t)
+           * Gamma(1 - 2|j|)/Gamma(1 + 2|j|) > 0,
 
-whose zeros are the bound states.  lambda is a plain float in
-(-inf, +inf]: ``math.inf`` is the purely irregular extension, with
-G(kappa) = Gamma(b')/Gamma(a') alone, and NaN and -inf raise ValueError.
-The gamma reciprocals are entire, so F is smooth.  Roots are searched in
-t = q/kappa, q = m_e eta/hbar^2, where the lambda = 0 and lambda = inf
-limits sit at the closed-form ladders t = n - 1/2 +- |j|.  The roots of
-every finite lambda interlace with those ladders, so each is solved to
-adjacent floats on its own known interval,
-directly in t with Gamma(b) and Gamma(b') computed once per solve, by
-inverse quadratic interpolation safeguarded by bisection.
-Each ``SecularRoot`` carries its t, from which ``abcoulomb spectrum --lambda``
-and ``scan --lambda`` take its energy by the closed form's formula.
+which has no poles and no gamma ceiling; ``secular_function`` and
+``solve_secular`` evaluate one kernel of it.  lambda is a plain float in
+(-inf, +inf]: ``math.inf`` is the purely irregular extension, G/(lambda W)
+= cos(pi(t + |j|)), and NaN and -inf raise ValueError.  The zeros of
+lambda = 0 and inf are the ladders t = n - 1/2 +- |j|, and those of every
+finite lambda interlace with them, so each is solved to adjacent floats on
+its own interval by inverse quadratic interpolation safeguarded by
+bisection.  Each ``SecularRoot`` carries its t, from which ``abcoulomb
+spectrum --lambda`` and ``scan --lambda`` take its energy.
 """
 
 from __future__ import annotations
@@ -161,57 +162,91 @@ class SecularRoot:
     residual: float
 
 
-def _secular_terms(lam: float, aj: float):
-    """The terms c_reg/Gamma(a) and c_irr (2 kappa)^p/Gamma(a') of F for one
-    (lambda, |j|): c_reg = Gamma(1 + 2|j|), c_irr = lambda Gamma(1 - 2|j|)
-    and p = 2|j|, but c_irr = 0 at lambda = 0, and c_reg = 0, c_irr =
-    Gamma(1 - 2|j|), p = 0 at lambda = inf.  A term with a zero constant is
-    0.0 without a gamma call; on a ladder the other term alone is F."""
-    infinite = math.isinf(lam)
-    c_reg = 0.0 if infinite else gamma(1.0 + 2.0 * aj)
-    c_irr = 0.0 if lam == 0.0 else (1.0 if infinite else lam) * gamma(1.0 - 2.0 * aj)
-    power = 0.0 if infinite else 2.0 * aj
+def _reflection_kernel(lam: float, aj: float, log_two_q: float):
+    """The kernel of G for one (lambda, |j|), with ln(2q) = ``log_two_q``, as
+    a function of t and ln t, and L(t, ln t) = ln(|lambda| W).
 
-    def regular(a: float) -> float:
-        return c_reg * reciprocal_gamma(a) if c_reg else 0.0
+    The kernel is G/max(1, |lambda| W), A cos(pi(t - |j|)) + B cos(pi(t + |j|))
+    with A = 1, B = lambda W up to |lambda| W = 1 and A = 1/(|lambda| W),
+    B = sign(lambda) beyond: G's sign and roots, within [-2, 2], a deep
+    lambda < 0 ground state's weight included.  With t = k + r, k the nearest
+    integer, it is (-1)^k [cos(pi r) cos(pi|j|) (A + B) + sin(pi r)
+    sin(pi|j|) (A - B)], A +- B being 2 + expm1(-|L|) and +-expm1(-|L|):
+    nothing cancels at lambda = -1 and |j| -> 0.  L = -inf at lambda = 0 and
+    +inf at lambda = inf give cos(pi(t -+ |j|)).  ln W's Gamma ratio takes
+    the psi series (DLMF 5.15.1, psi^(2k) = -(2k)! zeta(2k + 1, .)) to |j|^5
+    where |j| < 1e-3, whose lgamma difference would cancel, and past t = 170,
+    where that difference rounds like t ln t; the next term is 2e-17 at most.
+    """
+    def psi_series(x: float, eps: float) -> float:  # ln(Gamma(x + eps)/Gamma(x - eps))
+        from scipy import special  # deferred, as in specfun
 
-    def irregular(a_prime: float, two_kappa: float) -> float:
-        return c_irr * two_kappa**power * reciprocal_gamma(a_prime) if c_irr else 0.0
+        e2 = eps * eps
+        zetas = special.zeta(3.0, x) / 3.0 + e2 * special.zeta(5.0, x) / 5.0
+        return float(2.0 * eps * (special.digamma(x) - e2 * zetas))
 
-    return regular, irregular
+    two_aj, half_plus, half_minus, pi = 2.0 * aj, 0.5 + aj, 0.5 - aj, math.pi
+    # cos(pi|j|) as sin(pi(1/2 - |j|)), which keeps its digits as |j| -> 1/2
+    cos_j, sin_j = math.sin(pi * half_minus), math.sin(pi * aj)
+    series_from = -math.inf if aj < 1e-3 else 170.0  # the t beyond which ln W is a series
+    # L but for its terms in t: ln|lambda| + ln(Gamma(b')/Gamma(b)) + 2|j| ln(2q)
+    log_c = (-psi_series(1.0, two_aj) if series_from < 0.0
+             else math.log(gamma(1.0 - two_aj) * reciprocal_gamma(1.0 + two_aj)))
+    log_scale = (math.log(abs(lam)) if lam else -math.inf) + log_c + two_aj * log_two_q
+    cos, sin, log, lgamma, expm1 = math.cos, math.sin, math.log, math.lgamma, math.expm1
+
+    def log_ratio(t: float, log_t: float) -> float:
+        if t > series_from:
+            return log_scale - two_aj * log_t + psi_series(0.5 + t, aj)
+        return log_scale - two_aj * log_t + (lgamma(half_plus + t) - lgamma(half_minus + t))
+
+    def kernel(t: float, log_t: float | None = None) -> float:
+        k = round(t)
+        r = pi * (t - k)
+        if log_t is None:
+            log_t = log(t)
+        if t > series_from:
+            ell = log_ratio(t, log_t)
+        else:  # log_ratio inlined, on locals bound once: the hot path
+            ell = log_scale - two_aj * log_t + (lgamma(half_plus + t) - lgamma(half_minus + t))
+        even, odd = cos(r) * cos_j, sin(r) * sin_j
+        if lam < 0.0:  # A + B and A - B swap roles
+            even, odd = odd, even
+        # A + |B| = 2 + m, and A - |B| = m beyond |lambda| W = 1, -m below
+        m = expm1(-ell if ell > 0.0 else ell)
+        value = even * (2.0 + m) + (odd * m if ell > 0.0 else -odd * m)
+        return -value if k & 1 else value
+
+    return kernel, log_ratio
 
 
 def secular_function(kappa: float, lam: float, j: float, params: PhysicalParams) -> float:
-    """Pole-safe secular function whose zeros in kappa are bound states.
-
-    Finite lambda:  Gamma(b)/Gamma(a) + lambda*(2k)**(2|j|)*Gamma(b')/Gamma(a')
-    lambda = inf:   Gamma(b')/Gamma(a')
-    written with reciprocal gammas so both terms stay finite everywhere.
-    A kappa that is not a positive normal float is refused (``_check_kappa``),
-    and with FloatRangeError one above float max / 4, the most that
-    ``solve_secular`` returns: 2 kappa overflows above float max / 2.
-    """
+    """G/max(1, |lambda| W) at t = q/kappa (``_reflection_kernel``): a
+    positive multiple of F, whose zeros in kappa are the bound states, in
+    [-2, 2] at every normal kappa.  A kappa that is not a positive normal
+    float is refused (``_check_kappa``), and with FloatRangeError one whose
+    t overflows."""
     _check_kappa(kappa)
-    if kappa > sys.float_info.max / 4.0:
-        raise FloatRangeError(f"kappa = {kappa!r} is beyond the float range of the secular "
-                              "function, float max / 4")
     _require_extension_sector(lam, j)
-    aj = abs(j)
     t = params.q / kappa
-    regular, irregular = _secular_terms(lam, aj)
-    return regular(0.5 + aj - t) + irregular(0.5 - aj - t, 2.0 * kappa)
+    if t == math.inf:
+        raise FloatRangeError(f"t = q/kappa at kappa = {kappa!r} is beyond the float range")
+    # ln(2 kappa) stands in for ln(2q) - ln t
+    kernel, _ = _reflection_kernel(lam, abs(j), math.log(2.0) + math.log(kappa))
+    return kernel(t, 0.0)
 
 
 def normalizable_coefficients(kp: KummerParams) -> SolutionCoefficients:
     """Coefficients that cancel the growing large-x part by construction:
     a_m = Gamma(b')/Gamma(a'), b_m = -Gamma(b)/Gamma(a); on the parameters of
-    ``KummerParams.for_state`` a ladder state has an exactly zero coefficient,
-    and a state whose 2|j| is below the rounding of a and a' has two: it is
-    the j = 0 limit, refused with SectorError."""
+    ``KummerParams.for_state`` a ladder state has an exactly zero coefficient.
+    A state whose 2|j| is below the rounding of a and a' (a == a', where
+    both solutions are one function, or both on a ladder, where both
+    coefficients vanish) is the j = 0 limit, refused with SectorError."""
     a_m = gamma(kp.b_prime) * reciprocal_gamma(kp.a_prime)
     b_m = -gamma(kp.b) * reciprocal_gamma(kp.a)
-    if a_m == b_m == 0.0:
-        raise SectorError(f"a and a' round to the same integer {kp.a!r}: the state is the "
+    if kp.a == kp.a_prime or a_m == b_m == 0.0:
+        raise SectorError(f"a and a' round to {kp.a!r} and {kp.a_prime!r}: the state is the "
                           "j = 0 limit, where the irregular solution is log r")
     return SolutionCoefficients(a_m=a_m, b_m=b_m)
 
@@ -280,11 +315,8 @@ def _bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[
 
 def _normalized_residual(f, t_root: float, value: float) -> float:
     """|f(t)| scaled by the local derivative and the size of t, i.e. the
-    Newton-step length relative to t; this is meaningful for every lambda,
-    including the single-term lambda = 0 and lambda = inf functions.
-    ``value`` is f at the root, exactly 0 on a ladder, whose neighbours
-    past root 171 need 1/Gamma beyond the float range; the slope is a
-    forward difference from it."""
+    Newton-step length relative to t; ``value`` is f at the root, and the
+    slope is a forward difference from it."""
     if value == 0.0:
         return 0.0
     h = min(1e-6 * max(1.0, abs(t_root)), 0.5 * abs(t_root))
@@ -295,105 +327,72 @@ def _normalized_residual(f, t_root: float, value: float) -> float:
     return abs(value) / scale
 
 
-def _solve_zero_coupling(lam: float, j: float, regular, irregular) -> list[SecularRoot]:
-    # q = 0: t = q/kappa degenerates to 0.  The secular function
-    # becomes c1 + lambda*(2 kappa)**(2|j|)*c2 with constants c1, c2 > 0:
-    # no roots unless lambda < 0, where exactly one survives in closed form.
-    aj = abs(j)
-    if lam >= 0.0:
-        return []
-    c1 = gamma(1.0 + 2.0 * aj) * reciprocal_gamma(0.5 + aj)
-    c2 = gamma(1.0 - 2.0 * aj) * reciprocal_gamma(0.5 - aj)
-    lam_c2 = lam * c2  # 0 where lambda is subnormal: 2 kappa overflows
-    log_two_kappa = math.log(-c1 / lam_c2) / (2.0 * aj) if lam_c2 else math.inf
-    if log_two_kappa > math.log(0.5 * sys.float_info.max):
-        raise RootSearchError(f"lambda={lam}, j={j}: root beyond float range")
-    kappa = 0.5 * math.exp(log_two_kappa)
-    if not _is_normal(kappa):  # at a huge |lambda|
-        raise RootSearchError(f"lambda={lam}, j={j}: root kappa = {kappa!r} beyond float range")
-    f_regular = regular(0.5 + aj)
-
-    def f(k: float) -> float:
-        return f_regular + irregular(0.5 - aj, 2.0 * k)
-
-    return [SecularRoot(t=0.0, kappa=kappa, residual=_normalized_residual(f, kappa, f(kappa)))]
-
-
 def solve_secular(lam: float, j: float, params: PhysicalParams, count: int) -> list[SecularRoot]:
     """The first ``count`` secular roots, ordered from the ground state
     (largest kappa / smallest t) upward.
 
     lambda = 0 and lambda = inf return the ladders t = n - 1/2 +- |j|,
-    all positive in |j| < 1/2.  Otherwise root n is solved to adjacent
-    floats by ``_bracketed_root`` on its interlacing interval in
-    t = q/kappa: for lambda > 0 [n - 1/2 - |j|, n - 1/2 + |j|]; for
-    lambda < 0 [n - 3/2 + |j|, n - 1/2 - |j|], and (0, 1/2 - |j|) in log t
-    for n = 1, whose kappa beyond the float range raises RootSearchError.
-    Each interval ends on the ladders, where one term of F vanishes: F is
-    the other term there.  With no Coulomb attraction fewer roots
-    (possibly none) are returned.
+    all positive in |j| < 1/2, with residual 0.0.  Otherwise root n is
+    solved to adjacent floats by ``_bracketed_root`` on the kernel of G, on
+    its interlacing interval in t = q/kappa: for lambda > 0
+    [n - 1/2 - |j|, n - 1/2 + |j|]; for lambda < 0 [n - 3/2 + |j|,
+    n - 1/2 - |j|], and (0, 1/2 - |j|) in log t for n = 1, whose kappa
+    beyond the float range raises RootSearchError.  On the interval ends
+    one term of G survives, taken in closed form.  With no Coulomb
+    attraction only lambda < 0 has a root, where |lambda| W = 1.
     """
     if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
     _require_extension_sector(lam, j)
-    aj = abs(j)
-    regular, irregular = _secular_terms(lam, aj)
-    q = params.q
-    if q == 0.0:
-        return _solve_zero_coupling(lam, j, regular, irregular)
-    half_plus, half_minus, two_q = 0.5 + aj, 0.5 - aj, 2.0 * q
+    aj, q = abs(j), params.q
+    if q == 0.0:  # t = 0 at every kappa, and L is 2|j| ln(2 kappa) plus L at 2 kappa = 1
+        if lam >= 0.0:
+            return []
+        _, log_ratio = _reflection_kernel(lam, aj, 0.0)
+        log_two_kappa = -log_ratio(0.0, 0.0) / (2.0 * aj)
+        top = math.log(sys.float_info.max)
+        kappa = 0.5 * math.exp(log_two_kappa) if log_two_kappa < top else math.inf
+        if not _is_normal(kappa):  # at a huge or a subnormal |lambda|
+            raise RootSearchError(f"lambda={lam}, j={j}: root kappa beyond float range")
 
-    def f(t: float) -> float:
-        return regular(half_plus - t) + irregular(half_minus - t, two_q / t)
+        def f(k: float) -> float:
+            return secular_function(k, lam, j, params)
 
-    def root_at(t: float, value: float) -> SecularRoot:
-        return SecularRoot(t=t, kappa=q / t, residual=_normalized_residual(f, t, value))
-
-    def regular_ladder(n: int) -> tuple[float, float]:
-        # t = n - 1/2 + |j|, where a = 1 - n
-        t = n - 0.5 + aj
-        return t, irregular(half_minus - t, two_q / t)
-
-    def irregular_ladder(n: int) -> tuple[float, float]:
-        # t = n - 1/2 - |j|, where a' = 1 - n
-        t = n - 0.5 - aj
-        return t, regular(half_plus - t)
-
+        return [SecularRoot(t=0.0, kappa=kappa, residual=_normalized_residual(f, kappa, f(kappa)))]
     if lam in (0.0, math.inf):
-        # each root's one term vanishes there
-        ladder = irregular_ladder if math.isinf(lam) else regular_ladder
-        return [root_at(*ladder(n)) for n in range(1, count + 1)]
+        shift = aj if lam == 0.0 else -aj
+        return [SecularRoot(t=t, kappa=q / t, residual=0.0)
+                for t in (n - 0.5 + shift for n in range(1, count + 1))]
+    kernel, log_ratio = _reflection_kernel(lam, aj, math.log(2.0) + math.log(q))
+    sin_2j = math.sin(2.0 * math.pi * (0.5 - aj))
+
+    def end(n: int, regular: bool) -> tuple[float, float]:
+        # a = 1 - n at t = n - 1/2 + |j|, where B (-1)^n sin(2 pi|j|) survives,
+        # and a' = 1 - n at t = n - 1/2 - |j|, where A (-1)^(n+1) sin(2 pi|j|)
+        t = n - 0.5 + (aj if regular else -aj)
+        ell = log_ratio(t, math.log(t))
+        term = math.copysign(math.exp(min(ell, 0.0)), lam) if regular else -math.exp(-max(ell, 0.0))
+        return t, (-term if n & 1 else term) * sin_2j
 
     roots = []
     if lam > 0.0:
-        brackets = [(irregular_ladder(n), regular_ladder(n)) for n in range(1, count + 1)]
+        brackets = [(end(n, False), end(n, True)) for n in range(1, count + 1)]
     else:
         # Root 1 can sit at kappa ~ 1e50 and beyond, so it is solved in
-        # log t; kappa <= float max / 4 keeps 2 kappa finite.
-        t_floor = max(sys.float_info.min, 4.0 * q / sys.float_info.max)
-
-        def weighted(t: float, value: float) -> float:
-            # (2 kappa)^(-2|j|) F has the sign of F and stays bounded as
-            # t -> 0, where F grows like t^(-2|j|) over hundreds of decades
-            return value * (t / two_q) ** (2.0 * aj)
-
-        def g(s: float) -> float:
-            t = math.exp(s)
-            return weighted(t, f(t))
-
-        t_hi, f_hi = irregular_ladder(1)
+        # log t, down to the least t whose kappa = q/t is a normal float
+        t_floor = max(sys.float_info.min, q / sys.float_info.max)
+        t_hi, f_hi = end(1, False)
         try:
-            s, _ = _bracketed_root(
-                g, math.log(t_floor), math.log(t_hi),
-                weighted(t_floor, f(t_floor)), weighted(t_hi, f_hi),
-            )
-        except RootSearchError:
-            raise RootSearchError(
-                f"lambda={lam}, j={j}: ground state beyond float range"
-            ) from None
-        t = math.exp(s)
-        roots.append(root_at(t, f(t)))
-        brackets = [(regular_ladder(n - 1), irregular_ladder(n)) for n in range(2, count + 1)]
+            t = math.exp(_bracketed_root(lambda s: kernel(math.exp(s), s), math.log(t_floor),
+                                         math.log(t_hi), kernel(t_floor), f_hi)[0])
+        except RootSearchError:  # no sign change above t_floor
+            t = 0.0
+        if not (t and _is_normal(q / t)):
+            raise RootSearchError(f"lambda={lam}, j={j}: ground state beyond float range")
+        residual = _normalized_residual(kernel, t, kernel(t))
+        roots.append(SecularRoot(t=t, kappa=q / t, residual=residual))
+        brackets = [(end(n - 1, True), end(n, False)) for n in range(2, count + 1)]
     for (lo, f_lo), (hi, f_hi) in brackets:
-        roots.append(root_at(*_bracketed_root(f, lo, hi, f_lo, f_hi)))
+        t, value = _bracketed_root(kernel, lo, hi, f_lo, f_hi)
+        roots.append(SecularRoot(t=t, kappa=q / t, residual=_normalized_residual(kernel, t, value)))
     return roots

@@ -798,6 +798,19 @@ class TestSecularCommand:
         exact = [1.0 / (n - 0.5 + sign * 0.3) for n in range(1, 301)]
         assert [row["kappa"] for row in rows] == pytest.approx(exact, rel=1e-13)
 
+    def test_extension_past_root_171(self, capsys):
+        # 1/Gamma(a') overflowed past root 171 and refused every row of the j
+        # (n=1 included); the reflection form has no gamma ceiling
+        code, out, err = run_cli(
+            capsys, ["spectrum", "--lambda", "2", "--flux", "0.2", "--n", "1..300", "--strict"]
+        )
+        assert (code, err) == (0, "")
+        rows = parse_rows(out)
+        assert [row["n"] for row in rows] == list(range(1, 301))
+        assert all(row["exists"] for row in rows)
+        kappas = [row["kappa"] for row in rows]  # t = 1/kappa increases
+        assert all(a > b > 0.0 for a, b in zip(kappas, kappas[1:]))
+
     def test_secular_command_is_gone(self, capsys):
         # its levels are spectrum --lambda's: one spectrum command
         code, out, err = run_cli(capsys, ["secular", "--lambda", "1", "--count", "3"])

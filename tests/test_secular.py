@@ -1,8 +1,8 @@
 import itertools
 import math
-import re
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -80,18 +80,22 @@ class TestKummerParams:
         # the smallest and largest normal kappa are kept
         for edge in (sys.float_info.min, sys.float_info.max):
             assert KummerParams.for_state(edge, 0.3, ATOMIC).kappa == edge
-        assert secular_function(sys.float_info.min, 1.0, 0.3, ATOMIC) == 0.0
 
     @pytest.mark.parametrize("lam", [1.0, -1.0, math.inf])
-    def test_kappa_above_a_quarter_of_float_max_refused(self, lam):
-        # 2 kappa overflowed: at float max F was inf, and at float max / 2 it
-        # read 4.3e184 at lambda = 1; float max / 4, the most solve_secular
-        # returns, is kept
+    def test_secular_function_keeps_the_sign_of_f_at_the_float_edges(self, lam):
+        # F underflowed to 0.0 at float min and overflowed from float max / 2
+        # on; the reflection form is finite, nonzero and has F's sign at every
+        # normal kappa: t = 4.5e307 down to t = 5.6e-309
         top = sys.float_info.max
-        for kappa in (top, top / 2.0, math.nextafter(top / 4.0, math.inf)):
-            with pytest.raises(FloatRangeError, match=re.escape(f"kappa = {kappa!r}")):
-                secular_function(kappa, lam, 0.3, ATOMIC)
-        assert math.isfinite(secular_function(top / 4.0, lam, 0.3, ATOMIC))
+        for kappa in (sys.float_info.min, top / 4.0, top / 2.0, top):
+            value = secular_function(kappa, lam, 0.3, ATOMIC)
+            assert math.isfinite(value) and value != 0.0
+            assert (value > 0.0) == (_mp_secular(1.0 / mp.mpf(kappa), lam, 0.3) > 0)
+
+    def test_t_beyond_the_float_range_refused(self):
+        # kappa is normal, but t = q/kappa overflows
+        with pytest.raises(FloatRangeError, match="t = q/kappa"):
+            secular_function(1e-150, 1.0, 0.3, PhysicalParams(m_e=1e100, eta=1e100))
 
     def test_consistency_bound_scales_with_the_parameters(self):
         # the snap moves a by up to 4 eps max(1, t), beyond 1e-9 from t of
@@ -309,6 +313,33 @@ def _rgamma_secular(t, lam, aj):
     return value
 
 
+def _mp_secular(t, lam, aj):
+    """F in t = 1/kappa (atomic units) by mpmath, to 60 digits beyond those
+    of t's integer part, so that a and a' keep the fraction of a float t."""
+    t = mp.mpf(t)
+    with mp.workdps(60 + max(0, int(mp.log10(t)))):
+        aj = mp.mpf(aj)
+        irregular = mp.gamma(1 - 2 * aj) * mp.rgamma(0.5 - aj - t)
+        if math.isinf(lam):
+            return irregular
+        regular = mp.gamma(1 + 2 * aj) * mp.rgamma(0.5 + aj - t)
+        return regular + lam * (2 / t) ** (2 * aj) * irregular
+
+
+def _mp_bisection(f, lo, hi):
+    """The zero of f on [lo, hi], bisected to 60 digits."""
+    lo, hi = mp.mpf(lo), mp.mpf(hi)
+    negative = f(lo) < 0
+    with mp.workdps(60):
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if (f(mid) < 0) == negative:
+                lo = mid
+            else:
+                hi = mid
+    return float(mid)
+
+
 def _interlacing_bracket(lam, aj, n):
     regular, irregular = n - 0.5 + aj, n - 0.5 - aj
     if lam == 0.0:
@@ -377,16 +408,29 @@ class TestInterlacingBrackets:
         assert roots[0].kappa == pytest.approx(expected, rel=1e-9)
         assert 1.0 / roots[1].kappa > 0.5 - j  # the next level is not relabelled
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="at lambda = -1 the two secular terms cancel to O(|j|), so the "
-        "roots lose about 1e-16/|j| of relative accuracy with a zero residual",
-    )
     def test_lambda_minus_one_near_j_zero(self):
-        t = 1.0 / solve_secular(-1.0, 1e-13, ATOMIC, 1)[0].kappa
-        below = _rgamma_secular(t * (1.0 - 1e-9), -1.0, 1e-13)
-        above = _rgamma_secular(t * (1.0 + 1e-9), -1.0, 1e-13)
-        assert below * above < 0.0
+        # the two terms of F cancel to O(|j|) at lambda = -1: on F the roots
+        # were 2.5e-4 off at j = 1e-13 with a zero residual.  A float F
+        # cancels as well, so the reference is F at 60 digits, and each root
+        # lies within 1e-15 of its sign change (the ground state, solved in
+        # log t, within 4e-15)
+        for aj in (1e-13, 1e-9, 1e-5):
+            for n, root in enumerate(solve_secular(-1.0, aj, ATOMIC, 3), start=1):
+                step = mp.mpf(4e-15 if n == 1 else 1e-15)
+                below = _mp_secular(mp.mpf(root.t) * (1 - step), -1.0, aj)
+                above = _mp_secular(mp.mpf(root.t) * (1 + step), -1.0, aj)
+                assert below * above < 0, (aj, n)
+
+    def test_roots_past_171(self):
+        # 1/Gamma(a) overflowed from root 172 on; the reflection form has no
+        # gamma ceiling
+        roots = solve_secular(1.0, 0.3, ATOMIC, 1000)
+        assert all(0.0 < a.t < b.t for a, b in zip(roots, roots[1:]))
+        for n in (172, 500, 1000):
+            t = roots[n - 1].t
+            lo, hi = _interlacing_bracket(1.0, 0.3, n)
+            reference = _mp_bisection(lambda x: _mp_secular(x, 1.0, 0.3), lo, hi)
+            assert abs(t / reference - 1) <= 1e-14, n
 
     @pytest.mark.parametrize("lam", [1e-300, 1e-200, 1e-100, 1e-30, 1e-17, -1e-17, -1e-30])
     def test_tiny_lambda_roots_on_their_ladders(self, lam):
@@ -527,25 +571,33 @@ class TestBracketedRoot:
             _bracketed_root(step, -1.0, 1.0, -1.0, 1.0)
         assert len(calls) == 400
 
-    def test_reciprocal_gamma_calls_per_root(self, monkeypatch):
-        # bisection to adjacent floats took about 110 calls per root here
+    def test_kernel_evaluations_per_root(self, monkeypatch):
+        # every evaluation of G's kernel, the residual's included: about 6.4
+        # per root here.  F made two reciprocal gamma calls an evaluation,
+        # about 15.6 a root with its ladder ends (held to 20), and bisection
+        # to adjacent floats took about 55 evaluations
         calls = []
-        real = secular.reciprocal_gamma
-        monkeypatch.setattr(secular, "reciprocal_gamma", lambda z: calls.append(z) or real(z))
+        real = secular._reflection_kernel
+
+        def counted(*args):
+            kernel, log_ratio = real(*args)
+            return (lambda *a: calls.append(a) or kernel(*a)), log_ratio
+
+        monkeypatch.setattr(secular, "_reflection_kernel", counted)
         roots = sum(
             len(solve_secular(lam, j, ATOMIC, 6))
             for lam in (-1e-3, 1e-3, -1.0, 1.0, -1e3, 1e3)
             for j in (0.01, 0.2, 0.49)
         )
         assert roots == 108
-        assert len(calls) <= 20 * roots
-        # the lambda < 0 ground states alone, in log t: about 28 calls each,
-        # 53 on F without its (2 kappa)^(-2|j|) weight, 128 by bisection
+        assert len(calls) <= 10 * roots
+        # the lambda < 0 ground states alone, in log t: about 13 each (on F
+        # about 28 calls, 53 without its (2 kappa)^(-2|j|) weight)
         calls.clear()
         for lam in (-1e-3, -1.0, -1e3):
             for j in (0.01, 0.2, 0.49):
                 solve_secular(lam, j, ATOMIC, 1)
-        assert len(calls) <= 40 * 9
+        assert len(calls) <= 20 * 9
 
 
 class TestNormalizableCoefficients:
