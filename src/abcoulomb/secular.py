@@ -166,14 +166,18 @@ def _reflection_kernel(lam: float, aj: float, log_two_q: float):
     """The kernel of G for one (lambda, |j|), with ln(2q) = ``log_two_q``, as
     a function of t and ln t, and L(t, ln t) = ln(|lambda| W).
 
-    The kernel is G/max(1, |lambda| W), A cos(pi(t - |j|)) + B cos(pi(t + |j|))
-    with A = 1, B = lambda W up to |lambda| W = 1 and A = 1/(|lambda| W),
-    B = sign(lambda) beyond: G's sign and roots, within [-2, 2], a deep
-    lambda < 0 ground state's weight included.  With t = k + r, k the nearest
-    integer, it is (-1)^k [cos(pi r) cos(pi|j|) (A + B) + sin(pi r)
-    sin(pi|j|) (A - B)], A +- B being 2 + expm1(-|L|) and +-expm1(-|L|):
-    nothing cancels at lambda = -1 and |j| -> 0.  L = -inf at lambda = 0 and
-    +inf at lambda = inf give cos(pi(t -+ |j|)).  ln W's Gamma ratio takes
+    The kernel is G/max(1, |lambda| W), A c + B c' with c = cos(pi(t - |j|)),
+    c' = cos(pi(t + |j|)), A = 1, B = lambda W up to |lambda| W = 1 and
+    A = 1/(|lambda| W), B = sign(lambda) beyond: G's sign and roots, within
+    [-2, 2], a deep lambda < 0 ground state's weight included.  It is taken as
+    (A + B) c - B (c - c') where A = 1 and (A + B) c' + A (c - c') beyond,
+    A + B being 2 + expm1(-|L|) or +-expm1(-|L|): with t = k + r, k the
+    nearest integer, c and c' are (-1)^k sin(pi(1/2 - |j| +- r)) and c - c'
+    is (-1)^k 2 sin(pi r) sin(pi|j|), each to its own rounding.  So nothing
+    cancels at lambda = -1 and |j| -> 0, and a root by a ladder point, where
+    the small weight's cosine vanishes, is found to the float, as with the
+    Gamma-ratio F.  L = -inf at lambda = 0 and +inf at lambda = inf give
+    c and c'.  ln W's Gamma ratio takes
     the psi series (DLMF 5.15.1, psi^(2k) = -(2k)! zeta(2k + 1, .)) to |j|^5
     where |j| < 1e-3, whose lgamma difference would cancel, and past t = 170,
     where that difference rounds like t ln t; the next term is 2e-17 at most.
@@ -186,14 +190,13 @@ def _reflection_kernel(lam: float, aj: float, log_two_q: float):
         return float(2.0 * eps * (special.digamma(x) - e2 * zetas))
 
     two_aj, half_plus, half_minus, pi = 2.0 * aj, 0.5 + aj, 0.5 - aj, math.pi
-    # cos(pi|j|) as sin(pi(1/2 - |j|)), which keeps its digits as |j| -> 1/2
-    cos_j, sin_j = math.sin(pi * half_minus), math.sin(pi * aj)
+    two_sin_j = 2.0 * math.sin(pi * aj)
     series_from = -math.inf if aj < 1e-3 else 170.0  # the t beyond which ln W is a series
     # L but for its terms in t: ln|lambda| + ln(Gamma(b')/Gamma(b)) + 2|j| ln(2q)
     log_c = (-psi_series(1.0, two_aj) if series_from < 0.0
              else math.log(gamma(1.0 - two_aj) * reciprocal_gamma(1.0 + two_aj)))
     log_scale = (math.log(abs(lam)) if lam else -math.inf) + log_c + two_aj * log_two_q
-    cos, sin, log, lgamma, expm1 = math.cos, math.sin, math.log, math.lgamma, math.expm1
+    sin, log, lgamma, expm1 = math.sin, math.log, math.lgamma, math.expm1
 
     def log_ratio(t: float, log_t: float) -> float:
         if t > series_from:
@@ -202,19 +205,22 @@ def _reflection_kernel(lam: float, aj: float, log_two_q: float):
 
     def kernel(t: float, log_t: float | None = None) -> float:
         k = round(t)
-        r = pi * (t - k)
+        r = t - k
         if log_t is None:
             log_t = log(t)
         if t > series_from:
             ell = log_ratio(t, log_t)
         else:  # log_ratio inlined, on locals bound once: the hot path
             ell = log_scale - two_aj * log_t + (lgamma(half_plus + t) - lgamma(half_minus + t))
-        even, odd = cos(r) * cos_j, sin(r) * sin_j
-        if lam < 0.0:  # A + B and A - B swap roles
-            even, odd = odd, even
-        # A + |B| = 2 + m, and A - |B| = m beyond |lambda| W = 1, -m below
-        m = expm1(-ell if ell > 0.0 else ell)
-        value = even * (2.0 + m) + (odd * m if ell > 0.0 else -odd * m)
+        m = expm1(-ell if ell > 0.0 else ell)  # the smaller of A and |B| is 1 + m
+        # A + B = 2 + m, or -m and m for lambda < 0 below and beyond |lambda| W = 1
+        a_plus_b = 2.0 + m if lam >= 0.0 else (m if ell > 0.0 else -m)
+        x = half_minus - r if ell > 0.0 else half_minus + r  # c or c' is sin(pi x)
+        # sin(pi x) on [-1/2, 1], from 1 - x (exact) beyond 1/2
+        value = a_plus_b * sin(pi * (1.0 - x) if x > 0.5 else pi * x)
+        # A (c - c') beyond |lambda| W = 1, and -B (c - c') below
+        weighted_diff = (1.0 + m) * two_sin_j * sin(pi * r)
+        value += -weighted_diff if ell <= 0.0 and lam >= 0.0 else weighted_diff
         return -value if k & 1 else value
 
     return kernel, log_ratio

@@ -432,6 +432,20 @@ class TestInterlacingBrackets:
             reference = _mp_bisection(lambda x: _mp_secular(x, 1.0, 0.3), lo, hi)
             assert abs(t / reference - 1) <= 1e-14, n
 
+    @pytest.mark.parametrize("lam", [1e-4, 1e-3, 1e3, 1e4, 1e6, -1e3, -1e5])
+    def test_roots_by_a_ladder_within_one_float(self, lam):
+        # at small or large |lambda| a root sits by a ladder point, where the
+        # cosine under the small weight vanishes: F at 60 digits changes sign
+        # between the floats either side of the root (the lambda < 0 ground
+        # state, solved in log t, aside).  The cos/sin split of the kernel
+        # put the root by t = 0.2 at lambda = 1e4, |j| = 0.3 1.8 floats off
+        for j in (0.1, 0.2, 0.3, 0.45):
+            roots = solve_secular(lam, j, ATOMIC, 4)
+            for n, root in enumerate(roots[1:] if lam < 0.0 else roots):
+                below = _mp_secular(math.nextafter(root.t, 0.0), lam, j)
+                above = _mp_secular(math.nextafter(root.t, math.inf), lam, j)
+                assert below * above < 0, (j, n)
+
     @pytest.mark.parametrize("lam", [1e-300, 1e-200, 1e-100, 1e-30, 1e-17, -1e-17, -1e-30])
     def test_tiny_lambda_roots_on_their_ladders(self, lam):
         # each bracket ends where a or a' is 1 - n, and a rounded a would leave
